@@ -6,10 +6,9 @@
 // TreeAR next (flat tree over the slow NICs), 2DTAR better (hierarchical
 // dense), HiTopKComm best.
 //
-// A third panel measures the *functional* data path (real buffers moved on
-// this host, not simulated clocks): each converted collective runs under
-// the schedule engine and under the legacy inline loops, and the wall-time
-// ratio is the engine's win.
+// A functional panel measures the *functional* data path (real buffers
+// moved on this host, not simulated clocks): the wall time of each
+// collective's schedule replay plus data pass on a 4x4 cluster.
 //
 // Two topology-axis panels exercise the generalized simnet::Topology:
 //   (c) a 4:1-oversubscribed fat tree (16 nodes x 8 GPUs in 4-node pods,
@@ -40,7 +39,6 @@
 #include "collectives/naive_allgather.h"
 #include "collectives/planner.h"
 #include "collectives/ring.h"
-#include "collectives/schedule.h"
 #include "collectives/torus2d.h"
 #include "collectives/tree_allreduce.h"
 #include "core/flags.h"
@@ -228,17 +226,15 @@ std::vector<PlannerRow> run_planner_panel() {
 
 struct FunctionalRow {
   std::string name;
-  double schedule_s = 0.0;
-  double legacy_s = 0.0;
-  double speedup() const { return legacy_s > 0 ? legacy_s / schedule_s : 0; }
+  double wall_s = 0.0;
 };
 
-// Measures `fn(data)` wall time under both collective paths: buffers are
-// re-seeded before every repetition (outside the timed region) so each run
-// aggregates the same gradients from the same starting state.  The two
-// paths alternate rep by rep and the minimum is reported — on a shared
-// 1-vCPU host, sequential blocks drift with neighbor load, and min-of-reps
-// is the standard noise-robust wall estimator.
+// Measures `fn(data)` wall time: buffers are re-seeded before every
+// repetition (outside the timed region) so each run aggregates the same
+// gradients from the same starting state.  One warm-up run is discarded
+// and the minimum of `reps` timed runs is reported — on a shared host,
+// runs drift with neighbor load, and min-of-reps is the standard
+// noise-robust wall estimator.
 template <typename Fn>
 FunctionalRow measure_functional(const std::string& name, const Topology& topo,
                                  size_t elems, int reps, Fn&& fn) {
@@ -253,11 +249,7 @@ FunctionalRow measure_functional(const std::string& name, const Topology& topo,
   std::vector<Tensor> scratch = originals;
   FunctionalRow row;
   row.name = name;
-  double best_schedule = 0.0, best_legacy = 0.0;
-  for (int rep = 0; rep < 2 * (reps + 1); ++rep) {
-    const CollectivePath path =
-        rep % 2 == 0 ? CollectivePath::kSchedule : CollectivePath::kLegacy;
-    set_collective_path(path);
+  for (int rep = 0; rep < reps + 1; ++rep) {
     for (size_t r = 0; r < originals.size(); ++r) {
       std::copy(originals[r].span().begin(), originals[r].span().end(),
                 scratch[r].span().begin());
@@ -269,14 +261,9 @@ FunctionalRow measure_functional(const std::string& name, const Topology& topo,
     fn(cluster, spans);
     const double seconds =
         std::chrono::duration<double>(clock::now() - begin).count();
-    if (rep < 2) continue;  // one warm-up per path
-    double& best = path == CollectivePath::kSchedule ? best_schedule
-                                                     : best_legacy;
-    best = best == 0.0 ? seconds : std::min(best, seconds);
+    if (rep == 0) continue;  // warm-up
+    row.wall_s = row.wall_s == 0.0 ? seconds : std::min(row.wall_s, seconds);
   }
-  row.schedule_s = best_schedule;
-  row.legacy_s = best_legacy;
-  set_collective_path(CollectivePath::kSchedule);
   return row;
 }
 
@@ -304,9 +291,9 @@ std::vector<FunctionalRow> run_functional_panel(size_t elems, int reps) {
         options.density = 0.01;
         hitopk_comm(c, data, elems, options, 0.0);
       }));
-  // Quantized column: the same hierarchical aggregation with the sparse
-  // values crossing an fp16 wire (dense step-1 leg included).  The perf
-  // gate pins this speedup alongside the fp32 row.
+  // Quantized row: the same hierarchical aggregation with the sparse
+  // values crossing an fp16 wire (dense step-1 leg included), so the
+  // codec's CPU cost shows next to the fp32 row.
   rows.push_back(measure_functional(
       "HiTopKComm_fp16", topo, elems, reps,
       [&](Cluster& c, const RankData& data) {
@@ -382,10 +369,8 @@ void write_json(const std::string& path, const std::vector<SimRow>& small,
                elems, reps);
   for (size_t i = 0; i < functional.size(); ++i) {
     const FunctionalRow& r = functional[i];
-    std::fprintf(json,
-                 "      \"%s\": {\"schedule_s\": %.6f, \"legacy_s\": %.6f, "
-                 "\"speedup\": %.3f}%s\n",
-                 r.name.c_str(), r.schedule_s, r.legacy_s, r.speedup(),
+    std::fprintf(json, "      \"%s\": {\"wall_s\": %.6f}%s\n",
+                 r.name.c_str(), r.wall_s,
                  i + 1 < functional.size() ? "," : "");
   }
   std::fprintf(json, "    }\n  }\n}\n");
@@ -485,17 +470,14 @@ int main(int argc, char** argv) {
   std::cout << "=== Functional data path (4x4 cluster, "
             << (functional_elems >> 20) << "M elements, wall time) ===\n\n";
   const auto functional = run_functional_panel(functional_elems, reps);
-  TablePrinter ftable(
-      {"Collective", "schedule (s)", "legacy (s)", "speedup"});
+  TablePrinter ftable({"Collective", "wall (s)"});
   for (const FunctionalRow& r : functional) {
-    ftable.add_row({r.name, TablePrinter::fmt(r.schedule_s, 4),
-                    TablePrinter::fmt(r.legacy_s, 4),
-                    TablePrinter::fmt(r.speedup(), 2) + "x"});
+    ftable.add_row({r.name, TablePrinter::fmt(r.wall_s, 4)});
   }
   ftable.print(std::cout);
-  std::cout << "\nschedule = unified collective-schedule engine (resolved "
-               "all-gathers, batched\nper-step reduces); legacy = the "
-               "pre-engine inline loops (validation reference).\n";
+  std::cout << "\nMin-of-" << reps << " wall time of one call (schedule "
+               "timing replay + functional\ndata pass) on this host; "
+               "informational, not gated.\n";
 
   if (!json_path.empty()) {
     write_json(json_path, small_rows, large_rows, fat_rows, uneven_rows,

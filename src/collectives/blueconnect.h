@@ -14,9 +14,9 @@
 // oversubscribed fat trees (Topology::oversubscription).
 //
 // The whole collective is a single transfer schedule built from ring.h's
-// range-aware builders — no legacy twin exists; with factors = {P} the
-// recorded schedule is identical to ring_allreduce's (pinned by
-// schedule_equivalence_test), which serves as its validation anchor.
+// range-aware builders.  With factors = {P} the recorded schedule is
+// identical to ring_allreduce's (pinned by schedule_equivalence_test),
+// which ties it to the ring's golden rows.
 #pragma once
 
 #include "collectives/common.h"

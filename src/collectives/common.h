@@ -25,8 +25,9 @@ using RankData = std::vector<RankSpan>;
 // Typed transfer payloads (compress/wire_codec.h): every collective takes
 // the wire dtype its bytes travel in.  fp32 is the bitwise-identity
 // baseline; fp16/int8 shrink the simulated bytes *and* round the functional
-// values through the codec at each shard boundary, exactly as the legacy
-// hop-by-hop loops would.
+// values through the codec at every hop: a reduce adds the rounded chunk to
+// its fp32 destination, a copy stores the rounded chunk (see
+// Schedule::add_buffer).
 using compress::WireDtype;
 using compress::wire_dtype_name;
 using compress::wire_elem_bytes;

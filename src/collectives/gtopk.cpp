@@ -6,7 +6,6 @@
 #include "collectives/schedule.h"
 #include "compress/exact_topk.h"
 #include "core/parallel.h"
-#include "core/tensor.h"
 #include "core/workspace.h"
 
 namespace hitopk::coll {
@@ -18,26 +17,13 @@ int floor_pow2(int v) {
   return q;
 }
 
-// Sum two sparse tensors and keep the top-k of the result — legacy form
-// (validation reference): a fresh dense Tensor per call, O(d) allocation on
-// every (rank, round).
-compress::SparseTensor merge_topk_legacy(const compress::SparseTensor& a,
-                                         const compress::SparseTensor& b,
-                                         size_t k, compress::TopKSelect algo) {
-  HITOPK_CHECK_EQ(a.dense_size, b.dense_size);
-  Tensor dense(a.dense_size);
-  a.scatter_add_into(dense.span());
-  b.scatter_add_into(dense.span());
-  return compress::exact_topk(dense.span(), k, algo);
-}
-
-// Engine-path merge: the dense accumulator comes from the thread-local
-// workspace pool (no allocation at steady state) and the two scatter-adds
-// run as one fused accumulate_into — same per-element float-add order, so
-// the selection is bitwise identical to the legacy form.
-compress::SparseTensor merge_topk_fused(const compress::SparseTensor& a,
-                                        const compress::SparseTensor& b,
-                                        size_t k, compress::TopKSelect algo) {
+// Sums two sparse tensors and keeps the top-k of the result.  The dense
+// accumulator comes from the thread-local workspace pool (no allocation at
+// steady state) and one fused accumulate_into adds every coordinate as
+// (0 + a) + b: a's entries first, then b's.
+compress::SparseTensor merge_topk(const compress::SparseTensor& a,
+                                  const compress::SparseTensor& b, size_t k,
+                                  compress::TopKSelect algo) {
   HITOPK_CHECK_EQ(a.dense_size, b.dense_size);
   Scratch<float> dense(a.dense_size);
   const compress::SparseTensor* parts[2] = {&a, &b};
@@ -51,102 +37,11 @@ struct GtopkShape {
   int rem = 0;  // ranks folded in before / out after the hypercube
 };
 
-// ===================== legacy path (validation reference) =====================
-// The pre-engine inline loop: per-round ready/next snapshot clocks with the
-// dense-allocating merge, kept verbatim behind CollectivePath::kLegacy plus
-// the fold/unfold rounds (which the engine path mirrors send for send).
-double legacy_gtopk(simnet::Cluster& cluster, const GtopkShape& shape,
-                    size_t payload, size_t k, compress::TopKSelect algo,
-                    std::vector<compress::SparseTensor>& state, double start,
-                    size_t& rounds) {
-  const auto [p, q, rem] = shape;
-  const bool functional = !state.empty();
-  std::vector<double> ready(static_cast<size_t>(p), start);
-
-  // Pre-fold: extra ranks send their selection into the hypercube.
-  if (rem > 0) {
-    ++rounds;
-    std::vector<double> next = ready;
-    for (int r = 0; r < rem; ++r) {
-      const double done =
-          cluster
-              .submit({simnet::kDefaultJob, q + r, r, payload,
-                       ready[static_cast<size_t>(q + r)]})
-              .time;
-      next[static_cast<size_t>(r)] =
-          std::max(next[static_cast<size_t>(r)], done);
-    }
-    ready.swap(next);
-    if (functional) {
-      for (int r = 0; r < rem; ++r) {
-        state[static_cast<size_t>(r)] =
-            merge_topk_legacy(state[static_cast<size_t>(r)],
-                              state[static_cast<size_t>(q + r)], k, algo);
-      }
-    }
-  }
-
-  // Recursive doubling: in round g, rank r exchanges with r ^ gap; both
-  // merge and re-select, so the whole hypercube converges to one set.
-  for (int gap = 1; gap < q; gap <<= 1) {
-    ++rounds;
-    std::vector<double> next = ready;
-    for (int r = 0; r < q; ++r) {
-      const int partner = r ^ gap;
-      // Full-duplex pairwise exchange; both directions are issued.
-      const double done =
-          cluster
-              .submit({simnet::kDefaultJob, r, partner, payload,
-                       ready[static_cast<size_t>(r)]})
-              .time;
-      next[static_cast<size_t>(partner)] =
-          std::max(next[static_cast<size_t>(partner)], done);
-    }
-    ready.swap(next);
-    if (functional) {
-      std::vector<compress::SparseTensor> merged(static_cast<size_t>(q));
-      for (int r = 0; r < q; ++r) {
-        merged[static_cast<size_t>(r)] =
-            merge_topk_legacy(state[static_cast<size_t>(r)],
-                              state[static_cast<size_t>(r ^ gap)], k, algo);
-      }
-      for (int r = 0; r < q; ++r) {
-        state[static_cast<size_t>(r)] =
-            std::move(merged[static_cast<size_t>(r)]);
-      }
-    }
-  }
-
-  // Unfold: the converged set travels back to the extra ranks.
-  if (rem > 0) {
-    ++rounds;
-    std::vector<double> next = ready;
-    for (int r = 0; r < rem; ++r) {
-      const double done =
-          cluster
-              .submit({simnet::kDefaultJob, r, q + r, payload,
-                       ready[static_cast<size_t>(r)]})
-              .time;
-      next[static_cast<size_t>(q + r)] =
-          std::max(next[static_cast<size_t>(q + r)], done);
-    }
-    ready.swap(next);
-    if (functional) {
-      for (int r = 0; r < rem; ++r) {
-        state[static_cast<size_t>(q + r)] = state[static_cast<size_t>(r)];
-      }
-    }
-  }
-  return *std::max_element(ready.begin(), ready.end());
-}
-
-// ============================= engine path =============================
-// One schedule: fold step, log2(q) hypercube steps, unfold step — the
-// engine's per-step snapshot slots are exactly the legacy ready/next swap.
-// The functional merges run per round on the parallel_for pool (each rank's
+// One schedule: fold step, log2(q) hypercube steps, unfold step; each
+// round's sends start from the previous round's per-rank readiness.  The
+// functional merges run per round on the parallel_for pool: each rank's
 // merge reads the previous round's state and writes its own slot, so the
-// rounds are bitwise-identical to the serial loop) with the fused
-// workspace-backed merge.
+// rounds are bitwise-identical to running the merges serially.
 double schedule_gtopk(simnet::Cluster& cluster, const GtopkShape& shape,
                       size_t payload, size_t k, compress::TopKSelect algo,
                       std::vector<compress::SparseTensor>& state, double start,
@@ -194,14 +89,14 @@ double schedule_gtopk(simnet::Cluster& cluster, const GtopkShape& shape,
   if (functional) {
     if (rem > 0) {
       parallel_for(0, static_cast<size_t>(rem), [&](size_t r) {
-        state[r] = merge_topk_fused(state[r], state[static_cast<size_t>(q) + r],
-                                    k, algo);
+        state[r] =
+            merge_topk(state[r], state[static_cast<size_t>(q) + r], k, algo);
       });
     }
     std::vector<compress::SparseTensor> merged(static_cast<size_t>(q));
     for (int gap = 1; gap < q; gap <<= 1) {
       parallel_for(0, static_cast<size_t>(q), [&](size_t r) {
-        merged[r] = merge_topk_fused(
+        merged[r] = merge_topk(
             state[r], state[r ^ static_cast<size_t>(gap)], k, algo);
       });
       for (int r = 0; r < q; ++r) {
@@ -269,19 +164,10 @@ GtopkResult gtopk_comm(simnet::Cluster& cluster, const RankData& data,
     });
   }
 
-  const bool legacy = collective_path() == CollectivePath::kLegacy;
   const double done =
-      legacy ? legacy_gtopk(cluster, shape, payload, k, options.topk_select,
-                            state, start, out.rounds)
-             : schedule_gtopk(cluster, shape, payload, k, options.topk_select,
-                              state, start, out.rounds, options.outcome);
+      schedule_gtopk(cluster, shape, payload, k, options.topk_select, state,
+                     start, out.rounds, options.outcome);
   out.total = done - start;
-  if (legacy && options.outcome != nullptr) {
-    // The legacy reference has no abortable replay (a dead rank throws from
-    // Cluster::send); report a completed outcome for interface parity.
-    *options.outcome = ScheduleOutcome{};
-    options.outcome->finish = done;
-  }
 
   const bool aborted = options.outcome != nullptr && options.outcome->aborted();
   if (functional && !aborted) {

@@ -17,11 +17,9 @@
 // log2(q) + 2 when rem > 0, log2(P) otherwise.
 //
 // Like the other collectives, the timed exchange is a recorded transfer
-// schedule (collectives/schedule.h); CollectivePath::kLegacy selects the
-// pre-engine inline loop as the validation reference, which also keeps the
-// original dense-per-merge scratch behavior the engine path replaces with
-// workspace-backed fused accumulation (bitwise-identical results, pinned in
-// schedule_equivalence_test).
+// schedule (collectives/schedule.h); each merge sums into a workspace-backed
+// dense accumulator and re-selects (outputs pinned by the golden rows in
+// tests/collective_golden.inc).
 #pragma once
 
 #include "collectives/common.h"
@@ -45,8 +43,8 @@ struct GtopkOptions {
   compress::ErrorFeedback* error_feedback = nullptr;
   std::string ef_key_prefix = "gtopk";
   uint64_t seed = 42;
-  // Abortable mode (engine path only): when set, the timed replay runs
-  // through Cluster::try_send against the cluster's FaultPlan and the
+  // Abortable mode: when set, the timed replay runs through
+  // Schedule::run_timing_abortable against the cluster's FaultPlan and the
   // outcome lands here.  On an abort the functional merges and the final
   // scatter are skipped entirely, so every data[rank] keeps the gradient it
   // handed in (EF-primed if error feedback is on — the local selection and

@@ -1,100 +1,9 @@
 #include "collectives/hier_allreduce.h"
 
-#include <algorithm>
-
 #include "collectives/ring.h"
 
 namespace hitopk::coll {
-namespace {
 
-// Legacy-path wire staging: a quantized hop delivers the codec-rounded
-// buffer (dst += rt(src) on the fan-in, dst = rt(src) on the broadcast).
-std::vector<float>& hier_staging() {
-  thread_local std::vector<float> tmp;
-  return tmp;
-}
-
-// ===================== legacy path (validation reference) =====================
-HierArBreakdown legacy_hier(simnet::Cluster& cluster, const RankData& data,
-                            size_t elems, WireDtype wire, double start) {
-  const simnet::Topology& topo = cluster.topology();
-  const int m = topo.nodes();
-  const bool functional = !data.empty();
-
-  HierArBreakdown out;
-
-  // Phase 1: reduce onto each node's leader (local rank 0) — the non-leader
-  // GPUs send their full buffer over NVLink; the leader adds sequentially
-  // (its recv port serializes the incoming transfers).  Per-node GPU counts
-  // may differ (heterogeneous clusters); leader-based reduction only needs
-  // each node to have a rank 0.
-  double t1 = start;
-  for (int node = 0; node < m; ++node) {
-    const int leader = topo.rank_of(node, 0);
-    for (int local = 1; local < topo.gpus_on_node(node); ++local) {
-      const int src = topo.rank_of(node, local);
-      const double done =
-          cluster
-              .submit({simnet::kDefaultJob, src, leader,
-                       wire_payload_bytes(wire, elems), start})
-              .time;
-      t1 = std::max(t1, done);
-      if (functional) {
-        auto dst = data[static_cast<size_t>(leader)];
-        auto src_span = data[static_cast<size_t>(src)];
-        if (wire == WireDtype::kFp32) {
-          for (size_t e = 0; e < elems; ++e) dst[e] += src_span[e];
-        } else {
-          auto& tmp = hier_staging();
-          tmp.assign(src_span.begin(), src_span.end());
-          std::span<float> staged(tmp.data(), elems);
-          wire_round_trip(wire, staged);
-          for (size_t e = 0; e < elems; ++e) dst[e] += staged[e];
-        }
-      }
-    }
-  }
-  out.intra_reduce = t1 - start;
-
-  // Phase 2: ring all-reduce among the m leaders over the NICs.
-  Group leaders;
-  for (int node = 0; node < m; ++node) leaders.push_back(topo.rank_of(node, 0));
-  RankData leader_data;
-  if (functional) {
-    for (int rank : leaders) leader_data.push_back(data[static_cast<size_t>(rank)]);
-  }
-  const double t2 =
-      ring_allreduce(cluster, leaders, leader_data, elems, wire, t1);
-  out.inter_allreduce = t2 - t1;
-
-  // Phase 3: leaders broadcast the result inside their node.
-  double t3 = t2;
-  for (int node = 0; node < m; ++node) {
-    const int leader = topo.rank_of(node, 0);
-    for (int local = 1; local < topo.gpus_on_node(node); ++local) {
-      const int dst = topo.rank_of(node, local);
-      const double done =
-          cluster
-              .submit({simnet::kDefaultJob, leader, dst,
-                       wire_payload_bytes(wire, elems), t2})
-              .time;
-      t3 = std::max(t3, done);
-      if (functional) {
-        auto src_span = data[static_cast<size_t>(leader)];
-        auto dst_span = data[static_cast<size_t>(dst)];
-        std::copy(src_span.begin(), src_span.end(), dst_span.begin());
-        wire_round_trip(wire, dst_span);
-      }
-    }
-  }
-  out.intra_broadcast = t3 - t2;
-  out.total = t3 - start;
-  return out;
-}
-
-}  // namespace
-
-// ============================= engine path =============================
 // One schedule: leader fan-in step, collapse sync, leaders' ring
 // Reduce-Scatter + collapse + resolved All-Gather, collapse sync, broadcast
 // step with resolved leader->local copies.
@@ -114,8 +23,8 @@ void build_hier_allreduce(Schedule& sched, const simnet::Topology& topo,
   }
 
   // Phase 1: fan-in to the leaders.  The leader's recv port serializes the
-  // incoming transfers; the reduce moves keep the legacy local-rank order
-  // per leader bucket.
+  // incoming transfers; each leader adds its node's buffers in local-rank
+  // order (one bucket per leader).
   for (int node = 0; node < m; ++node) {
     const int leader = topo.rank_of(node, 0);
     for (int local = 1; local < topo.gpus_on_node(node); ++local) {
@@ -131,8 +40,8 @@ void build_hier_allreduce(Schedule& sched, const simnet::Topology& topo,
   sched.end_step();
   sched.sync(/*collapse=*/true);  // phase 1 done
 
-  // Phase 2: ring All-Reduce among the leaders (Reduce-Scatter, the legacy
-  // mid-point barrier, then the resolved All-Gather reusing the scattered
+  // Phase 2: ring All-Reduce among the leaders (Reduce-Scatter, a collapse
+  // at the mid-point, then the resolved All-Gather reusing the scattered
   // sums in place).
   std::vector<Group> leader_groups(1);
   for (int node = 0; node < m; ++node) {
@@ -175,9 +84,6 @@ void build_hier_allreduce(Schedule& sched, const simnet::Topology& topo,
 HierArBreakdown hier_allreduce(simnet::Cluster& cluster, const RankData& data,
                                size_t elems, WireDtype wire, double start) {
   check_data(world_group(cluster.topology()), data, elems);
-  if (collective_path() == CollectivePath::kLegacy) {
-    return legacy_hier(cluster, data, elems, wire, start);
-  }
   Schedule sched;
   build_hier_allreduce(sched, cluster.topology(), data, elems, wire);
   const Schedule::TimingResult timing = sched.run_timing(cluster, start);

@@ -35,8 +35,8 @@ std::vector<float>& fanin_staging() {
 // One stream's aggregated sparse result: globally-indexed, ascending,
 // compact (exact zeros already dropped).  The inter-node all-gather legs
 // quote indices.size() as the stream's nonzero count, and step 4's rebuild
-// scatters the pairs directly — the engine path never materialises the
-// dense accumulation buffer the legacy path scatter-adds into.
+// scatters the pairs directly — no dense accumulation buffer is ever
+// materialised.
 struct CompactStream {
   std::vector<uint32_t> indices;
   std::vector<float> values;
@@ -69,11 +69,11 @@ const compress::SparseTensor* sorted_block(
 
 // Merge-accumulates one stream's m sorted sparse blocks into a compact
 // (index, value) stream.  Each output index sums its occurrences in block
-// order starting from a literal 0.0f, which is float-for-float the sequence
-// the legacy path's scatter-add into a zeroed dense buffer performs — the
-// result is bitwise identical, including signed-zero and NaN propagation.
-// Touching only the k-way frontier costs O(nnz * m) instead of the legacy
-// dense memset + full-shard nonzero rescan.
+// order starting from a literal 0.0f — bitwise the value a scatter-add of
+// the blocks into a zeroed dense buffer yields, including signed-zero and
+// NaN propagation — and exact-zero sums are dropped.  Touching only the
+// k-way frontier costs O(nnz * m) instead of a dense memset plus a
+// full-shard nonzero rescan.
 void merge_accumulate(std::span<const compress::SparseTensor* const> blocks,
                       size_t shard_begin, CompactStream& out) {
   struct Cursor {
@@ -107,8 +107,8 @@ void merge_accumulate(std::span<const compress::SparseTensor* const> blocks,
     for (size_t c = 1; c < cursors.size(); ++c) {
       lo = std::min(lo, *cursors[c].idx);
     }
-    // Blocks stay in storage order, so duplicate indices accumulate in the
-    // same order the legacy scatter-add applies them.
+    // Blocks stay in storage order, so duplicate indices accumulate in
+    // block order.
     float sum = 0.0f;
     for (Cursor& cur : cursors) {
       while (cur.idx != cur.end && *cur.idx == lo) {
@@ -132,8 +132,9 @@ void merge_accumulate(std::span<const compress::SparseTensor* const> blocks,
 // concatenation is globally sorted: one forward pass per rank zero-fills
 // L1-sized tiles with memset and scatters the tile's survivors while its
 // lines are still cache-resident.  That writes each output element exactly
-// once at streaming-store speed, where the legacy full-buffer copy also
-// *reads* every element — roughly halving step 4's memory traffic.
+// once at streaming-store speed, where copying a dense aggregate into every
+// rank would also *read* every element — roughly halving step 4's memory
+// traffic.
 void rebuild_from_compact(const RankData& data,
                           const std::vector<CompactStream>& streams) {
   constexpr size_t kTileElems = 8 * 1024;  // 32 KiB of floats.
@@ -168,7 +169,6 @@ HiTopKBreakdown hitopk_uniform(simnet::Cluster& cluster, const RankData& data,
   const int n = topo.gpus_per_node();
   const int world = topo.world_size();
   const bool functional = !data.empty();
-  const bool legacy = collective_path() == CollectivePath::kLegacy;
   const WireDtype wire = options.value_wire;
 
   HiTopKBreakdown out;
@@ -180,41 +180,28 @@ HiTopKBreakdown hitopk_uniform(simnet::Cluster& cluster, const RankData& data,
         chunk_range(elems, static_cast<size_t>(n), static_cast<size_t>(local));
   }
 
-  // ---- Step 1: intra-node reduce-scatter (dense, Alg. 2 lines 2-4).
-  double t1 = start;
-  if (legacy) {
-    for (int node = 0; node < m; ++node) {
-      const Group group = node_group(topo, node);
-      RankData node_data;
-      if (functional) {
-        for (int rank : group) node_data.push_back(data[static_cast<size_t>(rank)]);
+  // ---- Step 1: intra-node reduce-scatter (dense, Alg. 2 lines 2-4).  The
+  // m per-node rings are one multi-group schedule: intra-node ports are
+  // disjoint across nodes, so the clocks equal m independent rings, and
+  // each step's reduces across all nodes batch into a single parallel_for.
+  std::vector<Group> node_groups;
+  std::vector<RankData> node_data;
+  for (int node = 0; node < m; ++node) {
+    node_groups.push_back(node_group(topo, node));
+    if (functional) {
+      RankData nd;
+      for (int rank : node_groups.back()) {
+        nd.push_back(data[static_cast<size_t>(rank)]);
       }
-      t1 = std::max(t1, ring_reduce_scatter(cluster, group, node_data, elems,
-                                            wire, start));
+      node_data.push_back(std::move(nd));
     }
-  } else {
-    // Engine path: the m per-node rings are one multi-group schedule — same
-    // clocks (intra-node ports are disjoint across nodes), but each step's
-    // reduces across all nodes batch into a single parallel_for.
-    std::vector<Group> node_groups;
-    std::vector<RankData> node_data;
-    for (int node = 0; node < m; ++node) {
-      node_groups.push_back(node_group(topo, node));
-      if (functional) {
-        RankData nd;
-        for (int rank : node_groups.back()) {
-          nd.push_back(data[static_cast<size_t>(rank)]);
-        }
-        node_data.push_back(std::move(nd));
-      }
-    }
-    Schedule sched;
-    const RingGrid grid = ring_grid(sched, node_groups, node_data, wire);
-    build_ring_reduce_scatter(sched, node_groups, grid, elems, wire,
-                              /*fused_chains=*/true);
-    t1 = sched.run_timing(cluster, start).finish;
-    sched.run_data();
   }
+  Schedule sched;
+  const RingGrid grid = ring_grid(sched, node_groups, node_data, wire);
+  build_ring_reduce_scatter(sched, node_groups, grid, elems, wire,
+                            /*fused_chains=*/true);
+  const double t1 = sched.run_timing(cluster, start).finish;
+  sched.run_data();
   out.reduce_scatter = t1 - start;
 
   // ---- Step 2: MSTopK on each GPU's owned shard (Alg. 2 lines 5-8).
@@ -287,22 +274,14 @@ HiTopKBreakdown hitopk_uniform(simnet::Cluster& cluster, const RankData& data,
 
   // ---- Step 3: n concurrent inter-node all-gathers (Alg. 2 lines 11-14)
   // plus local accumulation with duplicate-index adds (lines 15-20).
-  // Every rank of stream `local` computes the identical dense accumulation
-  // of the stream's m sparse blocks, so it is computed once per stream (not
-  // once per rank), directly into the stream's shard slice of one flat
-  // dense buffer.  The owned shards tile [0, elems), so the flat buffer IS
-  // the aggregated gradient.  stream_nnz keeps the per-stream nonzero
-  // counts the step-4 wire payloads need.
-  //
-  // The legacy branch zeroes the flat buffer, scatter-adds, and scans each
-  // shard for nonzeros; the engine branch merge-accumulates the sorted
-  // blocks into compact streams (see merge_accumulate), which needs no
-  // dense buffer, no memset, and no full-shard rescan — the streams then
-  // feed step 4's tiled scatter rebuild.
-  Scratch<float> stream_dense(functional && legacy ? elems : 0,
-                              /*zeroed=*/true);
-  std::vector<CompactStream> streams(
-      functional && !legacy ? static_cast<size_t>(n) : 0);
+  // Every rank of stream `local` computes the identical accumulation of the
+  // stream's m sparse blocks, so it is computed once per stream (not once
+  // per rank) by merge-accumulating the sorted blocks into a compact stream
+  // (see merge_accumulate).  The owned shards tile [0, elems), so the
+  // streams in shard order ARE the aggregated gradient; they feed step 4's
+  // tiled scatter rebuild.  stream_nnz keeps the per-stream nonzero counts
+  // the step-4 wire payloads need.
+  std::vector<CompactStream> streams(functional ? static_cast<size_t>(n) : 0);
   std::vector<size_t> stream_nnz(static_cast<size_t>(n), 0);
   std::vector<Group> stream_groups;
   std::vector<std::vector<size_t>> stream_payloads;
@@ -327,27 +306,16 @@ HiTopKBreakdown hitopk_uniform(simnet::Cluster& cluster, const RankData& data,
       const int local = stream_locals[s];
       const ChunkRange& shard = shards[static_cast<size_t>(local)];
       const Group& group = stream_groups[s];
-      // Disjoint shard slices: every stream worker owns its own range of
-      // the flat buffer, so the parallel accumulation is race-free and
-      // bitwise-identical to the serial loop.
-      if (legacy) {
-        auto acc = stream_dense.span().subspan(shard.begin, shard.count);
-        for (int peer : group) {
-          selected[static_cast<size_t>(peer)].scatter_add_into(acc);
-        }
-        size_t nnz = 0;
-        for (const float v : acc) nnz += v != 0.0f ? 1 : 0;
-        stream_nnz[static_cast<size_t>(local)] = nnz;
-      } else {
-        std::vector<const compress::SparseTensor*> blocks;
-        blocks.reserve(group.size());
-        for (int peer : group) {
-          blocks.push_back(&selected[static_cast<size_t>(peer)]);
-        }
-        CompactStream& stream = streams[static_cast<size_t>(local)];
-        merge_accumulate(blocks, shard.begin, stream);
-        stream_nnz[static_cast<size_t>(local)] = stream.indices.size();
+      // Each stream worker writes only its own stream, so the parallel
+      // accumulation is race-free and bitwise-identical to a serial loop.
+      std::vector<const compress::SparseTensor*> blocks;
+      blocks.reserve(group.size());
+      for (int peer : group) {
+        blocks.push_back(&selected[static_cast<size_t>(peer)]);
       }
+      CompactStream& stream = streams[static_cast<size_t>(local)];
+      merge_accumulate(blocks, shard.begin, stream);
+      stream_nnz[static_cast<size_t>(local)] = stream.indices.size();
     });
   }
   // The n streams run concurrently (Alg. 2 line 11: "for j in [n] in
@@ -398,21 +366,8 @@ HiTopKBreakdown hitopk_uniform(simnet::Cluster& cluster, const RankData& data,
   out.intra_allgather = t4 - t3;
   out.total = t4 - start;
 
-  if (functional) {
-    // Rebuild the full aggregated gradient on every rank.  The owned shards
-    // tile [0, elems), so the legacy flat buffer (or the concatenated
-    // compact streams) is the complete aggregate.  The legacy branch copies
-    // the whole buffer per rank; the engine branch runs the tiled
-    // zero-and-scatter pass.
-    if (legacy) {
-      parallel_for(0, static_cast<size_t>(world), [&](size_t r) {
-        std::copy(stream_dense.span().begin(), stream_dense.span().end(),
-                  data[r].begin());
-      });
-    } else {
-      rebuild_from_compact(data, streams);
-    }
-  }
+  // Rebuild the full aggregated gradient on every rank from the streams.
+  if (functional) rebuild_from_compact(data, streams);
   return out;
 }
 
@@ -422,16 +377,13 @@ HiTopKBreakdown hitopk_uniform(simnet::Cluster& cluster, const RankData& data,
 // GPU j owns every shard s with s % g == j.  Step 1 aggregates each shard
 // by direct fan-in to its owner (a per-node ring reduce-scatter needs one
 // chunk per member, which the L-shard grid of a small node does not
-// provide); steps 2-4 are the uniform pipeline run per (shard, node) unit.
-// One implementation serves both collective paths — there is no legacy
-// inline loop to validate against, so the engine-style merge accumulation
-// and tiled scatter rebuild run unconditionally.
+// provide); steps 2-4 are the uniform pipeline run per (shard, node) unit,
+// with the same merge accumulation and tiled scatter rebuild.
 HiTopKBreakdown hitopk_uneven(simnet::Cluster& cluster, const RankData& data,
                               size_t elems, const HiTopKOptions& options,
                               double start) {
   const simnet::Topology& topo = cluster.topology();
   const int m = topo.nodes();
-  const int world = topo.world_size();
   const bool functional = !data.empty();
   const WireDtype wire = options.value_wire;
 
@@ -649,7 +601,6 @@ HiTopKBreakdown hitopk_uneven(simnet::Cluster& cluster, const RankData& data,
   if (functional) {
     rebuild_from_compact(data, streams);
   }
-  (void)world;
   return out;
 }
 

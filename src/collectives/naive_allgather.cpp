@@ -8,29 +8,6 @@
 #include "core/workspace.h"
 
 namespace hitopk::coll {
-namespace {
-
-// The timed flat world-scale gather, as one recorded schedule (engine path)
-// or the legacy inline ring loop (ring_allgather_bytes honors the same
-// CollectivePath flag, so delegating keeps the validation reference).
-// Single-rank worlds and empty payloads carry no steps — the same guard
-// class as ring_allgather_bytes_multi's g == 0 fix — and return `start`.
-double gather_time(simnet::Cluster& cluster,
-                   const std::vector<size_t>& payload, double start,
-                   double step_overhead) {
-  const Group group = world_group(cluster.topology());
-  if (group.size() <= 1) return start;
-  if (collective_path() == CollectivePath::kLegacy) {
-    return ring_allgather_bytes(cluster, group, payload, start, step_overhead);
-  }
-  Schedule sched;
-  const std::vector<Group> groups{group};
-  const RingGrid grid = ring_grid(sched, groups, {});
-  build_ring_allgather_bytes(sched, groups, grid, {payload}, step_overhead);
-  return sched.run_timing(cluster, start).finish;
-}
-
-}  // namespace
 
 NaiveAgResult naive_sparse_allgather(
     simnet::Cluster& cluster,
@@ -44,7 +21,7 @@ NaiveAgResult naive_sparse_allgather(
   check_data(world_group(topo), data, elems);
 
   // Wire payload per origin rank: k values + k indices (k == 0 blocks ride
-  // the ring as pure-latency messages, like the legacy loop).
+  // the ring as pure-latency messages).
   std::vector<size_t> payload(p);
   for (size_t r = 0; r < p; ++r) {
     HITOPK_CHECK(sparse[r].is_valid());
@@ -55,7 +32,8 @@ NaiveAgResult naive_sparse_allgather(
   }
 
   NaiveAgResult out;
-  const double gathered = gather_time(cluster, payload, start, step_overhead);
+  const double gathered = ring_allgather_bytes(cluster, world_group(topo),
+                                               payload, start, step_overhead);
   out.allgather = gathered - start;
 
   // Every rank scatter-adds all P blocks locally.
@@ -81,11 +59,13 @@ NaiveAgResult naive_sparse_allgather_time(simnet::Cluster& cluster, size_t k,
                                           size_t value_wire_bytes,
                                           double accumulate_seconds_per_rank,
                                           double start, double step_overhead) {
-  const size_t p = static_cast<size_t>(cluster.topology().world_size());
-  std::vector<size_t> payload(p, k * (value_wire_bytes + 4));
+  const simnet::Topology& topo = cluster.topology();
+  const std::vector<size_t> payload(static_cast<size_t>(topo.world_size()),
+                                    k * (value_wire_bytes + 4));
 
   NaiveAgResult out;
-  const double gathered = gather_time(cluster, payload, start, step_overhead);
+  const double gathered = ring_allgather_bytes(cluster, world_group(topo),
+                                               payload, start, step_overhead);
   out.allgather = gathered - start;
   const double done =
       simnet::Cluster::compute(gathered, accumulate_seconds_per_rank);

@@ -1,115 +1,21 @@
 #include "collectives/param_server.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "collectives/schedule.h"
-#include "core/tensor.h"
 
 namespace hitopk::coll {
-namespace {
 
-// Scratch for staging a shard through the wire codec on the legacy path.
-std::vector<float>& ps_staging() {
-  thread_local std::vector<float> staging;
-  return staging;
-}
-
-// ===================== legacy path (validation reference) =====================
-ParamServerResult legacy_param_server(simnet::Cluster& cluster,
-                                      const RankData& data, size_t elems,
-                                      WireDtype wire, double start) {
-  const simnet::Topology& topo = cluster.topology();
-  const int m = topo.nodes();
-  const bool functional = !data.empty();
-
-  ParamServerResult out;
-  // Server s = GPU 0 of node s owns shard s.
-  auto server_rank = [&](int s) { return topo.rank_of(s, 0); };
-
-  // ---- Push: every worker sends each shard to its server.  The server's
-  // recv port and its node NIC serialize the fan-in.
-  std::vector<double> shard_ready(static_cast<size_t>(m), start);
-  for (int s = 0; s < m; ++s) {
-    const ChunkRange shard =
-        chunk_range(elems, static_cast<size_t>(m), static_cast<size_t>(s));
-    if (shard.count == 0) continue;
-    for (int worker = 0; worker < topo.world_size(); ++worker) {
-      if (worker == server_rank(s)) continue;  // server's own shard is local
-      const double done =
-          cluster
-              .submit({simnet::kDefaultJob, worker, server_rank(s),
-                       wire_payload_bytes(wire, shard.count), start})
-              .time;
-      shard_ready[static_cast<size_t>(s)] =
-          std::max(shard_ready[static_cast<size_t>(s)], done);
-    }
-    if (functional) {
-      auto acc = data[static_cast<size_t>(server_rank(s))].subspan(
-          shard.begin, shard.count);
-      for (int worker = 0; worker < topo.world_size(); ++worker) {
-        if (worker == server_rank(s)) continue;
-        auto src = data[static_cast<size_t>(worker)].subspan(shard.begin,
-                                                             shard.count);
-        if (wire == WireDtype::kFp32) {
-          for (size_t e = 0; e < shard.count; ++e) acc[e] += src[e];
-        } else {
-          // The worker's shard crosses the wire before the server adds it.
-          auto& staging = ps_staging();
-          staging.assign(src.begin(), src.end());
-          wire_round_trip(wire, std::span<float>(staging));
-          for (size_t e = 0; e < shard.count; ++e) acc[e] += staging[e];
-        }
-      }
-    }
-  }
-  double push_done = start;
-  for (double t : shard_ready) push_done = std::max(push_done, t);
-  out.push = push_done - start;
-
-  // ---- Pull: every worker fetches every aggregated shard.
-  double pull_done = push_done;
-  for (int s = 0; s < m; ++s) {
-    const ChunkRange shard =
-        chunk_range(elems, static_cast<size_t>(m), static_cast<size_t>(s));
-    if (shard.count == 0) continue;
-    for (int worker = 0; worker < topo.world_size(); ++worker) {
-      if (worker == server_rank(s)) continue;
-      const double done =
-          cluster
-              .submit({simnet::kDefaultJob, server_rank(s), worker,
-                       wire_payload_bytes(wire, shard.count),
-                       shard_ready[static_cast<size_t>(s)]})
-              .time;
-      pull_done = std::max(pull_done, done);
-    }
-    if (functional) {
-      auto src = data[static_cast<size_t>(server_rank(s))].subspan(
-          shard.begin, shard.count);
-      for (int worker = 0; worker < topo.world_size(); ++worker) {
-        if (worker == server_rank(s)) continue;
-        auto dst = data[static_cast<size_t>(worker)].subspan(shard.begin,
-                                                             shard.count);
-        std::copy(src.begin(), src.end(), dst.begin());
-        wire_round_trip(wire, dst);  // the pulled copy crossed the wire
-      }
-    }
-  }
-  out.pull = pull_done - push_done;
-  out.total = pull_done - start;
-  return out;
-}
-
-// ============================= engine path =============================
 // Two steps: push (fan-in, reduce moves per server bucket in worker order)
 // and pull (fan-out, resolved copies).  Shard readiness gets its own slot
 // per server — pulls of shard s start at shard s's push completion, not at
 // a global barrier, so the sync between the steps is a non-collapsing mark
 // that only records push_done for the breakdown.
-ParamServerResult schedule_param_server(simnet::Cluster& cluster,
-                                        const RankData& data, size_t elems,
-                                        WireDtype wire, double start) {
+ParamServerResult param_server_allreduce(simnet::Cluster& cluster,
+                                         const RankData& data, size_t elems,
+                                         WireDtype wire, double start) {
   const simnet::Topology& topo = cluster.topology();
+  check_data(world_group(topo), data, elems);
   const int m = topo.nodes();
   const int world = topo.world_size();
   const bool functional = !data.empty();
@@ -173,18 +79,6 @@ ParamServerResult schedule_param_server(simnet::Cluster& cluster,
   out.pull = timing.finish - push_done;
   out.total = timing.finish - start;
   return out;
-}
-
-}  // namespace
-
-ParamServerResult param_server_allreduce(simnet::Cluster& cluster,
-                                         const RankData& data, size_t elems,
-                                         WireDtype wire, double start) {
-  check_data(world_group(cluster.topology()), data, elems);
-  if (collective_path() == CollectivePath::kLegacy) {
-    return legacy_param_server(cluster, data, elems, wire, start);
-  }
-  return schedule_param_server(cluster, data, elems, wire, start);
 }
 
 }  // namespace hitopk::coll

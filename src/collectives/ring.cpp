@@ -1,10 +1,5 @@
 #include "collectives/ring.h"
 
-#include <algorithm>
-
-#include "core/parallel.h"
-#include "core/tensor.h"
-
 namespace hitopk::coll {
 namespace {
 
@@ -14,172 +9,6 @@ namespace {
 // i, sends chunk (i - s) mod G, receives (i - s - 1) mod G.
 size_t rs_send_chunk(size_t i, size_t s, size_t g) { return (i + 2 * g - s - 1) % g; }
 size_t ag_send_chunk(size_t i, size_t s, size_t g) { return (i + 2 * g - s) % g; }
-
-// ===================== legacy path (validation reference) =====================
-// The pre-engine inline loops, kept verbatim behind CollectivePath::kLegacy:
-// schedule_equivalence_test pins the engine to them bitwise (data) and
-// exactly (clocks).
-
-// Per-group in-flight state: the data-readiness clock of each group rank.
-using Ready = std::vector<double>;
-
-// One interleaved reduce-scatter pass over all groups.  All groups must have
-// the same size; steps are issued round-robin across groups so concurrent
-// streams share NIC capacity in the port model.
-// Worker-local staging for the legacy loops' quantized hops: the receiver
-// adds/stores rt(sent chunk), so the sent chunk is rounded off to the side.
-std::vector<float>& legacy_staging() {
-  thread_local std::vector<float> tmp;
-  return tmp;
-}
-
-void rs_steps(simnet::Cluster& cluster, const std::vector<Group>& groups,
-              const std::vector<RankData>& data, size_t elems, WireDtype wire,
-              std::vector<Ready>& ready) {
-  const size_t g = groups.empty() ? 0 : groups[0].size();
-  if (g <= 1) return;
-  const size_t nq = groups.size();
-  std::vector<Ready> next(ready.size());
-  for (size_t s = 0; s + 1 < g; ++s) {
-    // Timing: the cluster port clocks mutate on every send, so the send
-    // order stays serial (and identical to the pre-parallel code).
-    for (size_t q = 0; q < nq; ++q) next[q] = ready[q];
-    for (size_t i = 0; i < g; ++i) {
-      for (size_t q = 0; q < nq; ++q) {
-        const Group& group = groups[q];
-        const size_t peer = (i + 1) % g;
-        const size_t chunk = rs_send_chunk(i, s, g);
-        const ChunkRange range = chunk_range(elems, g, chunk);
-        const double done =
-            cluster
-                .submit({simnet::kDefaultJob, group[i], group[peer],
-                         wire_payload_bytes(wire, range.count), ready[q][i]})
-                .time;
-        next[q][peer] = std::max(next[q][peer], done);
-      }
-    }
-    ready.swap(next);
-    // Data movement: within one step every (group, rank) pair reduces into a
-    // distinct (buffer, chunk) destination and reads a chunk no other pair
-    // writes, so the pairs run concurrently and bitwise-match the serial
-    // loop.  On a quantized wire the receiver adds the codec-rounded chunk:
-    // dst += rt(src), the hop-by-hop reference the engine is pinned to.
-    if (!data.empty()) {
-      parallel_for(0, g * nq, [&](size_t pair) {
-        const size_t i = pair / nq;
-        const size_t q = pair % nq;
-        if (data[q].empty()) return;
-        const size_t peer = (i + 1) % g;
-        const size_t chunk = rs_send_chunk(i, s, g);
-        const ChunkRange range = chunk_range(elems, g, chunk);
-        if (range.count == 0) return;
-        auto src = data[q][i].subspan(range.begin, range.count);
-        auto dst = data[q][peer].subspan(range.begin, range.count);
-        if (wire == WireDtype::kFp32) {
-          tensor_ops::add_into(dst, src);  // vectorized reduce
-        } else {
-          auto& tmp = legacy_staging();
-          tmp.assign(src.begin(), src.end());
-          std::span<float> staged(tmp.data(), range.count);
-          wire_round_trip(wire, staged);
-          tensor_ops::add_into(dst, staged);
-        }
-      });
-    }
-  }
-}
-
-void ag_steps(simnet::Cluster& cluster, const std::vector<Group>& groups,
-              const std::vector<RankData>& data, size_t elems, WireDtype wire,
-              std::vector<Ready>& ready) {
-  const size_t g = groups.empty() ? 0 : groups[0].size();
-  if (g <= 1) return;
-  const size_t nq = groups.size();
-  std::vector<Ready> next(ready.size());
-  for (size_t s = 0; s + 1 < g; ++s) {
-    // Serial timing, parallel data movement — see rs_steps.
-    for (size_t q = 0; q < nq; ++q) next[q] = ready[q];
-    for (size_t i = 0; i < g; ++i) {
-      for (size_t q = 0; q < nq; ++q) {
-        const Group& group = groups[q];
-        const size_t peer = (i + 1) % g;
-        const size_t chunk = ag_send_chunk(i, s, g);
-        const ChunkRange range = chunk_range(elems, g, chunk);
-        const double done =
-            cluster
-                .submit({simnet::kDefaultJob, group[i], group[peer],
-                         wire_payload_bytes(wire, range.count), ready[q][i]})
-                .time;
-        next[q][peer] = std::max(next[q][peer], done);
-      }
-    }
-    ready.swap(next);
-    // A quantized gather hop stores rt(src); forwarding is then a fixed
-    // point (the codec is idempotent), so every non-origin replica holds
-    // the identical rounded chunk.
-    if (!data.empty()) {
-      parallel_for(0, g * nq, [&](size_t pair) {
-        const size_t i = pair / nq;
-        const size_t q = pair % nq;
-        if (data[q].empty()) return;
-        const size_t peer = (i + 1) % g;
-        const size_t chunk = ag_send_chunk(i, s, g);
-        const ChunkRange range = chunk_range(elems, g, chunk);
-        if (range.count == 0) return;
-        auto src = data[q][i].subspan(range.begin, range.count);
-        auto dst = data[q][peer].subspan(range.begin, range.count);
-        std::copy(src.begin(), src.end(), dst.begin());
-        wire_round_trip(wire, dst);
-      });
-    }
-  }
-}
-
-std::vector<Ready> init_ready(const std::vector<Group>& groups, double start) {
-  std::vector<Ready> ready(groups.size());
-  for (size_t q = 0; q < groups.size(); ++q) {
-    ready[q].assign(groups[q].size(), start);
-  }
-  return ready;
-}
-
-double max_ready(const std::vector<Ready>& ready, double floor) {
-  double best = floor;
-  for (const auto& r : ready) {
-    for (double t : r) best = std::max(best, t);
-  }
-  return best;
-}
-
-double legacy_allgather_bytes_multi(
-    simnet::Cluster& cluster, const std::vector<Group>& groups,
-    const std::vector<std::vector<size_t>>& payload_bytes, double start,
-    double step_overhead) {
-  const size_t g = groups[0].size();
-  auto ready = init_ready(groups, start);
-  std::vector<Ready> next(groups.size());
-  for (size_t s = 0; s + 1 < g; ++s) {
-    for (size_t q = 0; q < groups.size(); ++q) next[q] = ready[q];
-    for (size_t i = 0; i < g; ++i) {
-      for (size_t q = 0; q < groups.size(); ++q) {
-        const Group& group = groups[q];
-        const size_t peer = (i + 1) % g;
-        // At step s, rank i forwards the block originating at (i - s) mod G.
-        const size_t origin = (i + 2 * g - s) % g;
-        const double done =
-            cluster
-                .submit({simnet::kDefaultJob, group[i], group[peer],
-                         payload_bytes[q][origin], ready[q][i], step_overhead})
-                .time;
-        next[q][peer] = std::max(next[q][peer], done);
-      }
-    }
-    ready.swap(next);
-  }
-  return max_ready(ready, start);
-}
-
-// ========================== engine path helpers ==========================
 
 void check_groups(const std::vector<Group>& groups,
                   const std::vector<RankData>& data, size_t elems) {
@@ -243,8 +72,9 @@ void build_ring_reduce_scatter(Schedule& sched,
   // Fused chains: all data movement sits in the first step (each chunk's
   // chain is independent — chain c writes only owner c's chunk c and reads
   // chunk c of the others, ranges disjoint across chains).  Per chunk the
-  // legacy reduction order is b[c+1], then b[c+2] ... b[c+g-1], with the
-  // owner's own contribution last.
+  // float adds run in ring order: b[c+1] + b[c+2] + ... + b[c+g-1],
+  // left-associated, with the owner's own contribution added last — the
+  // order the pairwise hop-by-hop reduce-scatter produces.
   if (fused_chains && !grid.bufs.empty()) {
     for (size_t q = 0; q < grid.nq; ++q) {
       if (grid.buf(q, 0) == RingGrid::kNoBuf) continue;
@@ -371,11 +201,6 @@ double ring_reduce_scatter(simnet::Cluster& cluster, const Group& group,
   if (group.size() <= 1) return start;
   std::vector<Group> groups{group};
   std::vector<RankData> group_data = single_data(data);
-  if (collective_path() == CollectivePath::kLegacy) {
-    auto ready = init_ready(groups, start);
-    rs_steps(cluster, groups, group_data, elems, wire, ready);
-    return max_ready(ready, start);
-  }
   Schedule sched;
   const RingGrid grid = ring_grid(sched, groups, group_data, wire);
   build_ring_reduce_scatter(sched, groups, grid, elems, wire);
@@ -391,11 +216,6 @@ double ring_allgather(simnet::Cluster& cluster, const Group& group,
   if (group.size() <= 1) return start;
   std::vector<Group> groups{group};
   std::vector<RankData> group_data = single_data(data);
-  if (collective_path() == CollectivePath::kLegacy) {
-    auto ready = init_ready(groups, start);
-    ag_steps(cluster, groups, group_data, elems, wire, ready);
-    return max_ready(ready, start);
-  }
   Schedule sched;
   const RingGrid grid = ring_grid(sched, groups, group_data, wire);
   build_ring_allgather(sched, groups, grid, elems, wire);
@@ -407,11 +227,6 @@ double ring_allgather(simnet::Cluster& cluster, const Group& group,
 double ring_allreduce(simnet::Cluster& cluster, const Group& group,
                       const RankData& data, size_t elems, WireDtype wire,
                       double start) {
-  if (collective_path() == CollectivePath::kLegacy) {
-    const double mid =
-        ring_reduce_scatter(cluster, group, data, elems, wire, start);
-    return ring_allgather(cluster, group, data, elems, wire, mid);
-  }
   check_data(group, data, elems);
   if (group.size() <= 1) return start;
   std::vector<Group> groups{group};
@@ -420,9 +235,10 @@ double ring_allreduce(simnet::Cluster& cluster, const Group& group,
   const RingGrid grid = ring_grid(sched, groups, group_data, wire);
   build_ring_reduce_scatter(sched, groups, grid, elems, wire,
                             /*fused_chains=*/true);
-  // The legacy path runs RS and AG as separate calls: the gather starts for
-  // everyone at the RS completion maximum.  The gather then reuses the
-  // reduce-scatter result in place (owner chunks feed the resolved copies).
+  // The gather starts for everyone at the reduce-scatter completion maximum
+  // (a collapse sync, as two back-to-back collective calls would), then
+  // reuses the reduce-scatter result in place: owner chunks feed the
+  // resolved copies.
   sched.sync(/*collapse=*/true);
   build_ring_allgather(sched, groups, grid, elems, wire);
   const double done = sched.run_timing(cluster, start).finish;
@@ -436,14 +252,6 @@ double ring_allreduce_multi(simnet::Cluster& cluster,
                             WireDtype wire, double start) {
   check_groups(groups, data, elems);
   if (groups[0].size() <= 1) return start;
-  if (collective_path() == CollectivePath::kLegacy) {
-    auto ready = init_ready(groups, start);
-    // No barrier between the phases: each group's all-gather steps chain off
-    // its own reduce-scatter readiness.
-    rs_steps(cluster, groups, data, elems, wire, ready);
-    ag_steps(cluster, groups, data, elems, wire, ready);
-    return max_ready(ready, start);
-  }
   Schedule sched;
   const RingGrid grid = ring_grid(sched, groups, data, wire);
   build_ring_reduce_scatter(sched, groups, grid, elems, wire);
@@ -482,11 +290,6 @@ double ring_allgather_bytes_multi(
         << "entries, expected" << g;
   }
   if (g == 1) return start;
-
-  if (collective_path() == CollectivePath::kLegacy) {
-    return legacy_allgather_bytes_multi(cluster, groups, payload_bytes, start,
-                                        step_overhead);
-  }
   Schedule sched;
   const RingGrid grid = ring_grid(sched, groups, {});
   build_ring_allgather_bytes(sched, groups, grid, payload_bytes,

@@ -79,7 +79,7 @@ struct RingGrid {
 };
 
 // data may be empty (all groups timing-only) or hold one RankData per group
-// (individually empty for timing-only groups, like the legacy multi loops).
+// (individually empty for timing-only groups).
 RingGrid ring_grid(Schedule& sched, const std::vector<Group>& groups,
                    const std::vector<RankData>& data,
                    WireDtype wire = WireDtype::kFp32);
@@ -102,8 +102,8 @@ void build_ring_allgather(Schedule& sched, const std::vector<Group>& groups,
                           WireDtype wire);
 
 // Reduce-Scatter leg: G-1 snapshot steps.  With fused_chains=false the data
-// pass mirrors the wire per-step (kReduce moves, partial sums land in the
-// intermediate buffers exactly like the legacy loop).  With
+// pass mirrors the wire per step (kReduce moves): every hop's partial sum
+// lands in the receiving rank's buffer.  With
 // fused_chains=true each owner chunk reduces through a scratch-accumulator
 // chain (see TransferOp::kChain*): same float-add order, owner chunks
 // bitwise identical, but nothing is written to non-owned chunks — only

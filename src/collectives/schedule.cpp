@@ -10,8 +10,6 @@ namespace hitopk::coll {
 
 namespace {
 
-CollectivePath g_path = CollectivePath::kSchedule;
-
 // Worker-local chain-reduction accumulator (see TransferOp::kChain*).
 std::vector<float>& chain_acc() {
   thread_local std::vector<float> acc;
@@ -57,9 +55,6 @@ constexpr FusedChainFn kFusedChain[kMaxFusedChain + 1] = {
 
 }  // namespace
 
-CollectivePath collective_path() { return g_path; }
-void set_collective_path(CollectivePath path) { g_path = path; }
-
 uint32_t Schedule::add_slots(uint32_t n) {
   const uint32_t first = num_slots_;
   num_slots_ += n;
@@ -98,7 +93,7 @@ Schedule::TimingResult Schedule::run_timing(simnet::Cluster& cluster,
   TimingResult result;
   result.sync_times.reserve(syncs_.size());
   // clock = slot readiness at the last step boundary; next = in-progress
-  // updates, committed at the next boundary (the legacy ready/next swap).
+  // updates, committed at the next boundary.
   Scratch<double> clock_buf(num_slots_);
   Scratch<double> next_buf(num_slots_);
   auto clock = clock_buf.span();
@@ -155,8 +150,9 @@ ScheduleOutcome Schedule::run_timing_abortable(simnet::Cluster& cluster,
   ScheduleOutcome out;
   out.sync_times.reserve(syncs_.size());
   // Same replay loop as run_timing; see the comments there.  The only
-  // divergence is try_send: a fault-free cluster takes the identical
-  // arithmetic path, so completed outcomes match run_timing bit-for-bit.
+  // divergence is the undelivered-flow branch: a fault-free cluster takes
+  // the identical arithmetic path, so completed outcomes match run_timing
+  // bit-for-bit.
   Scratch<double> clock_buf(num_slots_);
   Scratch<double> next_buf(num_slots_);
   auto clock = clock_buf.span();
@@ -226,7 +222,7 @@ void Schedule::run_data() const {
   // Per step: group moves by bucket key (destination buffer by default).
   // Buckets write disjoint (buffer, range) sets, so they run concurrently;
   // a bucket's moves apply in recorded order, so reductions into one
-  // buffer keep the legacy float-add order.
+  // buffer keep their recorded float-add order.
   Scratch<uint32_t> bucket_of_buf(buffers_.size());
   auto bucket_of = bucket_of_buf.span();
   const uint32_t kNone = UINT32_MAX;
@@ -294,9 +290,9 @@ void Schedule::run_data() const {
         auto dst = buffers_[mv.dst_buf].subspan(mv.begin, mv.count);
         // The destination buffer's wire dtype governs the transfer (the
         // validator pins src and dst to the same dtype): every value that
-        // crosses the wire is rounded through the codec exactly where the
-        // legacy hop-by-hop loop rounds it.  kFp32 round trips are no-ops
-        // and keep this pass bitwise identical to the untyped engine.
+        // crosses the wire is rounded through the codec before it is
+        // stored or added.  kFp32 round trips are no-ops and keep this pass
+        // bitwise identical to the untyped engine.
         const WireDtype wire = buffer_wires_[mv.dst_buf];
         switch (mv.op) {
           case TransferOp::kCopy:
@@ -320,7 +316,7 @@ void Schedule::run_data() const {
             // the accumulator is thread-local and keeps its capacity
             // across chains and calls.  Quantized chains round the
             // accumulator after every link that the wire would forward:
-            // the next hop receives rt(partial), as in the legacy loop.
+            // the next hop receives rt(partial).
             chain_acc().assign(src.begin(), src.end());
             wire_round_trip(wire,
                             std::span<float>(chain_acc().data(), mv.count));

@@ -4,18 +4,17 @@
 // 2D-torus, parameter server, and HiTopKComm's dense legs — is at heart a
 // *schedule* of point-to-point transfers (Sergeev & Del Balso 2018; Cho et
 // al. 2019): step s moves range R from rank a to rank b, either copying or
-// reducing.  The legacy implementations re-derive that schedule inline and
-// interleave it with port-clock timing, which welds the timing model to the
-// data movement and makes every new topology a new simulator.
+// reducing.  Recording the schedule once, instead of re-deriving it inline
+// next to the port-clock arithmetic, keeps the timing model apart from the
+// data movement: a new topology is a new builder, not a new simulator.
 //
-// The Schedule class separates the two concerns as two passes over one
-// recorded schedule:
+// The Schedule class runs one recorded schedule as two passes:
 //
 //   timing pass (run_timing) — serial replay of the recorded sends against
 //     the Cluster port clocks, in recorded issue order, with snapshot
 //     ("next = ready") semantics at step boundaries.  Issue order and
-//     readiness slots are recorded explicitly, so the pass is port-clock
-//     identical to the legacy loop that recorded it.
+//     readiness slots are recorded explicitly, so the clocks depend only on
+//     the record, never on the data pass.
 //
 //   data pass (run_data) — the functional movement, freed from the clock.
 //     Within a step, moves are grouped into buckets (by destination buffer
@@ -23,8 +22,9 @@
 //     on the parallel_for pool, moves inside a bucket apply in recorded
 //     order.  Element-wise float adds commute across *disjoint*
 //     destinations and stay ordered within one, so the pass is bitwise
-//     identical to the serial legacy loop (the same argument as
-//     core/parallel.h; pinned by schedule_equivalence_test).
+//     identical to applying every move serially in recorded order (the
+//     same argument as core/parallel.h).  tests/collective_golden.inc pins
+//     each collective's buffers and clocks.
 //
 // Because the data pass no longer has to mirror the wire protocol, builders
 // may *resolve* pure-forwarding chains: a ring All-Gather records G-1
@@ -36,12 +36,12 @@
 // or per (node, chunk) for pipelined trees — builders allocate what they
 // need).  A send starts no earlier than its src slot and max-combines its
 // completion into its dst slot.  Slot updates within a step become visible
-// at the next step boundary (the legacy double-buffered `ready`/`next`
-// swap); chained dependencies are expressed by putting the dependent send
-// in a later step.  sync() records a phase boundary: it captures the
-// running clock maximum (phase breakdowns) and optionally collapses every
-// slot to that maximum (the scalar hand-off between phases of the legacy
-// code, e.g. Reduce-Scatter "mid" -> All-Gather start).
+// at the next step boundary (a double-buffered `ready`/`next` swap);
+// chained dependencies are expressed by putting the dependent send in a
+// later step.  sync() records a phase boundary: it captures the running
+// clock maximum (phase breakdowns) and optionally collapses every slot to
+// that maximum (the scalar hand-off between phases, e.g. Reduce-Scatter
+// "mid" -> All-Gather start).
 #pragma once
 
 #include <cstdint>
@@ -51,26 +51,18 @@
 
 namespace hitopk::coll {
 
-// Which implementation the converted collectives run: the schedule engine
-// (default) or the legacy inline loops kept as the validation reference.
-// Process-global test/bench knob (like MsTopKMode, but the ring entry
-// points have no options struct to thread it through); set it between
-// collective calls, not concurrently with one.
-enum class CollectivePath { kSchedule, kLegacy };
-CollectivePath collective_path();
-void set_collective_path(CollectivePath path);
-
 // kCopy / kReduce act pairwise: dst[range] = / += src[range].
 //
 // kChain* runs one destination chunk's whole reduction as a chain through a
 // worker-local scratch accumulator: kChainFirst loads src into the
 // accumulator, kChainMid adds further sources, kChainLast adds the
-// accumulator into the destination (the destination's own contribution is
-// the chain's last addition, like the legacy ring order).  The float-add
-// sequence per element matches the legacy step-by-step reduce-scatter, so
-// results are bitwise identical for any non-NaN input, but the partial
-// sums never touch the intermediate buffers — (G-1) chunk reads and one
-// chunk write instead of (G-1) read-modify-writes.  Builders use chains
+// accumulator into the destination, so the destination's own contribution
+// is the chain's last addition.  Per element the float adds run
+// src0 + src1 + ... left-associated, then dst + sum — the order a
+// step-by-step ring reduce-scatter of pairwise kReduce moves produces — so
+// results are bitwise identical to that form for any non-NaN input, but
+// the partial sums never touch the intermediate buffers: (G-1) chunk reads
+// and one chunk write instead of (G-1) read-modify-writes.  Builders use chains
 // only where the partials are dead (an All-Reduce's scatter leg, or a
 // phase whose non-owned chunks a later resolved gather overwrites);
 // standalone Reduce-Scatter keeps pairwise moves so the documented
@@ -141,9 +133,10 @@ class Schedule {
 
   // Registers a functional buffer for the data pass, returns its id.  The
   // wire dtype is the representation the buffer's chunks travel in: every
-  // move whose destination is this buffer rounds the transferred range
-  // through the codec (compress/wire_codec.h) exactly where the legacy
-  // hop-by-hop loop would — see run_data.  kFp32 is the identity and keeps
+  // move whose destination is this buffer rounds the range that crosses the
+  // wire through the codec (compress/wire_codec.h) — a copy stores rt(src),
+  // a reduce adds rt(src) at fp32, a chain rounds its accumulator after
+  // every forwarded link (see run_data).  kFp32 is the identity and keeps
   // the data pass bitwise-unchanged.  Chained transfers must agree on the
   // wire dtype end to end (collectives/validator.h enforces it).
   uint32_t add_buffer(RankSpan span,
@@ -151,7 +144,7 @@ class Schedule {
 
   // Records one timed message of `bytes` from world rank src to dst.
   // extra_seconds is the per-message protocol overhead forwarded to
-  // Cluster::send.
+  // Cluster::submit as Flow::extra_seconds.
   void send(int src, int dst, size_t bytes, uint32_t src_slot,
             uint32_t dst_slot, double extra_seconds = 0.0);
 

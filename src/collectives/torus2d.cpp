@@ -7,94 +7,15 @@
 namespace hitopk::coll {
 namespace {
 
-// ===================== legacy path (validation reference) =====================
-Torus2dBreakdown legacy_torus2d(simnet::Cluster& cluster, const RankData& data,
-                                size_t elems, WireDtype wire, double start) {
-  const simnet::Topology& topo = cluster.topology();
-  const int m = topo.nodes();
-  const int n = topo.gpus_per_node();
-
-  Torus2dBreakdown out;
-
-  // Phase 1: intra-node reduce-scatter, all nodes in parallel.
-  double phase1 = start;
-  for (int node = 0; node < m; ++node) {
-    const Group group = node_group(topo, node);
-    RankData node_data;
-    if (!data.empty()) {
-      for (int rank : group) node_data.push_back(data[static_cast<size_t>(rank)]);
-    }
-    phase1 = std::max(phase1, ring_reduce_scatter(cluster, group, node_data,
-                                                  elems, wire, start));
-  }
-  out.reduce_scatter = phase1 - start;
-
-  // Phase 2: per-local-rank inter-node all-reduce on the owned shard.  The
-  // n rings run concurrently and share each node's NIC; they are issued
-  // interleaved so the port model aggregates them toward line rate.
-  // Shards may differ by one element when n does not divide elems; the
-  // largest shard is simulated for all rings (upper bound, and exact in the
-  // common divisible case).
-  const size_t max_shard = chunk_range(elems, static_cast<size_t>(n), 0).count;
-  double phase2 = phase1;
-  if (max_shard > 0) {
-    std::vector<Group> stream_groups;
-    std::vector<RankData> stream_data;
-    for (int local = 0; local < n; ++local) {
-      const ChunkRange shard = chunk_range(elems, static_cast<size_t>(n),
-                                           static_cast<size_t>(local));
-      if (shard.count == 0) continue;
-      stream_groups.push_back(cross_node_group(topo, local));
-      if (!data.empty()) {
-        RankData shard_data;
-        for (int rank : stream_groups.back()) {
-          shard_data.push_back(data[static_cast<size_t>(rank)].subspan(
-              shard.begin, shard.count));
-        }
-        stream_data.push_back(std::move(shard_data));
-      }
-    }
-    // Functional mode requires exact per-stream shard sizes; when ragged,
-    // fall back to per-stream calls (still correct, slightly pessimistic).
-    if (!data.empty() && elems % static_cast<size_t>(n) != 0) {
-      for (size_t q = 0; q < stream_groups.size(); ++q) {
-        const ChunkRange shard = chunk_range(elems, static_cast<size_t>(n), q);
-        phase2 = std::max(
-            phase2, ring_allreduce(cluster, stream_groups[q], stream_data[q],
-                                   shard.count, wire, phase1));
-      }
-    } else {
-      phase2 = std::max(
-          phase2, ring_allreduce_multi(cluster, stream_groups, stream_data,
-                                       max_shard, wire, phase1));
-    }
-  }
-  out.inter_allreduce = phase2 - phase1;
-
-  // Phase 3: intra-node all-gather to replicate the reduced shards.
-  double phase3 = phase2;
-  for (int node = 0; node < m; ++node) {
-    const Group group = node_group(topo, node);
-    RankData node_data;
-    if (!data.empty()) {
-      for (int rank : group) node_data.push_back(data[static_cast<size_t>(rank)]);
-    }
-    phase3 = std::max(phase3, ring_allgather(cluster, group, node_data, elems,
-                                             wire, phase2));
-  }
-  out.intra_allgather = phase3 - phase2;
-  out.total = phase3 - start;
-  return out;
-}
-
-// ============================= engine path =============================
 // One schedule for the whole collective: the three phases are legs of the
-// same schedule separated by collapse syncs (the legacy scalar phase
-// hand-offs), and the sync times are the breakdown.  The only exception is
-// the ragged functional phase 2, which the legacy path runs as sequential
-// per-stream All-Reduce calls — that issue order is NIC-visible, so the
-// engine mirrors it with per-stream schedules (via ring_allreduce, itself
-// engine-backed) between two single-phase schedules.
+// same schedule separated by collapse syncs (scalar phase hand-offs), and
+// the sync times are the breakdown.  Phase 2 runs n concurrent inter-node
+// rings, one per local rank, on that rank's shard; with a ragged split (n
+// does not divide elems) the timing-only form simulates the largest shard
+// for every ring (an upper bound).  The one exception is a ragged
+// functional phase 2: it runs the rings as sequential ring_allreduce calls,
+// each on its exact shard, between two single-phase schedules.  That issue
+// order is NIC-visible, so its clocks differ from build_torus2d's.
 Torus2dBreakdown schedule_torus2d(simnet::Cluster& cluster,
                                   const RankData& data, size_t elems,
                                   WireDtype wire, double start) {
@@ -261,14 +182,7 @@ Torus2dBreakdown torus2d_allreduce(simnet::Cluster& cluster,
   const simnet::Topology& topo = cluster.topology();
   HITOPK_VALIDATE(topo.uniform())
       << "torus2d's node-major grid needs a uniform topology";
-  if (!data.empty()) {
-    HITOPK_VALIDATE(static_cast<int>(data.size()) == topo.world_size())
-        << "got" << data.size() << "rank buffers for world size"
-        << topo.world_size();
-  }
-  if (collective_path() == CollectivePath::kLegacy) {
-    return legacy_torus2d(cluster, data, elems, wire, start);
-  }
+  check_data(world_group(topo), data, elems);
   return schedule_torus2d(cluster, data, elems, wire, start);
 }
 

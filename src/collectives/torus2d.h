@@ -30,10 +30,10 @@ Torus2dBreakdown torus2d_allreduce(simnet::Cluster& cluster,
 
 // Records the whole collective into a caller-owned schedule, with collapse
 // syncs at the two phase boundaries.  Phase 2 uses per-stream extents over
-// the full rank buffers, so — unlike torus2d_allreduce's engine path, which
-// mirrors the legacy multi-schedule issue order — ragged shards (n does not
-// divide elems) stay inside the single schedule with exact per-stream
-// sizes.  Requires a uniform topology.  Exposed for the planner
+// the full rank buffers, so — unlike torus2d_allreduce, which runs a ragged
+// functional phase 2 as sequential per-stream All-Reduces — ragged shards
+// (n does not divide elems) stay inside the single schedule with exact
+// per-stream sizes.  Requires a uniform topology.  Exposed for the planner
 // (collectives/planner.h).
 void build_torus2d(Schedule& sched, const simnet::Topology& topo,
                    const RankData& data, size_t elems, WireDtype wire);

@@ -7,37 +7,6 @@
 namespace hitopk::coll {
 namespace {
 
-// Legacy-path wire hooks: a quantized hop delivers the codec-rounded range.
-std::vector<float>& tree_staging() {
-  thread_local std::vector<float> tmp;
-  return tmp;
-}
-
-void reduce_over_wire(std::span<float> dst, std::span<const float> src,
-                      WireDtype wire) {
-  if (wire == WireDtype::kFp32) {
-    for (size_t e = 0; e < dst.size(); ++e) dst[e] += src[e];
-    return;
-  }
-  auto& tmp = tree_staging();
-  tmp.assign(src.begin(), src.end());
-  std::span<float> staged(tmp.data(), tmp.size());
-  wire_round_trip(wire, staged);
-  for (size_t e = 0; e < dst.size(); ++e) dst[e] += staged[e];
-}
-
-void copy_over_wire(std::span<float> dst, std::span<const float> src,
-                    WireDtype wire) {
-  std::copy(src.begin(), src.end(), dst.begin());
-  wire_round_trip(wire, dst);
-}
-
-}  // namespace
-}  // namespace hitopk::coll
-
-namespace hitopk::coll {
-namespace {
-
 // NCCL's tree All-Reduce is hierarchical: inside each node a pipelined chain
 // over NVLink funnels data to a leader GPU, and the double binary tree runs
 // across the node leaders only.  Two complementary trees (one per half of
@@ -61,152 +30,13 @@ TreeShape tree_shape(const simnet::Topology& topo, int tree) {
   return shape;
 }
 
-// ===================== legacy path (validation reference) =====================
-
-// One tree handling [half_begin, half_begin + half_elems).
-double run_tree_legacy(simnet::Cluster& cluster, const RankData& data,
-                       size_t half_begin, size_t half_elems,
-                       const TreeOptions& options, double start, int tree) {
-  const simnet::Topology& topo = cluster.topology();
-  const int m = topo.nodes();
-  const int n = topo.gpus_per_node();
-  if (half_elems == 0 || topo.world_size() <= 1) return start;
-
-  const TreeShape shape = tree_shape(topo, tree);
-  const size_t chunk_elems = std::max<size_t>(
-      1, options.chunk_bytes / wire_elem_bytes(options.wire));
-  const size_t n_chunks = (half_elems + chunk_elems - 1) / chunk_elems;
-  auto chunk_bytes = [&](size_t c) {
-    return wire_payload_bytes(options.wire,
-                              chunk_range(half_elems, n_chunks, c).count);
-  };
-
-  // Chain order within a node: leader last.  For tree 0 the chain is
-  // (n-1) -> (n-2) -> ... -> 0; for tree 1 it is 0 -> 1 -> ... -> (n-1).
-  auto chain_rank = [&](int node, int pos) {
-    // pos 0 = chain head (farthest from leader), pos n-1 = leader.
-    const int local = tree == 0 ? n - 1 - pos : pos;
-    return topo.rank_of(node, local);
-  };
-
-  // ---- Phase A: intra-node chain reduce to the leader, pipelined.
-  // up[node][c]: time node's leader has chunk c reduced over the node.
-  std::vector<std::vector<double>> up(
-      static_cast<size_t>(m), std::vector<double>(n_chunks, start));
-  for (int node = 0; node < m; ++node) {
-    std::vector<double> ready(n_chunks, start);  // at current chain position
-    for (int pos = 0; pos + 1 < n; ++pos) {
-      const int src = chain_rank(node, pos);
-      const int dst = chain_rank(node, pos + 1);
-      for (size_t c = 0; c < n_chunks; ++c) {
-        ready[c] =
-            cluster
-                .submit({simnet::kDefaultJob, src, dst, chunk_bytes(c),
-                         ready[c]})
-                .time;
-      }
-      if (!data.empty()) {
-        auto d = data[static_cast<size_t>(dst)].subspan(half_begin, half_elems);
-        auto s = data[static_cast<size_t>(src)].subspan(half_begin, half_elems);
-        reduce_over_wire(d, s, options.wire);
-      }
-    }
-    up[static_cast<size_t>(node)] = ready;
-  }
-
-  // ---- Phase B: double-binary-tree reduce across node leaders.
-  // heap position p children: 2p+1, 2p+2 (positions index shape.node_perm).
-  auto leader_rank = [&](size_t p) {
-    return topo.rank_of(shape.node_perm[p], shape.leader_local);
-  };
-  std::vector<std::vector<double>> tree_ready(static_cast<size_t>(m));
-  for (int p = 0; p < m; ++p) {
-    tree_ready[static_cast<size_t>(p)] =
-        up[static_cast<size_t>(shape.node_perm[static_cast<size_t>(p)])];
-  }
-  for (size_t p = static_cast<size_t>(m); p-- > 0;) {
-    for (size_t c = 0; c < n_chunks; ++c) {
-      for (size_t child : {2 * p + 1, 2 * p + 2}) {
-        if (child >= static_cast<size_t>(m)) continue;
-        const double done =
-            cluster
-                .submit({simnet::kDefaultJob, leader_rank(child),
-                         leader_rank(p), chunk_bytes(c), tree_ready[child][c]})
-                .time;
-        tree_ready[p][c] = std::max(tree_ready[p][c], done);
-      }
-    }
-    if (!data.empty()) {
-      for (size_t child : {2 * p + 1, 2 * p + 2}) {
-        if (child >= static_cast<size_t>(m)) continue;
-        auto d = data[static_cast<size_t>(leader_rank(p))].subspan(half_begin,
-                                                                   half_elems);
-        auto s = data[static_cast<size_t>(leader_rank(child))].subspan(
-            half_begin, half_elems);
-        reduce_over_wire(d, s, options.wire);
-      }
-    }
-  }
-
-  // ---- Phase C: broadcast down the tree.
-  std::vector<std::vector<double>> down = std::move(tree_ready);
-  for (size_t p = 0; p < static_cast<size_t>(m); ++p) {
-    for (size_t c = 0; c < n_chunks; ++c) {
-      for (size_t child : {2 * p + 1, 2 * p + 2}) {
-        if (child >= static_cast<size_t>(m)) continue;
-        down[child][c] =
-            cluster
-                .submit({simnet::kDefaultJob, leader_rank(p),
-                         leader_rank(child), chunk_bytes(c), down[p][c]})
-                .time;
-      }
-    }
-    if (!data.empty()) {
-      for (size_t child : {2 * p + 1, 2 * p + 2}) {
-        if (child >= static_cast<size_t>(m)) continue;
-        auto s = data[static_cast<size_t>(leader_rank(p))].subspan(half_begin,
-                                                                   half_elems);
-        auto d = data[static_cast<size_t>(leader_rank(child))].subspan(
-            half_begin, half_elems);
-        copy_over_wire(d, s, options.wire);
-      }
-    }
-  }
-
-  // ---- Phase D: intra-node chain broadcast from the leader.
-  double finish = start;
-  for (int p = 0; p < m; ++p) {
-    const int node = shape.node_perm[static_cast<size_t>(p)];
-    std::vector<double> ready = down[static_cast<size_t>(p)];
-    for (int pos = n - 1; pos > 0; --pos) {
-      const int src = chain_rank(node, pos);
-      const int dst = chain_rank(node, pos - 1);
-      for (size_t c = 0; c < n_chunks; ++c) {
-        ready[c] =
-            cluster
-                .submit({simnet::kDefaultJob, src, dst, chunk_bytes(c),
-                         ready[c]})
-                .time;
-      }
-      if (!data.empty()) {
-        auto s = data[static_cast<size_t>(src)].subspan(half_begin, half_elems);
-        auto d = data[static_cast<size_t>(dst)].subspan(half_begin, half_elems);
-        copy_over_wire(d, s, options.wire);
-      }
-    }
-    for (size_t c = 0; c < n_chunks; ++c) finish = std::max(finish, ready[c]);
-  }
-  return finish;
-}
-
-// ============================= engine path =============================
-
-// One tree as a schedule.  Readiness slots are the legacy per-(node, chunk)
-// pipeline clocks; each dependent hop sits in a later step, and independent
-// nodes share steps (their transfers touch disjoint ports, so the replay is
-// port-clock identical to the node-major legacy issue order).  The reduce
-// moves keep the legacy per-destination order; the phase C+D broadcast is
-// resolved to one copy per rank from the root leader's fully-reduced half.
+// One tree as a schedule.  Readiness slots are per-(node, chunk) pipeline
+// clocks; each dependent hop sits in a later step, and independent nodes
+// share steps (their transfers touch disjoint ports, so the clocks do not
+// depend on the order nodes are issued in).  Per destination the reduce
+// moves add the chain predecessor in phase A, then the left and right
+// child leaders in phase B; the phase C+D broadcast is resolved to one
+// copy per rank from the root leader's fully-reduced half.
 void build_one_tree(Schedule& sched, const simnet::Topology& topo,
                     const RankData& data, size_t half_begin, size_t half_elems,
                     const TreeOptions& options, int tree) {
@@ -222,6 +52,8 @@ void build_one_tree(Schedule& sched, const simnet::Topology& topo,
     return wire_payload_bytes(options.wire,
                               chunk_range(half_elems, n_chunks, c).count);
   };
+  // Chain order within a node, leader last: tree 0 runs (n-1) -> ... -> 0,
+  // tree 1 runs 0 -> ... -> (n-1).  pos 0 is the chain head.
   auto chain_rank = [&](int node, int pos) {
     const int local = tree == 0 ? n - 1 - pos : pos;
     return topo.rank_of(node, local);
@@ -291,8 +123,8 @@ void build_one_tree(Schedule& sched, const simnet::Topology& topo,
   // ---- Phase C: broadcast down the leader tree, one step per heap
   // position.  (A parent's phase-C arrival can only be later than every
   // clock its children accumulated in phase B — each transfer into a rank
-  // serializes through its recv port — so the engine's max-combine equals
-  // the legacy overwrite.)  Functional movement for C and D is resolved
+  // serializes through its recv port — so max-combining the child's slot
+  // equals overwriting it with the arrival.)  Functional movement for C and D is resolved
   // below: every copy forwards the root leader's finished half verbatim.
   if (!data.empty() && m * n > 1) {
     const int root = leader_rank(0);
@@ -327,28 +159,16 @@ void build_one_tree(Schedule& sched, const simnet::Topology& topo,
   }
 }
 
-double run_tree_schedule(simnet::Cluster& cluster, const RankData& data,
-                         size_t half_begin, size_t half_elems,
-                         const TreeOptions& options, double start, int tree) {
-  Schedule sched;
-  build_one_tree(sched, cluster.topology(), data, half_begin, half_elems,
-                 options, tree);
-  // An empty record (degenerate half or world) replays to `start` exactly
-  // like the legacy early return.
-  const double finish = sched.run_timing(cluster, start).finish;
-  sched.run_data();
-  return finish;
-}
-
 double run_tree(simnet::Cluster& cluster, const RankData& data,
                 size_t half_begin, size_t half_elems,
                 const TreeOptions& options, double start, int tree) {
-  if (collective_path() == CollectivePath::kLegacy) {
-    return run_tree_legacy(cluster, data, half_begin, half_elems, options,
-                           start, tree);
-  }
-  return run_tree_schedule(cluster, data, half_begin, half_elems, options,
-                           start, tree);
+  Schedule sched;
+  build_one_tree(sched, cluster.topology(), data, half_begin, half_elems,
+                 options, tree);
+  // An empty record (degenerate half or world) replays to `start`.
+  const double finish = sched.run_timing(cluster, start).finish;
+  sched.run_data();
+  return finish;
 }
 
 }  // namespace

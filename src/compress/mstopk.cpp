@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "compress/threshold_select.h"
 #include "core/check.h"
@@ -51,8 +50,8 @@ SparseTensor MsTopK::compress(std::span<const float> x, size_t k) {
     return bit_select(x, k);
   }
 
-  // Alg. 1 lines 1-3: magnitude statistics, one fused pass (the linear and
-  // multi-pass geometries are arithmetic combinations of mean/max).
+  // Alg. 1 lines 1-3: magnitude statistics, one fused pass (the multi-pass
+  // thresholds are arithmetic combinations of mean/max).
   const tensor_ops::AbsStats abs = tensor_ops::abs_stats(x);
   const float abs_max = abs.abs_max;
   const float abs_mean =
@@ -62,11 +61,7 @@ SparseTensor MsTopK::compress(std::span<const float> x, size_t k) {
   // discriminate, fall back to the first k indices.
   if (!(abs_max > abs_mean)) return first_k_fallback(x, k);
 
-  if (mode_ == MsTopKMode::kLinear) {
-    histogram_brackets(x, k, abs_mean, abs_max);
-  } else {
-    multi_pass_brackets(x, k, abs_mean, abs_max);
-  }
+  multi_pass_brackets(x, k, abs_mean, abs_max);
   return gather_selection(x, k);
 }
 
@@ -119,92 +114,6 @@ SparseTensor MsTopK::bit_select(std::span<const float> x, size_t k) {
     out.values[i] = x[out.indices[i]];
   }
   return out;
-}
-
-void MsTopK::histogram_brackets(std::span<const float> x, size_t k,
-                                float abs_mean, float abs_max) {
-  const int nb = kThresholdBuckets;
-  const float width =
-      (abs_max - abs_mean) / static_cast<float>(nb);
-  if (!(width >= std::numeric_limits<float>::min())) {
-    // [mean, max] narrower than one normal-float bucket: a denormal width
-    // would make inv_width infinite and 0 * inf = NaN bucket indices, so
-    // treat the collapsed interval as a single boundary at the mean.
-    // Everything >= mean forms the band; the gather's top-up handles the
-    // rest.
-    stats_.thres1 = 0.0f;
-    stats_.thres2 = abs_mean;
-    stats_.k1 = 0;
-    stats_.k2 = tensor_ops::count_abs_ge(x, abs_mean);
-    stats_.samplings = 1;
-    stats_.buckets = nb;
-    return;
-  }
-  const float inv_width = 1.0f / width;
-  // boundary(b) for integer b: below-mean magnitudes map to the virtual
-  // index -1 (bucket 0 of the shifted histogram), b == nb means "no upper
-  // boundary" (ties at the max), and b == -1 means "no lower boundary".
-  auto boundary = [&](int b) {
-    return abs_mean + width * static_cast<float>(b);
-  };
-
-  // The one counting pass runs on the shared histogram builder
-  // (threshold_select.h): blocked, vectorizable, and partitioned across the
-  // thread pool for large shards.  Multiplication rounding can misplace an
-  // element whose magnitude sits within a few ulps of a boundary by one
-  // bucket, which is repaired by the exact verification pass below.
-  Scratch<size_t> counts(static_cast<size_t>(nb) + 1, /*zeroed=*/true);
-  magnitude_histogram(x, abs_mean, inv_width, counts.span());
-  stats_.samplings = 1;
-  stats_.buckets = nb;
-
-  // Suffix scan: suffix(b) = approximate count of |x| >= boundary(b)
-  // (histogram slot b+1 and up).  The brackets are the two adjacent
-  // boundaries whose counts straddle k — what the multi-pass binary search
-  // converges to, read off in one scan.
-  size_t suffix = 0;
-  int b2 = -1;  // loosest boundary with count > k
-  for (int b = nb - 1; b >= 0; --b) {
-    const size_t next = suffix + counts[static_cast<size_t>(b + 1)];
-    if (next > k) {
-      b2 = b;
-      break;
-    }
-    suffix = next;
-  }
-  int b1 = b2 + 1;
-
-  // Exact verification: one fused counting pass computes the true element
-  // counts at both bracket boundaries (the |x| >= thres comparison every
-  // later consumer uses).  If boundary rounding put the approximate count on
-  // the wrong side of k, nudge the bracket one bucket and recount — in
-  // practice this loop runs exactly once.
-  for (;;) {
-    const float th1 = b1 <= nb - 1 ? boundary(b1) : 0.0f;
-    const float th2 = b2 >= 0 ? boundary(b2) : 0.0f;
-    size_t c1 = 0, c2 = 0;
-    for (float v : x) {
-      const float m = std::fabs(v);
-      c1 += m >= th1 ? 1 : 0;
-      c2 += m >= th2 ? 1 : 0;
-    }
-    if (b1 <= nb - 1 && c1 > k) {
-      ++b1;
-      continue;
-    }
-    if (b2 >= 0 && c2 <= k) {
-      --b2;
-      continue;
-    }
-    // thres1 == 0 encodes "no threshold selects <= k" (heavy ties at the
-    // max, the legacy search's convention); thres2 == 0 encodes "even the
-    // mean selects <= k", making the band everything below thres1.
-    stats_.thres1 = b1 <= nb - 1 ? th1 : 0.0f;
-    stats_.thres2 = b2 >= 0 ? th2 : 0.0f;
-    stats_.k1 = b1 <= nb - 1 ? c1 : 0;
-    stats_.k2 = c2;
-    return;
-  }
 }
 
 void MsTopK::multi_pass_brackets(std::span<const float> x, size_t k,

@@ -8,7 +8,7 @@
 // (k - k1) elements from the band [thres2, thres1), giving exactly k
 // selected elements (lines 25-29).
 //
-// Three implementations of the bracket search:
+// Two implementations of the bracket search:
 //   kHistogram (default) — two counting passes over integer magnitude-bit
 //       buckets (threshold_select::bracket_kth_magnitude): a half-octave
 //       pass locates the boundary bucket, an exact 512-way mantissa-bit
@@ -16,10 +16,6 @@
 //       pass and no verification recount (bit-pattern boundaries make the
 //       counts exact by construction): two counting passes plus the gather,
 //       the same pass structure as exact_topk.
-//   kLinear — the previous fast path, kept flag-selectable: a separate
-//       mean/max statistics pass, one 512-bucket linear histogram over
-//       [mean, max], and an exact verification recount (float-arithmetic
-//       bucket boundaries can misplace elements by one bucket).
 //   kMultiPass — the paper's literal binary search: each of the N samplings
 //       is one counting pass (count |x(i)| >= thres).  O(N*d); kept as the
 //       validation reference and for the sampling-count ablation.
@@ -32,7 +28,6 @@ namespace hitopk::compress {
 
 enum class MsTopKMode {
   kHistogram,  // magnitude-bit bracket search (fast path, no stats pass)
-  kLinear,     // linear [mean, max] histogram (previous fast path)
   kMultiPass,  // Alg. 1 literal binary search (validation reference)
 };
 
@@ -44,7 +39,7 @@ struct MsTopKStats {
   size_t k1 = 0;
   size_t k2 = 0;
   // Number of counting passes actually executed (2 for the bit-bucket
-  // mode: coarse + refinement; 1 for the linear histogram).
+  // mode: coarse + refinement).
   int samplings = 0;
   // Histogram buckets used per pass (0 in multi-pass mode).
   int buckets = 0;
@@ -58,12 +53,7 @@ class MsTopK : public Compressor {
                   MsTopKMode mode = MsTopKMode::kHistogram);
 
   std::string name() const override {
-    switch (mode_) {
-      case MsTopKMode::kHistogram: return "mstopk";
-      case MsTopKMode::kLinear: return "mstopk_linear";
-      case MsTopKMode::kMultiPass: break;
-    }
-    return "mstopk_legacy";
+    return mode_ == MsTopKMode::kHistogram ? "mstopk" : "mstopk_legacy";
   }
 
   SparseTensor compress(std::span<const float> x, size_t k) override;
@@ -81,9 +71,7 @@ class MsTopK : public Compressor {
   // the certain/band index sets; this draws the random band run).
   SparseTensor bit_select(std::span<const float> x, size_t k);
 
-  // Bracket searches: fill stats_.{thres1,thres2,k1,k2,samplings,buckets}.
-  void histogram_brackets(std::span<const float> x, size_t k, float abs_mean,
-                          float abs_max);
+  // Alg. 1's binary search: fills stats_.{thres1,thres2,k1,k2,samplings}.
   void multi_pass_brackets(std::span<const float> x, size_t k, float abs_mean,
                            float abs_max);
 

@@ -15,9 +15,6 @@ std::unique_ptr<Compressor> make_compressor(const std::string& name,
   }
   if (name == "dgc") return std::make_unique<DgcTopK>(0.01, seed);
   if (name == "mstopk") return std::make_unique<MsTopK>(30, seed);
-  if (name == "mstopk_linear") {
-    return std::make_unique<MsTopK>(30, seed, MsTopKMode::kLinear);
-  }
   if (name == "mstopk_legacy") {
     return std::make_unique<MsTopK>(30, seed, MsTopKMode::kMultiPass);
   }

@@ -39,19 +39,6 @@ inline uint32_t magnitude_bits_bucket(float v) {
   return magnitude_bits(v) >> 22;
 }
 
-// Linear bucket of |v| over [lo, lo + kThresholdBuckets * width), clamped
-// to [-1, kThresholdBuckets - 1]: -1 for |v| < lo ("below the histogram"),
-// the top bucket for ties at the max.  Monotone nondecreasing in |v|
-// (subtraction, multiplication by a positive constant, truncation, and
-// clamping are each monotone).
-inline int32_t magnitude_linear_bucket(float v, float lo, float inv_width,
-                                       float top) {
-  float t = (std::fabs(v) - lo) * inv_width;
-  t = std::min(t, top);
-  t = std::max(t, -1.0f);
-  return static_cast<int32_t>(t);
-}
-
 // One worker's counting pass over [p, p + n): a vectorizable arithmetic
 // block turns magnitudes into histogram slots (no per-element boundary
 // comparisons or branches), then a scalar block scatters them into four
@@ -185,15 +172,6 @@ BoundaryScan scan_boundary(std::span<const size_t> counts, size_t k) {
 }
 
 }  // namespace
-
-void magnitude_histogram(std::span<const float> x, float lo, float inv_width,
-                         std::span<size_t> counts) {
-  const float top = static_cast<float>(kThresholdBuckets - 1);
-  histogram_count(x, counts, [=](float v) {
-    return static_cast<uint32_t>(
-        magnitude_linear_bucket(v, lo, inv_width, top) + 1);
-  });
-}
 
 MagnitudeBrackets bracket_kth_magnitude(std::span<const float> x, size_t k,
                                         std::vector<uint32_t>* certain,

@@ -3,14 +3,10 @@
 // Every top-k flavour in this library ultimately needs the same primitive:
 // "where does the k-th largest |x(i)| sit?".  The generic answer
 // (std::nth_element over d elements) is a cache-hostile partial sort that
-// dominated the TopK-SGD iteration; this module generalises the 512-bucket
-// magnitude histogram that already carried MSTopK's bracket search into a
-// shared facility with two bucket geometries over one blocked, parallel
-// counting core:
+// dominated the TopK-SGD iteration; this module answers it with one
+// blocked, parallel 512-bucket magnitude-histogram counting core:
 //
-//   - magnitude_histogram(): linear buckets over [lo, lo + 512*width) — the
-//     geometry MSTopK's bracket search needs (thresholds are arithmetic
-//     combinations of mean/max, so the buckets must be evenly spaced).
+//   - bracket_kth_magnitude(): MSTopK's bracket search (below).
 //   - select_topk() / topk_threshold(): exact top-k selection and k-th
 //     magnitude via *log-spaced* buckets read straight off the magnitude
 //     bits ((bits & 0x7FFFFFFF) >> 22: exponent plus top mantissa bit).
@@ -54,18 +50,6 @@ inline constexpr int kThresholdBuckets = 512;
 // purely a performance heuristic.
 inline constexpr size_t kHistogramMinSize = 2048;
 
-// One linear-bucket counting pass over x: counts[b + 1] accumulates the
-// elements whose clamped bucket index trunc((|x(i)| - lo) * inv_width) is b,
-// for b in [-1, kThresholdBuckets - 1] (slot 0 holds the below-lo count,
-// ties at the top land in the last bucket via the clamp).  counts must have
-// kThresholdBuckets + 1 slots; existing contents are accumulated into, so
-// zero it first.  Blocked with compile-time trip counts so the index
-// arithmetic vectorizes under GCC12 -O2, and partitioned across the
-// parallel_for pool for large x — bucket counts are integers, so the merged
-// histogram is identical regardless of partitioning.
-void magnitude_histogram(std::span<const float> x, float lo, float inv_width,
-                         std::span<size_t> counts);
-
 // Exact magnitude brackets around the k-th largest |x(i)| in two blocked
 // data reads — the machinery MSTopK's bracket search runs on:
 //
@@ -76,7 +60,7 @@ void magnitude_histogram(std::span<const float> x, float lo, float inv_width,
 //     emitted directly, the bucket's occupants become candidates carrying
 //     their magnitude bits, and a 512-way sub-histogram of those bits
 //     (mantissa bits 13..21, O(bucket) work — no third read) refines the
-//     bracket to 2^13 ulps of the k-th magnitude, tighter than the legacy
+//     bracket to 2^13 ulps of the k-th magnitude, tighter than a
 //     (max-mean)/512 linear bucket for anything Gaussian-shaped.
 //
 // Because every boundary is an exact float bit pattern (not float

@@ -12,7 +12,7 @@
 //   encode(decode(x)) == decode(x)  — the round trip is *idempotent*, so a
 //   value that has already crossed one hop re-encodes bitwise-identically on
 //   the next hop.  This is what makes a resolved multi-hop schedule (copy
-//   straight from the owner) equal the hop-by-hop legacy loop, and what
+//   straight from the owner) equal forwarding the chunk hop by hop, and what
 //   keeps every replica of an allgathered chunk identical.
 //
 // For int8 the scale is a power of two derived from the shard's max

@@ -104,23 +104,6 @@ void Cluster::reset() {
   send_seq_ = 0;
 }
 
-double Cluster::send(int src, int dst, size_t bytes, double data_ready,
-                     double extra_seconds) {
-  const FlowOutcome outcome =
-      submit({kDefaultJob, src, dst, bytes, data_ready, extra_seconds});
-  HITOPK_CHECK(outcome.delivered)
-      << "send touched preempted rank" << outcome.dead_rank
-      << "at t=" << outcome.time << "(use try_send on fault-injected runs)";
-  return outcome.time;
-}
-
-SendOutcome Cluster::try_send(int src, int dst, size_t bytes,
-                              double data_ready, double extra_seconds) {
-  const FlowOutcome f =
-      submit({kDefaultJob, src, dst, bytes, data_ready, extra_seconds});
-  return SendOutcome{f.delivered, f.time, f.dead_rank, f.retries, f.degraded};
-}
-
 FlowOutcome Cluster::submit(const Flow& flow) {
   const int src = flow.src;
   const int dst = flow.dst;

@@ -52,10 +52,9 @@
 
 namespace hitopk::simnet {
 
-// Job id used by the deprecated send()/try_send() wrappers and every
-// pre-multi-tenant call site.  Job ids are small non-negative integers;
-// the JobScheduler hands out ids >= 1 so tenant traffic never aliases the
-// default lane.
+// Job id of single-tenant traffic (the Flow default).  Job ids are small
+// non-negative integers; the JobScheduler hands out ids >= 1 so tenant
+// traffic never aliases the default lane.
 inline constexpr int kDefaultJob = 0;
 
 // One transfer request.  `ready` is the instant the payload is available at
@@ -84,16 +83,6 @@ struct FlowOutcome {
   bool degraded = false;  // paid a degradation window or retries
   double share = 1.0;   // processor-sharing factor (1 = exclusive ports)
   bool inter_node = false;
-};
-
-// Legacy result shape of try_send (kept so fault-aware callers and
-// out-of-tree code keep compiling; field-for-field a FlowOutcome subset).
-struct SendOutcome {
-  bool delivered = true;
-  double time = 0.0;
-  int dead_rank = -1;
-  int retries = 0;
-  bool degraded = false;
 };
 
 // One recorded transfer (tracing enabled only).
@@ -165,15 +154,6 @@ class Cluster {
   // plan installed, a flow touching a preempted rank returns
   // delivered=false without mutating any state.
   FlowOutcome submit(const Flow& flow);
-
-  // Deprecated single-tenant wrappers: forward to submit() with
-  // kDefaultJob.  Bit-identical to the flow path (regression-pinned), kept
-  // so out-of-tree callers keep compiling.  send() on a flow touching a
-  // preempted rank is a contract violation (use try_send / submit).
-  double send(int src, int dst, size_t bytes, double data_ready,
-              double extra_seconds = 0.0);
-  SendOutcome try_send(int src, int dst, size_t bytes, double data_ready,
-                       double extra_seconds = 0.0);
 
   // Installs a fault script (non-owning; nullptr disables).  The plan is
   // kept across reset() so a reset cluster replays the same script.

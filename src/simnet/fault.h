@@ -3,7 +3,7 @@
 // A FaultPlan is a pre-computed, seeded script of the failures a public-cloud
 // run can see — rank preemption (spot revocation) with optional recovery,
 // NIC/uplink degradation windows, and transient send failures that cost
-// retry/backoff time — which a Cluster consults during `try_send`.  The plan
+// retry/backoff time — which a Cluster consults during `submit`.  The plan
 // is *data*, not a random process: every query is a pure function of the
 // script and its arguments, so a replay with the same plan, topology, and
 // schedule is bit-identical every time (the determinism contract the perf

@@ -1,4 +1,4 @@
-// Fault-injection layer: FaultPlan scripts, Cluster::try_send semantics,
+// Fault-injection layer: FaultPlan scripts, Cluster::submit fault semantics,
 // abortable schedule replay, the typed-error split (CheckError invariants vs
 // recoverable ConfigError), and the fault-injected training scenario.
 #include <gtest/gtest.h>
@@ -23,8 +23,9 @@ namespace {
 using simnet::Cluster;
 using simnet::FaultPlan;
 using simnet::FaultRates;
+using simnet::Flow;
+using simnet::FlowOutcome;
 using simnet::LinkParams;
-using simnet::SendOutcome;
 using simnet::Topology;
 
 Topology tiny() {
@@ -167,17 +168,23 @@ TEST(FaultPlan, RemapKeepsSurvivorsAndSettings) {
   for (const auto& p : mapped.preemptions()) EXPECT_NE(p.rank, 3);
 }
 
-// ------------------------------------------------------------ try_send
+// ----------------------------------------------- submit under fault plans
 TEST(TrySend, NoPlanMatchesSendBitwise) {
+  // A plan whose only fault lies far in the future leaves every flow on the
+  // fault-free arithmetic: bit-identical to a cluster with no plan.
+  FaultPlan distant;
+  distant.preempt(3, 1e9);
   Cluster a(tiny()), b(tiny());
+  b.set_fault_plan(&distant);
   const int hops[][2] = {{0, 1}, {0, 2}, {2, 3}, {1, 3}, {3, 0}};
   for (const auto& h : hops) {
-    const double t_send = a.send(h[0], h[1], 4096, 0.0);
-    const SendOutcome out = b.try_send(h[0], h[1], 4096, 0.0);
+    const Flow flow{.src = h[0], .dst = h[1], .bytes = 4096};
+    const double t_plain = a.submit(flow).time;
+    const FlowOutcome out = b.submit(flow);
     EXPECT_TRUE(out.delivered);
     EXPECT_FALSE(out.degraded);
     EXPECT_EQ(out.retries, 0);
-    EXPECT_DOUBLE_EQ(out.time, t_send);
+    EXPECT_EQ(out.time, t_plain);
   }
   EXPECT_DOUBLE_EQ(a.quiescent_time(), b.quiescent_time());
   EXPECT_EQ(a.inter_node_bytes(), b.inter_node_bytes());
@@ -188,8 +195,8 @@ TEST(TrySend, EmptyPlanTakesTheFaultFreePath) {
   const FaultPlan empty;
   Cluster a(tiny()), b(tiny());
   b.set_fault_plan(&empty);
-  EXPECT_DOUBLE_EQ(a.send(0, 3, 1 << 20, 0.25),
-                   b.try_send(0, 3, 1 << 20, 0.25).time);
+  const Flow flow{.src = 0, .dst = 3, .bytes = 1 << 20, .ready = 0.25};
+  EXPECT_DOUBLE_EQ(a.submit(flow).time, b.submit(flow).time);
 }
 
 TEST(TrySend, DeadRankFailsWithoutMutatingState) {
@@ -200,11 +207,11 @@ TEST(TrySend, DeadRankFailsWithoutMutatingState) {
   untouched.set_fault_plan(&plan);
   tried.enable_tracing();
 
-  const SendOutcome as_dst = tried.try_send(0, 1, 4096, 0.0);
+  const FlowOutcome as_dst = tried.submit({.src = 0, .dst = 1, .bytes = 4096});
   EXPECT_FALSE(as_dst.delivered);
   EXPECT_EQ(as_dst.dead_rank, 1);
   EXPECT_DOUBLE_EQ(as_dst.time, 0.0);  // the would-be start
-  const SendOutcome as_src = tried.try_send(1, 2, 4096, 0.0);
+  const FlowOutcome as_src = tried.submit({.src = 1, .dst = 2, .bytes = 4096});
   EXPECT_FALSE(as_src.delivered);
   EXPECT_EQ(as_src.dead_rank, 1);
 
@@ -213,21 +220,27 @@ TEST(TrySend, DeadRankFailsWithoutMutatingState) {
   EXPECT_DOUBLE_EQ(tried.quiescent_time(), 0.0);
   EXPECT_EQ(tried.inter_node_bytes() + tried.intra_node_bytes(), size_t{0});
   EXPECT_TRUE(tried.trace().empty());
-  EXPECT_DOUBLE_EQ(tried.try_send(2, 3, 4096, 0.0).time,
-                   untouched.try_send(2, 3, 4096, 0.0).time);
+  EXPECT_DOUBLE_EQ(tried.submit({.src = 2, .dst = 3, .bytes = 4096}).time,
+                   untouched.submit({.src = 2, .dst = 3, .bytes = 4096}).time);
 
   // A recovered rank delivers again after its window.
   FaultPlan recovering;
   recovering.preempt(1, 0.0, 10.0);
   Cluster c(tiny());
   c.set_fault_plan(&recovering);
-  EXPECT_FALSE(c.try_send(0, 1, 64, 5.0).delivered);
-  EXPECT_TRUE(c.try_send(0, 1, 64, 10.0).delivered);
+  EXPECT_FALSE(
+      c.submit({.src = 0, .dst = 1, .bytes = 64, .ready = 5.0}).delivered);
+  EXPECT_TRUE(
+      c.submit({.src = 0, .dst = 1, .bytes = 64, .ready = 10.0}).delivered);
 
-  // The blunt send() keeps the invariant: dead ranks are a caller bug there.
+  // The non-abortable replay keeps the invariant: a dead rank is a caller
+  // bug there.
+  coll::Schedule sched;
+  const uint32_t slots = sched.add_slots(2);
+  sched.send(0, 1, 64, slots, slots + 1);
   Cluster d(tiny());
   d.set_fault_plan(&plan);
-  EXPECT_THROW(d.send(0, 1, 64, 0.0), CheckError);
+  EXPECT_THROW(sched.run_timing(d, 0.0), CheckError);
 }
 
 TEST(TrySend, DegradationSlowsInterNodeOnly) {
@@ -236,13 +249,15 @@ TEST(TrySend, DegradationSlowsInterNodeOnly) {
   Cluster faulty(tiny()), healthy(tiny());
   faulty.set_fault_plan(&plan);
   // Intra-node transfer on the degraded node's GPUs: NVLink is unaffected.
-  const SendOutcome intra = faulty.try_send(2, 3, 1 << 20, 0.0);
+  const Flow intra_flow{.src = 2, .dst = 3, .bytes = 1 << 20};
+  const FlowOutcome intra = faulty.submit(intra_flow);
   EXPECT_TRUE(intra.delivered);
   EXPECT_FALSE(intra.degraded);
-  EXPECT_DOUBLE_EQ(intra.time, healthy.send(2, 3, 1 << 20, 0.0));
+  EXPECT_DOUBLE_EQ(intra.time, healthy.submit(intra_flow).time);
   // Inter-node transfer into the degraded node: 2x the healthy duration.
-  const double healthy_done = healthy.send(0, 2, 1 << 20, 1.0);
-  const SendOutcome inter = faulty.try_send(0, 2, 1 << 20, 1.0);
+  const Flow inter_flow{.src = 0, .dst = 2, .bytes = 1 << 20, .ready = 1.0};
+  const double healthy_done = healthy.submit(inter_flow).time;
+  const FlowOutcome inter = faulty.submit(inter_flow);
   EXPECT_TRUE(inter.degraded);
   EXPECT_DOUBLE_EQ(inter.time - 1.0, 2.0 * (healthy_done - 1.0));
 }
@@ -255,15 +270,17 @@ TEST(TrySend, TransientRetriesChargeBackoffPlusResend) {
   // Find the expected retry count of the first send from the plan itself.
   const int retries = plan.transient_attempts(0);
   Cluster healthy(tiny());
-  const double d0 = healthy.send(0, 2, 1 << 16, 0.0);
-  const SendOutcome out = faulty.try_send(0, 2, 1 << 16, 0.0);
+  const double d0 = healthy.submit({.src = 0, .dst = 2, .bytes = 1 << 16}).time;
+  const FlowOutcome out = faulty.submit({.src = 0, .dst = 2, .bytes = 1 << 16});
   EXPECT_TRUE(out.delivered);
   EXPECT_EQ(out.retries, retries);
   EXPECT_DOUBLE_EQ(out.time,
                    d0 + retries * (d0 + plan.transient_backoff()));
   // Some send in a short burst must retry at p = 0.6.
   int total = out.retries;
-  for (int i = 0; i < 20; ++i) total += faulty.try_send(0, 2, 64, 0.0).retries;
+  for (int i = 0; i < 20; ++i) {
+    total += faulty.submit({.src = 0, .dst = 2, .bytes = 64}).retries;
+  }
   EXPECT_GT(total, 0);
 }
 
@@ -273,10 +290,10 @@ TEST(TrySend, ResetReplaysTheScriptBitIdentically) {
   plan.degrade_node(0, 0.0, 1e-3, 1.5);
   auto drive = [&](Cluster& c) {
     std::vector<double> times;
-    times.push_back(c.try_send(0, 2, 4096, 0.0).time);
-    times.push_back(c.try_send(1, 3, 4096, 0.0).time);
-    times.push_back(c.try_send(0, 1, 4096, 0.0).time);
-    times.push_back(c.try_send(2, 0, 8192, 0.0).time);
+    times.push_back(c.submit({.src = 0, .dst = 2, .bytes = 4096}).time);
+    times.push_back(c.submit({.src = 1, .dst = 3, .bytes = 4096}).time);
+    times.push_back(c.submit({.src = 0, .dst = 1, .bytes = 4096}).time);
+    times.push_back(c.submit({.src = 2, .dst = 0, .bytes = 8192}).time);
     return times;
   };
   Cluster fresh(tiny()), reused(tiny());

@@ -5,10 +5,9 @@
 //
 // The two contracts everything here leans on:
 //
-//   backward compatibility — a single job on an idle cluster takes the
-//     exact legacy arithmetic path: the deprecated send()/try_send()
-//     wrappers and any non-default job id reproduce the pre-refactor
-//     clocks bit for bit;
+//   single-tenant identity — a single job on an idle cluster takes the
+//     exclusive-port arithmetic path: any job id reproduces the
+//     single-tenant clocks bit for bit;
 //   processor sharing — flows of different jobs overlapping on a NIC
 //     split its rate: with matched per-flow and aggregate rates, two jobs
 //     alternating transfers through one NIC finish their n-th transfers at
@@ -41,64 +40,7 @@ Topology podded() {
                   /*nodes_per_pod=*/2);
 }
 
-// ------------------------------------------------- wrapper bit-identity
-
-TEST(FlowApi, SendWrapperBitIdenticalToSubmit) {
-  Cluster legacy(tiny());
-  Cluster flows(tiny());
-  struct Msg {
-    int src, dst;
-    size_t bytes;
-    double ready, extra;
-  };
-  const std::vector<Msg> msgs = {
-      {0, 1, 1000, 0.0, 0.0},  {0, 2, 4096, 0.0, 0.0},
-      {1, 3, 777, 1e-5, 2e-6}, {2, 0, 65536, 0.0, 0.0},
-      {3, 1, 123, 5e-5, 0.0},  {0, 2, 4096, 2e-4, 0.0},
-  };
-  for (const Msg& m : msgs) {
-    const double a = legacy.send(m.src, m.dst, m.bytes, m.ready, m.extra);
-    const FlowOutcome b =
-        flows.submit({kDefaultJob, m.src, m.dst, m.bytes, m.ready, m.extra});
-    EXPECT_TRUE(b.delivered);
-    EXPECT_EQ(a, b.time);  // bitwise, not just close
-    EXPECT_EQ(b.share, 1.0);
-  }
-  EXPECT_EQ(legacy.quiescent_time(), flows.quiescent_time());
-  EXPECT_EQ(legacy.inter_node_bytes(), flows.inter_node_bytes());
-  EXPECT_EQ(legacy.intra_node_bytes(), flows.intra_node_bytes());
-}
-
-TEST(FlowApi, TrySendWrapperBitIdenticalUnderFaults) {
-  FaultPlan plan;
-  plan.preempt(/*rank=*/3, /*time=*/1e-4);
-  plan.set_transient(0.2, 1e-6, 2);
-  Cluster legacy(tiny());
-  Cluster flows(tiny());
-  legacy.set_fault_plan(&plan);
-  flows.set_fault_plan(&plan);
-  struct Msg {
-    int src, dst;
-    size_t bytes;
-    double ready;
-  };
-  const std::vector<Msg> msgs = {
-      {0, 2, 4096, 0.0},  {1, 3, 512, 0.0},    {2, 1, 2048, 0.0},
-      {0, 3, 512, 2e-4},  // rank 3 dead by now: undelivered on both paths
-      {2, 0, 8192, 3e-4}, {1, 2, 1024, 3e-4},
-  };
-  for (const Msg& m : msgs) {
-    const SendOutcome a = legacy.try_send(m.src, m.dst, m.bytes, m.ready);
-    const FlowOutcome b =
-        flows.submit({kDefaultJob, m.src, m.dst, m.bytes, m.ready});
-    EXPECT_EQ(a.delivered, b.delivered);
-    EXPECT_EQ(a.time, b.time);
-    EXPECT_EQ(a.dead_rank, b.dead_rank);
-    EXPECT_EQ(a.retries, b.retries);
-    EXPECT_EQ(a.degraded, b.degraded);
-  }
-  EXPECT_EQ(legacy.quiescent_time(), flows.quiescent_time());
-}
+// ------------------------------------------------- flow API identity
 
 TEST(FlowApi, JobIdInvariantOnIdleCluster) {
   // A lone tenant's clocks must not depend on its job id: job 7 on a fresh
@@ -237,7 +179,7 @@ TEST(Accounting, ChromeTraceGetsPerJobTracks) {
   // Single-tenant traces keep the original one-process layout.
   Cluster solo(tiny());
   solo.enable_tracing();
-  solo.send(0, 2, 1000, 0.0);
+  solo.submit({.src = 0, .dst = 2, .bytes = 1000});
   std::ostringstream os2;
   solo.write_chrome_trace(os2, "mt");
   EXPECT_EQ(os2.str().find("/job"), std::string::npos);

@@ -1,15 +1,21 @@
-// Schedule-engine vs legacy-loop equivalence for every converted collective:
-// identical port clocks (EXPECT_DOUBLE_EQ, timing-only and functional) and
-// bitwise-identical buffers (byte compare, so -0.0 vs 0.0 or NaN payload
-// differences cannot hide).  Shapes include uneven chunk_range remainders,
-// single-rank groups, and multi-chunk tree pipelining.
+// Collective outputs pinned to golden rows (collective_golden.h): for every
+// case, the rank buffers (FNV-1a digest over the raw bytes, so -0.0 vs 0.0
+// or NaN payload differences cannot hide), every clock and breakdown field
+// (exact), and the timing-only clock must equal what the per-hop reference
+// loops recorded.  Shapes include uneven chunk_range remainders,
+// single-rank groups, and multi-chunk tree pipelining.  Also here:
+// BlueConnect's reduction to the flat ring, engine unit tests, the elastic
+// fault-rescale sweeps, and job-id invariance.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "collective_golden.h"
 #include "collectives/blueconnect.h"
 #include "collectives/elastic.h"
 #include "collectives/gtopk.h"
@@ -37,13 +43,6 @@ Topology fabric(int nodes, int gpus) {
   return Topology(nodes, gpus, LinkParams{1e-6, 1e-9}, LinkParams{1e-5, 1e-8});
 }
 
-// Restores the default engine path when a test exits (also on failure).
-class PathGuard {
- public:
-  explicit PathGuard(CollectivePath path) { set_collective_path(path); }
-  ~PathGuard() { set_collective_path(CollectivePath::kSchedule); }
-};
-
 std::vector<Tensor> random_buffers(int world, size_t elems, uint64_t seed) {
   Rng rng(seed);
   std::vector<Tensor> buffers;
@@ -61,82 +60,113 @@ RankData spans_of(std::vector<Tensor>& buffers) {
   return spans;
 }
 
-void expect_bitwise_equal(const std::vector<Tensor>& a,
-                          const std::vector<Tensor>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t r = 0; r < a.size(); ++r) {
-    ASSERT_EQ(a[r].size(), b[r].size());
-    ASSERT_EQ(std::memcmp(a[r].data(), b[r].data(),
-                          a[r].size() * sizeof(float)),
-              0)
-        << "buffers of rank " << r << " differ";
-  }
+std::string shape_name(int a, int b) {
+  return std::to_string(a) + "x" + std::to_string(b);
 }
 
-// Runs `fn(cluster, data)` under both paths on identical inputs and checks
-// clocks + buffers match.  fn returns the completion time.
-template <typename Fn>
-void check_equivalence(const Topology& topo, size_t elems, uint64_t seed,
-                       Fn&& fn) {
-  // Functional.
-  std::vector<Tensor> buf_sched = random_buffers(topo.world_size(), elems, seed);
-  std::vector<Tensor> buf_legacy = buf_sched;
-  double t_sched, t_legacy;
-  {
-    PathGuard guard(CollectivePath::kSchedule);
-    Cluster cluster(topo);
-    t_sched = fn(cluster, spans_of(buf_sched));
-  }
-  {
-    PathGuard guard(CollectivePath::kLegacy);
-    Cluster cluster(topo);
-    t_legacy = fn(cluster, spans_of(buf_legacy));
-  }
-  EXPECT_DOUBLE_EQ(t_sched, t_legacy) << "functional clocks diverge";
-  expect_bitwise_equal(buf_sched, buf_legacy);
+// The clocks of one collective call in its result struct's field order,
+// plus the one the timing-only replay is compared on.
+struct Clocks {
+  std::vector<double> fields;
+  double primary = 0.0;
+  size_t rounds = 0;
+  size_t final_nnz = 0;
+};
 
-  // Timing-only parity of the same call.
-  double t_sched_empty, t_legacy_empty;
-  {
-    PathGuard guard(CollectivePath::kSchedule);
-    Cluster cluster(topo);
-    t_sched_empty = fn(cluster, RankData{});
-  }
-  {
-    PathGuard guard(CollectivePath::kLegacy);
-    Cluster cluster(topo);
-    t_legacy_empty = fn(cluster, RankData{});
-  }
-  EXPECT_DOUBLE_EQ(t_sched_empty, t_legacy_empty)
-      << "timing-only clocks diverge";
+Clocks clocks_of(double t) { return {{t}, t}; }
+Clocks clocks_of(const HierArBreakdown& b) {
+  return {{b.intra_reduce, b.inter_allreduce, b.intra_broadcast, b.total},
+          b.total};
+}
+Clocks clocks_of(const Torus2dBreakdown& b) {
+  return {{b.reduce_scatter, b.inter_allreduce, b.intra_allgather, b.total},
+          b.total};
+}
+Clocks clocks_of(const ParamServerResult& r) {
+  return {{r.total, r.push, r.pull}, r.total};
+}
+Clocks clocks_of(const HiTopKBreakdown& b) {
+  return {{b.reduce_scatter, b.mstopk, b.inter_allgather, b.intra_allgather,
+           b.total, static_cast<double>(b.selected_per_shard)},
+          b.total};
+}
+Clocks clocks_of(const NaiveAgResult& r) {
+  return {{r.total, r.allgather, r.accumulate}, r.total};
+}
+Clocks clocks_of(const GtopkResult& r) {
+  return {{r.total}, r.total, r.rounds, r.final_nnz};
+}
+// Two successive gTop-k calls; the second continues from the first's
+// error-feedback residuals.
+Clocks clocks_of(const std::pair<GtopkResult, GtopkResult>& r) {
+  return {{r.first.total, r.second.total},
+          r.second.total,
+          r.first.rounds,
+          r.second.final_nnz};
+}
+
+// Runs `fn(cluster, data)` on `buffers` with a fresh cluster, then once more
+// timing-only (empty data), and checks the case against its golden row.
+// `ef` is the error feedback the functional call used, if any.  Returns the
+// functional clocks for case-specific checks.
+template <typename Fn>
+Clocks check_golden(const std::string& name, const Topology& topo,
+                    std::vector<Tensor>& buffers, Fn&& fn,
+                    const compress::ErrorFeedback* ef = nullptr) {
+  Cluster cluster(topo);
+  const Clocks functional = clocks_of(fn(cluster, spans_of(buffers)));
+  Cluster timing_cluster(topo);
+  const Clocks timing = clocks_of(fn(timing_cluster, RankData{}));
+  golden::expect_golden({name, golden::digest(buffers), functional.fields,
+                         timing.primary,
+                         ef != nullptr ? ef->residual_sq_norm() : 0.0,
+                         functional.rounds, functional.final_nnz});
+  return functional;
+}
+
+template <typename Fn>
+Clocks check_golden(const std::string& name, const Topology& topo,
+                    size_t elems, uint64_t seed, Fn&& fn,
+                    const compress::ErrorFeedback* ef = nullptr) {
+  std::vector<Tensor> buffers = random_buffers(topo.world_size(), elems, seed);
+  return check_golden(name, topo, buffers, fn, ef);
 }
 
 // ------------------------------------------------------------ ring legs
 class RingEquivalenceTest
-    : public ::testing::TestWithParam<std::pair<int, size_t>> {};
+    : public ::testing::TestWithParam<std::pair<int, size_t>> {
+ protected:
+  std::string shape() const {
+    return "g" + std::to_string(GetParam().first) + "_e" +
+           std::to_string(GetParam().second);
+  }
+};
 
 TEST_P(RingEquivalenceTest, ReduceScatter) {
   const auto [g, elems] = GetParam();
-  const Topology topo = fabric(1, g);
-  check_equivalence(topo, elems, 42, [&](Cluster& c, const RankData& data) {
-    return ring_reduce_scatter(c, world_group(c.topology()), data, elems, coll::WireDtype::kFp32, 0.5);
-  });
+  check_golden("ring_rs/" + shape(), fabric(1, g), elems, 42,
+               [&](Cluster& c, const RankData& data) {
+                 return ring_reduce_scatter(c, world_group(c.topology()), data,
+                                            elems, WireDtype::kFp32, 0.5);
+               });
 }
 
 TEST_P(RingEquivalenceTest, AllGather) {
   const auto [g, elems] = GetParam();
-  const Topology topo = fabric(1, g);
-  check_equivalence(topo, elems, 43, [&](Cluster& c, const RankData& data) {
-    return ring_allgather(c, world_group(c.topology()), data, elems, coll::WireDtype::kFp16, 0.0);
-  });
+  check_golden("ring_ag/" + shape(), fabric(1, g), elems, 43,
+               [&](Cluster& c, const RankData& data) {
+                 return ring_allgather(c, world_group(c.topology()), data,
+                                       elems, WireDtype::kFp16, 0.0);
+               });
 }
 
 TEST_P(RingEquivalenceTest, AllReduce) {
   const auto [g, elems] = GetParam();
-  const Topology topo = fabric(1, g);
-  check_equivalence(topo, elems, 44, [&](Cluster& c, const RankData& data) {
-    return ring_allreduce(c, world_group(c.topology()), data, elems, coll::WireDtype::kFp32, 0.0);
-  });
+  check_golden("ring_ar/" + shape(), fabric(1, g), elems, 44,
+               [&](Cluster& c, const RankData& data) {
+                 return ring_allreduce(c, world_group(c.topology()), data,
+                                       elems, WireDtype::kFp32, 0.0);
+               });
 }
 
 // Group sizes x element counts with ragged remainders (67 % g != 0 for most
@@ -151,36 +181,33 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(RingEquivalence, AllReduceMultiTwoCrossNodeStreams) {
   const Topology topo = fabric(3, 2);
   const size_t elems = 101;
-  std::vector<Group> groups{cross_node_group(topo, 0),
-                            cross_node_group(topo, 1)};
-  auto run = [&](CollectivePath path, std::vector<Tensor>& buffers) {
-    PathGuard guard(path);
-    Cluster cluster(topo);
-    std::vector<RankData> data(groups.size());
-    for (size_t q = 0; q < groups.size(); ++q) {
-      for (int rank : groups[q]) {
-        data[q].push_back(buffers[static_cast<size_t>(rank)].span());
-      }
-    }
-    return ring_allreduce_multi(cluster, groups, data, elems, coll::WireDtype::kFp32, 0.25);
-  };
-  std::vector<Tensor> buf_sched = random_buffers(topo.world_size(), elems, 7);
-  std::vector<Tensor> buf_legacy = buf_sched;
-  EXPECT_DOUBLE_EQ(run(CollectivePath::kSchedule, buf_sched),
-                   run(CollectivePath::kLegacy, buf_legacy));
-  expect_bitwise_equal(buf_sched, buf_legacy);
+  const std::vector<Group> groups{cross_node_group(topo, 0),
+                                  cross_node_group(topo, 1)};
+  check_golden("ring_ar_multi/3x2", topo, elems, 7,
+               [&](Cluster& c, const RankData& data) {
+                 std::vector<RankData> group_data;
+                 if (!data.empty()) {
+                   for (const Group& group : groups) {
+                     RankData spans;
+                     for (int rank : group) {
+                       spans.push_back(data[static_cast<size_t>(rank)]);
+                     }
+                     group_data.push_back(std::move(spans));
+                   }
+                 }
+                 return ring_allreduce_multi(c, groups, group_data, elems,
+                                             WireDtype::kFp32, 0.25);
+               });
 }
 
 TEST(RingEquivalence, AllGatherBytesVariablePayloads) {
   const Topology topo = fabric(2, 3);
-  auto run = [&](CollectivePath path) {
-    PathGuard guard(path);
-    Cluster cluster(topo);
-    return ring_allgather_bytes(cluster, world_group(topo),
-                                {100, 2000, 5, 40, 999, 1}, 0.0, 1e-5);
-  };
-  EXPECT_DOUBLE_EQ(run(CollectivePath::kSchedule),
-                   run(CollectivePath::kLegacy));
+  check_golden("ring_ag_bytes/2x3", topo, 0, 0,
+               [&](Cluster& c, const RankData&) {
+                 return ring_allgather_bytes(c, world_group(topo),
+                                             {100, 2000, 5, 40, 999, 1}, 0.0,
+                                             1e-5);
+               });
 }
 
 // ------------------------------------------------ ring_allgather_bytes guards
@@ -190,9 +217,6 @@ TEST(RingEquivalence, AllGatherBytesVariablePayloads) {
 TEST(RingAllGatherBytes, SingleRankGroupIsFree) {
   const Topology topo = fabric(1, 1);
   Cluster cluster(topo);
-  EXPECT_DOUBLE_EQ(
-      ring_allgather_bytes(cluster, {0}, {1000000}, 1.5, 1e-3), 1.5);
-  PathGuard guard(CollectivePath::kLegacy);
   EXPECT_DOUBLE_EQ(
       ring_allgather_bytes(cluster, {0}, {1000000}, 1.5, 1e-3), 1.5);
 }
@@ -213,14 +237,14 @@ class TreeEquivalenceTest
 
 TEST_P(TreeEquivalenceTest, AllReduce) {
   const auto [m, n] = GetParam();
-  const Topology topo = fabric(m, n);
   const size_t elems = 203;  // odd: the two tree halves differ in size
   TreeOptions options;
   options.chunk_bytes = 128;  // force multi-chunk pipelining
-  check_equivalence(topo, elems, 50, [&](Cluster& c, const RankData& data) {
-    return tree_allreduce(c, world_group(c.topology()), data, elems, options,
-                          0.0);
-  });
+  check_golden("tree/" + shape_name(m, n), fabric(m, n), elems, 50,
+               [&](Cluster& c, const RankData& data) {
+                 return tree_allreduce(c, world_group(c.topology()), data,
+                                       elems, options, 0.0);
+               });
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, TreeEquivalenceTest,
@@ -230,26 +254,12 @@ INSTANTIATE_TEST_SUITE_P(Shapes, TreeEquivalenceTest,
 
 // ------------------------------------------------------------ hier
 TEST(HierEquivalence, BreakdownAndBuffers) {
-  const Topology topo = fabric(3, 4);
   const size_t elems = 77;
-  auto run = [&](CollectivePath path, std::vector<Tensor>* buffers) {
-    PathGuard guard(path);
-    Cluster cluster(topo);
-    RankData data;
-    if (buffers != nullptr) data = spans_of(*buffers);
-    return hier_allreduce(cluster, data, elems, coll::WireDtype::kFp32, 0.125);
-  };
-  std::vector<Tensor> buf_sched = random_buffers(topo.world_size(), elems, 60);
-  std::vector<Tensor> buf_legacy = buf_sched;
-  const auto s = run(CollectivePath::kSchedule, &buf_sched);
-  const auto l = run(CollectivePath::kLegacy, &buf_legacy);
-  EXPECT_DOUBLE_EQ(s.intra_reduce, l.intra_reduce);
-  EXPECT_DOUBLE_EQ(s.inter_allreduce, l.inter_allreduce);
-  EXPECT_DOUBLE_EQ(s.intra_broadcast, l.intra_broadcast);
-  EXPECT_DOUBLE_EQ(s.total, l.total);
-  expect_bitwise_equal(buf_sched, buf_legacy);
-  EXPECT_DOUBLE_EQ(run(CollectivePath::kSchedule, nullptr).total,
-                   run(CollectivePath::kLegacy, nullptr).total);
+  check_golden("hier/3x4", fabric(3, 4), elems, 60,
+               [&](Cluster& c, const RankData& data) {
+                 return hier_allreduce(c, data, elems, WireDtype::kFp32,
+                                       0.125);
+               });
 }
 
 // ------------------------------------------------------------ torus2d
@@ -260,30 +270,16 @@ class TorusEquivalenceTest
 TEST_P(TorusEquivalenceTest, BreakdownAndBuffers) {
   const auto [shape, elems] = GetParam();
   const auto [m, n] = shape;
-  const Topology topo = fabric(m, n);
-  auto run = [&](CollectivePath path, std::vector<Tensor>* buffers) {
-    PathGuard guard(path);
-    Cluster cluster(topo);
-    RankData data;
-    if (buffers != nullptr) data = spans_of(*buffers);
-    return torus2d_allreduce(cluster, data, elems, coll::WireDtype::kFp32, 0.0);
-  };
-  std::vector<Tensor> buf_sched =
-      random_buffers(topo.world_size(), elems, 70 + elems);
-  std::vector<Tensor> buf_legacy = buf_sched;
-  const auto s = run(CollectivePath::kSchedule, &buf_sched);
-  const auto l = run(CollectivePath::kLegacy, &buf_legacy);
-  EXPECT_DOUBLE_EQ(s.reduce_scatter, l.reduce_scatter);
-  EXPECT_DOUBLE_EQ(s.inter_allreduce, l.inter_allreduce);
-  EXPECT_DOUBLE_EQ(s.intra_allgather, l.intra_allgather);
-  EXPECT_DOUBLE_EQ(s.total, l.total);
-  expect_bitwise_equal(buf_sched, buf_legacy);
-  EXPECT_DOUBLE_EQ(run(CollectivePath::kSchedule, nullptr).total,
-                   run(CollectivePath::kLegacy, nullptr).total);
+  check_golden("torus/" + shape_name(m, n) + "_e" + std::to_string(elems),
+               fabric(m, n), elems, 70 + elems,
+               [&](Cluster& c, const RankData& data) {
+                 return torus2d_allreduce(c, data, elems, WireDtype::kFp32,
+                                          0.0);
+               });
 }
 
 // 96 divides evenly by every n here (the one-schedule path); 97 exercises
-// the ragged functional fallback (per-stream sequential phase 2).
+// the ragged functional path (per-stream sequential phase 2).
 INSTANTIATE_TEST_SUITE_P(
     Shapes, TorusEquivalenceTest,
     ::testing::Values(std::pair{std::pair{2, 4}, size_t{96}},
@@ -292,65 +288,51 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{std::pair{4, 2}, size_t{64}},
                       std::pair{std::pair{1, 4}, size_t{97}}));
 
+TEST(TorusGuards, ShortRankBufferIsConfigError) {
+  // A rank buffer shorter than elems is rejected up front, on both the
+  // one-schedule (96) and the ragged per-stream (97) paths, instead of
+  // running the data pass past its end.
+  const Topology topo = fabric(2, 2);
+  for (const size_t elems : {size_t{96}, size_t{97}}) {
+    std::vector<Tensor> buffers = random_buffers(topo.world_size(), elems, 3);
+    buffers[3] = Tensor(elems / 2);
+    Cluster cluster(topo);
+    EXPECT_THROW(torus2d_allreduce(cluster, spans_of(buffers), elems,
+                                   WireDtype::kFp32, 0.0),
+                 ConfigError)
+        << "elems=" << elems;
+  }
+}
+
 // ------------------------------------------------------------ param server
 TEST(ParamServerEquivalence, BreakdownAndBuffers) {
-  const Topology topo = fabric(3, 2);
   const size_t elems = 101;
-  auto run = [&](CollectivePath path, std::vector<Tensor>* buffers) {
-    PathGuard guard(path);
-    Cluster cluster(topo);
-    RankData data;
-    if (buffers != nullptr) data = spans_of(*buffers);
-    return param_server_allreduce(cluster, data, elems, coll::WireDtype::kFp32, 0.0);
-  };
-  std::vector<Tensor> buf_sched = random_buffers(topo.world_size(), elems, 80);
-  std::vector<Tensor> buf_legacy = buf_sched;
-  const auto s = run(CollectivePath::kSchedule, &buf_sched);
-  const auto l = run(CollectivePath::kLegacy, &buf_legacy);
-  EXPECT_DOUBLE_EQ(s.push, l.push);
-  EXPECT_DOUBLE_EQ(s.pull, l.pull);
-  EXPECT_DOUBLE_EQ(s.total, l.total);
-  expect_bitwise_equal(buf_sched, buf_legacy);
-  EXPECT_DOUBLE_EQ(run(CollectivePath::kSchedule, nullptr).total,
-                   run(CollectivePath::kLegacy, nullptr).total);
+  check_golden("param_server/3x2", fabric(3, 2), elems, 80,
+               [&](Cluster& c, const RankData& data) {
+                 return param_server_allreduce(c, data, elems,
+                                               WireDtype::kFp32, 0.0);
+               });
 }
 
 // ------------------------------------------------------------ HiTopKComm
 TEST(HiTopKEquivalence, FunctionalWithErrorFeedback) {
-  const Topology topo = fabric(2, 4);
   const size_t elems = 250;  // ragged shards (250 % 4 != 0)
-  auto run = [&](CollectivePath path, std::vector<Tensor>* buffers,
-                 compress::ErrorFeedback* ef) {
-    PathGuard guard(path);
-    Cluster cluster(topo);
-    RankData data;
-    if (buffers != nullptr) data = spans_of(*buffers);
-    HiTopKOptions options;
-    options.density = 0.05;
-    options.seed = 99;
-    options.error_feedback = ef;
-    return hitopk_comm(cluster, data, elems, options, 0.0);
-  };
-  std::vector<Tensor> buf_sched = random_buffers(topo.world_size(), elems, 90);
-  std::vector<Tensor> buf_legacy = buf_sched;
-  compress::ErrorFeedback ef_sched, ef_legacy;
-  const auto s = run(CollectivePath::kSchedule, &buf_sched, &ef_sched);
-  const auto l = run(CollectivePath::kLegacy, &buf_legacy, &ef_legacy);
-  EXPECT_DOUBLE_EQ(s.reduce_scatter, l.reduce_scatter);
-  EXPECT_DOUBLE_EQ(s.inter_allgather, l.inter_allgather);
-  EXPECT_DOUBLE_EQ(s.intra_allgather, l.intra_allgather);
-  EXPECT_DOUBLE_EQ(s.total, l.total);
-  expect_bitwise_equal(buf_sched, buf_legacy);
-  EXPECT_DOUBLE_EQ(ef_sched.residual_sq_norm(), ef_legacy.residual_sq_norm());
-  EXPECT_DOUBLE_EQ(run(CollectivePath::kSchedule, nullptr, nullptr).total,
-                   run(CollectivePath::kLegacy, nullptr, nullptr).total);
+  compress::ErrorFeedback ef;
+  check_golden(
+      "hitopk_ef/2x4", fabric(2, 4), elems, 90,
+      [&](Cluster& c, const RankData& data) {
+        HiTopKOptions options;
+        options.density = 0.05;
+        options.seed = 99;
+        options.error_feedback = data.empty() ? nullptr : &ef;
+        return hitopk_comm(c, data, elems, options, 0.0);
+      },
+      &ef);
 }
 
 // ------------------------------------------------------------ gTop-k
-// Clock parity and bitwise buffers across power-of-two and folded
-// (non-power-of-two) worlds, with error-feedback state carried across two
-// successive calls — the engine path also swaps the dense-allocating merge
-// for the fused workspace-backed one, so this pins that rewrite too.
+// Power-of-two and folded (non-power-of-two) worlds, with error-feedback
+// state carried across two successive calls.
 class GtopkEquivalenceTest
     : public ::testing::TestWithParam<std::pair<std::pair<int, int>, size_t>> {
 };
@@ -358,38 +340,20 @@ class GtopkEquivalenceTest
 TEST_P(GtopkEquivalenceTest, TwoCallsWithErrorFeedback) {
   const auto [shape, elems] = GetParam();
   const auto [m, n] = shape;
-  const Topology topo = fabric(m, n);
-  auto run = [&](CollectivePath path, std::vector<Tensor>* buffers,
-                 compress::ErrorFeedback* ef) {
-    PathGuard guard(path);
-    Cluster cluster(topo);
-    GtopkOptions options;
-    options.density = 0.04;
-    options.error_feedback = ef;
-    RankData data;
-    if (buffers != nullptr) data = spans_of(*buffers);
-    const auto first = coll::gtopk_comm(cluster, data, elems, options, 0.0);
-    // Second call continues from the first's residuals (functional mode).
-    const auto second =
-        coll::gtopk_comm(cluster, data, elems, options, first.total);
-    return std::pair{first, second};
-  };
-  std::vector<Tensor> buf_sched =
-      random_buffers(topo.world_size(), elems, 300 + elems);
-  std::vector<Tensor> buf_legacy = buf_sched;
-  compress::ErrorFeedback ef_sched, ef_legacy;
-  const auto s = run(CollectivePath::kSchedule, &buf_sched, &ef_sched);
-  const auto l = run(CollectivePath::kLegacy, &buf_legacy, &ef_legacy);
-  EXPECT_DOUBLE_EQ(s.first.total, l.first.total);
-  EXPECT_DOUBLE_EQ(s.second.total, l.second.total);
-  EXPECT_EQ(s.first.rounds, l.first.rounds);
-  EXPECT_EQ(s.second.final_nnz, l.second.final_nnz);
-  expect_bitwise_equal(buf_sched, buf_legacy);
-  EXPECT_DOUBLE_EQ(ef_sched.residual_sq_norm(), ef_legacy.residual_sq_norm());
-  // Timing-only parity of the same shapes.
-  const auto s_empty = run(CollectivePath::kSchedule, nullptr, nullptr);
-  const auto l_empty = run(CollectivePath::kLegacy, nullptr, nullptr);
-  EXPECT_DOUBLE_EQ(s_empty.second.total, l_empty.second.total);
+  compress::ErrorFeedback ef;
+  check_golden(
+      "gtopk_ef/" + shape_name(m, n) + "_e" + std::to_string(elems),
+      fabric(m, n), elems, 300 + elems,
+      [&](Cluster& c, const RankData& data) {
+        GtopkOptions options;
+        options.density = 0.04;
+        options.error_feedback = data.empty() ? nullptr : &ef;
+        const auto first = gtopk_comm(c, data, elems, options, 0.0);
+        // The second call continues from the first's residuals.
+        const auto second = gtopk_comm(c, data, elems, options, first.total);
+        return std::pair{first, second};
+      },
+      &ef);
 }
 
 // Power-of-two (2x2, 2x4), folded worlds (3x1, 3x2, 3x4), an uneven ragged
@@ -408,24 +372,14 @@ TEST(GtopkEquivalence, UnevenNodeTopology) {
   const Topology topo(std::vector<int>{3, 1, 2}, LinkParams{1e-6, 1e-9},
                       LinkParams{1e-5, 1e-8});
   const size_t elems = 150;
-  auto run = [&](CollectivePath path, std::vector<Tensor>* buffers) {
-    PathGuard guard(path);
-    Cluster cluster(topo);
-    GtopkOptions options;
-    options.density = 0.05;
-    RankData data;
-    if (buffers != nullptr) data = spans_of(*buffers);
-    return coll::gtopk_comm(cluster, data, elems, options, 0.25);
-  };
-  std::vector<Tensor> buf_sched = random_buffers(topo.world_size(), elems, 44);
-  std::vector<Tensor> buf_legacy = buf_sched;
-  const auto s = run(CollectivePath::kSchedule, &buf_sched);
-  const auto l = run(CollectivePath::kLegacy, &buf_legacy);
-  EXPECT_DOUBLE_EQ(s.total, l.total);
-  EXPECT_EQ(s.rounds, 4u);  // q = 4: fold + 2 + unfold
-  expect_bitwise_equal(buf_sched, buf_legacy);
-  EXPECT_DOUBLE_EQ(run(CollectivePath::kSchedule, nullptr).total,
-                   run(CollectivePath::kLegacy, nullptr).total);
+  const Clocks clocks = check_golden(
+      "gtopk/uneven_3_1_2", topo, elems, 44,
+      [&](Cluster& c, const RankData& data) {
+        GtopkOptions options;
+        options.density = 0.05;
+        return gtopk_comm(c, data, elems, options, 0.25);
+      });
+  EXPECT_EQ(clocks.rounds, 4u);  // q = 4: fold + 2 + unfold
 }
 
 // ------------------------------------------------------------ NaiveAG
@@ -438,39 +392,23 @@ TEST(NaiveAgEquivalence, RaggedSparsePayloads) {
   for (size_t r = 0; r < grads.size(); ++r) {
     sparse.push_back(compress::exact_topk(grads[r].span(), 3 + 5 * r));
   }
-  auto run = [&](CollectivePath path, std::vector<Tensor>* buffers) {
-    PathGuard guard(path);
-    Cluster cluster(topo);
-    RankData data;
-    if (buffers != nullptr) data = spans_of(*buffers);
-    return coll::naive_sparse_allgather(cluster, sparse, data, elems, 2,
-                                        1e-4, 0.5);
-  };
-  std::vector<Tensor> buf_sched = random_buffers(topo.world_size(), elems, 92);
-  std::vector<Tensor> buf_legacy = buf_sched;
-  const auto s = run(CollectivePath::kSchedule, &buf_sched);
-  const auto l = run(CollectivePath::kLegacy, &buf_legacy);
-  EXPECT_DOUBLE_EQ(s.total, l.total);
-  EXPECT_DOUBLE_EQ(s.allgather, l.allgather);
-  EXPECT_DOUBLE_EQ(s.accumulate, l.accumulate);
-  expect_bitwise_equal(buf_sched, buf_legacy);
-  EXPECT_DOUBLE_EQ(run(CollectivePath::kSchedule, nullptr).total,
-                   run(CollectivePath::kLegacy, nullptr).total);
+  check_golden("naive_ag/3x2", topo, elems, 92,
+               [&](Cluster& c, const RankData& data) {
+                 return naive_sparse_allgather(c, sparse, data, elems, 2,
+                                               1e-4, 0.5);
+               });
 }
 
 TEST(NaiveAgEquivalence, UnevenNodeTopologyTimingParity) {
   const Topology topo(std::vector<int>{2, 4, 1}, LinkParams{1e-6, 1e-9},
                       LinkParams{1e-5, 1e-8});
-  auto run = [&](CollectivePath path) {
-    PathGuard guard(path);
-    Cluster cluster(topo);
-    return coll::naive_sparse_allgather_time(cluster, 64, 2, 1e-4, 0.0).total;
-  };
-  EXPECT_DOUBLE_EQ(run(CollectivePath::kSchedule),
-                   run(CollectivePath::kLegacy));
+  check_golden("naive_ag_time/uneven_2_4_1", topo, 0, 0,
+               [&](Cluster& c, const RankData&) {
+                 return naive_sparse_allgather_time(c, 64, 2, 1e-4, 0.0);
+               });
 }
 
-// Guard class from PR 4's ring_allgather_bytes_multi g == 0 fix: degenerate
+// Guard class from the ring_allgather_bytes_multi g == 0 fix: degenerate
 // NaiveAG inputs must not crash and must cost only the local accumulate.
 TEST(NaiveAgGuards, SingleRankWorldIsGatherFree) {
   const Topology topo = fabric(1, 1);
@@ -482,7 +420,7 @@ TEST(NaiveAgGuards, SingleRankWorldIsGatherFree) {
   Tensor out(50);
   RankData data{out.span()};
   const auto r =
-      coll::naive_sparse_allgather(cluster, sparse, data, 50, 4, 1e-3, 0.0);
+      naive_sparse_allgather(cluster, sparse, data, 50, 4, 1e-3, 0.0);
   EXPECT_DOUBLE_EQ(r.allgather, 0.0);  // no ring steps for one rank
   EXPECT_DOUBLE_EQ(r.accumulate, 1e-3);
   EXPECT_DOUBLE_EQ(r.total, 1e-3);
@@ -490,35 +428,27 @@ TEST(NaiveAgGuards, SingleRankWorldIsGatherFree) {
   for (size_t i = 0; i < 50; ++i) sum += out[i];
   EXPECT_FLOAT_EQ(sum, 10.0f);  // the rank's own top-5 of a constant tensor
   EXPECT_DOUBLE_EQ(
-      coll::naive_sparse_allgather_time(cluster, 100, 4, 0.0, 2.0).total, 0.0);
+      naive_sparse_allgather_time(cluster, 100, 4, 0.0, 2.0).total, 0.0);
 }
 
 TEST(NaiveAgGuards, EmptySelectionsRideAsLatencyOnlyMessages) {
   const Topology topo = fabric(2, 2);
   const size_t elems = 40;
   // k == 0 everywhere: zero payload bytes, but the ring steps still pay
-  // alpha, identically on both paths.
+  // alpha.
   std::vector<compress::SparseTensor> sparse(4);
   for (auto& s : sparse) s.dense_size = elems;
   std::vector<Tensor> buffers = random_buffers(4, elems, 7);
-  auto run = [&](CollectivePath path, std::vector<Tensor>* bufs) {
-    PathGuard guard(path);
-    Cluster cluster(topo);
-    RankData data;
-    if (bufs != nullptr) data = spans_of(*bufs);
-    return coll::naive_sparse_allgather(cluster, sparse, data, elems, 4, 0.0,
-                                        0.0);
-  };
-  std::vector<Tensor> buf_sched = buffers;
-  std::vector<Tensor> buf_legacy = buffers;
-  const auto s = run(CollectivePath::kSchedule, &buf_sched);
-  const auto l = run(CollectivePath::kLegacy, &buf_legacy);
-  EXPECT_DOUBLE_EQ(s.total, l.total);
-  EXPECT_GT(s.allgather, 0.0);  // alpha per step survives
-  for (const auto& t : buf_sched) {
+  check_golden("naive_ag_empty/2x2", topo, buffers,
+               [&](Cluster& c, const RankData& data) {
+                 const NaiveAgResult r = naive_sparse_allgather(
+                     c, sparse, data, elems, 4, 0.0, 0.0);
+                 EXPECT_GT(r.allgather, 0.0);  // alpha per step survives
+                 return r;
+               });
+  for (const auto& t : buffers) {
     for (size_t i = 0; i < elems; ++i) ASSERT_EQ(t[i], 0.0f);  // empty sum
   }
-  expect_bitwise_equal(buf_sched, buf_legacy);
 }
 
 TEST(NaiveAgGuards, EmptyRankDataIsTimingOnly) {
@@ -527,16 +457,14 @@ TEST(NaiveAgGuards, EmptyRankDataIsTimingOnly) {
   std::vector<compress::SparseTensor> sparse(4);
   for (auto& s : sparse) s.dense_size = 16;
   const auto r =
-      coll::naive_sparse_allgather(cluster, sparse, RankData{}, 16, 4, 0.0,
-                                   0.0);
+      naive_sparse_allgather(cluster, sparse, RankData{}, 16, 4, 0.0, 0.0);
   EXPECT_GT(r.total, 0.0);  // clocks advance, no data is touched
 }
 
 // ------------------------------------------------------------ BlueConnect
-// BlueConnect has no legacy twin: with factors = {P} its recorded schedule
-// must be *identical* to ring_allreduce's (clock and bitwise), which in
-// turn is pinned against the legacy loops above — that chain anchors the
-// whole decomposition.
+// With factors = {P}, BlueConnect's recorded schedule must be *identical*
+// to ring_allreduce's (clock and bitwise), which in turn is pinned to the
+// golden rows above — that chain anchors the whole decomposition.
 TEST(BlueConnect, SingleStageIsExactlyFlatRing) {
   const Topology topo = fabric(3, 2);
   const size_t elems = 151;
@@ -553,7 +481,7 @@ TEST(BlueConnect, SingleStageIsExactlyFlatRing) {
   // Same expression shape on both sides (finish - start), so the doubles
   // must be identical, not merely close.
   EXPECT_DOUBLE_EQ(bc.total, ring - 0.75);
-  expect_bitwise_equal(buf_bc, buf_ring);
+  EXPECT_EQ(golden::digest(buf_bc), golden::digest(buf_ring));
   // Timing-only too.
   Cluster c_bc2(topo), c_ring2(topo);
   EXPECT_DOUBLE_EQ(

@@ -134,8 +134,8 @@ TEST(Cluster, UnevenNodesShareTheirOwnNic) {
   const Topology t(std::vector<int>{2, 1, 1}, LinkParams{0.0, 1e-9},
                    LinkParams{0.0, 1e-8});
   Cluster c(t);
-  const double a = c.send(0, 2, 1000, 0.0);
-  const double b = c.send(1, 3, 1000, 0.0);
+  const double a = c.submit({.src = 0, .dst = 2, .bytes = 1000}).time;
+  const double b = c.submit({.src = 1, .dst = 3, .bytes = 1000}).time;
   EXPECT_DOUBLE_EQ(a, 1e-5);
   EXPECT_DOUBLE_EQ(b, 2e-5);  // serialized behind a on node 0's NIC
 }
@@ -150,8 +150,9 @@ TEST(Cluster, SingleLayerCoreCapsAggregateInterNodeRate) {
   Cluster c(t);
   const size_t bytes = 1'000'000;
   // Distinct (src node, dst node) pairs: no NIC is shared.
-  const double f1 = c.send(0, 2, bytes, 0.0);   // node 0 -> 1
-  const double f2 = c.send(4, 6, bytes, 0.0);   // node 2 -> 3
+  // node 0 -> 1, then node 2 -> 3.
+  const double f1 = c.submit({.src = 0, .dst = 2, .bytes = bytes}).time;
+  const double f2 = c.submit({.src = 4, .dst = 6, .bytes = bytes}).time;
   // Per-flow time 10 ms; core service per flow = bytes * nic*2/4 = 5 ms.
   EXPECT_DOUBLE_EQ(f1, 1e-2);
   EXPECT_DOUBLE_EQ(f2, 5e-3 + 1e-2);
@@ -164,7 +165,8 @@ TEST(Cluster, NonBlockingFabricIgnoresOversubscriptionKnob) {
                     1.0, /*nodes_per_pod=*/2);
   Cluster a(plain), b(f1);
   for (int g = 0; g < 4; ++g) {
-    EXPECT_DOUBLE_EQ(a.send(g, 7 - g, 12345, 0.0), b.send(g, 7 - g, 12345, 0.0));
+    const Flow flow{.src = g, .dst = 7 - g, .bytes = 12345};
+    EXPECT_DOUBLE_EQ(a.submit(flow).time, b.submit(flow).time);
   }
 }
 
@@ -181,52 +183,56 @@ TEST(Cluster, PodUplinksConstrainOnlyCrossPodFlows) {
   Cluster c(t);
   const size_t bytes = 1'000'000;
   // Intra-pod: nodes 0 -> 1, full per-flow rate (10 ms), uplink untouched.
-  EXPECT_DOUBLE_EQ(c.send(0, 1, bytes, 0.0), 1e-2);
+  EXPECT_DOUBLE_EQ(c.submit({.src = 0, .dst = 1, .bytes = bytes}).time, 1e-2);
   c.reset();
   // Cross-pod: node 0 -> 2 then node 1 -> 3.  Distinct NICs, but both
   // occupy pod 0's uplink send port: service = bytes * nic * 4 / 2 = 20 ms.
-  const double x1 = c.send(0, 2, bytes, 0.0);
-  const double x2 = c.send(1, 3, bytes, 0.0);
+  const double x1 = c.submit({.src = 0, .dst = 2, .bytes = bytes}).time;
+  const double x2 = c.submit({.src = 1, .dst = 3, .bytes = bytes}).time;
   EXPECT_DOUBLE_EQ(x1, 1e-2);
   EXPECT_DOUBLE_EQ(x2, 2e-2 + 1e-2);
   // An intra-pod flow inside pod 1 is still free to start at once.
-  EXPECT_DOUBLE_EQ(c.send(3, 2, bytes, 1e-2), 1e-2 + 1e-2);
+  EXPECT_DOUBLE_EQ(
+      c.submit({.src = 3, .dst = 2, .bytes = bytes, .ready = 1e-2}).time,
+      1e-2 + 1e-2);
 }
 
 // ------------------------------------------------------------ cluster
 TEST(Cluster, SingleTransferCost) {
   Cluster c(tiny());
   // Intra-node: 1000 bytes at 1 GB/s + 1 us = 2 us.
-  EXPECT_DOUBLE_EQ(c.send(0, 1, 1000, 0.0), 2e-6);
+  EXPECT_DOUBLE_EQ(c.submit({.src = 0, .dst = 1, .bytes = 1000}).time, 2e-6);
   c.reset();
   // Inter-node: 1000 bytes at 0.1 GB/s + 10 us = 20 us.
-  EXPECT_DOUBLE_EQ(c.send(0, 2, 1000, 0.0), 2e-5);
+  EXPECT_DOUBLE_EQ(c.submit({.src = 0, .dst = 2, .bytes = 1000}).time, 2e-5);
 }
 
 TEST(Cluster, DataReadyDelaysStart) {
   Cluster c(tiny());
-  EXPECT_DOUBLE_EQ(c.send(0, 1, 1000, 5e-6), 5e-6 + 2e-6);
+  EXPECT_DOUBLE_EQ(
+      c.submit({.src = 0, .dst = 1, .bytes = 1000, .ready = 5e-6}).time,
+      5e-6 + 2e-6);
 }
 
 TEST(Cluster, SendPortSerializesSameSource) {
   Cluster c(tiny());
-  const double first = c.send(0, 1, 1000, 0.0);
+  const double first = c.submit({.src = 0, .dst = 1, .bytes = 1000}).time;
   // Second send from rank 0 must wait for the first to finish.
-  const double second = c.send(0, 1, 1000, 0.0);
+  const double second = c.submit({.src = 0, .dst = 1, .bytes = 1000}).time;
   EXPECT_DOUBLE_EQ(second, first + 2e-6);
 }
 
 TEST(Cluster, RecvPortSerializesSameDestination) {
   Cluster c(Topology(1, 3, LinkParams{1e-6, 1e-9}, LinkParams{1e-5, 1e-8}));
-  const double first = c.send(0, 2, 1000, 0.0);
-  const double second = c.send(1, 2, 1000, 0.0);
+  const double first = c.submit({.src = 0, .dst = 2, .bytes = 1000}).time;
+  const double second = c.submit({.src = 1, .dst = 2, .bytes = 1000}).time;
   EXPECT_DOUBLE_EQ(second, first + 2e-6);
 }
 
 TEST(Cluster, DisjointIntraNodePairsRunInParallel) {
   Cluster c(Topology(1, 4, LinkParams{1e-6, 1e-9}, LinkParams{1e-5, 1e-8}));
-  const double a = c.send(0, 1, 1000, 0.0);
-  const double b = c.send(2, 3, 1000, 0.0);
+  const double a = c.submit({.src = 0, .dst = 1, .bytes = 1000}).time;
+  const double b = c.submit({.src = 2, .dst = 3, .bytes = 1000}).time;
   // NVLink peer links are independent: both finish at the same time.
   EXPECT_DOUBLE_EQ(a, b);
 }
@@ -237,8 +243,8 @@ TEST(Cluster, SharedNicSerializesInterNodeStreams) {
   // the first flow's bytes (here nic_beta == flow beta: 1000 B * 1e-8 =
   // 10 us of service), even though the first flow itself completes at 20 us.
   Cluster c(tiny());
-  const double a = c.send(0, 2, 1000, 0.0);
-  const double b = c.send(1, 3, 1000, 0.0);
+  const double a = c.submit({.src = 0, .dst = 2, .bytes = 1000}).time;
+  const double b = c.submit({.src = 1, .dst = 3, .bytes = 1000}).time;
   EXPECT_DOUBLE_EQ(a, 2e-5);
   EXPECT_DOUBLE_EQ(b, 1e-5 + 2e-5);
 }
@@ -252,7 +258,8 @@ TEST(Cluster, NicCapacityAllowsFlowAggregation) {
   const size_t bytes = 1'000'000;
   double last = 0.0;
   for (int g = 0; g < 4; ++g) {
-    last = std::max(last, c.send(g, 4 + g, bytes, 0.0));
+    last = std::max(last,
+                    c.submit({.src = g, .dst = 4 + g, .bytes = bytes}).time);
   }
   // Pure serialization would take 4 * 10 ms = 40 ms; aggregation finishes
   // the last flow at 3 * 2.5 ms (service staggering) + 10 ms = 17.5 ms.
@@ -261,23 +268,24 @@ TEST(Cluster, NicCapacityAllowsFlowAggregation) {
 
 TEST(Cluster, InterNodeStreamsFromDifferentNodesDoNotContend) {
   Cluster c(Topology(3, 1, LinkParams{1e-6, 1e-9}, LinkParams{1e-5, 1e-8}));
-  const double a = c.send(0, 1, 1000, 0.0);
+  const double a = c.submit({.src = 0, .dst = 1, .bytes = 1000}).time;
   c.reset();
-  const double b0 = c.send(0, 1, 1000, 0.0);
-  const double b1 = c.send(2, 1, 1000, 0.0);  // same dst node: recv NIC busy
+  const double b0 = c.submit({.src = 0, .dst = 1, .bytes = 1000}).time;
+  // Same destination node: the receiving NIC is busy.
+  const double b1 = c.submit({.src = 2, .dst = 1, .bytes = 1000}).time;
   EXPECT_DOUBLE_EQ(b0, a);
   EXPECT_GT(b1, b0);
 }
 
 TEST(Cluster, SelfSendThrows) {
   Cluster c(tiny());
-  EXPECT_THROW(c.send(1, 1, 10, 0.0), CheckError);
+  EXPECT_THROW(c.submit({.src = 1, .dst = 1, .bytes = 10}).time, CheckError);
 }
 
 TEST(Cluster, TrafficAccounting) {
   Cluster c(tiny());
-  c.send(0, 1, 100, 0.0);
-  c.send(0, 2, 200, 0.0);
+  c.submit({.src = 0, .dst = 1, .bytes = 100});
+  c.submit({.src = 0, .dst = 2, .bytes = 200});
   EXPECT_EQ(c.intra_node_bytes(), 100u);
   EXPECT_EQ(c.inter_node_bytes(), 200u);
   c.reset();
@@ -287,8 +295,8 @@ TEST(Cluster, TrafficAccounting) {
 
 TEST(Cluster, QuiescentTimeIsMaxPortTime) {
   Cluster c(tiny());
-  c.send(0, 1, 1000, 0.0);
-  c.send(0, 2, 1000, 0.0);
+  c.submit({.src = 0, .dst = 1, .bytes = 1000});
+  c.submit({.src = 0, .dst = 2, .bytes = 1000});
   EXPECT_DOUBLE_EQ(c.quiescent_time(), 2e-6 + 2e-5);
 }
 

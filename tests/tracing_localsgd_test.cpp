@@ -22,15 +22,15 @@ Topology tiny() {
 // ------------------------------------------------------------ tracing
 TEST(Tracing, DisabledByDefault) {
   Cluster c(tiny());
-  c.send(0, 1, 100, 0.0);
+  c.submit({.src = 0, .dst = 1, .bytes = 100});
   EXPECT_TRUE(c.trace().empty());
 }
 
 TEST(Tracing, RecordsTransfers) {
   Cluster c(tiny());
   c.enable_tracing();
-  c.send(0, 1, 100, 0.0);
-  c.send(1, 2, 200, 0.0);
+  c.submit({.src = 0, .dst = 1, .bytes = 100});
+  c.submit({.src = 1, .dst = 2, .bytes = 200});
   ASSERT_EQ(c.trace().size(), 2u);
   EXPECT_EQ(c.trace()[0].src, 0);
   EXPECT_EQ(c.trace()[0].dst, 1);
@@ -43,7 +43,7 @@ TEST(Tracing, RecordsTransfers) {
 TEST(Tracing, ResetClearsEvents) {
   Cluster c(tiny());
   c.enable_tracing();
-  c.send(0, 1, 100, 0.0);
+  c.submit({.src = 0, .dst = 1, .bytes = 100});
   c.reset();
   EXPECT_TRUE(c.trace().empty());
 }
@@ -59,7 +59,7 @@ TEST(Tracing, CollectiveEventCountMatchesSchedule) {
 TEST(Tracing, ChromeTraceIsWellFormedJson) {
   Cluster c(tiny());
   c.enable_tracing();
-  c.send(0, 2, 1000, 0.0);
+  c.submit({.src = 0, .dst = 2, .bytes = 1000});
   std::ostringstream os;
   c.write_chrome_trace(os, "test");
   const std::string json = os.str();

@@ -1,9 +1,10 @@
 // Typed transfer payloads: wire-codec contract pins, the fp16-halves-bytes
 // acceptance pins (simulated transfer bytes AND per-job accounted bytes),
 // quantized error-feedback composition, the {8,8,4,4} uneven-fleet
-// HiTopKComm regression, and the quantized engine-vs-legacy differential
-// fuzz (CI runs this suite under ASan/UBSan and TSan with the seed pinned;
-// HITOPK_WIRE_FUZZ_SEED / HITOPK_WIRE_FUZZ_SAMPLES override).
+// HiTopKComm regression, and the quantized collective fuzz: a pinned
+// corpus checked against golden rows, plus an exact-sum oracle fuzz (CI
+// runs this suite under ASan/UBSan and TSan with the seed pinned;
+// HITOPK_WIRE_FUZZ_SEED / HITOPK_WIRE_FUZZ_SAMPLES drive the oracle fuzz).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "collective_golden.h"
 #include "collectives/hier_allreduce.h"
 #include "collectives/hitopkcomm.h"
 #include "collectives/ring.h"
@@ -54,11 +56,12 @@ std::vector<Tensor> random_buffers(int world, size_t elems, uint64_t seed) {
   return buffers;
 }
 
-// Integer-valued buffers make float addition exact (sums stay far below
-// 2^24), so cross-algorithm comparisons can demand equality, not closeness.
-std::vector<Tensor> integer_buffers(int world, size_t elems, uint64_t seed) {
+// Integer-valued buffers in [-bound, bound] make float addition exact (sums
+// stay far below 2^24), so comparisons can demand equality, not closeness.
+std::vector<Tensor> integer_buffers(int world, size_t elems, uint64_t seed,
+                                    int bound = 512) {
   std::mt19937_64 rng(seed);
-  std::uniform_int_distribution<int> values(-512, 512);
+  std::uniform_int_distribution<int> values(-bound, bound);
   std::vector<Tensor> buffers;
   for (int r = 0; r < world; ++r) {
     Tensor t(elems);
@@ -419,80 +422,125 @@ TEST(HiTopKUneven, TimingOnlyAdvancesClocksAndBytes) {
   EXPECT_LT(cluster.inter_node_bytes(), cluster.intra_node_bytes());
 }
 
-// ------------------------------- quantized differential fuzz (engine)
+// ------------------------------------------- quantized collective fuzz
 
-// Restores the default engine path when a sample exits (also on failure).
-class PathGuard {
- public:
-  explicit PathGuard(coll::CollectivePath path) {
-    coll::set_collective_path(path);
+// One fuzz sample: a uniform fabric, a power-of-two size plus a ragged
+// remainder, a wire dtype, and one of ring / tree / hier All-Reduce.
+struct FuzzSample {
+  int nodes = 1;
+  int gpus = 1;
+  size_t elems = 0;
+  WireDtype wire = WireDtype::kFp32;
+  int kind = 0;  // 0 ring, 1 tree, 2 hier
+
+  std::string describe() const {
+    return "nodes=" + std::to_string(nodes) + " gpus=" + std::to_string(gpus) +
+           " elems=" + std::to_string(elems) +
+           " wire=" + compress::wire_dtype_name(wire) +
+           " kind=" + std::to_string(kind);
   }
-  ~PathGuard() { coll::set_collective_path(coll::CollectivePath::kSchedule); }
 };
 
-TEST(WireFuzz, QuantizedEngineMatchesLegacyBitwise) {
-  // Random shapes x {fp16, int8} x {ring, tree, hier}: the schedule engine
-  // and the legacy per-hop loop must agree bitwise on buffers and exactly
-  // on clocks — the codec applies at the same shard boundaries on both
-  // paths (idempotence makes the resolved multi-hop copies equal).
-  const uint64_t seed = env_u64("HITOPK_WIRE_FUZZ_SEED", 20260807);
-  const uint64_t samples = env_u64("HITOPK_WIRE_FUZZ_SAMPLES", 60);
-  std::mt19937_64 rng(seed);
+FuzzSample draw_sample(std::mt19937_64& rng,
+                       const std::vector<WireDtype>& wires) {
   std::uniform_int_distribution<int> nodes_dist(1, 4);
   std::uniform_int_distribution<int> gpus_dist(1, 3);
   std::uniform_int_distribution<int> log_elems(4, 11);
   std::uniform_int_distribution<size_t> ragged(0, 5);
-  std::uniform_int_distribution<int> wire_dist(0, 1);
+  std::uniform_int_distribution<size_t> wire_dist(0, wires.size() - 1);
   std::uniform_int_distribution<int> kind_dist(0, 2);
+  FuzzSample s;
+  s.nodes = nodes_dist(rng);
+  s.gpus = gpus_dist(rng);
+  s.elems = (size_t{1} << log_elems(rng)) + ragged(rng);
+  s.wire = wires[wire_dist(rng)];
+  s.kind = kind_dist(rng);
+  // Tree and hier need more than one rank; hier needs more than one node.
+  if (s.nodes * s.gpus == 1 || (s.kind == 2 && s.nodes == 1)) s.kind = 0;
+  return s;
+}
 
+double run_sample(const FuzzSample& s, Cluster& cluster, const RankData& data) {
+  const Topology& topo = cluster.topology();
+  switch (s.kind) {
+    case 0:
+      return coll::ring_allreduce(cluster, coll::world_group(topo), data,
+                                  s.elems, s.wire, 0.0);
+    case 1: {
+      coll::TreeOptions tree;
+      tree.wire = s.wire;
+      return coll::tree_allreduce(cluster, coll::world_group(topo), data,
+                                  s.elems, tree, 0.0);
+    }
+    default:
+      return coll::hier_allreduce(cluster, data, s.elems, s.wire, 0.0).total;
+  }
+}
+
+uint64_t sample_seed(uint64_t seed, uint64_t i) {
+  return seed ^ (i * 0x9e3779b97f4a7c15ull);
+}
+
+TEST(WireFuzz, QuantizedEngineMatchesLegacyBitwise) {
+  // The pinned corpus — random shapes x {fp16, int8} x {ring, tree, hier}
+  // on Gaussian inputs — checked against golden rows recorded from the
+  // per-hop reference loops: buffers bitwise, clocks exact.  Gaussian
+  // sums round, so these rows catch a codec applied at the wrong hop,
+  // which the exact-sum oracle below cannot see.
+  constexpr uint64_t kSeed = 20260807;
+  constexpr uint64_t kSamples = 60;
+  std::mt19937_64 rng(kSeed);
+  for (uint64_t i = 0; i < kSamples; ++i) {
+    const FuzzSample s =
+        draw_sample(rng, {WireDtype::kFp16, WireDtype::kInt8});
+    SCOPED_TRACE("sample=" + std::to_string(i) + " " + s.describe());
+    const Topology topo = fabric(s.nodes, s.gpus);
+    std::vector<Tensor> buffers =
+        random_buffers(topo.world_size(), s.elems, sample_seed(kSeed, i));
+    Cluster cluster(topo);
+    const double t = run_sample(s, cluster, spans_of(buffers));
+    Cluster timing(topo);
+    const double t_timing = run_sample(s, timing, {});
+    golden::expect_golden({"wire_fuzz/" + std::to_string(i),
+                           golden::digest(buffers), {t}, t_timing, 0.0, 0, 0});
+  }
+}
+
+TEST(WireFuzz, IntegerInputsReduceExactlyOnEveryWire) {
+  // Open-ended fuzz against an independent oracle.  Integer inputs with
+  // world * max|x| <= 127 keep every partial sum an integer of magnitude
+  // <= 127, which fp32, fp16 and int8 all carry exactly (the int8 scale is
+  // a power of two <= 1 below 128).  So every rank must hold the exact
+  // integer sum bitwise, and the functional replay must match the
+  // timing-only clock.
+  const uint64_t seed = env_u64("HITOPK_WIRE_FUZZ_SEED", 20260807);
+  const uint64_t samples = env_u64("HITOPK_WIRE_FUZZ_SAMPLES", 60);
+  std::mt19937_64 rng(seed);
   for (uint64_t i = 0; i < samples; ++i) {
-    const int nodes = nodes_dist(rng);
-    const int gpus = gpus_dist(rng);
-    const size_t elems = (size_t{1} << log_elems(rng)) + ragged(rng);
-    const WireDtype wire =
-        wire_dist(rng) == 0 ? WireDtype::kFp16 : WireDtype::kInt8;
-    const Topology topo = fabric(nodes, gpus);
-    int kind = kind_dist(rng);
-    if (topo.world_size() == 1 || (kind == 2 && nodes == 1)) kind = 0;
+    const FuzzSample s = draw_sample(
+        rng, {WireDtype::kFp32, WireDtype::kFp16, WireDtype::kInt8});
     SCOPED_TRACE("seed=" + std::to_string(seed) + " sample=" +
-                 std::to_string(i) + " nodes=" + std::to_string(nodes) +
-                 " gpus=" + std::to_string(gpus) + " elems=" +
-                 std::to_string(elems) + " wire=" +
-                 compress::wire_dtype_name(wire) + " kind=" +
-                 std::to_string(kind));
-
-    auto run = [&](Cluster& cluster, const RankData& data) {
-      switch (kind) {
-        case 0:
-          return coll::ring_allreduce(cluster, coll::world_group(topo), data,
-                                      elems, wire, 0.0);
-        case 1: {
-          coll::TreeOptions tree;
-          tree.wire = wire;
-          return coll::tree_allreduce(cluster, coll::world_group(topo), data,
-                                      elems, tree, 0.0);
-        }
-        default:
-          return coll::hier_allreduce(cluster, data, elems, wire, 0.0).total;
-      }
-    };
-
-    std::vector<Tensor> buf_sched =
-        random_buffers(topo.world_size(), elems, seed ^ (i * 0x9e3779b97f4a7c15ull));
-    std::vector<Tensor> buf_legacy = buf_sched;
-    double t_sched, t_legacy;
-    {
-      PathGuard guard(coll::CollectivePath::kSchedule);
-      Cluster cluster(topo);
-      t_sched = run(cluster, spans_of(buf_sched));
+                 std::to_string(i) + " " + s.describe());
+    const Topology topo = fabric(s.nodes, s.gpus);
+    const int world = topo.world_size();
+    std::vector<Tensor> buffers = integer_buffers(
+        world, s.elems, sample_seed(seed, i), /*bound=*/127 / world);
+    Tensor expected(s.elems);
+    for (size_t e = 0; e < s.elems; ++e) {
+      int sum = 0;
+      for (const Tensor& b : buffers) sum += static_cast<int>(b[e]);
+      expected[e] = static_cast<float>(sum);
     }
-    {
-      PathGuard guard(coll::CollectivePath::kLegacy);
-      Cluster cluster(topo);
-      t_legacy = run(cluster, spans_of(buf_legacy));
+    Cluster cluster(topo);
+    const double t = run_sample(s, cluster, spans_of(buffers));
+    Cluster timing(topo);
+    EXPECT_EQ(t, run_sample(s, timing, {}));
+    for (int r = 0; r < world; ++r) {
+      ASSERT_EQ(std::memcmp(buffers[static_cast<size_t>(r)].data(),
+                            expected.data(), s.elems * sizeof(float)),
+                0)
+          << "rank " << r << " differs from the exact sum";
     }
-    EXPECT_DOUBLE_EQ(t_sched, t_legacy);
-    expect_bitwise_equal(buf_sched, buf_legacy);
   }
 }
 

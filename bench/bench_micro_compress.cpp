@@ -8,6 +8,7 @@
 // quality validation of the histogram variant (exactly k selected, magnitude
 // -mass overlap vs exact top-k) so the speedup numbers are read alongside
 // proof that the fast path still selects the right elements.
+// BM_WireRoundTripFp16 times the fp16 wire codec per element.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -19,6 +20,7 @@
 #include "compress/exact_topk.h"
 #include "compress/mstopk.h"
 #include "compress/other_compressors.h"
+#include "compress/wire_codec.h"
 #include "core/rng.h"
 #include "core/tensor.h"
 
@@ -142,6 +144,35 @@ void BM_HiTopKCommFunctional(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HiTopKCommFunctional);
+
+void BM_WireRoundTripFp16(benchmark::State& state) {
+  // The fp16 wire codec on a gradient-like mix: ~16% exact zeros, ~1% below
+  // the smallest normal half (2^-14), the rest N(0, 0.01).  Informational:
+  // per_elem (wall time per element) is the number to watch for a
+  // vectorization regression.  The round trip is idempotent, so reusing the
+  // rounded buffer keeps the mix.
+  const size_t d = static_cast<size_t>(state.range(0));
+  Rng rng(12);
+  Tensor x(d);
+  for (size_t i = 0; i < d; ++i) {
+    const double u = rng.uniform();
+    x[i] = u < 0.16   ? 0.0f
+           : u < 0.17 ? static_cast<float>(rng.normal(0.0, 1e-5))
+                      : static_cast<float>(rng.normal(0.0, 1e-2));
+  }
+  for (auto _ : state) {
+    compress::wire_round_trip(compress::WireDtype::kFp16, x.span());
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(d));
+  state.counters["per_elem"] = benchmark::Counter(
+      static_cast<double>(d),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_WireRoundTripFp16)->Arg(1 << 20);
 
 // Selection-quality + speedup validation at the acceptance point (d = 1M,
 // density 0.001), emitted to stdout and BENCH_compress.json (schema in

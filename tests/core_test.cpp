@@ -1,13 +1,18 @@
 // Unit tests for the core substrate: checks, RNG, tensor, half, stats, table.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/check.h"
 #include "core/half.h"
+#include "core/parallel.h"
 #include "core/rng.h"
 #include "core/stats.h"
 #include "core/table.h"
@@ -297,19 +302,6 @@ TEST(Half, OverflowBoundaryTies) {
   EXPECT_EQ(half_to_float(float_to_half(-inf)), -inf);
 }
 
-TEST(Half, BulkConversionMatchesScalar) {
-  Rng rng(43);
-  std::vector<float> src(257);
-  for (auto& v : src) v = static_cast<float>(rng.normal(0.0, 10.0));
-  std::vector<Half> halves(src.size());
-  std::vector<float> dst(src.size());
-  float_to_half(src, halves);
-  half_to_float(halves, dst);
-  for (size_t i = 0; i < src.size(); ++i) {
-    EXPECT_EQ(dst[i], half_to_float(float_to_half(src[i])));
-  }
-}
-
 TEST(Half, RoundTripIsIdempotent) {
   Rng rng(47);
   std::vector<float> v(100);
@@ -318,6 +310,123 @@ TEST(Half, RoundTripIsIdempotent) {
   auto once = v;
   fp16_round_trip(v);
   EXPECT_EQ(v, once);
+}
+
+// ----------------------------------------------------------- fp16 codec
+// fp16_round_trip (one branch-free lane function over four floats, plus a
+// zero-padded tail through the same function) must be bitwise identical to
+// the scalar oracle half_to_float(float_to_half(x)) on every float pattern.
+
+uint32_t scalar_round_trip(uint32_t bits) {
+  return std::bit_cast<uint32_t>(
+      half_to_float(float_to_half(std::bit_cast<float>(bits))));
+}
+
+struct SweepResult {
+  uint64_t mismatches = 0;
+  uint32_t first_input = 0, first_got = 0, first_want = 0;
+};
+
+// Round-trips patterns pattern(0..count-1) in bulk and compares every lane
+// with the oracle.  The buffer is per thread, so blocks reuse its pages.
+template <typename Pattern>
+SweepResult sweep(size_t count, Pattern pattern) {
+  thread_local std::vector<float> values;
+  values.resize(count);
+  for (size_t i = 0; i < count; ++i) {
+    values[i] = std::bit_cast<float>(pattern(i));
+  }
+  fp16_round_trip(values);
+  SweepResult result;
+  for (size_t i = 0; i < count; ++i) {
+    const uint32_t got = std::bit_cast<uint32_t>(values[i]);
+    const uint32_t want = scalar_round_trip(pattern(i));
+    if (got == want) continue;
+    if (result.mismatches++ == 0) {
+      result.first_input = pattern(i);
+      result.first_got = got;
+      result.first_want = want;
+    }
+  }
+  return result;
+}
+
+TEST(Fp16Codec, BulkMatchesScalarPairOnEveryPattern) {
+  // Default: every high 16 bits (so every sign, exponent and the top 7
+  // mantissa bits: all zero, subnormal, NaN and Inf classes) times 64 low
+  // halves.  The low halves put each tie-critical low-13-bit pattern under
+  // all 8 settings of mantissa bits 13..15, which hold the RNE parity bit
+  // and, for inputs below 2^-14, the subnormal tie; 16 seeded random low
+  // halves fill the rest.  HITOPK_FP16_EXHAUSTIVE=1 sweeps all 2^32.
+  const char* env = std::getenv("HITOPK_FP16_EXHAUSTIVE");
+  const bool exhaustive = env != nullptr && std::string(env) == "1";
+
+  std::vector<uint32_t> lows;
+  for (uint32_t high_bits = 0; high_bits < 8; ++high_bits) {
+    for (uint32_t low13 : {0x0u, 0x1u, 0xfffu, 0x1000u, 0x1001u, 0x1fffu}) {
+      lows.push_back(high_bits << 13 | low13);
+    }
+  }
+  Rng rng(20260807);
+  while (lows.size() < 64) lows.push_back(rng.next_u64() & 0xffffu);
+
+  // Exhaustive blocks hold 2^20 consecutive patterns; default blocks hold
+  // 256 high halves x 64 low halves.
+  const size_t blocks = exhaustive ? size_t{1} << 12 : size_t{1} << 8;
+  std::vector<SweepResult> results(blocks);
+  parallel_for(0, blocks, [&](size_t block) {
+    const auto b = static_cast<uint32_t>(block);
+    if (exhaustive) {
+      results[block] = sweep(size_t{1} << 20, [b](size_t i) {
+        return b << 20 | static_cast<uint32_t>(i);
+      });
+    } else {
+      results[block] = sweep(256 * lows.size(), [b, &lows](size_t i) {
+        const auto high = static_cast<uint32_t>(i / lows.size());
+        return (b << 8 | high) << 16 | lows[i % lows.size()];
+      });
+    }
+  });
+
+  uint64_t mismatches = 0;
+  for (const SweepResult& r : results) {
+    if (r.mismatches > 0 && mismatches == 0) {
+      ADD_FAILURE() << std::hex << "input 0x" << r.first_input << ": bulk 0x"
+                    << r.first_got << ", scalar pair 0x" << r.first_want;
+    }
+    mismatches += r.mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u)
+      << (exhaustive ? "all 2^32 patterns" : "2^22 patterns");
+}
+
+TEST(Fp16Codec, EveryTailLengthAndOffset) {
+  // Spans of 0..17 floats at offsets 0..3 run the four-lane body, the
+  // padded tail, or both, from unaligned starts.  Inputs mix every class;
+  // floats outside the span must stay untouched.
+  const uint32_t classes[] = {
+      0x00000000u, 0x80000000u, 0x3f801000u, 0x3f803000u, 0x33000000u,
+      0xb3800001u, 0x38800000u, 0x387fffffu, 0x477fefffu, 0x477ff000u,
+      0x7f800000u, 0xff800001u, 0x7fc00000u, 0x00000001u, 0x3dcccccdu,
+      0xc2f6e979u, 0x47800000u, 0x387fe000u, 0x7f802000u, 0x3a000000u,
+      0x0000ffffu};
+  std::vector<float> base(std::size(classes));
+  for (size_t i = 0; i < base.size(); ++i) {
+    base[i] = std::bit_cast<float>(classes[i]);
+  }
+  for (size_t offset = 0; offset <= 3; ++offset) {
+    for (size_t length = 0; length <= 17; ++length) {
+      std::vector<float> values = base;
+      fp16_round_trip(std::span<float>(values).subspan(offset, length));
+      for (size_t i = 0; i < values.size(); ++i) {
+        const bool inside = i >= offset && i < offset + length;
+        const uint32_t want =
+            inside ? scalar_round_trip(classes[i]) : classes[i];
+        EXPECT_EQ(std::bit_cast<uint32_t>(values[i]), want)
+            << "offset " << offset << " length " << length << " index " << i;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------- stats

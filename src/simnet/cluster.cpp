@@ -61,6 +61,18 @@ void PortTimeline::reserve(int job, double begin, double end) {
   }
 }
 
+void PortTimeline::retire_before(double t) {
+  for (Lane& l : lanes_) {
+    const auto live = std::partition_point(
+        l.intervals.begin(), l.intervals.end(),
+        [t](const Interval& iv) { return iv.end < t; });
+    l.intervals.erase(l.intervals.begin(), live);
+  }
+  std::erase_if(lanes_, [t](const Lane& l) {
+    return l.intervals.empty() && l.free <= t;
+  });
+}
+
 double PortTimeline::max_free() const {
   double t = 0.0;
   for (const Lane& l : lanes_) t = std::max(t, l.free);
@@ -102,6 +114,14 @@ void Cluster::reset() {
   traffic_.clear();
   trace_.clear();
   send_seq_ = 0;
+}
+
+void Cluster::retire_before(double t) {
+  for (auto& p : nic_send_) p.retire_before(t);
+  for (auto& p : nic_recv_) p.retire_before(t);
+  for (auto& p : pod_send_) p.retire_before(t);
+  for (auto& p : pod_recv_) p.retire_before(t);
+  core_.retire_before(t);
 }
 
 FlowOutcome Cluster::submit(const Flow& flow) {

@@ -105,7 +105,9 @@ struct TraceEvent {
 // window.  Back-to-back reservations of one job merge into a single
 // interval, so a busy streak costs O(1) memory, and each lane keeps at most
 // kMaxIntervals intervals (oldest dropped — older history can only be
-// overlapped by flows that have already been submitted).
+// overlapped by flows that have already been submitted).  retire_before()
+// drops the history behind a watermark, so a port's lanes are the jobs
+// active around the clock rather than every job that ever used it.
 class PortTimeline {
  public:
   // Earliest instant `job` may start its next flow through this port.
@@ -116,6 +118,10 @@ class PortTimeline {
   // Records that the port serves `job` on [begin, end) and advances the
   // job's free-at clock to `end`.  begin must be >= free_at(job).
   void reserve(int job, double begin, double end);
+  // Drops every interval ending before `t`, then every lane left with no
+  // interval whose free-at clock is at or before `t`.  See
+  // Cluster::retire_before for the contract.
+  void retire_before(double t);
   void clear() { lanes_.clear(); }
   // Largest free-at clock over every job (quiescence).
   double max_free() const;
@@ -164,7 +170,25 @@ class Cluster {
   // returns ready + duration.  Exists so call sites read uniformly.
   static double compute(double ready, double duration);
 
-  // Largest port timestamp: when the whole cluster is quiescent.
+  // Retires port history behind the watermark `t`: every reservation
+  // interval ending before `t`, then every lane left with no interval whose
+  // free-at clock is at or before `t` (PortTimeline::retire_before; the
+  // scalar GPU port clocks are kept).
+  //
+  // Contract: no flow submitted afterwards is ready before `t`.  Such a
+  // flow starts at or after `t`, so a retired interval could neither
+  // overlap its window nor be extended by its reservation, and a retired
+  // lane's clock could not delay it: every later FlowOutcome is
+  // bit-identical to the one the unretired cluster returns.  (An interval
+  // ending exactly at `t` is kept: a reservation beginning at `t` still
+  // merges into it.)  A flow that breaks the contract (ready before `t`) is
+  // still served, but sees the retired history as idle ports.
+  // JobScheduler::run retires behind its event clock before every body
+  // call, which keeps a port's lanes to the jobs running around that clock.
+  void retire_before(double t);
+
+  // Largest port timestamp: when the whole cluster is quiescent.  Retired
+  // lanes no longer count.
   double quiescent_time() const;
   // True when no flow has been submitted since construction/reset() —
   // the state in which contention-aware planning must match idle planning.

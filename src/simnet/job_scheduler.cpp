@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <utility>
 
 #include "core/check.h"
 #include "core/rng.h"
@@ -175,13 +177,17 @@ std::vector<int> JobScheduler::place(int gpus) const {
 void JobScheduler::admit_from_queue(const JobBody& /*body*/, double now) {
   for (size_t qi = 0; qi < queue_.size();) {
     JobRecord& rec = records_[queue_[qi]];
-    std::vector<int> ranks = place(rec.spec.gpus);
+    // A gang larger than the free GPU count cannot fit: reject it without
+    // running place(), which rebuilds its per-node view on every call.
+    std::vector<int> ranks;
+    if (rec.spec.gpus <= free_gpus_) ranks = place(rec.spec.gpus);
     if (ranks.empty()) {
       if (!options_.backfill) return;  // strict FIFO: blocked head blocks all
       ++qi;
       continue;
     }
     for (int r : ranks) busy_[static_cast<size_t>(r)] = 1;
+    free_gpus_ -= rec.spec.gpus;
     rec.ranks = std::move(ranks);
     rec.start = now;
     running_.push_back(Running{queue_[qi], now, rec.spec.iterations});
@@ -189,16 +195,43 @@ void JobScheduler::admit_from_queue(const JobBody& /*body*/, double now) {
   }
 }
 
+namespace {
+
+// Rejects a trace the event loop cannot replay: a job that can never run
+// (no iterations, or a gang that no placement could ever fit), an arrival
+// the arrival sort cannot order, or two jobs sharing one id (and so one
+// port-timeline lane).
+void validate_trace(const std::vector<JobSpec>& jobs, int world_size) {
+  std::vector<int> ids;
+  ids.reserve(jobs.size());
+  for (const JobSpec& spec : jobs) {
+    HITOPK_VALIDATE(spec.iterations >= 1)
+        << "job" << spec.id << "asks for" << spec.iterations << "iterations";
+    HITOPK_VALIDATE(spec.gpus >= 1 && spec.gpus <= world_size)
+        << "job" << spec.id << "asks for a gang of" << spec.gpus
+        << "GPUs in a world of" << world_size;
+    HITOPK_VALIDATE(std::isfinite(spec.arrival))
+        << "job" << spec.id << "arrives at" << spec.arrival;
+    ids.push_back(spec.id);
+  }
+  std::sort(ids.begin(), ids.end());
+  const auto dup = std::adjacent_find(ids.begin(), ids.end());
+  HITOPK_VALIDATE(dup == ids.end()) << "job id" << *dup << "appears twice";
+}
+
+}  // namespace
+
 std::vector<JobRecord> JobScheduler::run(const std::vector<JobSpec>& jobs,
                                          const JobBody& body) {
+  validate_trace(jobs, cluster_.world_size());
   records_.clear();
   running_.clear();
   queue_.clear();
   std::fill(busy_.begin(), busy_.end(), 0);
+  free_gpus_ = cluster_.world_size();
 
   records_.reserve(jobs.size());
   for (const JobSpec& spec : jobs) {
-    HITOPK_CHECK(spec.iterations >= 1);
     JobRecord rec;
     rec.spec = spec;
     records_.push_back(std::move(rec));
@@ -243,9 +276,14 @@ std::vector<JobRecord> JobScheduler::run(const std::vector<JobSpec>& jobs,
       continue;
     }
 
-    // Advance the earliest running job by one iteration.
+    // Advance the earliest running job by one iteration.  r.clock is the
+    // minimum over running clocks and pending arrivals, and every later
+    // admission happens at an arrival or a finish at or after it, so no
+    // later body call submits a flow ready before it: the port history
+    // behind it can be retired (Cluster::retire_before).
     Running& r = running_[run_i];
     JobRecord& rec = records_[r.job];
+    cluster_.retire_before(r.clock);
     const JobIteration it = body(cluster_, rec.spec, rec.ranks, r.clock);
     HITOPK_CHECK(it.finish >= r.clock);
     rec.finish = it.finish;
@@ -258,6 +296,7 @@ std::vector<JobRecord> JobScheduler::run(const std::vector<JobSpec>& jobs,
     }
     if (it.aborted || r.remaining == 0) {
       for (int rank : rec.ranks) busy_[static_cast<size_t>(rank)] = 0;
+      free_gpus_ += rec.spec.gpus;
       running_.erase(running_.begin() + static_cast<long>(run_i));
       admit_from_queue(body, it.finish);
     }
@@ -332,18 +371,41 @@ ReplayMetrics replay_trace(const Topology& topology,
                            const std::vector<JobSpec>& jobs,
                            const JobBody& body, PlacementPolicy policy,
                            bool backfill) {
-  // Per-job isolated baseline: the job alone on a fresh cluster, same
-  // placement policy (an empty cluster places identically regardless of
-  // arrival time).
-  std::vector<JobSpec> specs = jobs;
-  for (JobSpec& spec : specs) {
+  validate_trace(jobs, topology.world_size());
+  // Isolated baselines, one run per gang shape (gpus, bytes): the shape's
+  // longest job alone on a fresh cluster, same placement policy (an empty
+  // cluster places identically regardless of arrival time), recording every
+  // iteration's finish.  Iteration n of a lone job depends only on the
+  // iterations before it, so a job of that shape with n iterations takes
+  // exactly finishes[n - 1]; an abort ends the run early and its instant
+  // is then every longer job's finish.
+  using Shape = std::pair<int, size_t>;
+  std::map<Shape, JobSpec> longest;
+  for (const JobSpec& spec : jobs) {
+    const auto [it, fresh] = longest.try_emplace({spec.gpus, spec.bytes}, spec);
+    if (!fresh && spec.iterations > it->second.iterations) it->second = spec;
+  }
+  std::map<Shape, std::vector<double>> finishes;
+  for (const auto& [shape, spec] : longest) {
+    std::vector<double>& out = finishes[shape];
+    const JobBody recording = [&](Cluster& c, const JobSpec& s,
+                                  const std::vector<int>& ranks,
+                                  double start) {
+      const JobIteration it = body(c, s, ranks, start);
+      out.push_back(it.finish);
+      return it;
+    };
     Cluster iso(topology);
     JobScheduler sched(iso, {policy, backfill});
     JobSpec alone = spec;
     alone.arrival = 0.0;
-    const std::vector<JobRecord> rec = sched.run({alone}, body);
-    HITOPK_CHECK_EQ(rec.size(), size_t{1});
-    spec.isolated_seconds = rec[0].finish;
+    sched.run({alone}, recording);
+  }
+  std::vector<JobSpec> specs = jobs;
+  for (JobSpec& spec : specs) {
+    const std::vector<double>& f = finishes.at({spec.gpus, spec.bytes});
+    spec.isolated_seconds =
+        f[std::min(static_cast<size_t>(spec.iterations), f.size()) - 1];
   }
 
   Cluster shared(topology);

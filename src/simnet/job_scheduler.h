@@ -77,7 +77,9 @@ struct JobIteration {
 };
 
 // Runs one training iteration of `spec` on `ranks` starting at `start`,
-// submitting flows under job id spec.id.  Must be deterministic.
+// submitting flows under job id spec.id, none of them ready before `start`
+// (JobScheduler::run retires port history behind its event clock; see
+// Cluster::retire_before).  Must be deterministic.
 using JobBody = std::function<JobIteration(
     Cluster& cluster, const JobSpec& spec, const std::vector<int>& ranks,
     double start)>;
@@ -108,7 +110,12 @@ class JobScheduler {
   JobScheduler(Cluster& cluster, JobSchedulerOptions options = {});
 
   // Runs every job to completion (or abort) and returns one record per
-  // job, in job-id order.  Jobs need not arrive sorted.
+  // job, in job-id order.  Jobs need not arrive sorted.  Throws ConfigError
+  // unless every job has iterations >= 1, 1 <= gpus <= world size and a
+  // finite arrival, and no two jobs share an id.  Before each body call the
+  // cluster's port history behind the event clock is retired, so a replay
+  // costs time linear in its length; flows submitted to the cluster after
+  // run() returns must not be ready before the last job's final clock.
   std::vector<JobRecord> run(const std::vector<JobSpec>& jobs,
                              const JobBody& body);
 
@@ -131,6 +138,7 @@ class JobScheduler {
   Cluster& cluster_;
   JobSchedulerOptions options_;
   std::vector<char> busy_;          // per world rank
+  int free_gpus_ = 0;               // count of !busy_ ranks during run()
   std::vector<JobRecord> records_;
   std::vector<Running> running_;
   std::vector<size_t> queue_;       // record indices, arrival order
@@ -167,9 +175,17 @@ struct ReplayMetrics {
   std::vector<JobRecord> records;
 };
 
-// Replays `jobs` on a fresh clone of `topology` under `policy`, then runs
-// each job alone on another fresh cluster to fill isolated_seconds, and
-// reports per-job slowdown plus cluster-level metrics.  Deterministic.
+// Fills every job's isolated_seconds from runs alone on fresh clones of
+// `topology`, then replays `jobs` on another fresh clone under `policy`,
+// and reports per-job slowdown plus cluster-level metrics.  Deterministic.
+//
+// One isolated run serves every job of a gang shape (gpus, bytes): the
+// shape's longest job runs alone at arrival 0 and each job takes the
+// finish of its own last iteration from that run.  Precondition: on an
+// idle cluster the body's clocks do not depend on spec.id, spec.arrival or
+// spec.iterations (make_tenant_body qualifies; FlowApi's
+// JobIdInvariantOnIdleCluster test pins the cluster side).  Throws
+// ConfigError on the traces JobScheduler::run rejects.
 ReplayMetrics replay_trace(const Topology& topology,
                            const std::vector<JobSpec>& jobs,
                            const JobBody& body, PlacementPolicy policy,

@@ -14,16 +14,25 @@
 //     exactly (2n-1)*T and 2n*T (each job ~2x its isolated pace).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cinttypes>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "collectives/planner.h"
 #include "core/check.h"
+#include "core/rng.h"
 #include "simnet/cluster.h"
 #include "simnet/fault.h"
 #include "simnet/job_scheduler.h"
+#include "train/checkpoint.h"
 #include "train/tenant.h"
 
 namespace hitopk::simnet {
@@ -128,6 +137,140 @@ TEST(ProcessorSharing, IntraNodeFlowsNeverShare) {
   EXPECT_DOUBLE_EQ(a.share, 1.0);
   EXPECT_DOUBLE_EQ(b.share, 1.0);
   EXPECT_FALSE(a.inter_node);
+}
+
+// ------------------------------------------------- history retirement
+
+TEST(Retirement, PortTimelineDropsHistoryBehindTheWatermark) {
+  PortTimeline port;
+  port.reserve(1, 0.0, 1.0);
+  port.reserve(2, 0.5, 2.0);
+  port.reserve(3, 2.0, 3.0);
+  port.reserve(4, 0.0, 0.0);  // zero-length service: clock only
+  port.retire_before(2.0);
+  EXPECT_EQ(port.free_at(1), 0.0);  // ended before 2: lane gone
+  EXPECT_EQ(port.free_at(4), 0.0);
+  EXPECT_EQ(port.free_at(2), 2.0);  // ends exactly at 2: kept
+  EXPECT_EQ(port.free_at(3), 3.0);
+  EXPECT_EQ(port.sharers(9, 2.0, 2.5), 1);
+  EXPECT_EQ(port.max_free(), 3.0);
+  // Job 2's interval ending at the watermark still absorbs a reservation
+  // beginning there, exactly as it would without retirement.
+  port.reserve(2, 2.0, 2.5);
+  EXPECT_EQ(port.sharers(9, 1.9, 1.95), 1);
+}
+
+// Random flows of several jobs on `topo`, ready in [lo, hi), in ready
+// order (as a replay submits them).
+std::vector<Flow> random_flows(const Topology& topo, Rng& rng, size_t count,
+                               double lo, double hi) {
+  std::vector<Flow> flows;
+  while (flows.size() < count) {
+    const int src = static_cast<int>(rng.uniform_index(topo.world_size()));
+    const int dst = static_cast<int>(rng.uniform_index(topo.world_size()));
+    if (src == dst) continue;
+    const int job = 1 + static_cast<int>(rng.uniform_index(5));
+    const size_t bytes = size_t{1} << (10 + rng.uniform_index(7));
+    // Every fourth flow is ready exactly at `lo` (the watermark).
+    const double ready = rng.uniform_index(4) == 0 ? lo : rng.uniform(lo, hi);
+    flows.push_back({job, src, dst, bytes, ready, 0.0});
+  }
+  std::stable_sort(
+      flows.begin(), flows.end(),
+      [](const Flow& a, const Flow& b) { return a.ready < b.ready; });
+  return flows;
+}
+
+TEST(Retirement, LaterFlowsSeeTheSameCluster) {
+  // Twin clusters take the same seeded multi-job history; one retires
+  // behind a watermark t, then both serve the same flows ready at or after
+  // t.  Every outcome must agree bit for bit.  The load is light (60 flows
+  // of at most 0.65 ms in 20 ms, then 60 more in 10 ms), so port clocks
+  // stay near the watermark and later flows overlap intervals that
+  // straddle it.  Fabrics: plain
+  // NICs with a zero-latency inter-node link (back-to-back reservations
+  // meet exactly), a shared oversubscribed core, and oversubscribed pod
+  // uplinks.
+  const std::vector<Topology> fabrics = {
+      Topology(4, 2, LinkParams{1e-6, 1e-9}, LinkParams{0.0, 1e-8}),
+      Topology(4, 4, LinkParams{1e-6, 1e-9}, LinkParams{1e-5, 1e-8},
+               /*nic_beta=*/0.0, /*oversubscription=*/4.0),
+      podded()};
+  size_t shared = 0;
+  for (const Topology& topo : fabrics) {
+    for (uint64_t seed = 1; seed <= 16; ++seed) {
+      Rng rng(seed);
+      Cluster retired(topo);
+      Cluster kept(topo);
+      for (const Flow& f : random_flows(topo, rng, 60, 0.0, 0.02)) {
+        retired.submit(f);
+        kept.submit(f);
+      }
+      const double t = rng.uniform(0.018, 0.02);
+      retired.retire_before(t);
+      for (const Flow& f : random_flows(topo, rng, 60, t, t + 0.01)) {
+        const FlowOutcome a = retired.submit(f);
+        const FlowOutcome b = kept.submit(f);
+        ASSERT_EQ(a.start, b.start) << "seed " << seed;
+        ASSERT_EQ(a.time, b.time) << "seed " << seed;
+        ASSERT_EQ(a.share, b.share) << "seed " << seed;
+        shared += b.share > 1.0 ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(shared, 0u);
+}
+
+TEST(Retirement, SchedulerRunMatchesAnUnretiredTwinFlowForFlow) {
+  // The scheduler retires its cluster behind the event clock before every
+  // body call.  This body submits each flow to that cluster and to a twin
+  // that never retires, and the outcomes must agree bit for bit.  Flows
+  // are ready at the iteration's start (no compute phase first), so
+  // history just behind the clock is what they would overlap.
+  TraceOptions options;
+  options.jobs = 60;
+  options.seed = 5;
+  options.gang_sizes = {3, 5, 6};  // odd sizes leave fragments to share
+  options.min_iterations = 1;
+  options.max_iterations = 4;
+  options.bytes_per_gpu = 1 << 20;
+  options.mean_interarrival_seconds = 0.005;
+  const std::vector<JobSpec> trace = generate_trace(options);
+  for (const PlacementPolicy policy :
+       {PlacementPolicy::kPackByPod, PlacementPolicy::kSpread,
+        PlacementPolicy::kLocalityAware}) {
+    Cluster cluster(podded());
+    Cluster twin(podded());
+    size_t shared = 0;
+    const JobBody chain = [&](Cluster& c, const JobSpec& spec,
+                              const std::vector<int>& ranks, double start) {
+      double t = start;
+      for (size_t i = 0; i + 1 < ranks.size(); ++i) {
+        const Flow f{spec.id, ranks[i + 1], ranks[i], spec.bytes, t};
+        const FlowOutcome a = c.submit(f);
+        const FlowOutcome b = twin.submit(f);
+        EXPECT_EQ(a.start, b.start) << "job " << spec.id;
+        EXPECT_EQ(a.time, b.time) << "job " << spec.id;
+        EXPECT_EQ(a.share, b.share) << "job " << spec.id;
+        shared += a.share > 1.0 ? 1 : 0;
+        t = a.time;
+      }
+      return JobIteration{t, false};
+    };
+    JobScheduler(cluster, {policy, true}).run(trace, chain);
+    EXPECT_GT(shared, 0u) << placement_policy_name(policy);
+  }
+}
+
+TEST(Retirement, FlowReadyBeforeTheWatermarkSeesIdlePorts) {
+  // Breaking the contract is served, not rejected: the retired history
+  // reads as idle ports, so the late-submitted early flow is not shared.
+  Cluster retired(tiny());
+  Cluster kept(tiny());
+  for (Cluster* c : {&retired, &kept}) c->submit({1, 0, 2, 1 << 20, 0.0});
+  retired.retire_before(1.0);
+  EXPECT_EQ(retired.submit({2, 1, 3, 1 << 20, 0.0}).share, 1.0);
+  EXPECT_EQ(kept.submit({2, 1, 3, 1 << 20, 0.0}).share, 2.0);
 }
 
 // ------------------------------------------------- per-job accounting
@@ -310,6 +453,38 @@ TEST(Scheduler, FaultAbortsOnlyJobsPlacedOnDeadRank) {
   EXPECT_FALSE(records[2].aborted);
 }
 
+TEST(Scheduler, RejectsTracesItCannotReplay) {
+  // Each bad trace is refused up front with ConfigError, before any job
+  // runs, by run() and by replay_trace().
+  const auto bad = [](auto edit) {
+    std::vector<JobSpec> jobs(2);
+    jobs[0] = {1, 0.0, 2, 2, 0, 0.0};
+    jobs[1] = {2, 0.5, 2, 1, 0, 0.0};
+    edit(jobs);
+    return jobs;
+  };
+  const std::vector<std::vector<JobSpec>> traces = {
+      bad([](auto& j) { j[1].gpus = 5; }),   // larger than the world
+      bad([](auto& j) { j[1].gpus = 0; }),
+      bad([](auto& j) { j[1].iterations = 0; }),
+      bad([](auto& j) {
+        j[1].arrival = std::numeric_limits<double>::quiet_NaN();
+      }),
+      bad([](auto& j) {
+        j[0].arrival = std::numeric_limits<double>::infinity();
+      }),
+      bad([](auto& j) { j[1].id = 1; }),     // two jobs, one id
+  };
+  for (const std::vector<JobSpec>& jobs : traces) {
+    Cluster cluster(tiny());
+    JobScheduler sched(cluster, {});
+    EXPECT_THROW(sched.run(jobs, unit_iteration_body()), ConfigError);
+    EXPECT_THROW(replay_trace(tiny(), jobs, unit_iteration_body(),
+                              PlacementPolicy::kPackByPod),
+                 ConfigError);
+  }
+}
+
 // ------------------------------------------------- trace generation/replay
 
 TEST(TraceReplay, GeneratorIsSeedDeterministic) {
@@ -375,6 +550,170 @@ TEST(TraceReplay, SmokeReplayUnderPinnedSeed) {
   EXPECT_EQ(metrics.makespan, again.makespan);
   EXPECT_EQ(metrics.mean_slowdown, again.mean_slowdown);
   EXPECT_EQ(metrics.p99_jct, again.p99_jct);
+}
+
+TEST(TraceReplay, IsolatedBaselinesMatchOneFreshClusterPerJob) {
+  // The oracle is the per-job loop replay_trace used to run: every job
+  // alone on its own fresh cluster.  One run per gang shape must give each
+  // job exactly the same isolated runtime, also for a body that aborts.
+  TraceOptions options;
+  options.jobs = 40;
+  options.seed = 11;
+  options.gang_sizes = {2, 4, 8};
+  options.min_iterations = 1;
+  options.max_iterations = 6;
+  options.bytes_per_gpu = 4 << 20;
+  options.mean_interarrival_seconds = 0.02;
+  const std::vector<JobSpec> trace = generate_trace(options);
+
+  train::TenantWorkload workload;
+  workload.resolution = 96;
+  // One flow per iteration; the third iteration aborts (the job's own
+  // bytes on the cluster count the iterations it has run).
+  const JobBody aborts_third = [](Cluster& c, const JobSpec& spec,
+                                  const std::vector<int>& ranks,
+                                  double start) {
+    const size_t done =
+        (c.inter_node_bytes(spec.id) + c.intra_node_bytes(spec.id)) /
+        spec.bytes;
+    const FlowOutcome out =
+        c.submit({spec.id, ranks.front(), ranks.back(), spec.bytes, start});
+    return JobIteration{out.time, done == 2};
+  };
+  const Topology topo = podded();
+  const std::vector<std::pair<JobBody, bool>> bodies = {
+      {train::make_tenant_body(workload), false}, {aborts_third, true}};
+  for (const auto& [body, aborts] : bodies) {
+    for (const PlacementPolicy policy :
+         {PlacementPolicy::kPackByPod, PlacementPolicy::kSpread,
+          PlacementPolicy::kLocalityAware}) {
+      const ReplayMetrics m = replay_trace(topo, trace, body, policy);
+      ASSERT_EQ(m.records.size(), trace.size());
+      size_t aborted = 0;
+      for (const JobRecord& rec : m.records) {
+        aborted += rec.aborted ? 1 : 0;
+        Cluster iso(topo);
+        JobScheduler sched(iso, {policy, true});
+        JobSpec alone = rec.spec;
+        alone.arrival = 0.0;
+        const double oracle = sched.run({alone}, body)[0].finish;
+        EXPECT_EQ(rec.spec.isolated_seconds, oracle)
+            << placement_policy_name(policy) << " job " << rec.spec.id;
+      }
+      EXPECT_EQ(aborted > 0, aborts);
+    }
+  }
+}
+
+// ------------------------------------------------- golden replay digests
+//
+// One row per (policy, backfill) over a seeded 500-job trace on the fig12
+// fabric (16x8 Tencent Cloud, 2:1-oversubscribed 4-node pods, 100 MB/GPU,
+// 50 ms mean interarrival, fp32 tenant bodies).  The digest is FNV-1a 64
+// over every record's ranks, start, finish, isolated_seconds and
+// iterations_done in job-id order; the aggregates are compared as exact
+// doubles.  On mismatch the failure prints the actual row in table syntax:
+// after confirming a change is intended, paste it over the old row.
+
+struct ReplayGolden {
+  PlacementPolicy policy;
+  bool backfill;
+  uint64_t digest;
+  double makespan;
+  double goodput;
+  double p99_jct;
+};
+
+constexpr ReplayGolden kReplayGolden[] = {
+    {PlacementPolicy::kPackByPod, true, 0xea0f994bab3a59abull,
+     0x1.e356ea1e8eb09p+5, 0x1.250b1e7796c7ap+2, 0x1.1f08001990b39p+5},
+    {PlacementPolicy::kPackByPod, false, 0xa42c4893003fb402ull,
+     0x1.1707e24abd3efp+6, 0x1.fb9cc0e49cf17p+1, 0x1.631e9fe26153ep+5},
+    {PlacementPolicy::kSpread, true, 0xd2c43abe9508ef7full,
+     0x1.a0c5736ed3903p+6, 0x1.f4661a254915bp+1, 0x1.3c8e85cba6d58p+6},
+    {PlacementPolicy::kSpread, false, 0xa99c812b4f151811ull,
+     0x1.acd4510bc17a7p+6, 0x1.e6540dd43b674p+1, 0x1.474f6d88ed2b9p+6},
+    {PlacementPolicy::kLocalityAware, true, 0xb6e34a6ccdde641cull,
+     0x1.e96e6f9da76b8p+5, 0x1.21655df64b765p+2, 0x1.24cf15138dc79p+5},
+    {PlacementPolicy::kLocalityAware, false, 0x9175e4afd1c4609eull,
+     0x1.191b1e7fc9762p+6, 0x1.f7dd7730423aap+1, 0x1.6a6ce22efd874p+5},
+};
+
+template <typename T>
+uint64_t fnv_value(const T& value, uint64_t hash) {
+  return train::fnv1a64(
+      {reinterpret_cast<const uint8_t*>(&value), sizeof value}, hash);
+}
+
+uint64_t replay_digest(const std::vector<JobRecord>& records) {
+  uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a offset basis
+  for (const JobRecord& rec : records) {
+    for (int rank : rec.ranks) hash = fnv_value(rank, hash);
+    hash = fnv_value(rec.start, hash);
+    hash = fnv_value(rec.finish, hash);
+    hash = fnv_value(rec.spec.isolated_seconds, hash);
+    hash = fnv_value(rec.iterations_done, hash);
+  }
+  return hash;
+}
+
+std::string golden_row(const ReplayGolden& row) {
+  static const char* const kPolicies[] = {
+      "PlacementPolicy::kPackByPod", "PlacementPolicy::kSpread",
+      "PlacementPolicy::kLocalityAware"};
+  char buf[256];
+  std::snprintf(buf, sizeof buf, "{%s, %s, 0x%016" PRIx64 "ull, %a, %a, %a},",
+                kPolicies[static_cast<int>(row.policy)],
+                row.backfill ? "true" : "false", row.digest, row.makespan,
+                row.goodput, row.p99_jct);
+  return buf;
+}
+
+Topology fig12_fabric() {
+  const Topology base = Topology::tencent_cloud(16, 8);
+  return Topology(16, 8, base.intra(), base.inter(), base.nic_beta(),
+                  /*oversubscription=*/2.0, /*nodes_per_pod=*/4);
+}
+
+std::vector<JobSpec> golden_trace() {
+  TraceOptions options;
+  options.jobs = 500;
+  options.seed = 20260807ull;
+  options.mean_interarrival_seconds = 0.05;
+  options.bytes_per_gpu = size_t{100} << 20;
+  return generate_trace(options);
+}
+
+TEST(ReplayGoldenDigest, EveryPolicyWithAndWithoutBackfill) {
+  const Topology topo = fig12_fabric();
+  const std::vector<JobSpec> trace = golden_trace();
+  const JobBody body = train::make_tenant_body(train::TenantWorkload{});
+  for (const PlacementPolicy policy :
+       {PlacementPolicy::kPackByPod, PlacementPolicy::kSpread,
+        PlacementPolicy::kLocalityAware}) {
+    for (const bool backfill : {true, false}) {
+      const ReplayMetrics m = replay_trace(topo, trace, body, policy, backfill);
+      const ReplayGolden actual{policy,    backfill,  replay_digest(m.records),
+                                m.makespan, m.goodput, m.p99_jct};
+      const ReplayGolden* want = nullptr;
+      for (const ReplayGolden& row : kReplayGolden) {
+        if (row.policy == policy && row.backfill == backfill) want = &row;
+      }
+      if (want == nullptr) {
+        ADD_FAILURE() << "no golden row\n  actual: " << golden_row(actual);
+        continue;
+      }
+      const auto same = [](double a, double b) {
+        return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+      };
+      EXPECT_TRUE(want->digest == actual.digest &&
+                  same(want->makespan, actual.makespan) &&
+                  same(want->goodput, actual.goodput) &&
+                  same(want->p99_jct, actual.p99_jct))
+          << "golden row mismatch\n  table:  " << golden_row(*want)
+          << "\n  actual: " << golden_row(actual);
+    }
+  }
 }
 
 // ------------------------------------------------- contention-aware planner

@@ -23,8 +23,6 @@
 //   --epochs=N          epochs per run (default 30; faults panel 6)
 //   --softmax=float|double   Tape softmax precision (default float; double
 //                            is the reference path, see SoftmaxMode)
-//   --select=histogram|nth   exact top-k backend for TopK-SGD (bit-identical
-//                            outputs; nth is the timing reference)
 //   --json=PATH         machine-readable results (default BENCH_fig10.json;
 //                       empty string disables)
 #include <chrono>
@@ -209,14 +207,12 @@ int main(int argc, char** argv) {
   hitopk::ad::set_softmax_mode(softmax == "double"
                                    ? hitopk::ad::SoftmaxMode::kDouble
                                    : hitopk::ad::SoftmaxMode::kFloat);
-  const bool topk_histogram = flags.get("select", "histogram") != "nth";
   const std::string json_path = flags.get("json", "BENCH_fig10.json");
 
   std::cout << "=== Fig. 10: convergence of Dense/TopK/MSTopK-SGD "
                "(16 simulated workers, rho=0.01) ===\n";
   std::cout << "(synthetic stand-in tasks; see DESIGN.md substitutions; "
-               "softmax=" << softmax
-            << " select=" << (topk_histogram ? "histogram" : "nth") << ")\n\n";
+               "softmax=" << softmax << ")\n\n";
 
   const ConvergenceAlgorithm algorithms[] = {ConvergenceAlgorithm::kDense,
                                              ConvergenceAlgorithm::kTopk,
@@ -236,9 +232,7 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) json.open(json_path);
   if (json) {
     json << "{\n  \"bench\": \"fig10_convergence\",\n  \"softmax\": \""
-         << softmax << "\",\n  \"select\": \""
-         << (topk_histogram ? "histogram" : "nth")
-         << "\",\n  \"epochs\": " << epochs << ",\n  \"tasks\": [\n";
+         << softmax << "\",\n  \"epochs\": " << epochs << ",\n  \"tasks\": [\n";
   }
 
   for (size_t t = 0; t < std::size(tasks); ++t) {
@@ -253,7 +247,6 @@ int main(int argc, char** argv) {
       options.epochs = epochs;
       options.density = 0.01;
       options.seed = 99;
-      options.topk_histogram = topk_histogram;
       const auto start = std::chrono::steady_clock::now();
       results.push_back(run_convergence(*task, options));
       seconds.push_back(std::chrono::duration<double>(

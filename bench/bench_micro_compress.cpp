@@ -47,13 +47,12 @@ void BM_ExactTopK(benchmark::State& state) {
 BENCHMARK(BM_ExactTopK)->Arg(1 << 16)->Arg(1 << 20)->Arg(1 << 23);
 
 void BM_ExactTopKLegacy(benchmark::State& state) {
-  // The packed-key nth_element reference (TopKSelect::kNthElement) —
+  // The packed-key nth_element reference (compress::select_topk_nth) —
   // bit-identical output, kept as the timing baseline for the histogram.
   const size_t d = static_cast<size_t>(state.range(0));
   const Tensor x = gaussian(d, 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(compress::exact_topk(
-        x.span(), d / 1000, compress::TopKSelect::kNthElement));
+    benchmark::DoNotOptimize(compress::select_topk_nth(x.span(), d / 1000));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(d));
@@ -208,16 +207,16 @@ bool validate_and_report() {
   const double hist_s = mstopk_seconds(hist);
   const double legacy_s = mstopk_seconds(legacy);
 
-  auto topk_seconds = [&](compress::TopKSelect algo) {
-    compress::exact_topk(x.span(), k, algo);  // warm-up
+  auto topk_seconds = [&](auto select) {
+    select(x.span(), k);  // warm-up
     const auto begin = clock::now();
-    for (int r = 0; r < 5; ++r) compress::exact_topk(x.span(), k, algo);
+    for (int r = 0; r < 5; ++r) select(x.span(), k);
     return std::chrono::duration<double>(clock::now() - begin).count() / 5;
   };
-  const double topk_hist_s = topk_seconds(compress::TopKSelect::kHistogram);
-  const double topk_nth_s = topk_seconds(compress::TopKSelect::kNthElement);
+  const double topk_hist_s = topk_seconds(compress::exact_topk);
+  const double topk_nth_s = topk_seconds(compress::select_topk_nth);
   const compress::SparseTensor topk_ref =
-      compress::exact_topk(x.span(), k, compress::TopKSelect::kNthElement);
+      compress::select_topk_nth(x.span(), k);
   const bool topk_identical =
       exact.indices == topk_ref.indices && exact.values == topk_ref.values;
 

@@ -44,8 +44,8 @@ using VarId = int;
 //       the Fig. 10 harness pin this down — see docs/REPRODUCING.md for
 //       the measured tolerance).
 //   kDouble — the original std::exp/double-denominator path, kept as the
-//       validation reference behind this flag (like mstopk_legacy /
-//       exact_topk_legacy for the selection operators).
+//       validation reference behind this flag (like mstopk_legacy for
+//       the selection operator).
 //
 // The mode is a process-wide default read at softmax_cross_entropy time;
 // set it before training starts (benches: --softmax=double).  Parallel

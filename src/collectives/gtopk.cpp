@@ -22,13 +22,12 @@ int floor_pow2(int v) {
 // steady state) and one fused accumulate_into adds every coordinate as
 // (0 + a) + b: a's entries first, then b's.
 compress::SparseTensor merge_topk(const compress::SparseTensor& a,
-                                  const compress::SparseTensor& b, size_t k,
-                                  compress::TopKSelect algo) {
+                                  const compress::SparseTensor& b, size_t k) {
   HITOPK_CHECK_EQ(a.dense_size, b.dense_size);
   Scratch<float> dense(a.dense_size);
   const compress::SparseTensor* parts[2] = {&a, &b};
   compress::accumulate_into(parts, dense.span());
-  return compress::exact_topk(dense.span(), k, algo);
+  return compress::exact_topk(dense.span(), k);
 }
 
 struct GtopkShape {
@@ -43,9 +42,9 @@ struct GtopkShape {
 // merge reads the previous round's state and writes its own slot, so the
 // rounds are bitwise-identical to running the merges serially.
 double schedule_gtopk(simnet::Cluster& cluster, const GtopkShape& shape,
-                      size_t payload, size_t k, compress::TopKSelect algo,
-                      std::vector<compress::SparseTensor>& state, double start,
-                      size_t& rounds, ScheduleOutcome* outcome) {
+                      size_t payload, size_t k,
+                      std::vector<compress::SparseTensor>& state,
+                      double start, size_t& rounds, ScheduleOutcome* outcome) {
   const auto [p, q, rem] = shape;
   bool functional = !state.empty();
 
@@ -89,15 +88,14 @@ double schedule_gtopk(simnet::Cluster& cluster, const GtopkShape& shape,
   if (functional) {
     if (rem > 0) {
       parallel_for(0, static_cast<size_t>(rem), [&](size_t r) {
-        state[r] =
-            merge_topk(state[r], state[static_cast<size_t>(q) + r], k, algo);
+        state[r] = merge_topk(state[r], state[static_cast<size_t>(q) + r], k);
       });
     }
     std::vector<compress::SparseTensor> merged(static_cast<size_t>(q));
     for (int gap = 1; gap < q; gap <<= 1) {
       parallel_for(0, static_cast<size_t>(q), [&](size_t r) {
-        merged[r] = merge_topk(
-            state[r], state[r ^ static_cast<size_t>(gap)], k, algo);
+        merged[r] =
+            merge_topk(state[r], state[r ^ static_cast<size_t>(gap)], k);
       });
       for (int r = 0; r < q; ++r) {
         std::swap(state[static_cast<size_t>(r)],
@@ -157,7 +155,7 @@ GtopkResult gtopk_comm(simnet::Cluster& cluster, const RankData& data,
       if (options.error_feedback != nullptr) {
         options.error_feedback->apply_priming(ef_keys[r], grad);
       }
-      state[r] = compress::exact_topk(grad, k, options.topk_select);
+      state[r] = compress::exact_topk(grad, k);
       if (options.error_feedback != nullptr) {
         options.error_feedback->absorb_primed(ef_keys[r], state[r]);
       }
@@ -165,8 +163,8 @@ GtopkResult gtopk_comm(simnet::Cluster& cluster, const RankData& data,
   }
 
   const double done =
-      schedule_gtopk(cluster, shape, payload, k, options.topk_select, state,
-                     start, out.rounds, options.outcome);
+      schedule_gtopk(cluster, shape, payload, k, state, start, out.rounds,
+                     options.outcome);
   out.total = done - start;
 
   const bool aborted = options.outcome != nullptr && options.outcome->aborted();

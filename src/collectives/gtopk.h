@@ -26,7 +26,6 @@
 #include "collectives/schedule.h"
 #include "compress/error_feedback.h"
 #include "compress/sparse_tensor.h"
-#include "compress/threshold_select.h"
 
 namespace hitopk::coll {
 
@@ -34,10 +33,6 @@ struct GtopkOptions {
   // Elements each rank keeps at every merge (k = density * d).
   double density = 0.01;
   size_t value_wire_bytes = 4;
-  // Exact top-k backend for the local selection and every merge
-  // re-selection (bit-identical outputs either way; kNthElement is the
-  // timing reference — see compress/threshold_select.h).
-  compress::TopKSelect topk_select = compress::TopKSelect::kHistogram;
   // Optional error feedback applied to the local selection (functional
   // mode); keys are "<ef_key_prefix>:<rank>".
   compress::ErrorFeedback* error_feedback = nullptr;

@@ -160,240 +160,97 @@ void rebuild_from_compact(const RankData& data,
   });
 }
 
-// ======================= uniform fleets (n GPUs everywhere) ==============
-HiTopKBreakdown hitopk_uniform(simnet::Cluster& cluster, const RankData& data,
-                               size_t elems, const HiTopKOptions& options,
-                               double start) {
+// Step 1 (Alg. 2 lines 2-4): sums every shard densely over its node onto
+// the shard's per-node owner.  On a uniform fleet the m per-node ring
+// Reduce-Scatters are one multi-group schedule: intra-node ports are
+// disjoint across nodes, so the clocks equal m independent rings, and each
+// step's reduces across all nodes batch into a single parallel_for.  A ring
+// needs one chunk per member, which the L-shard grid of a smaller node does
+// not provide, so uneven fleets fan each shard in to its owner directly.
+// Returns the time the last shard is aggregated.
+double aggregate_shards(simnet::Cluster& cluster, const RankData& data,
+                        size_t elems, std::span<const ChunkRange> shards,
+                        WireDtype wire, double start) {
   const simnet::Topology& topo = cluster.topology();
   const int m = topo.nodes();
-  const int n = topo.gpus_per_node();
-  const int world = topo.world_size();
   const bool functional = !data.empty();
-  const WireDtype wire = options.value_wire;
-
-  HiTopKBreakdown out;
-
-  // Owned-shard layout: GPU `local` of every node owns shard `local`.
-  std::vector<ChunkRange> shards(static_cast<size_t>(n));
-  for (int local = 0; local < n; ++local) {
-    shards[static_cast<size_t>(local)] =
-        chunk_range(elems, static_cast<size_t>(n), static_cast<size_t>(local));
-  }
-
-  // ---- Step 1: intra-node reduce-scatter (dense, Alg. 2 lines 2-4).  The
-  // m per-node rings are one multi-group schedule: intra-node ports are
-  // disjoint across nodes, so the clocks equal m independent rings, and
-  // each step's reduces across all nodes batch into a single parallel_for.
-  std::vector<Group> node_groups;
-  std::vector<RankData> node_data;
-  for (int node = 0; node < m; ++node) {
-    node_groups.push_back(node_group(topo, node));
-    if (functional) {
-      RankData nd;
-      for (int rank : node_groups.back()) {
-        nd.push_back(data[static_cast<size_t>(rank)]);
-      }
-      node_data.push_back(std::move(nd));
-    }
-  }
-  Schedule sched;
-  const RingGrid grid = ring_grid(sched, node_groups, node_data, wire);
-  build_ring_reduce_scatter(sched, node_groups, grid, elems, wire,
-                            /*fused_chains=*/true);
-  const double t1 = sched.run_timing(cluster, start).finish;
-  sched.run_data();
-  out.reduce_scatter = t1 - start;
-
-  // ---- Step 2: MSTopK on each GPU's owned shard (Alg. 2 lines 5-8).
-  // Per-rank sparse selection, indices local to the shard.
-  std::vector<compress::SparseTensor> selected(static_cast<size_t>(world));
-  size_t max_k = 0;
-  double mstopk_seconds = 0.0;
-  for (int local = 0; local < n; ++local) {
-    const ChunkRange& shard = shards[static_cast<size_t>(local)];
-    const size_t k = shard_k(options.density, shard.count);
-    max_k = std::max(max_k, k);
-    if (options.gpu != nullptr) {
-      mstopk_seconds = std::max(
-          mstopk_seconds, options.gpu->mstopk_seconds(shard.count, k,
-                                                      options.mstopk_samplings));
-    }
-  }
-  if (functional) {
-    // Error-feedback keys are per rank and constant across iterations:
-    // build each "<prefix>:<rank>" string once instead of re-concatenating
-    // it in the selection loop, and pre-create the residual entries so the
-    // parallel workers below only ever look them up (inserts would race).
-    std::vector<std::string> ef_keys;
-    if (options.error_feedback != nullptr) {
-      ef_keys.resize(static_cast<size_t>(world));
-      for (int rank = 0; rank < world; ++rank) {
-        ef_keys[static_cast<size_t>(rank)] =
-            options.ef_key_prefix + ":" + std::to_string(rank);
-        const ChunkRange& shard =
-            shards[static_cast<size_t>(topo.local_rank(rank))];
-        options.error_feedback->ensure(ef_keys[static_cast<size_t>(rank)],
-                                       shard.count);
-      }
-    }
-    // Every rank simulates an independent GPU: disjoint shard buffers,
-    // per-rank seeded RNG, per-rank residual entry.  The iterations commute,
-    // so the parallel execution is bitwise identical to the serial loop.
-    const compress::MsTopKMode mode = options.mstopk_histogram
-                                          ? compress::MsTopKMode::kHistogram
-                                          : compress::MsTopKMode::kMultiPass;
-    parallel_for(0, static_cast<size_t>(world), [&](size_t r) {
-      const int rank = static_cast<int>(r);
-      const ChunkRange& shard =
-          shards[static_cast<size_t>(topo.local_rank(rank))];
-      const size_t k = shard_k(options.density, shard.count);
-      auto shard_span = data[r].subspan(shard.begin, shard.count);
-      compress::MsTopK mstopk(options.mstopk_samplings,
-                              options.seed + static_cast<uint64_t>(rank),
-                              mode);
-      // Fused EF exchange: the shard is untouched between compensation and
-      // absorption, so priming the residual during apply saves absorb's
-      // full-shard copy.
-      if (options.error_feedback != nullptr) {
-        options.error_feedback->apply_priming(ef_keys[r], shard_span);
-      }
-      selected[r] = mstopk.compress(shard_span, k);
-      // Typed payloads: the values cross the wire in the selected dtype, so
-      // round them through the codec *before* error feedback absorbs the
-      // send — the residual then keeps the quantization error alongside the
-      // unselected coordinates.  A no-op for fp32.
-      wire_round_trip(wire, std::span<float>(selected[r].values));
-      if (options.error_feedback != nullptr) {
-        options.error_feedback->absorb_primed(ef_keys[r], selected[r]);
-      }
-    });
-  }
-  out.selected_per_shard = max_k;
-  const double t2 = simnet::Cluster::compute(t1, mstopk_seconds);
-  out.mstopk = t2 - t1;
-
-  // ---- Step 3: n concurrent inter-node all-gathers (Alg. 2 lines 11-14)
-  // plus local accumulation with duplicate-index adds (lines 15-20).
-  // Every rank of stream `local` computes the identical accumulation of the
-  // stream's m sparse blocks, so it is computed once per stream (not once
-  // per rank) by merge-accumulating the sorted blocks into a compact stream
-  // (see merge_accumulate).  The owned shards tile [0, elems), so the
-  // streams in shard order ARE the aggregated gradient; they feed step 4's
-  // tiled scatter rebuild.  stream_nnz keeps the per-stream nonzero counts
-  // the step-4 wire payloads need.
-  std::vector<CompactStream> streams(functional ? static_cast<size_t>(n) : 0);
-  std::vector<size_t> stream_nnz(static_cast<size_t>(n), 0);
-  std::vector<Group> stream_groups;
-  std::vector<std::vector<size_t>> stream_payloads;
-  std::vector<int> stream_locals;
-  for (int local = 0; local < n; ++local) {
-    const ChunkRange& shard = shards[static_cast<size_t>(local)];
-    if (shard.count == 0) continue;
-    Group group = cross_node_group(topo, local);
-    std::vector<size_t> payload(group.size());
-    for (size_t i = 0; i < group.size(); ++i) {
-      const size_t nnz = functional
-                             ? selected[static_cast<size_t>(group[i])].nnz()
-                             : shard_k(options.density, shard.count);
-      payload[i] = sparse_payload_bytes(wire, nnz);
-    }
-    stream_payloads.push_back(std::move(payload));
-    stream_groups.push_back(std::move(group));
-    stream_locals.push_back(local);
-  }
-  if (functional) {
-    parallel_for(0, stream_locals.size(), [&](size_t s) {
-      const int local = stream_locals[s];
-      const ChunkRange& shard = shards[static_cast<size_t>(local)];
-      const Group& group = stream_groups[s];
-      // Each stream worker writes only its own stream, so the parallel
-      // accumulation is race-free and bitwise-identical to a serial loop.
-      std::vector<const compress::SparseTensor*> blocks;
-      blocks.reserve(group.size());
-      for (int peer : group) {
-        blocks.push_back(&selected[static_cast<size_t>(peer)]);
-      }
-      CompactStream& stream = streams[static_cast<size_t>(local)];
-      merge_accumulate(blocks, shard.begin, stream);
-      stream_nnz[static_cast<size_t>(local)] = stream.indices.size();
-    });
-  }
-  // The n streams run concurrently (Alg. 2 line 11: "for j in [n] in
-  // parallel"), sharing each node's NIC.
-  double t3_comm = t2;
-  if (!stream_groups.empty()) {
-    t3_comm = ring_allgather_bytes_multi(cluster, stream_groups,
-                                         stream_payloads, t2);
-  }
-  double accumulate_seconds = 0.0;
-  if (options.gpu != nullptr) {
-    accumulate_seconds = options.gpu->scatter_add_seconds(
-        static_cast<size_t>(m) * max_k);
-  }
-  const double t3 = simnet::Cluster::compute(t3_comm, accumulate_seconds);
-  out.inter_allgather = t3 - t2;
-
-  // ---- Step 4: intra-node all-gather of the accumulated sparse shards
-  // (Alg. 2 lines 21-23).  Each GPU contributes at most m*k~ nonzeros.
-  double t4_comm = t3;
-  for (int node = 0; node < m; ++node) {
-    const Group group = node_group(topo, node);
-    std::vector<size_t> payload(group.size());
-    for (size_t i = 0; i < group.size(); ++i) {
-      size_t nnz;
+  if (topo.uniform()) {
+    std::vector<Group> node_groups;
+    std::vector<RankData> node_data;
+    for (int node = 0; node < m; ++node) {
+      node_groups.push_back(node_group(topo, node));
       if (functional) {
-        const int local = topo.local_rank(group[i]);
-        nnz = stream_nnz[static_cast<size_t>(local)];
-      } else {
-        const ChunkRange shard = chunk_range(
-            elems, static_cast<size_t>(n), static_cast<size_t>(i));
-        nnz = std::min(static_cast<size_t>(m) *
-                           shard_k(options.density, shard.count),
-                       shard.count);
+        RankData nd;
+        for (int rank : node_groups.back()) {
+          nd.push_back(data[static_cast<size_t>(rank)]);
+        }
+        node_data.push_back(std::move(nd));
       }
-      payload[i] = sparse_payload_bytes(wire, nnz);
     }
-    t4_comm = std::max(t4_comm,
-                       ring_allgather_bytes(cluster, group, payload, t3));
+    Schedule sched;
+    const RingGrid grid = ring_grid(sched, node_groups, node_data, wire);
+    build_ring_reduce_scatter(sched, node_groups, grid, elems, wire,
+                              /*fused_chains=*/true);
+    const double done = sched.run_timing(cluster, start).finish;
+    sched.run_data();
+    return done;
   }
-  double rebuild_seconds = 0.0;
-  if (options.gpu != nullptr) {
-    rebuild_seconds = options.gpu->scatter_add_seconds(
-        std::min(static_cast<size_t>(m) * max_k * static_cast<size_t>(n),
-                 elems));
-  }
-  const double t4 = simnet::Cluster::compute(t4_comm, rebuild_seconds);
-  out.intra_allgather = t4 - t3;
-  out.total = t4 - start;
 
-  // Rebuild the full aggregated gradient on every rank from the streams.
-  if (functional) rebuild_from_compact(data, streams);
-  return out;
+  double done = start;
+  for (int node = 0; node < m; ++node) {
+    const int g = topo.gpus_on_node(node);
+    for (size_t s = 0; s < shards.size(); ++s) {
+      const ChunkRange& shard = shards[s];
+      if (shard.count == 0) continue;
+      const int owner = topo.rank_of(node, static_cast<int>(s) % g);
+      for (int local = 0; local < g; ++local) {
+        const int rank = topo.rank_of(node, local);
+        if (rank == owner) continue;
+        done = std::max(
+            done, cluster
+                      .submit({simnet::kDefaultJob, rank, owner,
+                               wire_payload_bytes(wire, shard.count), start})
+                      .time);
+        if (!functional) continue;
+        auto acc =
+            data[static_cast<size_t>(owner)].subspan(shard.begin, shard.count);
+        auto src =
+            data[static_cast<size_t>(rank)].subspan(shard.begin, shard.count);
+        if (wire == WireDtype::kFp32) {
+          tensor_ops::add_into(acc, src);
+        } else {
+          // The peer's slice crosses the wire before the owner adds it.
+          auto& staging = fanin_staging();
+          staging.assign(src.begin(), src.end());
+          wire_round_trip(wire, std::span<float>(staging));
+          tensor_ops::add_into(acc, std::span<const float>(staging));
+        }
+      }
+    }
+  }
+  return done;
 }
 
-// ==================== uneven fleets (per-node GPU counts) ================
-//
-// L = max gpus-per-node shards tile the gradient; on a node with g GPUs,
-// GPU j owns every shard s with s % g == j.  Step 1 aggregates each shard
-// by direct fan-in to its owner (a per-node ring reduce-scatter needs one
-// chunk per member, which the L-shard grid of a small node does not
-// provide); steps 2-4 are the uniform pipeline run per (shard, node) unit,
-// with the same merge accumulation and tiled scatter rebuild.
-HiTopKBreakdown hitopk_uneven(simnet::Cluster& cluster, const RankData& data,
-                              size_t elems, const HiTopKOptions& options,
-                              double start) {
+}  // namespace
+
+HiTopKBreakdown hitopk_comm(simnet::Cluster& cluster, const RankData& data,
+                            size_t elems, const HiTopKOptions& options,
+                            double start) {
   const simnet::Topology& topo = cluster.topology();
+  check_data(world_group(topo), data, elems);
   const int m = topo.nodes();
+  const bool uniform = topo.uniform();
   const bool functional = !data.empty();
   const WireDtype wire = options.value_wire;
 
+  // Owned-shard layout: L = max gpus-per-node shards tile the gradient, and
+  // on a node with g GPUs, GPU j owns every shard s with s % g == j.  On a
+  // uniform fleet GPU j owns exactly shard j.
   int L = 0;
   for (int node = 0; node < m; ++node) {
     L = std::max(L, topo.gpus_on_node(node));
   }
   HITOPK_CHECK_GT(L, 0);
-
-  HiTopKBreakdown out;
   std::vector<ChunkRange> shards(static_cast<size_t>(L));
   for (int s = 0; s < L; ++s) {
     shards[static_cast<size_t>(s)] =
@@ -403,50 +260,13 @@ HiTopKBreakdown hitopk_uneven(simnet::Cluster& cluster, const RankData& data,
     return topo.rank_of(node, s % topo.gpus_on_node(node));
   };
 
-  // ---- Step 1: per-(node, shard) dense fan-in to the shard's owner.
-  double t1 = start;
-  for (int node = 0; node < m; ++node) {
-    const int g = topo.gpus_on_node(node);
-    for (int s = 0; s < L; ++s) {
-      const ChunkRange& shard = shards[static_cast<size_t>(s)];
-      if (shard.count == 0) continue;
-      const int owner = owner_of(node, s);
-      for (int local = 0; local < g; ++local) {
-        const int rank = topo.rank_of(node, local);
-        if (rank == owner) continue;
-        const double done =
-            cluster
-                .submit({simnet::kDefaultJob, rank, owner,
-                         wire_payload_bytes(wire, shard.count), start})
-                .time;
-        t1 = std::max(t1, done);
-      }
-      if (functional) {
-        auto acc = data[static_cast<size_t>(owner)].subspan(shard.begin,
-                                                            shard.count);
-        for (int local = 0; local < g; ++local) {
-          const int rank = topo.rank_of(node, local);
-          if (rank == owner) continue;
-          auto src =
-              data[static_cast<size_t>(rank)].subspan(shard.begin, shard.count);
-          if (wire == WireDtype::kFp32) {
-            tensor_ops::add_into(acc, src);
-          } else {
-            // The peer's slice crosses the wire before the owner adds it.
-            auto& staging = fanin_staging();
-            staging.assign(src.begin(), src.end());
-            wire_round_trip(wire, std::span<float>(staging));
-            tensor_ops::add_into(acc, std::span<const float>(staging));
-          }
-        }
-      }
-    }
-  }
+  HiTopKBreakdown out;
+  const double t1 = aggregate_shards(cluster, data, elems, shards, wire, start);
   out.reduce_scatter = t1 - start;
 
-  // ---- Step 2: MSTopK per (shard, node) unit.  A small node's GPU owns
-  // several shards, so units — not ranks — are the parallel grain, and the
-  // error-feedback keys carry the shard: "<prefix>:<rank>:s<shard>".
+  // ---- Step 2: MSTopK on each owned shard (Alg. 2 lines 5-8), one unit
+  // per non-empty (shard, node) pair.  A small node's GPU owns several
+  // shards, so units, not ranks, are the parallel grain.
   struct Unit {
     int s;
     int node;
@@ -466,20 +286,29 @@ HiTopKBreakdown hitopk_uneven(simnet::Cluster& cluster, const RankData& data,
     }
     for (int node = 0; node < m; ++node) units.push_back({s, node});
   }
-  // sel[s * m + node]: the block node `node` contributes to shard s's stream.
+  // sel[s * m + node]: the block node `node` contributes to shard s's stream,
+  // indices local to the shard.
   std::vector<compress::SparseTensor> sel(static_cast<size_t>(L * m));
   if (functional) {
+    // Error-feedback keys are constant across iterations: build each string
+    // once, and pre-create the residual entries so the parallel workers
+    // below only ever look them up (inserts would race).  A GPU owning
+    // several shards keeps one residual per shard.
     std::vector<std::string> ef_keys;
     if (options.error_feedback != nullptr) {
       ef_keys.resize(units.size());
       for (size_t u = 0; u < units.size(); ++u) {
         const int rank = owner_of(units[u].node, units[u].s);
-        ef_keys[u] = options.ef_key_prefix + ":" + std::to_string(rank) +
-                     ":s" + std::to_string(units[u].s);
+        ef_keys[u] = options.ef_key_prefix + ":" + std::to_string(rank);
+        if (!uniform) ef_keys[u] += ":s" + std::to_string(units[u].s);
         options.error_feedback->ensure(
             ef_keys[u], shards[static_cast<size_t>(units[u].s)].count);
       }
     }
+    // Every unit simulates an independent selection: disjoint shard
+    // buffers, its own seeded RNG, its own residual entry.  The iterations
+    // commute, so the parallel execution is bitwise identical to the serial
+    // loop.
     const compress::MsTopKMode mode = options.mstopk_histogram
                                           ? compress::MsTopKMode::kHistogram
                                           : compress::MsTopKMode::kMultiPass;
@@ -487,23 +316,29 @@ HiTopKBreakdown hitopk_uneven(simnet::Cluster& cluster, const RankData& data,
       const int s = units[u].s;
       const int rank = owner_of(units[u].node, s);
       const ChunkRange& shard = shards[static_cast<size_t>(s)];
-      const size_t k = shard_k(options.density, shard.count);
       auto shard_span =
           data[static_cast<size_t>(rank)].subspan(shard.begin, shard.count);
-      // Per-unit seed: a rank owning several shards runs one independent
-      // selection stream per shard.
-      compress::MsTopK mstopk(
-          options.mstopk_samplings,
-          options.seed + static_cast<uint64_t>(rank) *
-                             static_cast<uint64_t>(L) +
-              static_cast<uint64_t>(s),
-          mode);
+      // One seed per rank on a uniform fleet; a rank owning several shards
+      // runs one independent selection stream per shard.
+      const uint64_t seed =
+          uniform ? options.seed + static_cast<uint64_t>(rank)
+                  : options.seed +
+                        static_cast<uint64_t>(rank) * static_cast<uint64_t>(L) +
+                        static_cast<uint64_t>(s);
+      compress::MsTopK mstopk(options.mstopk_samplings, seed, mode);
+      // Fused EF exchange: the shard is untouched between compensation and
+      // absorption, so priming the residual during apply saves absorb's
+      // full-shard copy.
       if (options.error_feedback != nullptr) {
         options.error_feedback->apply_priming(ef_keys[u], shard_span);
       }
       compress::SparseTensor& block =
           sel[static_cast<size_t>(s * m + units[u].node)];
-      block = mstopk.compress(shard_span, k);
+      block = mstopk.compress(shard_span, shard_k(options.density, shard.count));
+      // Typed payloads: the values cross the wire in the selected dtype, so
+      // round them through the codec *before* error feedback absorbs the
+      // send — the residual then keeps the quantization error alongside the
+      // unselected coordinates.  A no-op for fp32.
       wire_round_trip(wire, std::span<float>(block.values));
       if (options.error_feedback != nullptr) {
         options.error_feedback->absorb_primed(ef_keys[u], block);
@@ -514,9 +349,15 @@ HiTopKBreakdown hitopk_uneven(simnet::Cluster& cluster, const RankData& data,
   const double t2 = simnet::Cluster::compute(t1, mstopk_seconds);
   out.mstopk = t2 - t1;
 
-  // ---- Step 3: L concurrent inter-node all-gathers, one per shard, among
-  // the shard's per-node owners.  Two shards of a small node share their
-  // owner's NIC; the port clocks serialize them.
+  // ---- Step 3: L concurrent inter-node all-gathers, one per shard among
+  // its per-node owners (Alg. 2 lines 11-14), plus local accumulation with
+  // duplicate-index adds (lines 15-20).  Every owner of shard s computes the
+  // identical accumulation of the stream's m sparse blocks, so it is
+  // computed once per stream by merge-accumulating the sorted blocks into a
+  // compact stream (see merge_accumulate).  The shards tile [0, elems), so
+  // the streams in shard order ARE the aggregated gradient; they feed step
+  // 4's tiled scatter rebuild.  stream_nnz keeps the per-stream nonzero
+  // counts the step-4 wire payloads need.
   std::vector<CompactStream> streams(functional ? static_cast<size_t>(L) : 0);
   std::vector<size_t> stream_nnz(static_cast<size_t>(L), 0);
   std::vector<Group> stream_groups;
@@ -541,17 +382,21 @@ HiTopKBreakdown hitopk_uneven(simnet::Cluster& cluster, const RankData& data,
   if (functional) {
     parallel_for(0, stream_shards.size(), [&](size_t i) {
       const int s = stream_shards[i];
-      const ChunkRange& shard = shards[static_cast<size_t>(s)];
+      // Each stream worker writes only its own stream, so the parallel
+      // accumulation is race-free and bitwise-identical to a serial loop.
       std::vector<const compress::SparseTensor*> blocks;
       blocks.reserve(static_cast<size_t>(m));
       for (int node = 0; node < m; ++node) {
         blocks.push_back(&sel[static_cast<size_t>(s * m + node)]);
       }
       CompactStream& stream = streams[static_cast<size_t>(s)];
-      merge_accumulate(blocks, shard.begin, stream);
+      merge_accumulate(blocks, shards[static_cast<size_t>(s)].begin, stream);
       stream_nnz[static_cast<size_t>(s)] = stream.indices.size();
     });
   }
+  // The streams run concurrently (Alg. 2 line 11: "for j in [n] in
+  // parallel"), sharing each node's NIC; two shards of a small node share
+  // their owner's NIC and the port clocks serialize them.
   double t3_comm = t2;
   if (!stream_groups.empty()) {
     t3_comm = ring_allgather_bytes_multi(cluster, stream_groups,
@@ -565,8 +410,9 @@ HiTopKBreakdown hitopk_uneven(simnet::Cluster& cluster, const RankData& data,
   const double t3 = simnet::Cluster::compute(t3_comm, accumulate_seconds);
   out.inter_allgather = t3 - t2;
 
-  // ---- Step 4: intra-node all-gather; each GPU contributes every shard it
-  // owns (at most m*k~ nonzeros per shard).
+  // ---- Step 4: intra-node all-gather of the accumulated sparse shards
+  // (Alg. 2 lines 21-23).  Each GPU contributes every non-empty shard it
+  // owns, at most m*k~ nonzeros per shard.
   double t4_comm = t3;
   for (int node = 0; node < m; ++node) {
     const Group group = node_group(topo, node);
@@ -575,14 +421,12 @@ HiTopKBreakdown hitopk_uneven(simnet::Cluster& cluster, const RankData& data,
     for (int s = 0; s < L; ++s) {
       const ChunkRange& shard = shards[static_cast<size_t>(s)];
       if (shard.count == 0) continue;
-      size_t nnz;
-      if (functional) {
-        nnz = stream_nnz[static_cast<size_t>(s)];
-      } else {
-        nnz = std::min(
-            static_cast<size_t>(m) * shard_k(options.density, shard.count),
-            shard.count);
-      }
+      const size_t nnz =
+          functional
+              ? stream_nnz[static_cast<size_t>(s)]
+              : std::min(static_cast<size_t>(m) *
+                             shard_k(options.density, shard.count),
+                         shard.count);
       payload[static_cast<size_t>(s % g)] += sparse_payload_bytes(wire, nnz);
     }
     t4_comm = std::max(t4_comm,
@@ -598,22 +442,9 @@ HiTopKBreakdown hitopk_uneven(simnet::Cluster& cluster, const RankData& data,
   out.intra_allgather = t4 - t3;
   out.total = t4 - start;
 
-  if (functional) {
-    rebuild_from_compact(data, streams);
-  }
+  // Rebuild the full aggregated gradient on every rank from the streams.
+  if (functional) rebuild_from_compact(data, streams);
   return out;
-}
-
-}  // namespace
-
-HiTopKBreakdown hitopk_comm(simnet::Cluster& cluster, const RankData& data,
-                            size_t elems, const HiTopKOptions& options,
-                            double start) {
-  check_data(world_group(cluster.topology()), data, elems);
-  if (cluster.topology().uniform()) {
-    return hitopk_uniform(cluster, data, elems, options, start);
-  }
-  return hitopk_uneven(cluster, data, elems, options, start);
 }
 
 }  // namespace hitopk::coll

@@ -16,13 +16,17 @@
 // information is sparsified — the property that makes MSTopK-SGD converge
 // slightly better than plain TopK-SGD (Table 2).
 //
-// Uneven fleets: nodes may carry different GPU counts ({8, 8, 4, 4}-style
-// spot fleets).  The gradient is partitioned into L = max gpus-per-node
-// shards; on a node with g GPUs, GPU j owns every shard s with s % g == j,
-// so each node still covers the whole gradient and shard s's inter-node
-// stream runs among its per-node owners.  Small nodes aggregate shards by
-// direct fan-in to the owner (a ring Reduce-Scatter needs one chunk per
-// member); uniform fleets keep the ring path bit-for-bit.
+// One pipeline serves every fleet, including uneven ones whose nodes carry
+// different GPU counts ({8, 8, 4, 4}-style spot fleets).  The gradient is
+// partitioned into L = max gpus-per-node shards; on a node with g GPUs,
+// GPU j owns every shard s with s % g == j, so each node still covers the
+// whole gradient and shard s's inter-node stream runs among its per-node
+// owners.  On a uniform fleet that is exactly the layout above.  Only three
+// things depend on whether the fleet is uniform: step 1 is a ring
+// Reduce-Scatter per node there and a direct fan-in to each shard's owner
+// otherwise (a ring needs one chunk per member); the MSTopK seed is
+// seed + rank there and seed + rank * L + s otherwise (one selection
+// stream per owned shard); and the error-feedback keys (HiTopKOptions).
 #pragma once
 
 #include <string>

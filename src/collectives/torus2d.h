@@ -22,19 +22,20 @@ struct Torus2dBreakdown {
   double total = 0.0;
 };
 
-// In-place 2D-torus All-Reduce over the whole cluster.  data (when
-// functional) holds one full-size buffer per world rank, in rank order.
+// In-place 2D-torus All-Reduce over the whole cluster: runs build_torus2d's
+// schedule, and the breakdown is read off its two phase-boundary syncs.
+// data (when functional) holds one full-size buffer per world rank, in rank
+// order.  Requires a uniform topology.
 Torus2dBreakdown torus2d_allreduce(simnet::Cluster& cluster,
                                    const RankData& data, size_t elems,
                                    WireDtype wire, double start);
 
 // Records the whole collective into a caller-owned schedule, with collapse
 // syncs at the two phase boundaries.  Phase 2 uses per-stream extents over
-// the full rank buffers, so — unlike torus2d_allreduce, which runs a ragged
-// functional phase 2 as sequential per-stream All-Reduces — ragged shards
-// (n does not divide elems) stay inside the single schedule with exact
-// per-stream sizes.  Requires a uniform topology.  Exposed for the planner
-// (collectives/planner.h).
+// the full rank buffers, so ragged shards (n does not divide elems) run at
+// their exact per-stream sizes inside the one schedule, in both timing-only
+// and functional mode.  Requires a uniform topology.  The planner
+// (collectives/planner.h) times this same schedule.
 void build_torus2d(Schedule& sched, const simnet::Topology& topo,
                    const RankData& data, size_t elems, WireDtype wire);
 

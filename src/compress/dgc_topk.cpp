@@ -9,8 +9,8 @@
 
 namespace hitopk::compress {
 
-DgcTopK::DgcTopK(double sample_ratio, uint64_t seed, TopKSelect algo)
-    : sample_ratio_(sample_ratio), rng_(seed), algo_(algo) {
+DgcTopK::DgcTopK(double sample_ratio, uint64_t seed)
+    : sample_ratio_(sample_ratio), rng_(seed) {
   HITOPK_CHECK(sample_ratio > 0.0 && sample_ratio <= 1.0);
 }
 
@@ -19,7 +19,7 @@ SparseTensor DgcTopK::compress(std::span<const float> x, size_t k) {
   last_topk_calls_ = 0;
   if (k >= d || k == 0 || d == 0) {
     last_topk_calls_ = 1;
-    return exact_topk(x, k, algo_);
+    return exact_topk(x, k);
   }
 
   // Sample pass: uniform subset for threshold estimation.  The sample must
@@ -38,7 +38,7 @@ SparseTensor DgcTopK::compress(std::span<const float> x, size_t k) {
       1, static_cast<size_t>(std::round(static_cast<double>(k) *
                                         static_cast<double>(sample.size()) /
                                         static_cast<double>(d))));
-  float threshold = exact_topk_threshold(sample, sample_k, algo_);
+  float threshold = exact_topk_threshold(sample, sample_k);
   ++last_topk_calls_;
 
   // Select candidates above the estimated threshold, relaxing the threshold
@@ -67,7 +67,7 @@ SparseTensor DgcTopK::compress(std::span<const float> x, size_t k) {
     for (size_t i = 0; i < candidates.size(); ++i) {
       candidate_values[i] = x[candidates[i]];
     }
-    SparseTensor inner = exact_topk(candidate_values, k, algo_);
+    SparseTensor inner = exact_topk(candidate_values, k);
     ++last_topk_calls_;
     out.indices.resize(inner.nnz());
     for (size_t i = 0; i < inner.nnz(); ++i) {

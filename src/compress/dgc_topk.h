@@ -10,7 +10,6 @@
 #pragma once
 
 #include "compress/compressor.h"
-#include "compress/threshold_select.h"
 #include "core/rng.h"
 
 namespace hitopk::compress {
@@ -18,12 +17,8 @@ namespace hitopk::compress {
 class DgcTopK : public Compressor {
  public:
   // sample_ratio: fraction of the input sampled for threshold estimation
-  // (the DGC paper uses 0.1%-1%).  algo picks the shared threshold-selection
-  // backend (threshold_select.h) for both the sample-threshold estimate and
-  // the hierarchical re-selection; the two backends are bit-identical, so
-  // this only trades speed.
-  explicit DgcTopK(double sample_ratio = 0.01, uint64_t seed = 42,
-                   TopKSelect algo = TopKSelect::kHistogram);
+  // (the DGC paper uses 0.1%-1%).
+  explicit DgcTopK(double sample_ratio = 0.01, uint64_t seed = 42);
 
   std::string name() const override { return "dgc"; }
 
@@ -36,7 +31,6 @@ class DgcTopK : public Compressor {
  private:
   double sample_ratio_;
   Rng rng_;
-  TopKSelect algo_;
   int last_topk_calls_ = 0;
 };
 

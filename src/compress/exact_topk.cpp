@@ -2,17 +2,16 @@
 
 namespace hitopk::compress {
 
-SparseTensor exact_topk(std::span<const float> x, size_t k, TopKSelect algo) {
-  return select_topk(x, k, algo);
+SparseTensor exact_topk(std::span<const float> x, size_t k) {
+  return select_topk(x, k);
 }
 
-float exact_topk_threshold(std::span<const float> x, size_t k,
-                           TopKSelect algo) {
-  return topk_threshold(x, k, algo);
+float exact_topk_threshold(std::span<const float> x, size_t k) {
+  return topk_threshold(x, k);
 }
 
 SparseTensor ExactTopK::compress(std::span<const float> x, size_t k) {
-  return select_topk(x, k, algo_);
+  return select_topk(x, k);
 }
 
 }  // namespace hitopk::compress

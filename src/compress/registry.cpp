@@ -10,9 +10,6 @@ namespace hitopk::compress {
 std::unique_ptr<Compressor> make_compressor(const std::string& name,
                                             uint64_t seed) {
   if (name == "exact_topk") return std::make_unique<ExactTopK>();
-  if (name == "exact_topk_legacy") {
-    return std::make_unique<ExactTopK>(TopKSelect::kNthElement);
-  }
   if (name == "dgc") return std::make_unique<DgcTopK>(0.01, seed);
   if (name == "mstopk") return std::make_unique<MsTopK>(30, seed);
   if (name == "mstopk_legacy") {

@@ -114,38 +114,6 @@ void histogram_count(std::span<const float> x, std::span<size_t> counts,
   }
 }
 
-// The reference selection: nth_element over all packed keys.
-SparseTensor select_topk_nth(std::span<const float> x, size_t k) {
-  SparseTensor out;
-  out.dense_size = x.size();
-  Scratch<size_t> keys_buf(x.size());
-  size_t* keys = keys_buf.data();
-  for (size_t i = 0; i < x.size(); ++i) keys[i] = pack_key(x[i], i);
-  std::nth_element(keys, keys + (k - 1), keys + x.size(),
-                   std::greater<size_t>());
-  out.indices.resize(k);
-  for (size_t i = 0; i < k; ++i) {
-    out.indices[i] = ~static_cast<uint32_t>(keys[i]);
-  }
-  std::sort(out.indices.begin(), out.indices.end());
-  out.values.resize(k);
-  for (size_t i = 0; i < k; ++i) out.values[i] = x[out.indices[i]];
-  return out;
-}
-
-float topk_threshold_nth(std::span<const float> x, size_t k) {
-  // Rank magnitude bits instead of fabs floats: same order (non-negative
-  // IEEE floats order like their bit patterns), total even on adversarial
-  // bit patterns, and the integer nth_element is what the histogram repair
-  // uses — keeping the two paths' comparators identical.
-  Scratch<uint32_t> mags(x.size());
-  for (size_t i = 0; i < x.size(); ++i) mags[i] = magnitude_bits(x[i]);
-  std::nth_element(mags.vec().begin(),
-                   mags.vec().begin() + static_cast<long>(k - 1),
-                   mags.vec().end(), std::greater<uint32_t>());
-  return std::bit_cast<float>(mags[k - 1]);
-}
-
 // Suffix scan shared by selection and threshold: the bucket holding the
 // k-th magnitude and the exact count of elements in buckets above it
 // (< k of them, each with strictly larger magnitude than every boundary-
@@ -309,14 +277,48 @@ MagnitudeBrackets bracket_kth_magnitude(std::span<const float> x, size_t k,
   return out;
 }
 
-SparseTensor select_topk(std::span<const float> x, size_t k, TopKSelect algo) {
+// The reference selection: nth_element over all packed keys.
+SparseTensor select_topk_nth(std::span<const float> x, size_t k) {
   SparseTensor out;
   out.dense_size = x.size();
   k = std::min(k, x.size());
   if (k == 0) return out;
-  if (algo == TopKSelect::kNthElement || x.size() < kHistogramMinSize) {
-    return select_topk_nth(x, k);
+  Scratch<size_t> keys_buf(x.size());
+  size_t* keys = keys_buf.data();
+  for (size_t i = 0; i < x.size(); ++i) keys[i] = pack_key(x[i], i);
+  std::nth_element(keys, keys + (k - 1), keys + x.size(),
+                   std::greater<size_t>());
+  out.indices.resize(k);
+  for (size_t i = 0; i < k; ++i) {
+    out.indices[i] = ~static_cast<uint32_t>(keys[i]);
   }
+  std::sort(out.indices.begin(), out.indices.end());
+  out.values.resize(k);
+  for (size_t i = 0; i < k; ++i) out.values[i] = x[out.indices[i]];
+  return out;
+}
+
+float topk_threshold_nth(std::span<const float> x, size_t k) {
+  k = std::min(k, x.size());
+  if (k == 0) return 0.0f;
+  // Rank magnitude bits instead of fabs floats: same order (non-negative
+  // IEEE floats order like their bit patterns), total even on adversarial
+  // bit patterns, and the integer nth_element is what the histogram repair
+  // uses — keeping the two paths' comparators identical.
+  Scratch<uint32_t> mags(x.size());
+  for (size_t i = 0; i < x.size(); ++i) mags[i] = magnitude_bits(x[i]);
+  std::nth_element(mags.vec().begin(),
+                   mags.vec().begin() + static_cast<long>(k - 1),
+                   mags.vec().end(), std::greater<uint32_t>());
+  return std::bit_cast<float>(mags[k - 1]);
+}
+
+SparseTensor select_topk(std::span<const float> x, size_t k) {
+  SparseTensor out;
+  out.dense_size = x.size();
+  k = std::min(k, x.size());
+  if (k == 0) return out;
+  if (x.size() < kHistogramMinSize) return select_topk_nth(x, k);
 
   // Counting pass on the log-spaced bit buckets (slot == bucket; slot
   // kThresholdBuckets stays empty) and suffix scan to the boundary.
@@ -393,12 +395,10 @@ SparseTensor select_topk(std::span<const float> x, size_t k, TopKSelect algo) {
   return out;
 }
 
-float topk_threshold(std::span<const float> x, size_t k, TopKSelect algo) {
+float topk_threshold(std::span<const float> x, size_t k) {
   if (k == 0 || x.empty()) return 0.0f;
   k = std::min(k, x.size());
-  if (algo == TopKSelect::kNthElement || x.size() < kHistogramMinSize) {
-    return topk_threshold_nth(x, k);
-  }
+  if (x.size() < kHistogramMinSize) return topk_threshold_nth(x, k);
 
   Scratch<size_t> counts(kSlots, /*zeroed=*/true);
   histogram_count(x, counts.span(),

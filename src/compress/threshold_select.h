@@ -20,10 +20,11 @@
 //     element, so the selected set — indices AND values — is bit-identical
 //     to the nth_element reference for every input bit pattern.
 //
-// TopKSelect::kNthElement keeps the reference path callable directly (the
-// validation twin, like MsTopKMode::kMultiPass for MSTopK);
-// tests/threshold_select_test.cpp pins the two paths bit-identical across
-// adversarial distributions.
+// select_topk_nth() / topk_threshold_nth() are that packed-key nth_element
+// reference, at every size (select_topk itself takes it below
+// kHistogramMinSize); tests/threshold_select_test.cpp pins the two paths
+// bit-identical across adversarial distributions, and bench_micro_compress
+// times one against the other.
 #pragma once
 
 #include <cstddef>
@@ -33,12 +34,6 @@
 #include "compress/sparse_tensor.h"
 
 namespace hitopk::compress {
-
-// Selection algorithm for exact top-k (exact_topk / exact_topk_threshold).
-enum class TopKSelect {
-  kHistogram,   // histogram boundary search + exact repair (fast path)
-  kNthElement,  // packed-key std::nth_element (validation reference)
-};
 
 // Bucket count shared by every histogram user (MSTopK brackets + exact
 // selection): 512 buckets bracket a threshold as tightly as 9 binary-search
@@ -95,12 +90,15 @@ MagnitudeBrackets bracket_kth_magnitude(std::span<const float> x, size_t k,
                                         std::vector<uint32_t>* band = nullptr);
 
 // Exactly min(k, x.size()) elements with the largest |x(i)|, ties broken by
-// lower index; indices sorted ascending, values gathered from x.  Both
-// algorithms return bit-identical results for every input bit pattern.
-SparseTensor select_topk(std::span<const float> x, size_t k, TopKSelect algo);
+// lower index; indices sorted ascending, values gathered from x.
+SparseTensor select_topk(std::span<const float> x, size_t k);
 
-// The k-th largest |x(i)| (0 when k == 0 or x is empty).  Both algorithms
-// return the identical float.
-float topk_threshold(std::span<const float> x, size_t k, TopKSelect algo);
+// The k-th largest |x(i)| (0 when k == 0 or x is empty).
+float topk_threshold(std::span<const float> x, size_t k);
+
+// The packed-key std::nth_element reference for the two functions above:
+// bit-identical results for every input bit pattern, at nth_element speed.
+SparseTensor select_topk_nth(std::span<const float> x, size_t k);
+float topk_threshold_nth(std::span<const float> x, size_t k);
 
 }  // namespace hitopk::compress

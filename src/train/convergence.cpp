@@ -366,10 +366,7 @@ void ConvergenceEngine::aggregate_sparse_workers(simnet::Cluster& cluster,
       error_feedback_.apply_priming(worker_keys_[w], grad);
     }
     if (!random_k) {
-      sparse[i] = compress::exact_topk(
-          grad, k,
-          options_.topk_histogram ? compress::TopKSelect::kHistogram
-                                  : compress::TopKSelect::kNthElement);
+      sparse[i] = compress::exact_topk(grad, k);
     } else {
       compress::RandomK rk(worker_seeds[w]);
       sparse[i] = rk.compress(grad, k);
@@ -393,9 +390,6 @@ void ConvergenceEngine::aggregate_sparse_workers(simnet::Cluster& cluster,
 void ConvergenceEngine::aggregate_gtopk(simnet::Cluster& cluster) {
   coll::GtopkOptions gtopk;
   gtopk.density = options_.density;
-  gtopk.topk_select = options_.topk_histogram
-                          ? compress::TopKSelect::kHistogram
-                          : compress::TopKSelect::kNthElement;
   gtopk.error_feedback =
       options_.use_error_feedback ? &error_feedback_ : nullptr;
   gtopk.ef_key_prefix = "g";
@@ -414,9 +408,10 @@ void ConvergenceEngine::aggregate_mstopk(simnet::Cluster& cluster) {
   const simnet::Topology& topo =
       active_count_ == world_ ? topology_ : shrunk_.topology;
   if (!topo.uniform()) {
-    // HiTopKComm's owned-shard layout needs a uniform world; while a rescale
-    // leaves nodes uneven, MSTopK-SGD degrades to flat TopK-SGD (its shard
-    // residuals were flushed at the rescale, so no mass is stranded).
+    // HiTopKComm runs on uneven worlds too, but the engine chooses to
+    // degrade MSTopK-SGD to flat TopK-SGD while a rescale leaves nodes
+    // uneven (its shard residuals were flushed at the rescale, so no mass
+    // is stranded).
     aggregate_sparse_workers(cluster, /*random_k=*/false);
     return;
   }

@@ -56,14 +56,8 @@ struct ConvergenceOptions {
   int warmup_epochs = 3;
   bool use_error_feedback = true;
   int mstopk_samplings = 30;
-  // Selection backends, each a fast default with a bit-identical or
-  // semantically-identical validation twin (docs/INTERNALS.md):
-  //   topk_histogram — kTopk/kGtopk exact selection via the shared magnitude
-  //       histogram (TopKSelect::kHistogram); false = packed-key nth_element
-  //       reference.  The two are bit-identical, so this only trades speed.
-  //   mstopk_histogram — MSTopK bracket search (MsTopKMode); false = the
-  //       paper-literal multi-pass binary search.
-  bool topk_histogram = true;
+  // MSTopK selection (MsTopKMode): the histogram bracket search, or with
+  // false the paper-literal multi-pass binary search (docs/INTERNALS.md).
   bool mstopk_histogram = true;
   // Optimizer: plain momentum SGD, or LARS with per-layer trust ratios
   // (Eq. 11) applied over the task's layer segments — the large-batch

@@ -203,17 +203,26 @@ void expect_bitwise_equal(const std::vector<Tensor>& a,
   }
 }
 
+// The {8, 8, 4, 4} spot fleet: a GPU of a 4-GPU node owns two of the eight
+// shards, so the per-(shard, node) selection units outnumber its ranks.
+Topology fleet_8844() {
+  return Topology(std::vector<int>{8, 8, 4, 4}, LinkParams{1e-6, 1e-9},
+                  LinkParams{1e-5, 1e-8});
+}
+
 TEST(ParallelDeterminism, HiTopKCommMatchesSerialBitwise) {
   ThreadGuard guard;
-  const Topology topo = fabric(3, 4);
-  const size_t elems = 1 << 13;
-  const auto grads = random_grads(topo.world_size(), elems, 301);
-  HiTopKOptions options;
-  options.density = 0.01;
+  for (const Topology& topo : {fabric(3, 4), fleet_8844()}) {
+    SCOPED_TRACE(topo.world_size());
+    const size_t elems = 1 << 13;
+    const auto grads = random_grads(topo.world_size(), elems, 301);
+    HiTopKOptions options;
+    options.density = 0.01;
 
-  const auto serial = run_hitopk(grads, elems, topo, options, 1);
-  const auto parallel = run_hitopk(grads, elems, topo, options, 8);
-  expect_bitwise_equal(serial, parallel);
+    const auto serial = run_hitopk(grads, elems, topo, options, 1);
+    const auto parallel = run_hitopk(grads, elems, topo, options, 8);
+    expect_bitwise_equal(serial, parallel);
+  }
 }
 
 TEST(ParallelDeterminism, HiTopKCommLegacyOperatorMatchesSerialBitwise) {
@@ -232,24 +241,26 @@ TEST(ParallelDeterminism, HiTopKCommLegacyOperatorMatchesSerialBitwise) {
 
 TEST(ParallelDeterminism, HiTopKCommWithErrorFeedbackMatchesSerialBitwise) {
   ThreadGuard guard;
-  const Topology topo = fabric(2, 2);
-  const size_t elems = 1 << 12;
-  HiTopKOptions options;
-  options.density = 0.01;
+  for (const Topology& topo : {fabric(2, 2), fleet_8844()}) {
+    SCOPED_TRACE(topo.world_size());
+    const size_t elems = 1 << 12;
+    HiTopKOptions options;
+    options.density = 0.01;
 
-  // Two iterations so the second run consumes residuals written by the
-  // first: both the residual state and the aggregated output must match.
-  compress::ErrorFeedback ef_serial;
-  compress::ErrorFeedback ef_parallel;
-  std::vector<Tensor> out_serial, out_parallel;
-  for (uint64_t step = 0; step < 2; ++step) {
-    const auto grads = random_grads(topo.world_size(), elems, 311 + step);
-    out_serial = run_hitopk(grads, elems, topo, options, 1, &ef_serial);
-    out_parallel = run_hitopk(grads, elems, topo, options, 8, &ef_parallel);
+    // Two iterations so the second run consumes residuals written by the
+    // first: both the residual state and the aggregated output must match.
+    compress::ErrorFeedback ef_serial;
+    compress::ErrorFeedback ef_parallel;
+    std::vector<Tensor> out_serial, out_parallel;
+    for (uint64_t step = 0; step < 2; ++step) {
+      const auto grads = random_grads(topo.world_size(), elems, 311 + step);
+      out_serial = run_hitopk(grads, elems, topo, options, 1, &ef_serial);
+      out_parallel = run_hitopk(grads, elems, topo, options, 8, &ef_parallel);
+    }
+    expect_bitwise_equal(out_serial, out_parallel);
+    EXPECT_EQ(ef_serial.num_tensors(), ef_parallel.num_tensors());
+    EXPECT_EQ(ef_serial.residual_sq_norm(), ef_parallel.residual_sq_norm());
   }
-  expect_bitwise_equal(out_serial, out_parallel);
-  EXPECT_EQ(ef_serial.num_tensors(), ef_parallel.num_tensors());
-  EXPECT_DOUBLE_EQ(ef_serial.residual_sq_norm(), ef_parallel.residual_sq_norm());
 }
 
 TEST(ParallelDeterminism, HiTopKCommHandlesFewerElemsThanGpus) {
@@ -267,6 +278,24 @@ TEST(ParallelDeterminism, HiTopKCommHandlesFewerElemsThanGpus) {
   for (size_t i = 0; i < elems; ++i) {
     ASSERT_EQ(out[0][i], out[1][i]);  // all ranks identical
   }
+
+  // GPU 3 of each node owns the empty shard 3: it selects nothing, so it
+  // holds no residual entry...
+  compress::ErrorFeedback ef;
+  run_hitopk(grads, elems, topo, options, 1, &ef);
+  EXPECT_EQ(ef.num_tensors(), 6u);
+  EXPECT_TRUE(ef.has("grad:2"));
+  EXPECT_FALSE(ef.has("grad:3"));
+  EXPECT_FALSE(ef.has("grad:7"));
+
+  // ...and contributes no step-4 block, not even an int8 scale record.
+  options.value_wire = coll::WireDtype::kInt8;
+  std::vector<Tensor> copy = grads;
+  RankData spans;
+  for (auto& g : copy) spans.push_back(g.span());
+  Cluster cluster(topo);
+  coll::hitopk_comm(cluster, spans, elems, options, 0.0);
+  EXPECT_EQ(cluster.intra_node_bytes(), 276u);
 }
 
 TEST(ParallelDeterminism, RingAllreduceMatchesSerialBitwise) {

@@ -31,6 +31,7 @@
 #include "compress/exact_topk.h"
 #include "core/rng.h"
 #include "core/tensor.h"
+#include "simgpu/gpu_model.h"
 
 namespace hitopk::coll {
 namespace {
@@ -89,6 +90,15 @@ Clocks clocks_of(const HiTopKBreakdown& b) {
   return {{b.reduce_scatter, b.mstopk, b.inter_allgather, b.intra_allgather,
            b.total, static_cast<double>(b.selected_per_shard)},
           b.total};
+}
+// Two successive HiTopKComm calls: both breakdowns, in call order.
+Clocks clocks_of(const std::pair<HiTopKBreakdown, HiTopKBreakdown>& r) {
+  Clocks clocks = clocks_of(r.first);
+  const Clocks second = clocks_of(r.second);
+  clocks.fields.insert(clocks.fields.end(), second.fields.begin(),
+                       second.fields.end());
+  clocks.primary = second.primary;
+  return clocks;
 }
 Clocks clocks_of(const NaiveAgResult& r) {
   return {{r.total, r.allgather, r.accumulate}, r.total};
@@ -270,16 +280,20 @@ class TorusEquivalenceTest
 TEST_P(TorusEquivalenceTest, BreakdownAndBuffers) {
   const auto [shape, elems] = GetParam();
   const auto [m, n] = shape;
-  check_golden("torus/" + shape_name(m, n) + "_e" + std::to_string(elems),
-               fabric(m, n), elems, 70 + elems,
-               [&](Cluster& c, const RankData& data) {
-                 return torus2d_allreduce(c, data, elems, WireDtype::kFp32,
-                                          0.0);
-               });
+  const Clocks functional = check_golden(
+      "torus/" + shape_name(m, n) + "_e" + std::to_string(elems),
+      fabric(m, n), elems, 70 + elems, [&](Cluster& c, const RankData& data) {
+        return torus2d_allreduce(c, data, elems, WireDtype::kFp32, 0.0);
+      });
+  // One schedule times both modes, so moving the data never moves a clock.
+  Cluster timing_cluster(fabric(m, n));
+  EXPECT_EQ(functional.primary,
+            torus2d_allreduce(timing_cluster, {}, elems, WireDtype::kFp32, 0.0)
+                .total);
 }
 
-// 96 divides evenly by every n here (the one-schedule path); 97 exercises
-// the ragged functional path (per-stream sequential phase 2).
+// 96 divides evenly by every n here; 97 leaves ragged shards, which phase 2
+// runs at their exact per-stream sizes.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, TorusEquivalenceTest,
     ::testing::Values(std::pair{std::pair{2, 4}, size_t{96}},
@@ -289,9 +303,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{std::pair{1, 4}, size_t{97}}));
 
 TEST(TorusGuards, ShortRankBufferIsConfigError) {
-  // A rank buffer shorter than elems is rejected up front, on both the
-  // one-schedule (96) and the ragged per-stream (97) paths, instead of
-  // running the data pass past its end.
+  // A rank buffer shorter than elems is rejected up front, on even (96) and
+  // ragged (97) shards alike, instead of running the data pass past its end.
   const Topology topo = fabric(2, 2);
   for (const size_t elems : {size_t{96}, size_t{97}}) {
     std::vector<Tensor> buffers = random_buffers(topo.world_size(), elems, 3);
@@ -328,6 +341,73 @@ TEST(HiTopKEquivalence, FunctionalWithErrorFeedback) {
         return hitopk_comm(c, data, elems, options, 0.0);
       },
       &ef);
+}
+
+// Uneven fleets: every GPU of a g-GPU node owns the shards s with
+// s % g == local, step 1 fans in, and error-feedback keys carry the shard.
+// The {8, 8, 4, 4} spot fleet runs at each wire dtype and, with error
+// feedback, twice in a row (the second call continues from the first's
+// residuals); a 3 + 1 + 2 fleet has a one-GPU node owning every shard.  The
+// device model is on, so the MSTopK and scatter-add terms are pinned too.
+Topology uneven_fabric(std::vector<int> gpus) {
+  return Topology(std::move(gpus), LinkParams{1e-6, 1e-9},
+                  LinkParams{1e-5, 1e-8});
+}
+
+class HiTopKUnevenEquivalenceTest
+    : public ::testing::TestWithParam<WireDtype> {};
+
+TEST_P(HiTopKUnevenEquivalenceTest, Fleet8844) {
+  const WireDtype wire = GetParam();
+  const size_t elems = 2051;  // ragged against L = 8 shards
+  const simgpu::GpuCostModel gpu;
+  check_golden(std::string("hitopk/8844_") + wire_dtype_name(wire),
+               uneven_fabric({8, 8, 4, 4}), elems, 93,
+               [&](Cluster& c, const RankData& data) {
+                 HiTopKOptions options;
+                 options.density = 0.02;
+                 options.value_wire = wire;
+                 options.gpu = &gpu;
+                 return hitopk_comm(c, data, elems, options, 0.0);
+               });
+}
+
+INSTANTIATE_TEST_SUITE_P(Wires, HiTopKUnevenEquivalenceTest,
+                         ::testing::Values(WireDtype::kFp32, WireDtype::kFp16,
+                                           WireDtype::kInt8),
+                         [](const auto& info) {
+                           return std::string(wire_dtype_name(info.param));
+                         });
+
+TEST(HiTopKEquivalence, UnevenFleetTwoCallsWithErrorFeedback) {
+  const size_t elems = 2051;
+  const simgpu::GpuCostModel gpu;
+  compress::ErrorFeedback ef;
+  check_golden(
+      "hitopk_ef/8844", uneven_fabric({8, 8, 4, 4}), elems, 94,
+      [&](Cluster& c, const RankData& data) {
+        HiTopKOptions options;
+        options.density = 0.02;
+        options.seed = 7;
+        options.gpu = &gpu;
+        options.error_feedback = data.empty() ? nullptr : &ef;
+        const auto first = hitopk_comm(c, data, elems, options, 0.0);
+        const auto second = hitopk_comm(c, data, elems, options, first.total);
+        return std::pair{first, second};
+      },
+      &ef);
+}
+
+TEST(HiTopKEquivalence, UnevenFleetWithSingleGpuNode) {
+  const size_t elems = 301;
+  const simgpu::GpuCostModel gpu;
+  check_golden("hitopk/3_1_2", uneven_fabric({3, 1, 2}), elems, 95,
+               [&](Cluster& c, const RankData& data) {
+                 HiTopKOptions options;
+                 options.density = 0.05;
+                 options.gpu = &gpu;
+                 return hitopk_comm(c, data, elems, options, 0.25);
+               });
 }
 
 // ------------------------------------------------------------ gTop-k

@@ -2,9 +2,9 @@
 // (compress/threshold_select.h) bit-identical — indices AND values — to the
 // packed-key nth_element reference across adversarial distributions: ties,
 // denormals, all-equal, infinities, signed zeros, and skewed magnitude
-// spreads.  Bit-identity (not closeness) is the contract every consumer
-// (exact_topk, DGC's re-selection, the TopK-SGD convergence path) relies on
-// when flipping between the two backends.
+// spreads.  Bit-identity (not closeness) is what lets every consumer
+// (exact_topk, DGC's re-selection, gTop-k, the TopK-SGD convergence path)
+// run the fast path alone.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,9 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "compress/compressor.h"
-#include "compress/dgc_topk.h"
-#include "compress/exact_topk.h"
 #include "compress/threshold_select.h"
 #include "core/parallel.h"
 #include "core/rng.h"
@@ -136,10 +133,8 @@ TEST(ThresholdSelect, SelectionBitIdenticalToNthElementReference) {
     for (size_t k : {size_t{1}, size_t{2}, d / 1000 + 1, d / 100 + 1, d / 10,
                      d - 1, d, d + 5}) {
       if (k == 0) continue;
-      const SparseTensor fast =
-          select_topk(input.x.span(), k, TopKSelect::kHistogram);
-      const SparseTensor ref =
-          select_topk(input.x.span(), k, TopKSelect::kNthElement);
+      const SparseTensor fast = select_topk(input.x.span(), k);
+      const SparseTensor ref = select_topk_nth(input.x.span(), k);
       expect_bit_identical(fast, ref,
                            input.name + " k=" + std::to_string(k));
       EXPECT_EQ(fast.nnz(), std::min(k, d));
@@ -151,10 +146,8 @@ TEST(ThresholdSelect, ThresholdBitIdenticalToNthElementReference) {
   for (auto& input : adversarial_inputs()) {
     const size_t d = input.x.size();
     for (size_t k : {size_t{1}, d / 100 + 1, d / 10, d}) {
-      const float fast =
-          topk_threshold(input.x.span(), k, TopKSelect::kHistogram);
-      const float ref =
-          topk_threshold(input.x.span(), k, TopKSelect::kNthElement);
+      const float fast = topk_threshold(input.x.span(), k);
+      const float ref = topk_threshold_nth(input.x.span(), k);
       EXPECT_EQ(std::bit_cast<uint32_t>(fast), std::bit_cast<uint32_t>(ref))
           << input.name << " k=" << k;
     }
@@ -164,10 +157,8 @@ TEST(ThresholdSelect, ThresholdBitIdenticalToNthElementReference) {
 TEST(ThresholdSelect, ThresholdMatchesKthSelectedMagnitude) {
   for (auto& input : adversarial_inputs()) {
     const size_t k = input.x.size() / 50 + 1;
-    const SparseTensor sel =
-        select_topk(input.x.span(), k, TopKSelect::kHistogram);
-    const float thres = topk_threshold(input.x.span(), k,
-                                       TopKSelect::kHistogram);
+    const SparseTensor sel = select_topk(input.x.span(), k);
+    const float thres = topk_threshold(input.x.span(), k);
     // The threshold is the smallest selected magnitude.
     float smallest = std::numeric_limits<float>::infinity();
     for (float v : sel.values) smallest = std::min(smallest, std::fabs(v));
@@ -187,47 +178,25 @@ TEST(ThresholdSelect, IdenticalAcrossThreadCounts) {
   const size_t k = x.size() / 500;
   const int previous = parallel_threads();
   set_parallel_threads(1);
-  const SparseTensor serial = select_topk(x.span(), k, TopKSelect::kHistogram);
+  const SparseTensor serial = select_topk(x.span(), k);
   set_parallel_threads(4);
-  const SparseTensor parallel =
-      select_topk(x.span(), k, TopKSelect::kHistogram);
+  const SparseTensor parallel = select_topk(x.span(), k);
   set_parallel_threads(previous);
   expect_bit_identical(serial, parallel, "thread sweep");
 }
 
 TEST(ThresholdSelect, EmptyAndZeroK) {
   Tensor empty;
-  EXPECT_EQ(select_topk(empty.span(), 5, TopKSelect::kHistogram).nnz(), 0u);
-  EXPECT_EQ(topk_threshold(empty.span(), 5, TopKSelect::kHistogram), 0.0f);
   Rng rng(403);
   Tensor x(4096);
   x.fill_normal(rng, 0.0f, 1.0f);
-  EXPECT_EQ(select_topk(x.span(), 0, TopKSelect::kHistogram).nnz(), 0u);
-  EXPECT_EQ(topk_threshold(x.span(), 0, TopKSelect::kHistogram), 0.0f);
-}
-
-TEST(ThresholdSelect, RegistryExposesLegacyTwin) {
-  auto fast = make_compressor("exact_topk", 1);
-  auto legacy = make_compressor("exact_topk_legacy", 1);
-  EXPECT_EQ(fast->name(), "exact_topk");
-  EXPECT_EQ(legacy->name(), "exact_topk_legacy");
-  Rng rng(405);
-  Tensor x(10000);
-  x.fill_normal(rng, 0.0f, 1.0f);
-  expect_bit_identical(fast->compress(x.span(), 100),
-                       legacy->compress(x.span(), 100), "registry twins");
-}
-
-TEST(ThresholdSelect, DgcBackendsAgree) {
-  // DGC is randomized but seeds its sampling; with equal seeds the two
-  // selection backends must walk the identical path.
-  Rng rng(407);
-  Tensor x(50000);
-  x.fill_normal(rng, 0.0f, 1.0f);
-  DgcTopK fast(0.01, 77, TopKSelect::kHistogram);
-  DgcTopK legacy(0.01, 77, TopKSelect::kNthElement);
-  expect_bit_identical(fast.compress(x.span(), 500),
-                       legacy.compress(x.span(), 500), "dgc twins");
+  for (const auto& input : {empty.span(), x.span()}) {
+    const size_t k = input.empty() ? 5 : 0;
+    EXPECT_EQ(select_topk(input, k).nnz(), 0u);
+    EXPECT_EQ(topk_threshold(input, k), 0.0f);
+    EXPECT_EQ(select_topk_nth(input, k).nnz(), 0u);
+    EXPECT_EQ(topk_threshold_nth(input, k), 0.0f);
+  }
 }
 
 }  // namespace

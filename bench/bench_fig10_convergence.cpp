@@ -21,8 +21,6 @@
 // Flags (docs/REPRODUCING.md):
 //   --panel=convergence|faults   which panel to run (default convergence)
 //   --epochs=N          epochs per run (default 30; faults panel 6)
-//   --softmax=float|double   Tape softmax precision (default float; double
-//                            is the reference path, see SoftmaxMode)
 //   --json=PATH         machine-readable results (default BENCH_fig10.json;
 //                       empty string disables)
 #include <chrono>
@@ -30,7 +28,6 @@
 #include <iomanip>
 #include <iostream>
 
-#include "autodiff/tape.h"
 #include "core/flags.h"
 #include "core/table.h"
 #include "simnet/fault.h"
@@ -203,16 +200,11 @@ int main(int argc, char** argv) {
     return run_faults_panel(flags);
   }
   const int epochs = flags.get_int("epochs", 30);
-  const std::string softmax = flags.get("softmax", "float");
-  hitopk::ad::set_softmax_mode(softmax == "double"
-                                   ? hitopk::ad::SoftmaxMode::kDouble
-                                   : hitopk::ad::SoftmaxMode::kFloat);
   const std::string json_path = flags.get("json", "BENCH_fig10.json");
 
   std::cout << "=== Fig. 10: convergence of Dense/TopK/MSTopK-SGD "
                "(16 simulated workers, rho=0.01) ===\n";
-  std::cout << "(synthetic stand-in tasks; see DESIGN.md substitutions; "
-               "softmax=" << softmax << ")\n\n";
+  std::cout << "(synthetic stand-in tasks; see DESIGN.md substitutions)\n\n";
 
   const ConvergenceAlgorithm algorithms[] = {ConvergenceAlgorithm::kDense,
                                              ConvergenceAlgorithm::kTopk,
@@ -231,8 +223,8 @@ int main(int argc, char** argv) {
   std::ofstream json;
   if (!json_path.empty()) json.open(json_path);
   if (json) {
-    json << "{\n  \"bench\": \"fig10_convergence\",\n  \"softmax\": \""
-         << softmax << "\",\n  \"epochs\": " << epochs << ",\n  \"tasks\": [\n";
+    json << "{\n  \"bench\": \"fig10_convergence\",\n  \"epochs\": " << epochs
+         << ",\n  \"tasks\": [\n";
   }
 
   for (size_t t = 0; t < std::size(tasks); ++t) {

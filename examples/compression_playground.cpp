@@ -99,14 +99,12 @@ int main() {
     Tensor g(1 << 12);
     g.fill_normal(rng, 0.0f, 1.0f);
     produced += g;
-    ef.apply("grad", g.span());
+    ef.apply_priming("grad", g.span());
     const auto sent = loop_compressor.compress(g.span(), 4);
-    ef.absorb("grad", g.span(), sent);
+    ef.absorb_primed("grad", sent);
     sent.scatter_add_into(delivered.span());
   }
-  Tensor residual(1 << 12);
-  ef.apply("grad", residual.span());
-  delivered += residual;
+  tensor_ops::add_into(delivered.span(), ef.residual("grad"));
   double max_error = 0.0;
   for (size_t i = 0; i < delivered.size(); ++i) {
     max_error = std::max(max_error,

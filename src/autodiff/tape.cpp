@@ -11,8 +11,6 @@
 namespace hitopk::ad {
 namespace {
 
-SoftmaxMode g_softmax_mode = SoftmaxMode::kFloat;
-
 // Vectorizable float exp: range-reduce x = n*ln2 + r via the round-to-
 // nearest "magic number" trick (plain float adds and bit casts instead of a
 // libm lrintf call), evaluate a degree-6 Taylor polynomial on
@@ -137,9 +135,6 @@ void col2im_add(const float* col, size_t c_in, size_t h, size_t w, size_t k,
 }
 
 }  // namespace
-
-void set_softmax_mode(SoftmaxMode mode) { g_softmax_mode = mode; }
-SoftmaxMode softmax_mode() { return g_softmax_mode; }
 
 void Tape::reset() {
   nodes_.clear();
@@ -460,7 +455,6 @@ double Tape::softmax_cross_entropy(VarId logits, std::span<const int> labels) {
   const auto v = node_value(check_id(logits));
   const auto self_ids = node_ids(self);
   auto probs = arena_.span(self.value_offset, self.rows * self.cols);
-  const bool use_float = softmax_mode() == SoftmaxMode::kFloat;
   double loss = 0.0;
   for (size_t i = 0; i < self.rows; ++i) {
     const float* row = &v[i * self.cols];
@@ -469,20 +463,8 @@ double Tape::softmax_cross_entropy(VarId logits, std::span<const int> labels) {
     for (size_t j = 1; j < self.cols; ++j) {
       max_logit = std::max(max_logit, row[j]);
     }
-    float inv;
-    if (use_float) {
-      inv = 1.0f / softmax_row_float(row, prow, self.cols, max_logit);
-    } else {
-      // Reference path (SoftmaxMode::kDouble): libm exp and denominator
-      // accumulation in double, as the original engine did.
-      double denom = 0.0;
-      for (size_t j = 0; j < self.cols; ++j) {
-        const double e = std::exp(static_cast<double>(row[j] - max_logit));
-        prow[j] = static_cast<float>(e);
-        denom += e;
-      }
-      inv = static_cast<float>(1.0 / denom);
-    }
+    const float inv =
+        1.0f / softmax_row_float(row, prow, self.cols, max_logit);
     for (size_t j = 0; j < self.cols; ++j) prow[j] *= inv;
     const size_t label = static_cast<size_t>(self_ids[i]);
     loss -= std::log(std::max(1e-12, static_cast<double>(prow[label])));

@@ -34,27 +34,6 @@ namespace hitopk::ad {
 
 using VarId = int;
 
-// Accumulation precision of Tape::softmax_cross_entropy.
-//
-//   kFloat (default) — per-row exponentials through a vectorizable
-//       polynomial expf (blocked, compile-time trip counts) with a float
-//       denominator.  Relative error of each probability is < 1e-6 vs the
-//       double reference; convergence curves stay within noise (the
-//       float-vs-double property tests in tests/softmax_mode_test.cpp and
-//       the Fig. 10 harness pin this down — see docs/REPRODUCING.md for
-//       the measured tolerance).
-//   kDouble — the original std::exp/double-denominator path, kept as the
-//       validation reference behind this flag (like mstopk_legacy for
-//       the selection operator).
-//
-// The mode is a process-wide default read at softmax_cross_entropy time;
-// set it before training starts (benches: --softmax=double).  Parallel
-// gradient workers only read it, so leaving it constant during a run is
-// thread-safe.
-enum class SoftmaxMode { kFloat, kDouble };
-void set_softmax_mode(SoftmaxMode mode);
-SoftmaxMode softmax_mode();
-
 class Tape {
  public:
   // Reserves room for a typical model's worth of nodes up front; the
@@ -109,7 +88,12 @@ class Tape {
   VarId channel_pool(VarId x, size_t channels);
 
   // Terminal op: mean softmax cross-entropy of logits (n x classes) against
-  // integer labels.  Returns the loss; backward() starts here.
+  // integer labels.  Returns the loss; backward() starts here.  Each row's
+  // exponentials go through a vectorizable polynomial expf with a float
+  // denominator.  That is accurate enough for training: every probability
+  // is within 1e-6 relative of a libm/double-denominator softmax
+  // (tests/softmax_mode_test.cpp; docs/REPRODUCING.md has the measured
+  // tolerance).
   double softmax_cross_entropy(VarId logits, std::span<const int> labels);
 
   // Runs reverse-mode accumulation from the loss into every leaf grad.

@@ -14,6 +14,28 @@
 namespace hitopk::coll {
 namespace {
 
+// Owned-shard layout: L = max gpus-per-node shards tile the gradient, and
+// on a node with g GPUs, GPU j owns every shard s with s % g == j.  On a
+// uniform fleet GPU j owns exactly shard j.
+std::vector<ChunkRange> shard_ranges(const simnet::Topology& topo,
+                                     size_t elems) {
+  int L = 0;
+  for (int node = 0; node < topo.nodes(); ++node) {
+    L = std::max(L, topo.gpus_on_node(node));
+  }
+  HITOPK_CHECK_GT(L, 0);
+  std::vector<ChunkRange> shards(static_cast<size_t>(L));
+  for (int s = 0; s < L; ++s) {
+    shards[static_cast<size_t>(s)] =
+        chunk_range(elems, static_cast<size_t>(L), static_cast<size_t>(s));
+  }
+  return shards;
+}
+
+int shard_owner(const simnet::Topology& topo, int node, int s) {
+  return topo.rank_of(node, s % topo.gpus_on_node(node));
+}
+
 size_t shard_k(double density, size_t shard_elems) {
   if (shard_elems == 0) return 0;
   return std::max<size_t>(
@@ -202,7 +224,7 @@ double aggregate_shards(simnet::Cluster& cluster, const RankData& data,
     for (size_t s = 0; s < shards.size(); ++s) {
       const ChunkRange& shard = shards[s];
       if (shard.count == 0) continue;
-      const int owner = topo.rank_of(node, static_cast<int>(s) % g);
+      const int owner = shard_owner(topo, node, static_cast<int>(s));
       for (int local = 0; local < g; ++local) {
         const int rank = topo.rank_of(node, local);
         if (rank == owner) continue;
@@ -233,6 +255,24 @@ double aggregate_shards(simnet::Cluster& cluster, const RankData& data,
 
 }  // namespace
 
+std::vector<HiTopKEfEntry> hitopk_ef_entries(const simnet::Topology& topo,
+                                             size_t elems,
+                                             const std::string& prefix) {
+  const std::vector<ChunkRange> shards = shard_ranges(topo, elems);
+  std::vector<HiTopKEfEntry> out;
+  for (size_t s = 0; s < shards.size(); ++s) {
+    if (shards[s].count == 0) continue;
+    for (int node = 0; node < topo.nodes(); ++node) {
+      std::string key =
+          prefix + ":" +
+          std::to_string(shard_owner(topo, node, static_cast<int>(s)));
+      if (!topo.uniform()) key += ":s" + std::to_string(s);
+      out.push_back({std::move(key), shards[s]});
+    }
+  }
+  return out;
+}
+
 HiTopKBreakdown hitopk_comm(simnet::Cluster& cluster, const RankData& data,
                             size_t elems, const HiTopKOptions& options,
                             double start) {
@@ -243,30 +283,17 @@ HiTopKBreakdown hitopk_comm(simnet::Cluster& cluster, const RankData& data,
   const bool functional = !data.empty();
   const WireDtype wire = options.value_wire;
 
-  // Owned-shard layout: L = max gpus-per-node shards tile the gradient, and
-  // on a node with g GPUs, GPU j owns every shard s with s % g == j.  On a
-  // uniform fleet GPU j owns exactly shard j.
-  int L = 0;
-  for (int node = 0; node < m; ++node) {
-    L = std::max(L, topo.gpus_on_node(node));
-  }
-  HITOPK_CHECK_GT(L, 0);
-  std::vector<ChunkRange> shards(static_cast<size_t>(L));
-  for (int s = 0; s < L; ++s) {
-    shards[static_cast<size_t>(s)] =
-        chunk_range(elems, static_cast<size_t>(L), static_cast<size_t>(s));
-  }
-  const auto owner_of = [&](int node, int s) {
-    return topo.rank_of(node, s % topo.gpus_on_node(node));
-  };
+  const std::vector<ChunkRange> shards = shard_ranges(topo, elems);
+  const int L = static_cast<int>(shards.size());
 
   HiTopKBreakdown out;
   const double t1 = aggregate_shards(cluster, data, elems, shards, wire, start);
   out.reduce_scatter = t1 - start;
 
   // ---- Step 2: MSTopK on each owned shard (Alg. 2 lines 5-8), one unit
-  // per non-empty (shard, node) pair.  A small node's GPU owns several
-  // shards, so units, not ranks, are the parallel grain.
+  // per non-empty (shard, node) pair, in hitopk_ef_entries() order.  A small
+  // node's GPU owns several shards, so units, not ranks, are the parallel
+  // grain.
   struct Unit {
     int s;
     int node;
@@ -290,19 +317,14 @@ HiTopKBreakdown hitopk_comm(simnet::Cluster& cluster, const RankData& data,
   // indices local to the shard.
   std::vector<compress::SparseTensor> sel(static_cast<size_t>(L * m));
   if (functional) {
-    // Error-feedback keys are constant across iterations: build each string
-    // once, and pre-create the residual entries so the parallel workers
-    // below only ever look them up (inserts would race).  A GPU owning
-    // several shards keeps one residual per shard.
-    std::vector<std::string> ef_keys;
+    // Pre-create the residual entries so the parallel workers below only
+    // ever look them up (inserts would race).  Entry u belongs to unit u.
+    std::vector<HiTopKEfEntry> ef;
     if (options.error_feedback != nullptr) {
-      ef_keys.resize(units.size());
-      for (size_t u = 0; u < units.size(); ++u) {
-        const int rank = owner_of(units[u].node, units[u].s);
-        ef_keys[u] = options.ef_key_prefix + ":" + std::to_string(rank);
-        if (!uniform) ef_keys[u] += ":s" + std::to_string(units[u].s);
-        options.error_feedback->ensure(
-            ef_keys[u], shards[static_cast<size_t>(units[u].s)].count);
+      ef = hitopk_ef_entries(topo, elems, options.ef_key_prefix);
+      HITOPK_CHECK_EQ(ef.size(), units.size());
+      for (const HiTopKEfEntry& entry : ef) {
+        options.error_feedback->ensure(entry.key, entry.range.count);
       }
     }
     // Every unit simulates an independent selection: disjoint shard
@@ -314,7 +336,7 @@ HiTopKBreakdown hitopk_comm(simnet::Cluster& cluster, const RankData& data,
                                           : compress::MsTopKMode::kMultiPass;
     parallel_for(0, units.size(), [&](size_t u) {
       const int s = units[u].s;
-      const int rank = owner_of(units[u].node, s);
+      const int rank = shard_owner(topo, units[u].node, s);
       const ChunkRange& shard = shards[static_cast<size_t>(s)];
       auto shard_span =
           data[static_cast<size_t>(rank)].subspan(shard.begin, shard.count);
@@ -327,10 +349,10 @@ HiTopKBreakdown hitopk_comm(simnet::Cluster& cluster, const RankData& data,
                         static_cast<uint64_t>(s);
       compress::MsTopK mstopk(options.mstopk_samplings, seed, mode);
       // Fused EF exchange: the shard is untouched between compensation and
-      // absorption, so priming the residual during apply saves absorb's
-      // full-shard copy.
+      // absorption, so the residual is primed during compensation and
+      // absorption only subtracts the sent values.
       if (options.error_feedback != nullptr) {
-        options.error_feedback->apply_priming(ef_keys[u], shard_span);
+        options.error_feedback->apply_priming(ef[u].key, shard_span);
       }
       compress::SparseTensor& block =
           sel[static_cast<size_t>(s * m + units[u].node)];
@@ -341,7 +363,7 @@ HiTopKBreakdown hitopk_comm(simnet::Cluster& cluster, const RankData& data,
       // unselected coordinates.  A no-op for fp32.
       wire_round_trip(wire, std::span<float>(block.values));
       if (options.error_feedback != nullptr) {
-        options.error_feedback->absorb_primed(ef_keys[u], block);
+        options.error_feedback->absorb_primed(ef[u].key, block);
       }
     });
   }
@@ -369,7 +391,7 @@ HiTopKBreakdown hitopk_comm(simnet::Cluster& cluster, const RankData& data,
     Group group;
     std::vector<size_t> payload;
     for (int node = 0; node < m; ++node) {
-      group.push_back(owner_of(node, s));
+      group.push_back(shard_owner(topo, node, s));
       const size_t nnz = functional
                              ? sel[static_cast<size_t>(s * m + node)].nnz()
                              : shard_k(options.density, shard.count);

@@ -26,10 +26,11 @@
 // Reduce-Scatter per node there and a direct fan-in to each shard's owner
 // otherwise (a ring needs one chunk per member); the MSTopK seed is
 // seed + rank there and seed + rank * L + s otherwise (one selection
-// stream per owned shard); and the error-feedback keys (HiTopKOptions).
+// stream per owned shard); and the error-feedback keys (hitopk_ef_entries).
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "collectives/common.h"
 #include "compress/error_feedback.h"
@@ -60,9 +61,7 @@ struct HiTopKOptions {
   const simgpu::GpuCostModel* gpu = nullptr;
   // Optional shard-level error feedback (functional mode only): residuals
   // are added to each GPU's owned shard before selection and the unsent
-  // remainder is stored back.  Keys are "<ef_key_prefix>:<rank>" on uniform
-  // fleets (one shard per GPU) and "<ef_key_prefix>:<rank>:s<shard>" on
-  // uneven ones (a GPU owns several shards).
+  // remainder is stored back, one residual per hitopk_ef_entries() entry.
   compress::ErrorFeedback* error_feedback = nullptr;
   std::string ef_key_prefix = "grad";
 };
@@ -76,6 +75,24 @@ struct HiTopKBreakdown {
   // k~ actually used for (the largest) shard.
   size_t selected_per_shard = 0;
 };
+
+// One error-feedback residual of hitopk_comm: the key it is stored under
+// and the gradient coordinates it covers.
+struct HiTopKEfEntry {
+  std::string key;
+  ChunkRange range;
+};
+
+// The residuals hitopk_comm keeps on `topo` for an `elems`-element gradient,
+// one per owned non-empty (shard, node) pair, shard-major then node order.
+// Keys are "<prefix>:<rank>" on uniform fleets (one shard per GPU) and
+// "<prefix>:<rank>:s<shard>" on uneven ones (a GPU may own several shards).
+// This is the only definition of the layout: a caller that must move the
+// residuals of a world that no longer exists (an elastic rescale) reads
+// the key set and the ranges from here.
+std::vector<HiTopKEfEntry> hitopk_ef_entries(const simnet::Topology& topo,
+                                             size_t elems,
+                                             const std::string& prefix);
 
 // In-place hierarchical sparse aggregation over the whole cluster.  In
 // functional mode (data non-empty, one full-size buffer per world rank) each

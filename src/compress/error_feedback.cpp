@@ -21,37 +21,11 @@ void ErrorFeedback::ensure(const std::string& key, size_t size) {
   entry(key, size);
 }
 
-void ErrorFeedback::apply(const std::string& key, std::span<float> grad) {
-  Tensor& residual = entry(key, grad.size());
-  tensor_ops::add_into(grad, residual.span());  // vectorized
-}
-
-void ErrorFeedback::absorb(const std::string& key, std::span<const float> grad,
-                           const SparseTensor& sent) {
-  Tensor& residual = entry(key, grad.size());
-  HITOPK_CHECK_EQ(sent.dense_size, grad.size());
-  std::copy(grad.begin(), grad.end(), residual.span().begin());
-  // Validate the sent indices once, then clear them unchecked — this runs
-  // per worker per iteration on the full gradient.
-  uint32_t max_index = 0;
-  for (size_t i = 0; i < sent.nnz(); ++i) {
-    max_index = std::max(max_index, sent.indices[i]);
-  }
-  HITOPK_CHECK(sent.nnz() == 0 || max_index < residual.size())
-      << "sent index out of range";
-  // Subtract the value actually sent: x - x == +0.0 for finite x, so exact
-  // sends still zero the coordinate bitwise; quantized sends leave the
-  // rounding error behind as the next step's feedback.
-  float* r = residual.data();
-  for (size_t i = 0; i < sent.nnz(); ++i) r[sent.indices[i]] -= sent.values[i];
-}
-
 void ErrorFeedback::apply_priming(const std::string& key,
                                   std::span<float> grad) {
   Tensor& residual = entry(key, grad.size());
-  // One fused pass: grad and residual both become grad + residual (what
-  // apply() then absorb()'s copy would produce, before the sent coordinates
-  // are cleared).
+  // One fused pass: grad and residual both become grad + residual (the
+  // unsent remainder before the sent coordinates are cleared).
   tensor_ops::add_into_both(grad, residual.span());
 }
 

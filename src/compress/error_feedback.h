@@ -24,39 +24,28 @@ namespace hitopk::compress {
 class ErrorFeedback {
  public:
   // Pre-creates a zero residual of `size` elements for `key` if absent.
-  // apply/absorb insert missing entries themselves, which mutates the map;
-  // callers that run apply/absorb on distinct keys from parallel workers
-  // (HiTopKComm's per-rank loop) must ensure() every key serially first so
-  // the workers only ever look entries up.
+  // apply_priming/absorb_primed insert missing entries themselves, which
+  // mutates the map; callers that run them on distinct keys from parallel
+  // workers (HiTopKComm's per-shard loop) must ensure() every key serially
+  // first so the workers only ever look entries up.
   void ensure(const std::string& key, size_t size);
 
-  // grad += residual[key]; a zero residual is created on first use.
-  void apply(const std::string& key, std::span<float> grad);
-
-  // residual[key] = grad - dense(sent): the uncommunicated remainder.  At
-  // coordinates not in `sent` this is grad itself; at sent coordinates it is
-  // grad[idx] - sent.values[i] — exactly zero (+0.0) when the sent value is
-  // the gradient value, and the *quantization error* when the value crossed
-  // a lossy wire codec first (compress/wire_codec.h).  Feeding that error
-  // back is what keeps quantized top-k unbiased in the EF sense
-  // (Karimireddy et al. 2019).  `sent.indices` must index into grad.
-  void absorb(const std::string& key, std::span<const float> grad,
-              const SparseTensor& sent);
-
-  // Fused apply that also primes the residual for absorb_primed():
+  // The compensation half of the exchange, fused with the residual update:
   // grad += residual[key] AND residual[key] = the compensated gradient, in
-  // one pass over the buffer.  Callers that follow the standard
-  // apply -> select -> absorb sequence WITHOUT touching grad in between
-  // (every EF user in this repository) can then finish with
-  // absorb_primed(), which only zeroes the sent coordinates — replacing
-  // absorb()'s full-gradient copy with k scattered writes.  Bitwise
-  // identical to apply() + absorb() under that contract.
+  // one pass over the buffer (a zero residual is created on first use).
+  // The caller selects `sent` from grad WITHOUT touching grad in between,
+  // then finishes with absorb_primed().
   void apply_priming(const std::string& key, std::span<float> grad);
 
-  // Completes a apply_priming() exchange: subtracts sent.values from the
-  // primed residual at sent.indices (leaving +0.0 for exact sends, the
-  // quantization error for lossy ones).  The residual must not have been
-  // re-primed for another gradient in between.
+  // Completes an apply_priming() exchange: subtracts sent.values from the
+  // primed residual at sent.indices, leaving residual[key] =
+  // grad - dense(sent).  That is grad itself at unsent coordinates, exactly
+  // +0.0 at coordinates sent at their gradient value, and the
+  // *quantization error* where the value crossed a lossy wire codec first
+  // (compress/wire_codec.h) — feeding that error back is what keeps
+  // quantized top-k unbiased in the EF sense (Karimireddy et al. 2019).
+  // `sent.indices` must index into grad, and the residual must not have
+  // been re-primed for another gradient in between.
   void absorb_primed(const std::string& key, const SparseTensor& sent);
 
   // Sum of squared residual magnitudes across all keys (a diagnostic the

@@ -143,23 +143,27 @@ CheckpointReader::CheckpointReader(std::span<const uint8_t> blob) {
     HITOPK_VALIDATE(read_scalar<uint64_t>(blob, offset) == expected)
         << "checkpoint record checksum mismatch for" << name;
 
+    // An empty record's data() may be null, which memcpy never accepts.
+    const auto copy_payload = [&](void* dst) {
+      if (payload_bytes > 0) std::memcpy(dst, payload.data(), payload_bytes);
+    };
     Record record;
     record.type = type;
     switch (type) {
       case kTypeU64:
         HITOPK_VALIDATE(payload_bytes % sizeof(uint64_t) == 0);
         record.u.resize(payload_bytes / sizeof(uint64_t));
-        std::memcpy(record.u.data(), payload.data(), payload_bytes);
+        copy_payload(record.u.data());
         break;
       case kTypeF64:
         HITOPK_VALIDATE(payload_bytes % sizeof(double) == 0);
         record.d.resize(payload_bytes / sizeof(double));
-        std::memcpy(record.d.data(), payload.data(), payload_bytes);
+        copy_payload(record.d.data());
         break;
       case kTypeF32:
         HITOPK_VALIDATE(payload_bytes % sizeof(float) == 0);
         record.f.resize(payload_bytes / sizeof(float));
-        std::memcpy(record.f.data(), payload.data(), payload_bytes);
+        copy_payload(record.f.data());
         break;
       default:
         HITOPK_VALIDATE(false) << "unknown checkpoint record type for" << name;

@@ -43,6 +43,9 @@ ConvergenceAlgorithm convergence_algorithm_from_name(const std::string& name) {
 
 namespace {
 
+// Key prefix of MSTopK-SGD's HiTopKComm residuals.
+constexpr char kShardKeyPrefix[] = "shard";
+
 // The cyclically-next active worker after `w` — the fold target for a dead
 // worker's error-feedback residual (docs/INTERNALS.md: fold policy).
 int fold_target(int w, const std::vector<int>& active) {
@@ -92,7 +95,6 @@ ConvergenceEngine::ConvergenceEngine(ConvergenceTask& task,
 
   worker_grads_.reserve(static_cast<size_t>(world_));
   for (int w = 0; w < world_; ++w) worker_grads_.emplace_back(d_);
-  for (auto& g : worker_grads_) grad_spans_.push_back(g.span());
 
   if (local_sgd_) {
     HITOPK_CHECK_GT(options_.local_sgd_period, 0);
@@ -133,6 +135,15 @@ void ConvergenceEngine::rebuild_active_caches() {
   if (active_count_ > 0 && active_count_ < world_) {
     shrunk_ = coll::shrink_topology(topology_, dead);
   }
+  active_grads_.clear();
+  for (int w : active_idx_) {
+    active_grads_.push_back(worker_grads_[static_cast<size_t>(w)].span());
+  }
+}
+
+const simnet::Topology& ConvergenceEngine::active_topology() const {
+  HITOPK_CHECK_GT(active_count_, 0);
+  return active_count_ == world_ ? topology_ : shrunk_.topology;
 }
 
 void ConvergenceEngine::flush_residual_to_pending(std::span<const float> values,
@@ -148,10 +159,12 @@ void ConvergenceEngine::flush_residual_to_pending(std::span<const float> values,
 //    the total unsent gradient mass is preserved and re-enters selection.
 //  - rank-slot keys ("g:{slot}", kGtopk): survivors' entries are re-keyed to
 //    their new dense slots; dead entries fold into their fold target's slot.
-//  - shard keys ("shard:{rank}", kMstopk) tile disjoint [begin, count)
-//    coordinate ranges of the old world, which a new shard layout cannot
-//    inherit — so on any world change every kMstopk residual is *flushed*
-//    into pending_correction_ and delivered with the next aggregated update.
+//  - shard keys (kMstopk, coll::hitopk_ef_entries) cover HiTopKComm's shard
+//    ranges of the old world, which a new shard layout cannot inherit — so
+//    on any world change every kMstopk residual is *flushed* into
+//    pending_correction_ and delivered with the next aggregated update.
+// The old world is the current active set: callers remap before they
+// change it.
 void ConvergenceEngine::remap_ef_for_world_change(
     const std::vector<int>& old_active, const std::vector<int>& new_active) {
   if (!options_.use_error_feedback || local_sgd_ ||
@@ -204,41 +217,15 @@ void ConvergenceEngine::remap_ef_for_world_change(
       break;
     }
     case ConvergenceAlgorithm::kMstopk: {
-      // Shard residuals of the old world: GPU `local` of every node owns
-      // chunk_range(d, gpus_per_node, local) — mirror hitopk_comm's layout.
-      const simnet::Topology old_topo =
-          old_active.size() == static_cast<size_t>(world_)
-              ? topology_
-              : [&] {
-                  std::vector<int> dead;
-                  for (int w = 0; w < world_; ++w) {
-                    if (std::find(old_active.begin(), old_active.end(), w) ==
-                        old_active.end()) {
-                      dead.push_back(w);
-                    }
-                  }
-                  return coll::shrink_topology(topology_, dead).topology;
-                }();
-      if (old_topo.uniform()) {  // shard keys exist only after uniform runs
-        const int n = old_topo.gpus_per_node();
-        for (int r = 0; r < old_topo.world_size(); ++r) {
-          const std::string key = "shard:" + std::to_string(r);
-          if (!error_feedback_.has(key)) continue;
-          const Tensor residual = error_feedback_.take(key);
-          const coll::ChunkRange shard = coll::chunk_range(
-              d_, static_cast<size_t>(n), static_cast<size_t>(r % n));
-          flush_residual_to_pending(residual.span(), shard.begin);
-        }
+      // An empty world holds no residuals: the preemption that emptied it
+      // flushed them.
+      if (old_active.empty()) break;
+      for (const coll::HiTopKEfEntry& entry :
+           coll::hitopk_ef_entries(active_topology(), d_, kShardKeyPrefix)) {
+        if (!error_feedback_.has(entry.key)) continue;
+        flush_residual_to_pending(error_feedback_.take(entry.key).span(),
+                                  entry.range.begin);
       }
-      // Worker keys from uneven-world fallback episodes flush too, so no
-      // mass is stranded when HiTopKComm resumes.
-      for (int w = 0; w < world_; ++w) {
-        const std::string key = "w" + std::to_string(w);
-        if (!error_feedback_.has(key)) continue;
-        const Tensor residual = error_feedback_.take(key);
-        flush_residual_to_pending(residual.span(), 0);
-      }
-      worker_keys_.clear();  // rebuilt (with fresh zero entries) on next use
       break;
     }
     case ConvergenceAlgorithm::kDense:
@@ -308,11 +295,9 @@ void ConvergenceEngine::average_worker_params(simnet::Cluster& cluster) {
   for (int w : active_idx_) {
     param_spans.push_back(worker_params_[static_cast<size_t>(w)].span());
   }
-  const simnet::Topology& topo =
-      active_count_ == world_ ? topology_ : shrunk_.topology;
   if (active_count_ > 1) {
-    coll::ring_allreduce(cluster, coll::world_group(topo), param_spans, d_,
-                         coll::WireDtype::kFp32, 0.0);
+    coll::ring_allreduce(cluster, coll::world_group(active_topology()),
+                         param_spans, d_, coll::WireDtype::kFp32, 0.0);
   }
   for (int w : active_idx_) {
     worker_params_[static_cast<size_t>(w)] *=
@@ -324,17 +309,8 @@ void ConvergenceEngine::average_worker_params(simnet::Cluster& cluster) {
 }
 
 void ConvergenceEngine::aggregate_dense(simnet::Cluster& cluster) {
-  if (active_count_ == world_) {
-    coll::ring_allreduce(cluster, coll::world_group(topology_), grad_spans_,
-                         d_, coll::WireDtype::kFp32, 0.0);
-    return;
-  }
-  coll::RankData spans;
-  for (int w : active_idx_) {
-    spans.push_back(worker_grads_[static_cast<size_t>(w)].span());
-  }
-  coll::ring_allreduce(cluster, coll::world_group(shrunk_.topology), spans, d_,
-                       coll::WireDtype::kFp32, 0.0);
+  coll::ring_allreduce(cluster, coll::world_group(active_topology()),
+                       active_grads_, d_, coll::WireDtype::kFp32, 0.0);
 }
 
 void ConvergenceEngine::aggregate_sparse_workers(simnet::Cluster& cluster,
@@ -375,16 +351,8 @@ void ConvergenceEngine::aggregate_sparse_workers(simnet::Cluster& cluster,
       error_feedback_.absorb_primed(worker_keys_[w], sparse[i]);
     }
   });
-  if (active_count_ == world_) {
-    coll::naive_sparse_allgather(cluster, sparse, grad_spans_, d_, 4, 0.0,
-                                 0.0);
-    return;
-  }
-  coll::RankData spans;
-  for (int w : active_idx_) {
-    spans.push_back(worker_grads_[static_cast<size_t>(w)].span());
-  }
-  coll::naive_sparse_allgather(cluster, sparse, spans, d_, 4, 0.0, 0.0);
+  coll::naive_sparse_allgather(cluster, sparse, active_grads_, d_, 4, 0.0,
+                               0.0);
 }
 
 void ConvergenceEngine::aggregate_gtopk(simnet::Cluster& cluster) {
@@ -393,28 +361,10 @@ void ConvergenceEngine::aggregate_gtopk(simnet::Cluster& cluster) {
   gtopk.error_feedback =
       options_.use_error_feedback ? &error_feedback_ : nullptr;
   gtopk.ef_key_prefix = "g";
-  if (active_count_ == world_) {
-    coll::gtopk_comm(cluster, grad_spans_, d_, gtopk, 0.0);
-    return;
-  }
-  coll::RankData spans;
-  for (int w : active_idx_) {
-    spans.push_back(worker_grads_[static_cast<size_t>(w)].span());
-  }
-  coll::gtopk_comm(cluster, spans, d_, gtopk, 0.0);
+  coll::gtopk_comm(cluster, active_grads_, d_, gtopk, 0.0);
 }
 
 void ConvergenceEngine::aggregate_mstopk(simnet::Cluster& cluster) {
-  const simnet::Topology& topo =
-      active_count_ == world_ ? topology_ : shrunk_.topology;
-  if (!topo.uniform()) {
-    // HiTopKComm runs on uneven worlds too, but the engine chooses to
-    // degrade MSTopK-SGD to flat TopK-SGD while a rescale leaves nodes
-    // uneven (its shard residuals were flushed at the rescale, so no mass
-    // is stranded).
-    aggregate_sparse_workers(cluster, /*random_k=*/false);
-    return;
-  }
   coll::HiTopKOptions hi;
   hi.density = options_.density;
   hi.mstopk_samplings = options_.mstopk_samplings;
@@ -422,16 +372,8 @@ void ConvergenceEngine::aggregate_mstopk(simnet::Cluster& cluster) {
   hi.seed = options_.seed + static_cast<uint64_t>(iter_) * 977;
   hi.error_feedback =
       options_.use_error_feedback ? &error_feedback_ : nullptr;
-  hi.ef_key_prefix = "shard";
-  if (active_count_ == world_) {
-    coll::hitopk_comm(cluster, grad_spans_, d_, hi, 0.0);
-    return;
-  }
-  coll::RankData spans;
-  for (int w : active_idx_) {
-    spans.push_back(worker_grads_[static_cast<size_t>(w)].span());
-  }
-  coll::hitopk_comm(cluster, spans, d_, hi, 0.0);
+  hi.ef_key_prefix = kShardKeyPrefix;
+  coll::hitopk_comm(cluster, active_grads_, d_, hi, 0.0);
 }
 
 void ConvergenceEngine::step() {
@@ -476,8 +418,7 @@ void ConvergenceEngine::step() {
 
   if (local_sgd_) {
     if ((iter_ + 1) % options_.local_sgd_period == 0) {
-      simnet::Cluster cluster(active_count_ == world_ ? topology_
-                                                      : shrunk_.topology);
+      simnet::Cluster cluster(active_topology());
       average_worker_params(cluster);
       const double t = cluster.quiescent_time();
       comm_seconds_ += t;
@@ -499,8 +440,7 @@ void ConvergenceEngine::step() {
   // no collective at all (All-Reduce of one contribution is the identity):
   // it trains on alone with zero communication.
   if (active_count_ > 1) {
-    simnet::Cluster cluster(active_count_ == world_ ? topology_
-                                                    : shrunk_.topology);
+    simnet::Cluster cluster(active_topology());
     switch (options_.algorithm) {
       case ConvergenceAlgorithm::kLocalSgd:
         break;  // handled above (no per-iteration aggregation)
@@ -553,8 +493,7 @@ EpochPoint ConvergenceEngine::end_epoch() {
   HITOPK_CHECK(epoch_open_) << "end_epoch without an open epoch";
   HITOPK_CHECK_EQ(step_in_epoch_, iters_per_epoch_);
   if (local_sgd_) {
-    simnet::Cluster cluster(active_count_ == world_ ? topology_
-                                                    : shrunk_.topology);
+    simnet::Cluster cluster(active_topology());
     average_worker_params(cluster);  // evaluate the averaged model
     const double t = cluster.quiescent_time();
     comm_seconds_ += t;

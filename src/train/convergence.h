@@ -13,8 +13,9 @@
 // complete state (parameters, optimizer momentum, error-feedback residuals,
 // RNG streams, epoch bookkeeping) into checksummed blobs, and it supports
 // elastic worker preemption/return mid-run with a documented residual remap
-// policy (docs/INTERNALS.md).  run_convergence() is the fault-free wrapper
-// and is bitwise-identical to the pre-engine monolithic loop.
+// policy (docs/INTERNALS.md); MSTopK-SGD runs HiTopKComm on every survivor
+// world, uneven ones included.  run_convergence() is the fault-free wrapper
+// (outputs frozen by EngineGolden rows in tests/checkpoint_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -165,6 +166,10 @@ class ConvergenceEngine {
   const ConvergenceOptions& options() const { return options_; }
   ConvergenceTask& task() { return task_; }
   const simnet::Topology& topology() const { return topology_; }
+  // The world the active workers form: topology() while every worker is
+  // active, the densely renumbered survivor world otherwise.  Requires at
+  // least one active worker.
+  const simnet::Topology& active_topology() const;
 
  private:
   void rebuild_active_caches();
@@ -191,7 +196,6 @@ class ConvergenceEngine {
   bool local_sgd_ = false;
 
   std::vector<Tensor> worker_grads_;
-  coll::RankData grad_spans_;  // full-world spans, stable across rescales
   compress::ErrorFeedback error_feedback_;
   pto::SgdOptimizer sgd_;
   pto::LarsOptimizer lars_;
@@ -202,13 +206,16 @@ class ConvergenceEngine {
   std::vector<size_t> order_;
   std::vector<double> worker_loss_;
 
-  // Elastic state.  active_idx_ lists active original worker ids ascending;
-  // shrunk_ is the dense survivor world (valid while active_count_ < world_
-  // and > 0).  pending_correction_ carries error-feedback mass flushed at a
-  // rescale until the next update delivers it.
+  // Elastic state.  active_idx_ lists active original worker ids ascending
+  // and active_grads_ their gradient buffers, in the same order: the rank
+  // data of active_topology().  shrunk_ is the dense survivor world (valid
+  // while active_count_ < world_ and > 0).  pending_correction_ carries
+  // error-feedback mass flushed at a rescale until the next update delivers
+  // it.
   std::vector<uint8_t> active_;
   int active_count_ = 0;
   std::vector<int> active_idx_;
+  coll::RankData active_grads_;
   coll::SurvivorWorld shrunk_;
   Tensor pending_correction_;
   bool has_pending_correction_ = false;

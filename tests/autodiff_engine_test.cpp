@@ -135,10 +135,11 @@ train::ConvergenceOptions quick(train::ConvergenceAlgorithm algorithm) {
   return options;
 }
 
+using Run = std::pair<train::ConvergenceResult, std::vector<float>>;
+
 // Trains a fresh vision task with the given pool width; returns the curve
 // and the final parameters.
-std::pair<train::ConvergenceResult, std::vector<float>> train_with_threads(
-    train::ConvergenceAlgorithm algorithm, int threads) {
+Run train_with_threads(train::ConvergenceAlgorithm algorithm, int threads) {
   set_parallel_threads(threads);
   auto task = train::make_vision_task(47, "det", {32, 24});
   const auto result = train::run_convergence(*task, quick(algorithm));
@@ -146,9 +147,33 @@ std::pair<train::ConvergenceResult, std::vector<float>> train_with_threads(
   return {result, params};
 }
 
-void expect_identical_runs(train::ConvergenceAlgorithm algorithm) {
-  const auto [serial, serial_params] = train_with_threads(algorithm, 1);
-  const auto [parallel, parallel_params] = train_with_threads(algorithm, 4);
+// MSTopK-SGD through an uneven world: worker 2 of the 2x2 world leaves for
+// the rest of the first epoch (nodes of {2, 1} GPUs, where one GPU owns
+// both HiTopKComm shards), then returns.
+Run elastic_mstopk_with_threads(int threads) {
+  set_parallel_threads(threads);
+  auto task = train::make_vision_task(47, "det", {32, 24});
+  train::ConvergenceEngine engine(
+      *task, quick(train::ConvergenceAlgorithm::kMstopk));
+  engine.begin_epoch();
+  engine.step();
+  engine.preempt_worker(2);
+  while (engine.step_in_epoch() < engine.iters_per_epoch()) engine.step();
+  engine.end_epoch();
+  engine.restore_worker(2);
+  while (!engine.done()) {
+    engine.begin_epoch();
+    while (engine.step_in_epoch() < engine.iters_per_epoch()) engine.step();
+    engine.end_epoch();
+  }
+  std::vector<float> params(task->params().begin(), task->params().end());
+  return {engine.result(), params};
+}
+
+template <typename RunWithThreads>
+void expect_identical_across_threads(RunWithThreads run) {
+  const auto [serial, serial_params] = run(1);
+  const auto [parallel, parallel_params] = run(4);
   ASSERT_EQ(serial.curve.size(), parallel.curve.size());
   for (size_t e = 0; e < serial.curve.size(); ++e) {
     EXPECT_EQ(serial.curve[e].train_loss, parallel.curve[e].train_loss)
@@ -159,6 +184,12 @@ void expect_identical_runs(train::ConvergenceAlgorithm algorithm) {
   ASSERT_EQ(0, std::memcmp(serial_params.data(), parallel_params.data(),
                            serial_params.size() * sizeof(float)))
       << "final parameters diverged";
+}
+
+void expect_identical_runs(train::ConvergenceAlgorithm algorithm) {
+  expect_identical_across_threads([algorithm](int threads) {
+    return train_with_threads(algorithm, threads);
+  });
 }
 
 TEST(ParallelConvergence, DenseMatchesSerialBitwise) {
@@ -174,6 +205,11 @@ TEST(ParallelConvergence, MstopkMatchesSerialBitwise) {
 TEST(ParallelConvergence, LocalSgdMatchesSerialBitwise) {
   ThreadGuard guard;
   expect_identical_runs(train::ConvergenceAlgorithm::kLocalSgd);
+}
+
+TEST(ParallelConvergence, MstopkElasticMatchesSerialBitwise) {
+  ThreadGuard guard;
+  expect_identical_across_threads(elastic_mstopk_with_threads);
 }
 
 }  // namespace

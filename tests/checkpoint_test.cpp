@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <numeric>
+#include <string>
 
 #include "core/check.h"
 #include "train/checkpoint.h"
@@ -247,6 +251,26 @@ TEST(EngineCheckpoint, RestoreRejectsIncompatibleRuns) {
 
 // --------------------------------------------- EF remap policy
 
+// Sum of every checkpoint record whose name starts with `prefix`.
+double record_sum(const std::vector<uint8_t>& blob, const std::string& prefix) {
+  const CheckpointReader reader(blob);
+  double sum = 0.0;
+  for (const auto& name : reader.names()) {
+    if (name.rfind(prefix, 0) != 0) continue;
+    for (float v : reader.floats(name)) sum += static_cast<double>(v);
+  }
+  return sum;
+}
+
+bool has_record_with_prefix(const std::vector<uint8_t>& blob,
+                            const std::string& prefix) {
+  const CheckpointReader reader(blob);
+  for (const auto& name : reader.names()) {
+    if (name.rfind(prefix, 0) == 0) return true;
+  }
+  return false;
+}
+
 TEST(EngineElastic, TopkPreemptFoldsResidualIntoSurvivor) {
   auto task = make_vision_task(11);
   ConvergenceEngine engine(*task, quick(ConvergenceAlgorithm::kTopk));
@@ -263,18 +287,9 @@ TEST(EngineElastic, TopkPreemptFoldsResidualIntoSurvivor) {
   ConvergenceEngine probe(*task, quick(ConvergenceAlgorithm::kTopk));
   probe.restore(blob);
   // Reach inside via serialization: sum before == sum after preempt.
-  auto sum_of = [](const std::vector<uint8_t>& b) {
-    const CheckpointReader r(b);
-    double sum = 0.0;
-    for (const auto& name : r.names()) {
-      if (name.rfind("ef:", 0) != 0) continue;
-      for (float v : r.floats(name)) sum += static_cast<double>(v);
-    }
-    return sum;
-  };
-  const double before = sum_of(blob);
+  const double before = record_sum(blob, "ef:");
   probe.preempt_worker(1);
-  const double after = sum_of(probe.serialize());
+  const double after = record_sum(probe.serialize(), "ef:");
   EXPECT_NEAR(before, after, 1e-3 * std::abs(before));
   EXPECT_EQ(probe.active_workers(), 3);
 
@@ -288,8 +303,8 @@ TEST(EngineElastic, TopkPreemptFoldsResidualIntoSurvivor) {
 }
 
 TEST(EngineElastic, PreemptedWorldKeepsTraining) {
-  // Every algorithm survives a mid-run shrink to 3 of 4 workers (uneven
-  // world: MSTopK falls back to flat TopK) and completes the run.
+  // Every algorithm survives a mid-run shrink to 3 of 4 workers (an uneven
+  // world, where MSTopK still runs HiTopKComm) and completes the run.
   for (const auto algorithm :
        {ConvergenceAlgorithm::kDense, ConvergenceAlgorithm::kTopk,
         ConvergenceAlgorithm::kMstopk, ConvergenceAlgorithm::kGtopk,
@@ -326,6 +341,207 @@ TEST(EngineElastic, ZeroActiveWorkersRefusesToStep) {
   engine.restore_worker(0);
   engine.step();  // single survivor trains on alone
   EXPECT_EQ(engine.active_workers(), 1);
+}
+
+TEST(EngineElastic, MstopkWorkerReturnsToEmptyWorld) {
+  // The last preemption flushed every shard residual, so a worker returning
+  // to an empty world has nothing to remap.
+  auto task = make_vision_task(11);
+  ConvergenceEngine engine(*task, quick(ConvergenceAlgorithm::kMstopk));
+  engine.begin_epoch();
+  for (int i = 0; i < 2; ++i) engine.step();
+  for (int w = 0; w < engine.world(); ++w) engine.preempt_worker(w);
+  EXPECT_EQ(engine.active_workers(), 0);
+  engine.restore_worker(0);
+  EXPECT_EQ(engine.active_workers(), 1);
+  engine.step();
+  engine.restore_worker(1);
+  engine.step();
+  EXPECT_EQ(engine.active_workers(), 2);
+}
+
+TEST(EngineElastic, MstopkUnevenWorldKeepsShardResiduals) {
+  // Preempting worker 2 of a 2x2 world leaves nodes of {2, 1} GPUs; the
+  // engine keeps running HiTopKComm there, whose GPU 0 of the small node
+  // owns both shards and keeps one residual per shard.
+  auto task = make_vision_task(11);
+  ConvergenceEngine engine(*task, quick(ConvergenceAlgorithm::kMstopk));
+  engine.begin_epoch();
+  for (int i = 0; i < 2; ++i) engine.step();
+  engine.preempt_worker(2);
+  engine.step();
+  const auto blob = engine.serialize();
+  const CheckpointReader reader(blob);
+  for (const char* key : {"ef:shard:0:s0", "ef:shard:1:s1", "ef:shard:2:s0",
+                          "ef:shard:2:s1"}) {
+    EXPECT_TRUE(reader.has(key)) << key;
+  }
+  EXPECT_FALSE(reader.has("ef:shard:0"));
+  EXPECT_FALSE(has_record_with_prefix(blob, "ef:w"));
+}
+
+TEST(EngineElastic, MstopkRemapFlushesShardMassIntoPending) {
+  // uniform -> uneven -> uniform: at each rescale every shard residual of
+  // the old world is flushed into the pending correction, so the unsent
+  // mass before the rescale is exactly what the next update delivers.
+  auto task = make_vision_task(11);
+  ConvergenceEngine engine(*task, quick(ConvergenceAlgorithm::kMstopk));
+  engine.begin_epoch();
+  for (int i = 0; i < 3; ++i) engine.step();
+  for (const bool preempt : {true, false}) {
+    const auto before = engine.serialize();
+    ASSERT_FALSE(CheckpointReader(before).has("pending"));
+    const double residual = record_sum(before, "ef:shard");
+    ASSERT_NE(residual, 0.0);
+    if (preempt) {
+      engine.preempt_worker(2);
+    } else {
+      engine.restore_worker(2);
+    }
+    const auto after = engine.serialize();
+    EXPECT_FALSE(has_record_with_prefix(after, "ef:shard"));
+    EXPECT_NEAR(record_sum(after, "pending"), residual,
+                1e-3 * std::abs(residual));
+    engine.step();
+  }
+  EXPECT_EQ(engine.active_workers(), 4);
+}
+
+// --------------------------------------------- engine golden digests
+//
+// Frozen engine outputs: an FNV-1a digest of the final parameters plus the
+// per-epoch train losses and qualities as hexfloats, compared exactly.  The
+// fault-free rows cover every algorithm on a 2x2 world.  The elastic rows
+// shrink the world to nodes of {2, 1} GPUs for an epoch and regrow it; the
+// MSTopK row instead drops a whole node, so HiTopKComm runs on uniform
+// worlds only.  A mismatch prints the actual row in table syntax.
+
+struct EngineRow {
+  std::string name;
+  uint64_t digest = 0;
+  std::vector<double> losses;
+  std::vector<double> qualities;
+};
+
+ConvergenceOptions golden_options(ConvergenceAlgorithm algorithm) {
+  ConvergenceOptions options = quick(algorithm);
+  options.epochs = 2;
+  return options;
+}
+
+EngineRow engine_row(const std::string& scenario, ConvergenceTask& task,
+                     const ConvergenceResult& result) {
+  EngineRow row;
+  row.name = scenario;
+  row.digest = fnv1a64({reinterpret_cast<const uint8_t*>(task.params().data()),
+                        task.param_count() * sizeof(float)});
+  for (const EpochPoint& p : result.curve) {
+    row.losses.push_back(p.train_loss);
+    row.qualities.push_back(p.quality);
+  }
+  return row;
+}
+
+std::string format_row(const EngineRow& row) {
+  auto list = [](const std::vector<double>& values) {
+    std::string out = "{";
+    for (size_t i = 0; i < values.size(); ++i) {
+      char buf[48];
+      std::snprintf(buf, sizeof buf, "%a", values[i]);
+      out += (i == 0 ? "" : ", ") + std::string(buf);
+    }
+    return out + "}";
+  };
+  char digest_hex[24];
+  std::snprintf(digest_hex, sizeof digest_hex, "0x%016" PRIx64 "ull",
+                row.digest);
+  return "{\"" + row.name + "\", " + digest_hex + ", " + list(row.losses) +
+         ", " + list(row.qualities) + "},";
+}
+
+const std::vector<EngineRow>& engine_golden_table() {
+  static const std::vector<EngineRow> rows = {
+      {"Dense-SGD/fault_free", 0x4c8fb517ad3d84c3ull, {0x1.175c2e00223f5p+2, 0x1.00c89f56babfp+1}, {0x1.15p-1, 0x1.b3p-1}},
+      {"TopK-SGD/fault_free", 0xf18cf0f65745f180ull, {0x1.1f0aef0e5dea2p+2, 0x1.1f4e16efe8c7cp+1}, {0x1.eep-2, 0x1.a54p-1}},
+      {"MSTopK-SGD/fault_free", 0x6c42cb62cff5e090ull, {0x1.21746a111a11p+2, 0x1.2a03f91c15efbp+1}, {0x1.d3p-2, 0x1.968p-1}},
+      {"RandomK-SGD/fault_free", 0xe12d89726ec5d7e1ull, {0x1.3eaa4864ece98p+2, 0x1.cd14dc604659ep+1}, {0x1.71p-3, 0x1.44p-2}},
+      {"gTopK-SGD/fault_free", 0x183add910249c775ull, {0x1.346bc08547e9cp+2, 0x1.5f65c1eb5913bp+1}, {0x1.7a8p-2, 0x1.6dp-1}},
+      {"LocalSGD/fault_free", 0x9211e4ca6546d212ull, {0x1.17d2bfb6a2311p+2, 0x1.0c5cf9f796c5cp+1}, {0x1.13p-1, 0x1.b7p-1}},
+      {"Dense-SGD/uneven_2_1", 0x2a929c9ca93fb77dull, {0x1.181b71ab1a088p+2, 0x1.07997e0084b96p+1}, {0x1.094p-1, 0x1.b2p-1}},
+      {"TopK-SGD/uneven_2_1", 0x700778ed5a6fc0d2ull, {0x1.1e829b0d0f7e4p+2, 0x1.2342230cf710cp+1}, {0x1.de8p-2, 0x1.9ccp-1}},
+      {"RandomK-SGD/uneven_2_1", 0xe2f960a687faa3feull, {0x1.3ddbf57e706cp+2, 0x1.c7f74862335acp+1}, {0x1.92p-3, 0x1.48p-2}},
+      {"gTopK-SGD/uneven_2_1", 0xc5ffce29e159041cull, {0x1.30071fdbbcc3dp+2, 0x1.5cbd561579745p+1}, {0x1.768p-2, 0x1.758p-1}},
+      {"LocalSGD/uneven_2_1", 0x53867e9cef16e73dull, {0x1.1877b0f192e4bp+2, 0x1.1460a6cb94d78p+1}, {0x1.0a8p-1, 0x1.b4cp-1}},
+      {"MSTopK-SGD/node_lost", 0x9613a37362569d63ull, {0x1.1f91a524d4706p+2, 0x1.33210593d7c5p+1}, {0x1.a68p-2, 0x1.94cp-1}},
+  };
+  return rows;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(), [](double x, double y) {
+           return std::bit_cast<uint64_t>(x) == std::bit_cast<uint64_t>(y);
+         });
+}
+
+void expect_engine_golden(const EngineRow& actual) {
+  for (const EngineRow& want : engine_golden_table()) {
+    if (want.name != actual.name) continue;
+    const bool same = want.digest == actual.digest &&
+                      same_bits(want.losses, actual.losses) &&
+                      same_bits(want.qualities, actual.qualities);
+    if (!same) {
+      ADD_FAILURE() << "engine golden row mismatch for " << actual.name
+                    << "\n  table:  " << format_row(want)
+                    << "\n  actual: " << format_row(actual);
+    }
+    return;
+  }
+  ADD_FAILURE() << "no engine golden row named " << actual.name
+                << "\n  actual: " << format_row(actual);
+}
+
+constexpr ConvergenceAlgorithm kAllAlgorithms[] = {
+    ConvergenceAlgorithm::kDense,   ConvergenceAlgorithm::kTopk,
+    ConvergenceAlgorithm::kMstopk,  ConvergenceAlgorithm::kRandomk,
+    ConvergenceAlgorithm::kGtopk,   ConvergenceAlgorithm::kLocalSgd};
+
+TEST(EngineGolden, FaultFreeRunsAreFrozen) {
+  for (const auto algorithm : kAllAlgorithms) {
+    auto task = make_vision_task(11);
+    const auto result = run_convergence(*task, golden_options(algorithm));
+    expect_engine_golden(engine_row(
+        convergence_algorithm_name(algorithm) + "/fault_free", *task, result));
+  }
+}
+
+// One epoch on a shrunk world, then the preempted workers return together.
+EngineRow elastic_episode(ConvergenceAlgorithm algorithm,
+                          const std::vector<int>& preempted,
+                          const std::string& scenario) {
+  auto task = make_vision_task(11);
+  ConvergenceEngine engine(*task, golden_options(algorithm));
+  engine.begin_epoch();
+  for (int i = 0; i < 2; ++i) engine.step();
+  for (int w : preempted) engine.preempt_worker(w);
+  while (engine.step_in_epoch() < engine.iters_per_epoch()) engine.step();
+  engine.end_epoch();
+  for (int w : preempted) engine.restore_worker(w);
+  drive_to_end(engine);
+  return engine_row(convergence_algorithm_name(algorithm) + "/" + scenario,
+                    *task, engine.result());
+}
+
+TEST(EngineGolden, UnevenElasticEpisodesAreFrozen) {
+  for (const auto algorithm : kAllAlgorithms) {
+    if (algorithm == ConvergenceAlgorithm::kMstopk) continue;
+    expect_engine_golden(elastic_episode(algorithm, {2}, "uneven_2_1"));
+  }
+}
+
+TEST(EngineGolden, MstopkLostNodeIsFrozen) {
+  expect_engine_golden(
+      elastic_episode(ConvergenceAlgorithm::kMstopk, {2, 3}, "node_lost"));
 }
 
 // --------------------------------------------- fault-tolerant driver
@@ -371,6 +587,27 @@ TEST(FaultTolerant, ElasticContinueShrinksAndRegrows) {
   EXPECT_EQ(result.min_active_workers, 2);
   EXPECT_EQ(result.convergence.curve.size(), 4u);
   EXPECT_GT(result.convergence.best_quality, 0.0);
+}
+
+TEST(FaultTolerant, ElasticRegrowsFromEmptyWorld) {
+  // Every worker is preempted at once and only worker 0 ever returns: the
+  // run stalls, then finishes on a single worker.
+  for (const auto algorithm :
+       {ConvergenceAlgorithm::kTopk, ConvergenceAlgorithm::kMstopk}) {
+    auto task = make_vision_task(11);
+    auto options = ft_base(algorithm);
+    options.policy = RecoveryPolicy::kElasticContinue;
+    options.faults.preempt(0, 0.4, 2.0);
+    for (int w = 1; w < 4; ++w) options.faults.preempt(w, 0.4);
+    options.faults.set_detection_timeout(0.1);
+    const auto result = run_convergence_ft(*task, options);
+    const std::string name = convergence_algorithm_name(algorithm);
+    EXPECT_TRUE(result.completed) << name;
+    EXPECT_EQ(result.preemptions, 4) << name;
+    EXPECT_EQ(result.regrows, 1) << name;
+    EXPECT_EQ(result.convergence.curve.size(), 4u) << name;
+    EXPECT_GE(result.wall_seconds, 2.0) << name;
+  }
 }
 
 TEST(FaultTolerant, ElasticStallsUntilFirstReturn) {

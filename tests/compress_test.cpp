@@ -14,6 +14,7 @@
 #include "core/parallel.h"
 #include "core/rng.h"
 #include "core/tensor.h"
+#include "ef_reference.h"
 
 namespace hitopk::compress {
 namespace {
@@ -459,7 +460,7 @@ TEST(ErrorFeedback, FirstApplyIsIdentity) {
   ErrorFeedback ef;
   Tensor g = Tensor::from({1.0f, 2.0f, 3.0f});
   Tensor original = g;
-  ef.apply("w", g.span());
+  test::ef_apply(ef, "w", g.span());
   for (size_t i = 0; i < g.size(); ++i) EXPECT_EQ(g[i], original[i]);
 }
 
@@ -467,10 +468,10 @@ TEST(ErrorFeedback, ResidualIsUnsentRemainder) {
   ErrorFeedback ef;
   Tensor g = Tensor::from({1.0f, -4.0f, 3.0f, 0.5f});
   SparseTensor sent = exact_topk(g.span(), 2);  // picks -4 and 3
-  ef.absorb("w", g.span(), sent);
+  test::ef_absorb(ef, "w", g.span(), sent);
   // Next gradient of zeros: apply returns exactly the residual.
   Tensor next(4);
-  ef.apply("w", next.span());
+  test::ef_apply(ef, "w", next.span());
   EXPECT_EQ(next[0], 1.0f);
   EXPECT_EQ(next[1], 0.0f);
   EXPECT_EQ(next[2], 0.0f);
@@ -487,15 +488,15 @@ TEST(ErrorFeedback, ClosureNoGradientIsLost) {
     Tensor g(64);
     g.fill_normal(rng, 0.0f, 1.0f);
     true_sum += g;
-    ef.apply("w", g.span());
+    ef.apply_priming("w", g.span());
     SparseTensor sent = exact_topk(g.span(), 8);
-    ef.absorb("w", g.span(), sent);
+    ef.absorb_primed("w", sent);
     Tensor delivered = sent.to_dense();
     weights_sum += delivered;
   }
   // delivered_total + final_residual == produced_total
   Tensor residual(64);
-  ef.apply("w", residual.span());
+  test::ef_apply(ef, "w", residual.span());
   weights_sum += residual;
   for (size_t i = 0; i < 64; ++i) {
     EXPECT_NEAR(weights_sum[i], true_sum[i], 1e-4f);
@@ -508,20 +509,20 @@ TEST(ErrorFeedback, IndependentKeys) {
   Tensor b = Tensor::from({2.0f});
   SparseTensor none;
   none.dense_size = 1;
-  ef.absorb("a", a.span(), none);
-  ef.absorb("b", b.span(), none);
+  test::ef_absorb(ef, "a", a.span(), none);
+  test::ef_absorb(ef, "b", b.span(), none);
   EXPECT_EQ(ef.num_tensors(), 2u);
   Tensor ra(1), rb(1);
-  ef.apply("a", ra.span());
-  ef.apply("b", rb.span());
+  test::ef_apply(ef, "a", ra.span());
+  test::ef_apply(ef, "b", rb.span());
   EXPECT_EQ(ra[0], 1.0f);
   EXPECT_EQ(rb[0], 2.0f);
 }
 
 TEST(ErrorFeedback, FusedExchangeMatchesApplyAbsorb) {
-  // apply_priming + absorb_primed must be bitwise identical to
-  // apply + absorb under the shared-caller contract (grad untouched between
-  // compensation and absorption).
+  // apply_priming + absorb_primed must be bitwise identical to the unfused
+  // reference exchange (ef_reference.h) under the shared-caller contract
+  // (grad untouched between compensation and absorption).
   ErrorFeedback split, fused;
   Rng rng(71);
   Tensor split_grad(128), fused_grad(128);
@@ -531,9 +532,9 @@ TEST(ErrorFeedback, FusedExchangeMatchesApplyAbsorb) {
     std::copy(g.span().begin(), g.span().end(), split_grad.span().begin());
     std::copy(g.span().begin(), g.span().end(), fused_grad.span().begin());
 
-    split.apply("w", split_grad.span());
+    test::ef_apply(split, "w", split_grad.span());
     SparseTensor sent = exact_topk(split_grad.span(), 16);
-    split.absorb("w", split_grad.span(), sent);
+    test::ef_absorb(split, "w", split_grad.span(), sent);
 
     fused.apply_priming("w", fused_grad.span());
     SparseTensor fused_sent = exact_topk(fused_grad.span(), 16);
@@ -546,8 +547,8 @@ TEST(ErrorFeedback, FusedExchangeMatchesApplyAbsorb) {
   }
   // Residual state agrees too: applying onto zeros surfaces it.
   Tensor split_res(128), fused_res(128);
-  split.apply("w", split_res.span());
-  fused.apply("w", fused_res.span());
+  test::ef_apply(split, "w", split_res.span());
+  test::ef_apply(fused, "w", fused_res.span());
   for (size_t i = 0; i < 128; ++i) EXPECT_EQ(split_res[i], fused_res[i]);
 }
 
@@ -565,9 +566,9 @@ TEST(ErrorFeedback, AbsorbPrimedGuardsIndexRange) {
 TEST(ErrorFeedback, ShapeChangeThrows) {
   ErrorFeedback ef;
   Tensor a(4);
-  ef.apply("w", a.span());
+  test::ef_apply(ef, "w", a.span());
   Tensor b(5);
-  EXPECT_THROW(ef.apply("w", b.span()), CheckError);
+  EXPECT_THROW(test::ef_apply(ef, "w", b.span()), CheckError);
 }
 
 TEST(ErrorFeedback, ResetClearsResiduals) {
@@ -575,7 +576,7 @@ TEST(ErrorFeedback, ResetClearsResiduals) {
   Tensor g = Tensor::from({3.0f});
   SparseTensor none;
   none.dense_size = 1;
-  ef.absorb("w", g.span(), none);
+  test::ef_absorb(ef, "w", g.span(), none);
   EXPECT_GT(ef.residual_sq_norm(), 0.0);
   ef.reset();
   EXPECT_EQ(ef.num_tensors(), 0u);

@@ -10,6 +10,7 @@
 #include "compress/quantizers.h"
 #include "core/rng.h"
 #include "core/tensor.h"
+#include "ef_reference.h"
 
 namespace hitopk {
 namespace {
@@ -273,7 +274,7 @@ TEST(SignCompressor, WithErrorFeedbackRecoversSum) {
     Tensor g(32);
     g.fill_normal(rng, 0.0f, 1.0f);
     true_total += g;
-    ef.apply("w", g.span());
+    test::ef_apply(ef, "w", g.span());
     Tensor sent = g;
     compress::SignCompressor::compress(sent.span());
     // Absorb: residual = g - sent.
@@ -288,11 +289,11 @@ TEST(SignCompressor, WithErrorFeedbackRecoversSum) {
     residual -= sent;
     compress::SparseTensor none;
     none.dense_size = 32;
-    ef.absorb("w", residual.span(), none);
+    test::ef_absorb(ef, "w", residual.span(), none);
     delivered_total += sent;
   }
   Tensor leftover(32);
-  ef.apply("w", leftover.span());
+  test::ef_apply(ef, "w", leftover.span());
   delivered_total += leftover;
   for (size_t i = 0; i < 32; ++i) {
     EXPECT_NEAR(delivered_total[i], true_total[i], 1e-3f);

@@ -51,9 +51,9 @@ int main() {
                "===\n\n";
   TablePrinter shape_table({"Shape (m x n)", "NaiveAG", "TreeAR", "2DTAR",
                             "HierAR", "ParamServer", "HiTopKComm"});
-  for (const auto [m, n] : {std::pair{4, 8}, std::pair{8, 8}, std::pair{16, 8},
-                            std::pair{32, 8}, std::pair{16, 4},
-                            std::pair{16, 16}, std::pair{128, 1}}) {
+  for (const auto& [m, n] :
+       {std::pair{4, 8}, std::pair{8, 8}, std::pair{16, 8}, std::pair{32, 8},
+        std::pair{16, 4}, std::pair{16, 16}, std::pair{128, 1}}) {
     const auto t = measure(Topology::tencent_cloud(m, n));
     shape_table.add_row({std::to_string(m) + " x " + std::to_string(n),
                          TablePrinter::fmt(t[0], 4), TablePrinter::fmt(t[1], 4),

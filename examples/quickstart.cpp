@@ -54,7 +54,7 @@ int main() {
   for (auto& g : worker_grads) spans.push_back(g.span());
   coll::HiTopKOptions options;
   options.density = 0.05;
-  const auto result = coll::hitopk_comm(cluster, spans, 1 << 12, options, 0.0);
+  coll::hitopk_comm(cluster, spans, 1 << 12, options, 0.0);
 
   size_t nnz = 0;
   double captured = 0.0, total = 0.0;

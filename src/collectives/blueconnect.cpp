@@ -117,7 +117,7 @@ BlueConnectBreakdown blueconnect_allreduce(simnet::Cluster& cluster,
   out.stages = S;
   if (cluster.topology().world_size() <= 1) return out;
 
-  const Schedule::TimingResult timing = sched.run_timing(cluster, start);
+  const ScheduleOutcome timing = sched.run_timing(cluster, start);
   sched.run_data();
 
   // sync_times[S-1] is the Reduce-Scatter / All-Gather midpoint.

@@ -5,25 +5,6 @@
 #include "collectives/ring.h"
 
 namespace hitopk::coll {
-namespace {
-
-// Records the exact engine-path ring All-Reduce (ring.cpp ring_allreduce):
-// fused-chain Reduce-Scatter, collapse sync, resolved All-Gather.
-void build_ring_allreduce(Schedule& sched, const Group& group,
-                          const RankData& data, size_t elems,
-                          WireDtype wire) {
-  if (group.size() <= 1) return;
-  std::vector<Group> groups{group};
-  std::vector<RankData> group_data;
-  if (!data.empty()) group_data.push_back(data);
-  const RingGrid grid = ring_grid(sched, groups, group_data, wire);
-  build_ring_reduce_scatter(sched, groups, grid, elems, wire,
-                            /*fused_chains=*/true);
-  sched.sync(/*collapse=*/true);
-  build_ring_allgather(sched, groups, grid, elems, wire);
-}
-
-}  // namespace
 
 SurvivorWorld shrink_topology(const simnet::Topology& topology,
                               const std::vector<int>& dead_ranks) {

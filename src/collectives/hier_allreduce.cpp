@@ -86,7 +86,7 @@ HierArBreakdown hier_allreduce(simnet::Cluster& cluster, const RankData& data,
   check_data(world_group(cluster.topology()), data, elems);
   Schedule sched;
   build_hier_allreduce(sched, cluster.topology(), data, elems, wire);
-  const Schedule::TimingResult timing = sched.run_timing(cluster, start);
+  const ScheduleOutcome timing = sched.run_timing(cluster, start);
   sched.run_data();
 
   HierArBreakdown out;

@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 
 #include "collectives/ring.h"
 #include "compress/mstopk.h"
 #include "core/parallel.h"
-#include "core/tensor.h"
-#include "core/workspace.h"
 
 namespace hitopk::coll {
 namespace {
@@ -48,12 +45,6 @@ size_t sparse_payload_bytes(WireDtype wire, size_t nnz) {
   return wire_payload_bytes(wire, nnz) + nnz * 4;
 }
 
-// Scratch for staging a shard through the wire codec on the fan-in path.
-std::vector<float>& fanin_staging() {
-  thread_local std::vector<float> staging;
-  return staging;
-}
-
 // One stream's aggregated sparse result: globally-indexed, ascending,
 // compact (exact zeros already dropped).  The inter-node all-gather legs
 // quote indices.size() as the stream's nonzero count, and step 4's rebuild
@@ -63,31 +54,6 @@ struct CompactStream {
   std::vector<uint32_t> indices;
   std::vector<float> values;
 };
-
-// Stable index-sort of a block whose indices arrive out of order.  MSTopK
-// always emits ascending indices, so this is cold; it exists so
-// merge_accumulate stays correct for arbitrary SparseTensor inputs
-// (duplicates within a block keep their storage order, matching the
-// scatter-add sequence).
-const compress::SparseTensor* sorted_block(
-    const compress::SparseTensor* sp,
-    std::vector<compress::SparseTensor>& storage) {
-  std::vector<uint32_t> perm(sp->nnz());
-  std::iota(perm.begin(), perm.end(), 0u);
-  std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-    return sp->indices[a] < sp->indices[b];
-  });
-  compress::SparseTensor sorted;
-  sorted.dense_size = sp->dense_size;
-  sorted.indices.reserve(perm.size());
-  sorted.values.reserve(perm.size());
-  for (const uint32_t i : perm) {
-    sorted.indices.push_back(sp->indices[i]);
-    sorted.values.push_back(sp->values[i]);
-  }
-  storage.push_back(std::move(sorted));
-  return &storage.back();
-}
 
 // Merge-accumulates one stream's m sorted sparse blocks into a compact
 // (index, value) stream.  Each output index sums its occurrences in block
@@ -103,21 +69,17 @@ void merge_accumulate(std::span<const compress::SparseTensor* const> blocks,
     const uint32_t* end;
     const float* val;
   };
-  std::vector<compress::SparseTensor> sorted_storage;
-  sorted_storage.reserve(blocks.size());
   std::vector<Cursor> cursors;
   cursors.reserve(blocks.size());
   size_t total = 0;
   for (const compress::SparseTensor* sp : blocks) {
-    const compress::SparseTensor* use = sp;
-    if (!std::is_sorted(sp->indices.begin(), sp->indices.end())) {
-      use = sorted_block(sp, sorted_storage);
-    }
-    if (!use->indices.empty()) {
-      cursors.push_back({use->indices.data(),
-                         use->indices.data() + use->indices.size(),
-                         use->values.data()});
-      total += use->indices.size();
+    // MsTopK::compress emits ascending indices on every path.
+    HITOPK_CHECK(std::is_sorted(sp->indices.begin(), sp->indices.end()));
+    if (!sp->indices.empty()) {
+      cursors.push_back({sp->indices.data(),
+                         sp->indices.data() + sp->indices.size(),
+                         sp->values.data()});
+      total += sp->indices.size();
     }
   }
   out.indices.clear();
@@ -183,12 +145,14 @@ void rebuild_from_compact(const RankData& data,
 }
 
 // Step 1 (Alg. 2 lines 2-4): sums every shard densely over its node onto
-// the shard's per-node owner.  On a uniform fleet the m per-node ring
-// Reduce-Scatters are one multi-group schedule: intra-node ports are
-// disjoint across nodes, so the clocks equal m independent rings, and each
-// step's reduces across all nodes batch into a single parallel_for.  A ring
-// needs one chunk per member, which the L-shard grid of a smaller node does
-// not provide, so uneven fleets fan each shard in to its owner directly.
+// the shard's per-node owner, as one schedule.  On a uniform fleet the m
+// per-node ring Reduce-Scatters are one multi-group schedule: intra-node
+// ports are disjoint across nodes, so the clocks equal m independent rings,
+// and each step's reduces across all nodes batch into a single parallel_for.
+// A ring needs one chunk per member, which the L-shard grid of a smaller
+// node does not provide, so uneven fleets fan each shard in to its owner
+// directly: one step in which every peer sends its slice (one slot per
+// rank, all ready at `start`) and the owner adds the wire-rounded slice.
 // Returns the time the last shard is aggregated.
 double aggregate_shards(simnet::Cluster& cluster, const RankData& data,
                         size_t elems, std::span<const ChunkRange> shards,
@@ -196,6 +160,7 @@ double aggregate_shards(simnet::Cluster& cluster, const RankData& data,
   const simnet::Topology& topo = cluster.topology();
   const int m = topo.nodes();
   const bool functional = !data.empty();
+  Schedule sched;
   if (topo.uniform()) {
     std::vector<Group> node_groups;
     std::vector<RankData> node_data;
@@ -209,47 +174,38 @@ double aggregate_shards(simnet::Cluster& cluster, const RankData& data,
         node_data.push_back(std::move(nd));
       }
     }
-    Schedule sched;
     const RingGrid grid = ring_grid(sched, node_groups, node_data, wire);
     build_ring_reduce_scatter(sched, node_groups, grid, elems, wire,
                               /*fused_chains=*/true);
-    const double done = sched.run_timing(cluster, start).finish;
-    sched.run_data();
-    return done;
-  }
-
-  double done = start;
-  for (int node = 0; node < m; ++node) {
-    const int g = topo.gpus_on_node(node);
-    for (size_t s = 0; s < shards.size(); ++s) {
-      const ChunkRange& shard = shards[s];
-      if (shard.count == 0) continue;
-      const int owner = shard_owner(topo, node, static_cast<int>(s));
-      for (int local = 0; local < g; ++local) {
-        const int rank = topo.rank_of(node, local);
-        if (rank == owner) continue;
-        done = std::max(
-            done, cluster
-                      .submit({simnet::kDefaultJob, rank, owner,
-                               wire_payload_bytes(wire, shard.count), start})
-                      .time);
-        if (!functional) continue;
-        auto acc =
-            data[static_cast<size_t>(owner)].subspan(shard.begin, shard.count);
-        auto src =
-            data[static_cast<size_t>(rank)].subspan(shard.begin, shard.count);
-        if (wire == WireDtype::kFp32) {
-          tensor_ops::add_into(acc, src);
-        } else {
-          // The peer's slice crosses the wire before the owner adds it.
-          auto& staging = fanin_staging();
-          staging.assign(src.begin(), src.end());
-          wire_round_trip(wire, std::span<float>(staging));
-          tensor_ops::add_into(acc, std::span<const float>(staging));
+  } else {
+    const uint32_t slot0 =
+        sched.add_slots(static_cast<uint32_t>(topo.world_size()));
+    std::vector<uint32_t> bufs;
+    for (const std::span<float> span : data) {
+      bufs.push_back(sched.add_buffer(span, wire));
+    }
+    for (int node = 0; node < m; ++node) {
+      for (size_t s = 0; s < shards.size(); ++s) {
+        const ChunkRange& shard = shards[s];
+        if (shard.count == 0) continue;
+        const int owner = shard_owner(topo, node, static_cast<int>(s));
+        for (int local = 0; local < topo.gpus_on_node(node); ++local) {
+          const int rank = topo.rank_of(node, local);
+          if (rank == owner) continue;
+          sched.send(rank, owner, wire_payload_bytes(wire, shard.count),
+                     slot0 + static_cast<uint32_t>(rank),
+                     slot0 + static_cast<uint32_t>(owner));
+          if (functional) {
+            sched.reduce(bufs[static_cast<size_t>(rank)],
+                         bufs[static_cast<size_t>(owner)], shard.begin,
+                         shard.count);
+          }
         }
       }
     }
   }
+  const double done = sched.run_timing(cluster, start).finish;
+  sched.run_data();
   return done;
 }
 

@@ -23,8 +23,9 @@
 // whole gradient and shard s's inter-node stream runs among its per-node
 // owners.  On a uniform fleet that is exactly the layout above.  Only three
 // things depend on whether the fleet is uniform: step 1 is a ring
-// Reduce-Scatter per node there and a direct fan-in to each shard's owner
-// otherwise (a ring needs one chunk per member); the MSTopK seed is
+// Reduce-Scatter per node there and a one-step fan-in schedule to each
+// shard's owner otherwise (a ring needs one chunk per member; both are
+// recorded Schedules, timed and run by the same engine); the MSTopK seed is
 // seed + rank there and seed + rank * L + s otherwise (one selection
 // stream per owned shard); and the error-feedback keys (hitopk_ef_entries).
 #pragma once

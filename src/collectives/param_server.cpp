@@ -70,7 +70,7 @@ ParamServerResult param_server_allreduce(simnet::Cluster& cluster,
     }
   }
 
-  const Schedule::TimingResult timing = sched.run_timing(cluster, start);
+  const ScheduleOutcome timing = sched.run_timing(cluster, start);
   sched.run_data();
 
   ParamServerResult out;

@@ -13,6 +13,7 @@
 #include "collectives/hier_allreduce.h"
 #include "collectives/ring.h"
 #include "collectives/torus2d.h"
+#include "collectives/tree_allreduce.h"
 #include "collectives/validator.h"
 
 namespace hitopk::coll {
@@ -37,19 +38,39 @@ int size_bucket(size_t elems) {
   return static_cast<int>(std::bit_width(elems));
 }
 
+// Cap on BlueConnect stage factorizations scored per plan; the pruning
+// heuristic keeps the hierarchy-aligned splits ({gpus, nodes}, the
+// pod-aligned three-stage split, then balanced divisor splits of the node
+// count nearest sqrt(nodes)).
+constexpr int kMaxBlueConnectCandidates = 6;
+
+// Densities below this gate gTop-k into the candidate set; at or above it
+// the message is considered dense and only exact-sum candidates run.
+constexpr double kDenseDensity = 0.5;
+
 // Dense requests share bucket 0; sparse densities bucket at half-decade
 // grain (0.01 and 0.02 share a plan; 0.01 and 0.001 do not).
-int density_bucket(double density, double dense_density) {
-  if (density >= dense_density) return 0;
+int density_bucket(double density) {
+  if (density >= kDenseDensity) return 0;
   return static_cast<int>(std::floor(std::log10(density) * 2.0));
 }
 
 std::string cache_key(const simnet::Topology& topo, const Group& group,
-                      size_t elems, double density, double dense_density) {
+                      size_t elems, double density) {
   return std::to_string(topo.fingerprint()) + ":" +
          std::to_string(group_hash(group)) + ":" +
          std::to_string(size_bucket(elems)) + ":" +
-         std::to_string(density_bucket(density, dense_density));
+         std::to_string(density_bucket(density));
+}
+
+// True when `group` is the whole world in rank order: only then do the
+// whole-world candidates (hierarchical builders, gTop-k) apply.
+bool is_world_order(const simnet::Topology& topo, const Group& group) {
+  if (static_cast<int>(group.size()) != topo.world_size()) return false;
+  for (size_t i = 0; i < group.size(); ++i) {
+    if (group[i] != static_cast<int>(i)) return false;
+  }
+  return true;
 }
 
 std::string factors_name(const std::vector<int>& factors) {
@@ -90,63 +111,37 @@ const char* plan_algorithm_name(PlanAlgorithm algorithm) {
   return "unknown";
 }
 
-Planner::Planner(PlannerOptions options) : options_(std::move(options)) {
-  HITOPK_VALIDATE(options_.dense_density > 0.0)
-      << "dense_density must be positive";
-}
-
 std::vector<Planner::Candidate> Planner::enumerate(
     const simnet::Topology& topo, const Group& group, bool full_world,
     double density) const {
-  const WireDtype w = options_.wire;
   std::vector<Candidate> cands;
   // The flat ring is always candidate 0: it is the baseline the planner
   // must never lose to, and scoring keeps ties on the earliest candidate.
-  cands.push_back({PlanAlgorithm::kFlatRing, "ring", {}, group, true, w});
+  cands.push_back({PlanAlgorithm::kFlatRing, "ring", {}, group});
 
   const Group sorted = locality_sorted_group(topo, group);
   if (sorted != group) {
     cands.push_back(
-        {PlanAlgorithm::kReorderedRing, "ring+podsort", {}, sorted, true, w});
+        {PlanAlgorithm::kReorderedRing, "ring+podsort", {}, sorted});
   }
-  cands.push_back({PlanAlgorithm::kHalvingDoubling, "hd", {}, group, true, w});
+  cands.push_back({PlanAlgorithm::kHalvingDoubling, "hd", {}, group});
   if (sorted != group) {
     cands.push_back(
-        {PlanAlgorithm::kHalvingDoubling, "hd+podsort", {}, sorted, true, w});
+        {PlanAlgorithm::kHalvingDoubling, "hd+podsort", {}, sorted});
   }
-  // Quantization axis: score a "+fp16" twin of every exact-sum candidate
-  // enumerated so far (and below, via the append at the end).  Twins halve
-  // the wire bytes and drop the exact-sum mark.
-  auto append_fp16_twins = [&](size_t from) {
-    if (!options_.quantized_candidates || w != WireDtype::kFp32) return;
-    const size_t upto = cands.size();
-    for (size_t i = from; i < upto; ++i) {
-      if (!cands[i].exact_sum) continue;
-      Candidate q = cands[i];
-      q.name += "+fp16";
-      q.exact_sum = false;
-      q.wire = WireDtype::kFp16;
-      cands.push_back(std::move(q));
-    }
-  };
-  if (!full_world) {
-    append_fp16_twins(0);
-    return cands;
-  }
+  if (!full_world) return cands;
 
   // Whole-world hierarchical candidates.
   const int m = topo.nodes();
   const int n = topo.uniform() ? topo.gpus_per_node() : 0;
   if (topo.uniform() && topo.world_size() > 1) {
-    cands.push_back(
-        {PlanAlgorithm::kTreeAllReduce, "tree", {}, group, true, w});
+    cands.push_back({PlanAlgorithm::kTreeAllReduce, "tree", {}, group});
   }
   if (m > 1) {
-    cands.push_back(
-        {PlanAlgorithm::kHierAllReduce, "hier", {}, group, true, w});
+    cands.push_back({PlanAlgorithm::kHierAllReduce, "hier", {}, group});
   }
   if (topo.uniform() && m > 1 && n > 1) {
-    cands.push_back({PlanAlgorithm::kTorus2d, "torus2d", {}, group, true, w});
+    cands.push_back({PlanAlgorithm::kTorus2d, "torus2d", {}, group});
   }
   if (topo.uniform() && topo.world_size() > 1) {
     // BlueConnect stage factorizations, pruned to the hierarchy-aligned
@@ -157,8 +152,7 @@ std::vector<Planner::Candidate> Planner::enumerate(
     std::set<std::vector<int>> seen;
     std::vector<std::vector<int>> splits;
     auto add = [&](std::vector<int> f) {
-      if (static_cast<int>(splits.size()) >= options_.max_blueconnect_candidates)
-        return;
+      if (static_cast<int>(splits.size()) >= kMaxBlueConnectCandidates) return;
       for (int s : f) {
         if (s < 2) return;
       }
@@ -183,42 +177,33 @@ std::vector<Planner::Candidate> Planner::enumerate(
     }
     for (std::vector<int>& f : splits) {
       cands.push_back({PlanAlgorithm::kBlueConnect, factors_name(f),
-                       std::move(f), group, true, w});
+                       std::move(f), group});
     }
   }
-  if (density < options_.dense_density && topo.world_size() > 1) {
-    cands.push_back({PlanAlgorithm::kGtopk, "gtopk", {}, group, false, w});
+  if (density < kDenseDensity && topo.world_size() > 1) {
+    cands.push_back({PlanAlgorithm::kGtopk, "gtopk", {}, group});
   }
-  append_fp16_twins(0);
   return cands;
 }
 
 bool Planner::build_candidate(Schedule& sched, const simnet::Topology& topo,
                               const Candidate& cand, const Group& group,
                               const RankData& data, size_t elems) const {
-  const WireDtype wire = cand.wire;
+  const WireDtype wire = options_.wire;
   switch (cand.algorithm) {
     case PlanAlgorithm::kFlatRing:
-    case PlanAlgorithm::kReorderedRing: {
-      // Record-for-record the ring_allreduce engine sequence, over the
-      // candidate's membership order.
-      std::vector<Group> groups{cand.ring_order};
-      std::vector<RankData> group_data{
-          permute_data(group, cand.ring_order, data)};
-      const RingGrid grid = ring_grid(sched, groups, group_data, wire);
-      build_ring_reduce_scatter(sched, groups, grid, elems, wire,
-                                /*fused_chains=*/true);
-      sched.sync(/*collapse=*/true);
-      build_ring_allgather(sched, groups, grid, elems, wire);
+    case PlanAlgorithm::kReorderedRing:
+      build_ring_allreduce(sched, cand.ring_order,
+                           permute_data(group, cand.ring_order, data), elems,
+                           wire);
       return true;
-    }
     case PlanAlgorithm::kHalvingDoubling:
       build_halving_doubling(sched, cand.ring_order,
                              permute_data(group, cand.ring_order, data), elems,
                              wire);
       return true;
     case PlanAlgorithm::kTreeAllReduce: {
-      TreeOptions tree = options_.tree;
+      TreeOptions tree;
       tree.wire = wire;
       build_tree_allreduce(sched, topo, data, elems, tree);
       return true;
@@ -242,30 +227,50 @@ bool Planner::build_candidate(Schedule& sched, const simnet::Topology& topo,
   return false;
 }
 
-double Planner::score(const simnet::Topology& topo, const Candidate& cand,
-                      const Group& group, size_t elems, double density) const {
-  // Every candidate is replayed against a fresh cluster from t = 0: the
-  // score is the schedule's intrinsic cost on this topology, not its cost
-  // amid whatever traffic the caller's cluster is carrying.
-  simnet::Cluster fresh(topo);
+double Planner::score(const simnet::Cluster& base, const Candidate& cand,
+                      const Group& group, size_t elems, double density,
+                      int job, double start) const {
+  // What-if replay on a copy of `base`, reservation timelines included: on
+  // a fresh cluster from t = 0 the score is the schedule's intrinsic cost on
+  // the topology, on a loaded one its duration amid the traffic other
+  // tenants already hold.  Scoring must never observe scripted faults (it
+  // is a hypothetical, not a fault replay), so the copy drops the plan.
+  simnet::Cluster replica = base;
+  replica.set_fault_plan(nullptr);
   if (cand.algorithm == PlanAlgorithm::kGtopk) {
     GtopkOptions gopts;
     gopts.density = density;
     gopts.value_wire_bytes = wire_elem_bytes(options_.wire);
-    return gtopk_comm(fresh, {}, elems, gopts, 0.0).total;
+    return gtopk_comm(replica, {}, elems, gopts, start).total;
   }
   Schedule sched;
-  build_candidate(sched, topo, cand, group, {}, elems);
-  if (options_.validate) {
-    ValidatorOptions vopts;
-    vopts.world_size = topo.world_size();
-    ScheduleValidator(vopts).validate(sched);
-  }
-  return sched.run_timing(fresh, 0.0).finish;
+  build_candidate(sched, base.topology(), cand, group, {}, elems);
+  ValidatorOptions vopts;
+  vopts.world_size = base.world_size();
+  ScheduleValidator(vopts).validate(sched);
+  return sched.run_timing(replica, start, job).finish - start;
 }
 
-PlanChoice Planner::plan_impl(const simnet::Topology& topo, const Group& group,
-                              bool full_world, size_t elems, double density) {
+PlanChoice Planner::plan(const simnet::Topology& topo, size_t elems,
+                         double density) {
+  return plan_group(simnet::Cluster(topo), world_group(topo), elems, density);
+}
+
+PlanChoice Planner::plan_group(const simnet::Topology& topo, const Group& group,
+                               size_t elems, double density) {
+  return plan_group(simnet::Cluster(topo), group, elems, density);
+}
+
+PlanChoice Planner::plan(const simnet::Cluster& cluster, size_t elems,
+                         double density, int job, double start) {
+  return plan_group(cluster, world_group(cluster.topology()), elems, density,
+                    job, start);
+}
+
+PlanChoice Planner::plan_group(const simnet::Cluster& cluster,
+                               const Group& group, size_t elems,
+                               double density, int job, double start) {
+  const simnet::Topology& topo = cluster.topology();
   HITOPK_VALIDATE(density > 0.0 && density <= 1.0)
       << "density" << density << "outside (0, 1]";
   for (int rank : group) {
@@ -292,173 +297,58 @@ PlanChoice Planner::plan_impl(const simnet::Topology& topo, const Group& group,
     choice.flat_ring_seconds = ring_t;
     choice.candidates_scored = scored;
     choice.cache_hit = hit;
-    choice.exact_sum = winner.exact_sum;
-    choice.wire = winner.wire;
+    choice.exact_sum = winner.algorithm != PlanAlgorithm::kGtopk;
+  };
+  auto score_at = [&](const Candidate& cand) {
+    return score(cluster, cand, group, elems, density, job, start);
   };
 
+  // An untouched cluster at start == 0 is indistinguishable from a fresh
+  // one, so its winner is a topology property the cache may hold; load is
+  // transient state the cache must never memoize.
+  const bool cacheable = cluster.idle() && start == 0.0;
   const std::string key =
-      cache_key(topo, group, elems, density, options_.dense_density);
-  auto it = cache_.find(key);
+      cacheable ? cache_key(topo, group, elems, density) : std::string();
+  const auto it = cacheable ? cache_.find(key) : cache_.end();
   if (it != cache_.end()) {
     ++cache_hits_;
     // The cache remembers the winning *configuration* for this bucket, but
     // the never-lose guarantee must hold at the requested size, not the
     // size that populated the bucket — so re-score the cached winner
     // against the flat ring here and take the min.
-    const Candidate ring{PlanAlgorithm::kFlatRing, "ring", {}, group, true,
-                         options_.wire};
-    const double ring_t = score(topo, ring, group, elems, density);
-    int scored = 1;
+    const Candidate ring{PlanAlgorithm::kFlatRing, "ring", {}, group};
+    const double ring_t = score_at(ring);
     const Candidate& cached = it->second;
     if (cached.algorithm == PlanAlgorithm::kFlatRing &&
         cached.ring_order == group) {
-      fill(ring, ring_t, ring_t, scored, true);
+      fill(ring, ring_t, ring_t, 1, true);
       return choice;
     }
-    const double cached_t = score(topo, cached, group, elems, density);
-    ++scored;
+    const double cached_t = score_at(cached);
     if (cached_t < ring_t) {
-      fill(cached, cached_t, ring_t, scored, true);
+      fill(cached, cached_t, ring_t, 2, true);
     } else {
-      fill(ring, ring_t, ring_t, scored, true);
+      fill(ring, ring_t, ring_t, 2, true);
     }
     return choice;
   }
 
   const std::vector<Candidate> cands =
-      enumerate(topo, group, full_world, density);
+      enumerate(topo, group, is_world_order(topo, group), density);
   double ring_t = 0.0;
   double best_t = std::numeric_limits<double>::infinity();
   size_t best = 0;
   for (size_t i = 0; i < cands.size(); ++i) {
-    const double t = score(topo, cands[i], group, elems, density);
+    const double t = score_at(cands[i]);
     if (i == 0) ring_t = t;
     if (t < best_t) {  // strict: ties keep the earliest (the flat ring)
       best_t = t;
       best = i;
     }
   }
-  cache_.emplace(key, cands[best]);
+  if (cacheable) cache_.emplace(key, cands[best]);
   fill(cands[best], best_t, ring_t, static_cast<int>(cands.size()), false);
   return choice;
-}
-
-double Planner::score_live(const simnet::Cluster& cluster,
-                           const Candidate& cand, const Group& group,
-                           size_t elems, double density, int job,
-                           double start) const {
-  // What-if replay on a copy of the live reservation state: the score is
-  // the candidate's duration amid the traffic other tenants already hold.
-  // Scoring must never observe scripted faults (it is a hypothetical, not a
-  // fault replay), so the copy drops the plan.
-  simnet::Cluster replica = cluster;
-  replica.set_fault_plan(nullptr);
-  if (cand.algorithm == PlanAlgorithm::kGtopk) {
-    GtopkOptions gopts;
-    gopts.density = density;
-    gopts.value_wire_bytes = wire_elem_bytes(options_.wire);
-    return gtopk_comm(replica, {}, elems, gopts, start).total;
-  }
-  Schedule sched;
-  build_candidate(sched, cluster.topology(), cand, group, {}, elems);
-  if (options_.validate) {
-    ValidatorOptions vopts;
-    vopts.world_size = cluster.topology().world_size();
-    ScheduleValidator(vopts).validate(sched);
-  }
-  return sched.run_timing(replica, start, job).finish - start;
-}
-
-PlanChoice Planner::plan_live(const simnet::Cluster& cluster,
-                              const Group& group, bool full_world,
-                              size_t elems, double density, int job,
-                              double start) {
-  HITOPK_VALIDATE(density > 0.0 && density <= 1.0)
-      << "density" << density << "outside (0, 1]";
-  for (int rank : group) {
-    HITOPK_VALIDATE(rank >= 0 && rank < cluster.world_size())
-        << "group rank" << rank << "outside world of" << cluster.world_size();
-  }
-
-  PlanChoice choice;
-  choice.ring_order = group;
-  if (group.size() <= 1) {
-    choice.name = "ring";
-    choice.candidates_scored = 1;
-    return choice;
-  }
-
-  // No cache: the winner depends on the cluster's transient load, which the
-  // topology-keyed cache must never memoize.
-  const std::vector<Candidate> cands =
-      enumerate(cluster.topology(), group, full_world, density);
-  double ring_t = 0.0;
-  double best_t = std::numeric_limits<double>::infinity();
-  size_t best = 0;
-  for (size_t i = 0; i < cands.size(); ++i) {
-    const double t =
-        score_live(cluster, cands[i], group, elems, density, job, start);
-    if (i == 0) ring_t = t;
-    if (t < best_t) {  // strict: ties keep the earliest (the flat ring)
-      best_t = t;
-      best = i;
-    }
-  }
-  choice.algorithm = cands[best].algorithm;
-  choice.name = cands[best].name;
-  choice.factors = cands[best].factors;
-  choice.ring_order = cands[best].ring_order;
-  choice.predicted_seconds = best_t;
-  choice.flat_ring_seconds = ring_t;
-  choice.candidates_scored = static_cast<int>(cands.size());
-  choice.exact_sum = cands[best].exact_sum;
-  choice.wire = cands[best].wire;
-  return choice;
-}
-
-PlanChoice Planner::plan(const simnet::Topology& topo, size_t elems,
-                         double density) {
-  return plan_impl(topo, world_group(topo), /*full_world=*/true, elems,
-                   density);
-}
-
-PlanChoice Planner::plan(const simnet::Cluster& cluster, size_t elems,
-                         double density, int job, double start) {
-  return plan_group(cluster, world_group(cluster.topology()), elems, density,
-                    job, start);
-}
-
-PlanChoice Planner::plan_group(const simnet::Cluster& cluster,
-                               const Group& group, size_t elems,
-                               double density, int job, double start) {
-  // The idle-snapshot contract: an untouched cluster at start == 0 is
-  // indistinguishable from a fresh one, so delegate to the (cached)
-  // topology path and return its winners exactly.
-  if (cluster.idle() && start == 0.0) {
-    return plan_group(cluster.topology(), group, elems, density);
-  }
-  const bool full_world =
-      static_cast<int>(group.size()) == cluster.world_size() &&
-      [&] {
-        for (size_t i = 0; i < group.size(); ++i) {
-          if (group[i] != static_cast<int>(i)) return false;
-        }
-        return true;
-      }();
-  return plan_live(cluster, group, full_world, elems, density, job, start);
-}
-
-PlanChoice Planner::plan_group(const simnet::Topology& topo, const Group& group,
-                               size_t elems, double density) {
-  const bool full_world =
-      static_cast<int>(group.size()) == topo.world_size() &&
-      [&] {
-        for (size_t i = 0; i < group.size(); ++i) {
-          if (group[i] != static_cast<int>(i)) return false;
-        }
-        return true;
-      }();
-  return plan_impl(topo, group, full_world, elems, density);
 }
 
 double Planner::execute(simnet::Cluster& cluster, const RankData& data,
@@ -486,15 +376,13 @@ double Planner::execute(simnet::Cluster& cluster, const Group& group,
   // record identical sends with or without functional data), so on a fresh
   // cluster with start == 0 the finish below equals predicted_seconds.
   const Candidate cand{choice.algorithm, choice.name, choice.factors,
-                       choice.ring_order, choice.exact_sum, choice.wire};
+                       choice.ring_order};
   Schedule sched;
   build_candidate(sched, topo, cand, group, data, elems);
-  if (options_.validate) {
-    ValidatorOptions vopts;
-    vopts.world_size = topo.world_size();
-    vopts.require_full_coverage = true;  // exact All-Reduce: no partials left
-    ScheduleValidator(vopts).validate(sched);
-  }
+  ValidatorOptions vopts;
+  vopts.world_size = topo.world_size();
+  vopts.require_full_coverage = true;  // exact All-Reduce: no partials left
+  ScheduleValidator(vopts).validate(sched);
   const double finish = sched.run_timing(cluster, start).finish;
   sched.run_data();
   return finish;

@@ -19,15 +19,19 @@
 //   2. statically validates every schedule-backed candidate
 //      (collectives/validator.h) — a candidate that breaks a schedule
 //      invariant is a bug, not a slow choice, and must never be scored;
-//   3. scores each candidate by replaying its schedule against a fresh
-//      Cluster from t = 0 and keeps the earliest finisher (ties keep the
-//      earlier-enumerated, simpler candidate — the flat ring is enumerated
-//      first);
+//   3. scores each candidate on one path: replay its schedule on a copy of
+//      the cluster the caller plans against (a fresh Cluster for the
+//      topology overloads; scripted faults dropped) and take the duration
+//      from `start`.  The earliest finisher wins; ties keep the
+//      earlier-enumerated, simpler candidate — the flat ring is
+//      enumerated first;
 //   4. caches the winning *configuration* per (topology fingerprint, group,
-//      size bucket, density bucket).  A cache hit re-scores only the cached
-//      winner and the flat ring at the requested size — so the planner's
-//      "never lose to the flat ring" guarantee holds at every size inside a
-//      bucket, not just the size that populated it.
+//      size bucket, density bucket), but only for idle clusters at
+//      start == 0, where the score is a topology property.  A cache hit
+//      re-scores only the cached winner and the flat ring at the requested
+//      size — so the planner's "never lose to the flat ring" guarantee
+//      holds at every size inside a bucket, not just the size that
+//      populated it.
 //
 // Scoring is O(candidates * schedule size) with no functional data; a
 // 128-rank plan costs well under a millisecond.  execute() then rebuilds
@@ -47,7 +51,6 @@
 
 #include "collectives/common.h"
 #include "collectives/schedule.h"
-#include "collectives/tree_allreduce.h"
 
 namespace hitopk::coll {
 
@@ -68,26 +71,6 @@ struct PlannerOptions {
   // Wire dtype every candidate's transfers travel in (typed payloads,
   // compress/wire_codec.h).  fp32 keeps plans exact-sum.
   WireDtype wire = WireDtype::kFp32;
-  // Quantization axis: when true (and `wire` is fp32), every exact-sum
-  // candidate is additionally scored as a "+fp16" variant that halves the
-  // wire bytes.  fp16 variants are marked exact_sum = false (the result is
-  // rounded at shard boundaries), so callers that require the bitwise
-  // All-Reduce can filter on PlanChoice::exact_sum.  The flat fp32 ring
-  // remains candidate 0, so the never-lose guarantee is unchanged.
-  bool quantized_candidates = false;
-  // Cap on BlueConnect stage factorizations scored per plan; the pruning
-  // heuristic keeps the hierarchy-aligned splits ({gpus, nodes}, the
-  // pod-aligned three-stage split, then balanced divisor splits of the node
-  // count nearest sqrt(nodes)).
-  int max_blueconnect_candidates = 6;
-  // Densities below this gate gTop-k into the candidate set; at or above
-  // it the message is considered dense and only exact-sum candidates run.
-  double dense_density = 0.5;
-  // Statically validate every schedule-backed candidate before scoring and
-  // the winner (with full chunk coverage) before execution.
-  bool validate = true;
-  // Chunk pipelining for the tree candidate.
-  TreeOptions tree;
 };
 
 struct PlanChoice {
@@ -95,16 +78,14 @@ struct PlanChoice {
   std::string name;          // e.g. "blueconnect{8,4,4}" or "hd+podsort"
   std::vector<int> factors;  // BlueConnect stage sizes (empty otherwise)
   Group ring_order;          // membership order for ring / halving-doubling
-  // Simulated finish of the winner / the flat-ring baseline, replayed on a
-  // fresh cluster from t = 0.  predicted_seconds <= flat_ring_seconds
-  // always (the flat ring is itself a candidate).
+  // Simulated duration of the winner / the flat-ring baseline from the
+  // planning start (on a fresh cluster from t = 0, the finish time).
+  // predicted_seconds <= flat_ring_seconds always (the flat ring is itself
+  // a candidate).
   double predicted_seconds = 0.0;
   double flat_ring_seconds = 0.0;
   int candidates_scored = 0;
   bool cache_hit = false;
-  // Wire dtype of the winning schedule (PlannerOptions::wire, or kFp16 when
-  // a quantized variant won the score).
-  WireDtype wire = WireDtype::kFp32;
   // False only for the gTop-k plan, whose result is the shared global
   // top-k *approximation* of the sum; every other plan is an exact-sum
   // All-Reduce, bitwise-comparable against the flat-ring oracle on inputs
@@ -119,9 +100,10 @@ struct PlanChoice {
 
 class Planner {
  public:
-  explicit Planner(PlannerOptions options = {});
+  explicit Planner(PlannerOptions options = {}) : options_(options) {}
 
-  // Plans an All-Reduce over the full world in rank order.
+  // Plans an All-Reduce over the full world in rank order on a fresh
+  // cluster of `topo` (the cached path).
   PlanChoice plan(const simnet::Topology& topo, size_t elems,
                   double density = 1.0);
 
@@ -134,16 +116,15 @@ class Planner {
   PlanChoice plan_group(const simnet::Topology& topo, const Group& group,
                         size_t elems, double density = 1.0);
 
-  // Contention-aware overloads: plan against the *live* cluster instead of
-  // a fresh idle one.  Candidates are scored by replaying on a copy of the
-  // cluster — reservation timelines included — from `start` under `job`, so
-  // a candidate whose traffic pattern dodges the ports other tenants have
-  // loaded can win, and predicted_seconds/flat_ring_seconds report the
-  // *duration* under that load.  An idle cluster with start == 0 delegates
-  // to the topology overloads above and returns their winners exactly
-  // (pinned); loaded calls bypass the winner cache, because load is
-  // transient state, not a cacheable topology property.  The flat-ring
-  // never-lose guarantee holds in both regimes.
+  // Contention-aware planning against a *live* cluster.  Candidates are
+  // scored by replaying on a copy of the cluster — reservation timelines
+  // included — from `start` under `job`, so a candidate whose traffic
+  // pattern dodges the ports other tenants have loaded can win.  The
+  // topology overloads above are this call on a fresh Cluster(topo), so an
+  // idle cluster with start == 0 returns their winners exactly; only then
+  // is the winner cache read and filled, because load is transient state,
+  // not a cacheable topology property.  The flat-ring never-lose guarantee
+  // holds in both regimes.
   PlanChoice plan(const simnet::Cluster& cluster, size_t elems,
                   double density = 1.0, int job = simnet::kDefaultJob,
                   double start = 0.0);
@@ -163,7 +144,6 @@ class Planner {
                  const RankData& data, size_t elems, double density,
                  double start);
 
-  const PlannerOptions& options() const { return options_; }
   size_t cache_size() const { return cache_.size(); }
   size_t cache_hits() const { return cache_hits_; }
 
@@ -174,8 +154,6 @@ class Planner {
     std::string name;
     std::vector<int> factors;
     Group ring_order;
-    bool exact_sum = true;
-    WireDtype wire = WireDtype::kFp32;
   };
 
   std::vector<Candidate> enumerate(const simnet::Topology& topo,
@@ -186,16 +164,11 @@ class Planner {
   bool build_candidate(Schedule& sched, const simnet::Topology& topo,
                        const Candidate& cand, const Group& group,
                        const RankData& data, size_t elems) const;
-  double score(const simnet::Topology& topo, const Candidate& cand,
-               const Group& group, size_t elems, double density) const;
-  double score_live(const simnet::Cluster& cluster, const Candidate& cand,
-                    const Group& group, size_t elems, double density, int job,
-                    double start) const;
-  PlanChoice plan_impl(const simnet::Topology& topo, const Group& group,
-                       bool full_world, size_t elems, double density);
-  PlanChoice plan_live(const simnet::Cluster& cluster, const Group& group,
-                       bool full_world, size_t elems, double density, int job,
-                       double start);
+  // The candidate's duration from `start` when replayed under `job` on a
+  // copy of `base` with the fault plan dropped.
+  double score(const simnet::Cluster& base, const Candidate& cand,
+               const Group& group, size_t elems, double density, int job,
+               double start) const;
 
   PlannerOptions options_;
   std::unordered_map<std::string, Candidate> cache_;

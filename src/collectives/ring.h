@@ -120,6 +120,16 @@ void build_ring_reduce_scatter(Schedule& sched,
 void build_ring_allgather(Schedule& sched, const std::vector<Group>& groups,
                           const RingGrid& grid, size_t elems, WireDtype wire);
 
+// The one-group ring All-Reduce that ring_allreduce runs: fused-chain
+// Reduce-Scatter, a collapse sync (the gather starts for everyone at the
+// Reduce-Scatter completion maximum), then the resolved All-Gather reusing
+// the owner chunks in place.  data may be empty (timing-only); records
+// nothing for groups of one rank or fewer.  Every ring All-Reduce that must
+// time like ring_allreduce (elastic retries, planner ring candidates,
+// multi-tenant bodies) records through this builder.
+void build_ring_allreduce(Schedule& sched, const Group& group,
+                          const RankData& data, size_t elems, WireDtype wire);
+
 // Variable-payload All-Gather leg (timing only; sparse payload data
 // movement is tracked by the caller).
 void build_ring_allgather_bytes(

@@ -88,71 +88,12 @@ void Schedule::end_step() { ++step_; }
 
 void Schedule::sync(bool collapse) { syncs_.push_back({step_, collapse}); }
 
-Schedule::TimingResult Schedule::run_timing(simnet::Cluster& cluster,
-                                            double start, int job) const {
-  TimingResult result;
-  result.sync_times.reserve(syncs_.size());
-  // clock = slot readiness at the last step boundary; next = in-progress
-  // updates, committed at the next boundary.
-  Scratch<double> clock_buf(num_slots_);
-  Scratch<double> next_buf(num_slots_);
-  auto clock = clock_buf.span();
-  auto next = next_buf.span();
-  std::fill(clock.begin(), clock.end(), start);
-
-  auto running_max = [&] {
-    double best = start;
-    for (double t : clock) best = std::max(best, t);
-    return best;
-  };
-
-  size_t sync_cursor = 0;
-  size_t i = 0;
-  while (i < sends_.size() || sync_cursor < syncs_.size()) {
-    // Next step boundary: the smaller of the next send's and next sync's
-    // step (syncs at a step apply before its sends).
-    uint32_t step;
-    if (i < sends_.size() && sync_cursor < syncs_.size()) {
-      step = std::min(sends_[i].step, syncs_[sync_cursor].step);
-    } else if (i < sends_.size()) {
-      step = sends_[i].step;
-    } else {
-      step = syncs_[sync_cursor].step;
-    }
-    while (sync_cursor < syncs_.size() && syncs_[sync_cursor].step <= step) {
-      const double t = running_max();
-      result.sync_times.push_back(t);
-      if (syncs_[sync_cursor].collapse) {
-        std::fill(clock.begin(), clock.end(), t);
-      }
-      ++sync_cursor;
-    }
-    if (i >= sends_.size()) break;
-    std::copy(clock.begin(), clock.end(), next.begin());
-    for (; i < sends_.size() && sends_[i].step == step; ++i) {
-      const Send& t = sends_[i];
-      const simnet::FlowOutcome sent = cluster.submit(
-          {job, t.src, t.dst, t.bytes, clock[t.src_slot], t.extra_seconds});
-      HITOPK_CHECK(sent.delivered)
-          << "run_timing touched preempted rank" << sent.dead_rank
-          << "at t=" << sent.time
-          << "(use run_timing_abortable on fault-injected runs)";
-      next[t.dst_slot] = std::max(next[t.dst_slot], sent.time);
-    }
-    std::swap(clock, next);
-  }
-  result.finish = running_max();
-  return result;
-}
-
 ScheduleOutcome Schedule::run_timing_abortable(simnet::Cluster& cluster,
                                                double start, int job) const {
   ScheduleOutcome out;
   out.sync_times.reserve(syncs_.size());
-  // Same replay loop as run_timing; see the comments there.  The only
-  // divergence is the undelivered-flow branch: a fault-free cluster takes
-  // the identical arithmetic path, so completed outcomes match run_timing
-  // bit-for-bit.
+  // clock = slot readiness at the last step boundary; next = in-progress
+  // updates, committed at the next boundary.
   Scratch<double> clock_buf(num_slots_);
   Scratch<double> next_buf(num_slots_);
   auto clock = clock_buf.span();
@@ -169,6 +110,8 @@ ScheduleOutcome Schedule::run_timing_abortable(simnet::Cluster& cluster,
   size_t sync_cursor = 0;
   size_t i = 0;
   while (i < sends_.size() || sync_cursor < syncs_.size()) {
+    // Next step boundary: the smaller of the next send's and next sync's
+    // step (syncs at a step apply before its sends).
     uint32_t step;
     if (i < sends_.size() && sync_cursor < syncs_.size()) {
       step = std::min(sends_[i].step, syncs_[sync_cursor].step);
@@ -214,6 +157,15 @@ ScheduleOutcome Schedule::run_timing_abortable(simnet::Cluster& cluster,
   }
   out.finish = running_max(clock);
   if (degraded) out.status = ScheduleStatus::kDegraded;
+  return out;
+}
+
+ScheduleOutcome Schedule::run_timing(simnet::Cluster& cluster, double start,
+                                     int job) const {
+  ScheduleOutcome out = run_timing_abortable(cluster, start, job);
+  HITOPK_CHECK(!out.aborted())
+      << "run_timing touched preempted rank" << out.dead_rank << "at step"
+      << out.abort_step << "(use run_timing_abortable on fault-injected runs)";
   return out;
 }
 

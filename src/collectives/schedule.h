@@ -10,9 +10,10 @@
 //
 // The Schedule class runs one recorded schedule as two passes:
 //
-//   timing pass (run_timing) — serial replay of the recorded sends against
-//     the Cluster port clocks, in recorded issue order, with snapshot
-//     ("next = ready") semantics at step boundaries.  Issue order and
+//   timing pass (run_timing_abortable, and run_timing, which also checks
+//     that no send hit a preempted rank) — one serial replay of the recorded
+//     sends against the Cluster port clocks, in recorded issue order, with
+//     snapshot ("next = ready") semantics at step boundaries.  Issue order and
 //     readiness slots are recorded explicitly, so the clocks depend only on
 //     the record, never on the data pass.
 //
@@ -75,7 +76,7 @@ enum class TransferOp : uint8_t {
   kChainLast,
 };
 
-// Outcome of an abortable timed replay (run_timing_abortable).
+// Outcome of a timed replay (run_timing_abortable / run_timing).
 //
 //   kCompleted — every recorded send delivered at full health.
 //   kDegraded  — completed, but some sends paid degradation windows or
@@ -176,33 +177,30 @@ class Schedule {
   void end_step();
 
   // Records a phase boundary at the current step.  The timing pass stores
-  // the running clock maximum into TimingResult::sync_times (in recording
+  // the running clock maximum into ScheduleOutcome::sync_times (in recording
   // order); with collapse=true it also sets every slot to that maximum —
   // the scalar "phase done, next phase starts for everyone" hand-off.
   void sync(bool collapse);
 
   // ---- execution ------------------------------------------------------
-  struct TimingResult {
-    double finish = 0.0;              // max over final slots
-    std::vector<double> sync_times;   // one entry per recorded sync()
-  };
-
-  // Serial timing replay.  Does not touch data buffers.  `job` is the
-  // tenant context the recorded sends are submitted under: on a shared
+  // Timing replay via Cluster::submit, the one loop every collective's
+  // clock comes from.  Does not touch data buffers.  `job` is the tenant
+  // context the recorded sends are submitted under: on a shared
   // multi-tenant cluster the replay's flows processor-share contended ports
   // with other jobs' reservations, while on an idle cluster every job id
-  // replays to identical clocks (the single-tenant compatibility pin).
-  TimingResult run_timing(simnet::Cluster& cluster, double start,
-                          int job = simnet::kDefaultJob) const;
-
-  // Fault-aware timing replay via Cluster::submit.  With no fault plan on
-  // the cluster (or an empty one) the finish and sync times are bit-identical
-  // to run_timing.  On a dead-rank hit it stops issuing, charges the plan's
-  // detection timeout, and reports the abort step — it never throws for
-  // faults scripted in the plan.  Does not touch data buffers; callers skip
-  // run_data when the outcome is aborted.
+  // replays to identical clocks (the single-tenant compatibility pin).  On a
+  // dead-rank hit it stops issuing, charges the fault plan's detection
+  // timeout, and reports the abort step — it never throws for faults
+  // scripted in the plan.  Callers skip run_data when the outcome is
+  // aborted.
   ScheduleOutcome run_timing_abortable(simnet::Cluster& cluster, double start,
                                        int job = simnet::kDefaultJob) const;
+
+  // run_timing_abortable for callers that run no fault plan: a send that
+  // touches a preempted rank is a caller bug there, so an abort fails a
+  // HITOPK_CHECK instead of returning.
+  ScheduleOutcome run_timing(simnet::Cluster& cluster, double start,
+                             int job = simnet::kDefaultJob) const;
 
   // Functional data pass (no clocks).  No-op for timing-only schedules.
   void run_data() const;

@@ -68,7 +68,7 @@ Torus2dBreakdown torus2d_allreduce(simnet::Cluster& cluster,
                                    WireDtype wire, double start) {
   Schedule sched;
   build_torus2d(sched, cluster.topology(), data, elems, wire);
-  const Schedule::TimingResult timing = sched.run_timing(cluster, start);
+  const ScheduleOutcome timing = sched.run_timing(cluster, start);
   sched.run_data();
   // The two collapse syncs close phases 1 and 2.
   const double t1 = timing.sync_times[0];

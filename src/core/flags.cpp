@@ -1,6 +1,8 @@
 #include "core/flags.h"
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "core/check.h"
 
@@ -38,20 +40,42 @@ std::string Flags::get(const std::string& name,
 int Flags::get_int(const std::string& name, int fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return static_cast<int>(std::strtol(it->second.c_str(), nullptr, 10));
+  const std::string& v = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const long parsed = std::strtol(v.c_str(), &end, 10);
+  HITOPK_VALIDATE(!v.empty() && end == v.c_str() + v.size())
+      << "--" + name << "expects an integer, got '" + v + "'";
+  HITOPK_VALIDATE(errno != ERANGE &&
+                  parsed >= std::numeric_limits<int>::min() &&
+                  parsed <= std::numeric_limits<int>::max())
+      << "--" + name << "value" << v << "is outside the int range";
+  return static_cast<int>(parsed);
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  const std::string& v = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(v.c_str(), &end);
+  HITOPK_VALIDATE(!v.empty() && end == v.c_str() + v.size())
+      << "--" + name << "expects a number, got '" + v + "'";
+  HITOPK_VALIDATE(errno != ERANGE)
+      << "--" + name << "value" << v << "is outside the double range";
+  return parsed;
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   const std::string& v = it->second;
-  return v == "true" || v == "1" || v == "yes" || v == "on";
+  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
+  HITOPK_VALIDATE(v == "false" || v == "0" || v == "no" || v == "off")
+      << "--" + name
+      << "expects true/1/yes/on or false/0/no/off, got '" + v + "'";
+  return false;
 }
 
 }  // namespace hitopk

@@ -1,7 +1,10 @@
 // Minimal command-line flag parsing for the examples and benches.
 //
 // Accepts "--name=value" and "--name value"; bare "--name" is a boolean
-// true.  Unknown positional arguments are collected separately.
+// true.  Unknown positional arguments are collected separately.  The typed
+// getters throw ConfigError on a value they cannot take whole: empty,
+// non-numeric, trailing garbage, out of range, or a boolean spelled other
+// than true/1/yes/on/false/0/no/off.
 #pragma once
 
 #include <string>

@@ -1,6 +1,7 @@
 // Tests for the command-line flag parser.
 #include <gtest/gtest.h>
 
+#include "core/check.h"
 #include "core/flags.h"
 
 namespace hitopk {
@@ -60,6 +61,32 @@ TEST(Flags, BooleanValueSpellings) {
   EXPECT_TRUE(f.get_bool("d"));
   EXPECT_FALSE(f.get_bool("e"));
   EXPECT_FALSE(f.get_bool("f"));
+}
+
+TEST(Flags, MalformedValuesRaiseConfigError) {
+  const Flags f = parse({"--jobs=12x", "--nodes=abc", "--empty=",
+                         "--big=4294967296", "--tiny=-4294967296",
+                         "--rate=0.5s", "--huge=1e999", "--x=maybe",
+                         "--bare"});
+  EXPECT_THROW(f.get_int("jobs", 0), ConfigError);
+  EXPECT_THROW(f.get_int("nodes", 0), ConfigError);
+  EXPECT_THROW(f.get_int("empty", 0), ConfigError);
+  EXPECT_THROW(f.get_double("empty", 0.0), ConfigError);
+  EXPECT_THROW(f.get_int("big", 0), ConfigError);
+  EXPECT_THROW(f.get_int("tiny", 0), ConfigError);
+  EXPECT_THROW(f.get_double("rate", 0.0), ConfigError);
+  EXPECT_THROW(f.get_double("huge", 0.0), ConfigError);
+  EXPECT_THROW(f.get_bool("x"), ConfigError);
+  EXPECT_THROW(f.get_int("bare", 0), ConfigError);
+  // The spellings bench/e2e/run.sh passes still parse.
+  const Flags ok = parse({"--seconds", "20", "--trace", "0", "--on=1",
+                          "--off=no", "--neg=-3", "--max=2147483647"});
+  EXPECT_DOUBLE_EQ(ok.get_double("seconds", 0.0), 20.0);
+  EXPECT_FALSE(ok.get_bool("trace", true));
+  EXPECT_TRUE(ok.get_bool("on"));
+  EXPECT_FALSE(ok.get_bool("off", true));
+  EXPECT_EQ(ok.get_int("neg", 0), -3);
+  EXPECT_EQ(ok.get_int("max", 0), 2147483647);
 }
 
 TEST(Flags, LastValueWins) {

@@ -746,15 +746,36 @@ TEST(LivePlanner, LoadSlowsTheRingAndNeverLosesToIt) {
     loaded.submit({1, topo.rank_of(node, 0), topo.rank_of(node + 1, 0),
                    32 << 20, 0.0});
   }
+  const size_t cached = planner.cache_size();
   const coll::PlanChoice live =
       planner.plan(loaded, 1 << 18, 1.0, /*job=*/2, /*start=*/0.0);
   EXPECT_FALSE(live.cache_hit);
+  // Load is transient: a loaded plan neither reads nor fills the cache.
+  EXPECT_EQ(planner.cache_size(), cached);
   EXPECT_LE(live.predicted_seconds, live.flat_ring_seconds);
   EXPECT_GE(live.flat_ring_seconds, idle.flat_ring_seconds);
   // Scoring is what-if only: the live cluster's state is untouched, so a
   // fresh idle plan from the same planner still matches the pinned one.
   EXPECT_EQ(planner.plan(topo, 1 << 18).predicted_seconds,
             idle.predicted_seconds);
+}
+
+TEST(LivePlanner, IdleClusterAtLaterStartBypassesTheCache) {
+  // Only an idle cluster at start == 0 reads or fills the winner cache.  A
+  // later start on the same idle fabric scores every candidate afresh, and
+  // with no load to dodge it picks the topology plan's winner.
+  const Topology topo = podded();
+  coll::Planner planner;
+  const coll::PlanChoice by_topo = planner.plan(topo, 1 << 18);
+  const size_t cached = planner.cache_size();
+  const Cluster idle(topo);
+  const coll::PlanChoice later =
+      planner.plan(idle, 1 << 18, 1.0, kDefaultJob, /*start=*/1.0);
+  EXPECT_FALSE(later.cache_hit);
+  EXPECT_EQ(planner.cache_hits(), 0u);
+  EXPECT_EQ(planner.cache_size(), cached);
+  EXPECT_EQ(later.name, by_topo.name);
+  EXPECT_EQ(later.candidates_scored, by_topo.candidates_scored);
 }
 
 }  // namespace

@@ -144,12 +144,13 @@ void BM_HiTopKCommFunctional(benchmark::State& state) {
 }
 BENCHMARK(BM_HiTopKCommFunctional);
 
-void BM_WireRoundTripFp16(benchmark::State& state) {
-  // The fp16 wire codec on a gradient-like mix: ~16% exact zeros, ~1% below
-  // the smallest normal half (2^-14), the rest N(0, 0.01).  Informational:
-  // per_elem (wall time per element) is the number to watch for a
-  // vectorization regression.  The round trip is idempotent, so reusing the
-  // rounded buffer keeps the mix.
+// A wire codec on a gradient-like mix: ~16% exact zeros, ~1% below the
+// smallest normal half (2^-14), the rest N(0, 0.01).  Informational:
+// per_elem (wall time per element; real time, because the codec splits
+// itself over the pool) is the number to watch for a vectorization or
+// partitioning regression.  Every round trip is idempotent, so reusing the
+// rounded buffer keeps the mix.
+void wire_round_trip_bench(benchmark::State& state, compress::WireDtype wire) {
   const size_t d = static_cast<size_t>(state.range(0));
   Rng rng(12);
   Tensor x(d);
@@ -160,7 +161,7 @@ void BM_WireRoundTripFp16(benchmark::State& state) {
                       : static_cast<float>(rng.normal(0.0, 1e-2));
   }
   for (auto _ : state) {
-    compress::wire_round_trip(compress::WireDtype::kFp16, x.span());
+    compress::wire_round_trip(wire, x.span());
     benchmark::DoNotOptimize(x.data());
     benchmark::ClobberMemory();
   }
@@ -171,7 +172,16 @@ void BM_WireRoundTripFp16(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate |
           benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_WireRoundTripFp16)->Arg(1 << 20);
+
+void BM_WireRoundTripFp16(benchmark::State& state) {
+  wire_round_trip_bench(state, compress::WireDtype::kFp16);
+}
+BENCHMARK(BM_WireRoundTripFp16)->Arg(1 << 20)->UseRealTime();
+
+void BM_WireRoundTripInt8(benchmark::State& state) {
+  wire_round_trip_bench(state, compress::WireDtype::kInt8);
+}
+BENCHMARK(BM_WireRoundTripInt8)->Arg(1 << 20)->UseRealTime();
 
 // Selection-quality + speedup validation at the acceptance point (d = 1M,
 // density 0.001), emitted to stdout and BENCH_compress.json (schema in

@@ -16,13 +16,6 @@ std::vector<float>& chain_acc() {
   return acc;
 }
 
-// Worker-local staging buffer for quantized kReduce moves: the wire carries
-// the codec-rounded source chunk, so the destination adds rt(src), never src.
-std::vector<float>& reduce_staging() {
-  thread_local std::vector<float> tmp;
-  return tmp;
-}
-
 // Single-pass execution of a whole fp32 reduction chain: per element the
 // partial sum lives in a register from the first source to the final
 // destination add, replacing the accumulator's (N+1) memory passes with one.
@@ -243,41 +236,34 @@ void Schedule::run_data() const {
         // The destination buffer's wire dtype governs the transfer (the
         // validator pins src and dst to the same dtype): every value that
         // crosses the wire is rounded through the codec before it is
-        // stored or added.  kFp32 round trips are no-ops and keep this pass
-        // bitwise identical to the untyped engine.
+        // stored or added: a copy stores rt(src) and a reduce adds rt(src),
+        // never src.  The wire_round_* kernels fuse the codec with the move
+        // and are bitwise equal to rounding a staged copy first; at kFp32
+        // they are the plain copy and add, which keeps this pass bitwise
+        // identical to the untyped engine.
         const WireDtype wire = buffer_wires_[mv.dst_buf];
         switch (mv.op) {
           case TransferOp::kCopy:
-            std::copy(src.begin(), src.end(), dst.begin());
-            wire_round_trip(wire, dst);
+            wire_round_copy(wire, dst, src);
             break;
           case TransferOp::kReduce:
-            if (wire == WireDtype::kFp32) {
-              tensor_ops::add_into(dst, src);
-            } else {
-              auto& tmp = reduce_staging();
-              tmp.assign(src.begin(), src.end());
-              std::span<float> staged(tmp.data(), mv.count);
-              wire_round_trip(wire, staged);
-              tensor_ops::add_into(dst, staged);
-            }
+            wire_round_add(wire, dst, src);
             break;
-          case TransferOp::kChainFirst:
+          case TransferOp::kChainFirst: {
             // The chain's remaining links run on this same worker (a chain
             // is recorded contiguously within its destination bucket), so
             // the accumulator is thread-local and keeps its capacity
             // across chains and calls.  Quantized chains round the
             // accumulator after every link that the wire would forward:
             // the next hop receives rt(partial).
-            chain_acc().assign(src.begin(), src.end());
-            wire_round_trip(wire,
-                            std::span<float>(chain_acc().data(), mv.count));
+            std::vector<float>& acc = chain_acc();
+            if (acc.size() < mv.count) acc.resize(mv.count);
+            wire_round_copy(wire, std::span<float>(acc.data(), mv.count), src);
             break;
+          }
           case TransferOp::kChainMid:
-            tensor_ops::add_into(
-                std::span<float>(chain_acc().data(), mv.count), src);
-            wire_round_trip(wire,
-                            std::span<float>(chain_acc().data(), mv.count));
+            wire_sum_round(wire,
+                           std::span<float>(chain_acc().data(), mv.count), src);
             break;
           case TransferOp::kChainLast:
             // The accumulator already carries the last hop's rounded

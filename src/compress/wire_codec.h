@@ -69,6 +69,28 @@ float int8_wire_scale(std::span<const float> values);
 //   kInt8 — q = clamp(round-half-away(x / scale), -127, 127), x = q * scale,
 //           non-finite values untouched.
 // Idempotent for every dtype: a second call is bitwise a no-op.
+//
+// The shard is split into core/parallel.h's fixed chunks on the pool: fp16
+// is elementwise, and int8 takes the max of the per-chunk maxima (exact and
+// order-free) as its scale, so the result is bitwise independent of the
+// pool width.
 void wire_round_trip(WireDtype dtype, std::span<float> values);
+
+// The quantized reduce kernels: one fused pass each where the codec allows,
+// bitwise identical to the unfused sequence (rt = wire_round_trip at
+// `dtype`; dst/acc and src have equal sizes and do not overlap).
+//   wire_round_copy:  dst = rt(src)        (copy, then round dst)
+//   wire_round_add:   dst += rt(src)       (round a copy of src, add it)
+//   wire_sum_round:   acc = rt(acc + src)  (add, then round acc)
+// int8's scale for rt(src) comes from src, so copy and add scan src once
+// for its max and then quantize in one pass; wire_sum_round's scale needs
+// the whole partial sum, so at int8 it adds and then rounds in two passes.
+// Split over the pool like wire_round_trip; kFp32 is the plain copy/add.
+void wire_round_copy(WireDtype dtype, std::span<float> dst,
+                     std::span<const float> src);
+void wire_round_add(WireDtype dtype, std::span<float> dst,
+                    std::span<const float> src);
+void wire_sum_round(WireDtype dtype, std::span<float> acc,
+                    std::span<const float> src);
 
 }  // namespace hitopk::compress

@@ -87,7 +87,8 @@ Bits4 select(Bits4 mask, Bits4 a, Bits4 b) { return (mask & a) | (~mask & b); }
 
 // half_to_float(float_to_half(x)) for four lanes, without branches: every
 // input class is computed, then the lane's class selects its result.
-// Inlined into both call sites so the loop keeps its constants in registers.
+// Inlined into every bulk kernel so the loop keeps its constants in
+// registers.
 [[gnu::always_inline]] inline Bits4 fp16_lane(Bits4 bits) {
   const Bits4 sign = bits & 0x80000000u;
   const Bits4 mag = bits ^ sign;
@@ -121,24 +122,64 @@ Bits4 select(Bits4 mask, Bits4 a, Bits4 b) { return (mask & a) | (~mask & b); }
   return result | sign;
 }
 
+// Streams `n` floats four lanes at a time: kernel(i, lanes) maps the lanes
+// starting at element i of the first operand to their result.  The tail runs
+// the same kernel on zero-padded lanes and stores only the live ones.
+template <class Kernel>
+[[gnu::always_inline]] inline void for_each_lanes(float* out, size_t n,
+                                                  Kernel kernel) {
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const Bits4 lanes = kernel(i, size_t{4});
+    std::memcpy(out + i, &lanes, sizeof(lanes));
+  }
+  if (i < n) {
+    const Bits4 lanes = kernel(i, n - i);
+    std::memcpy(out + i, &lanes, (n - i) * sizeof(float));
+  }
+}
+
+// Loads `live` floats from p (the rest zero) as raw bits.
+[[gnu::always_inline]] inline Bits4 load(const float* p, size_t live) {
+  Bits4 lanes{};
+  std::memcpy(&lanes, p, live * sizeof(float));
+  return lanes;
+}
+
 }  // namespace
 
 void fp16_round_trip(std::span<float> values) {
   float* p = values.data();
-  const size_t n = values.size();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    Bits4 lanes;
-    std::memcpy(&lanes, p + i, sizeof(lanes));
-    lanes = fp16_lane(lanes);
-    std::memcpy(p + i, &lanes, sizeof(lanes));
-  }
-  if (i < n) {  // Tail: the same lane function on a zero-padded vector.
-    Bits4 lanes{};
-    std::memcpy(&lanes, p + i, (n - i) * sizeof(float));
-    lanes = fp16_lane(lanes);
-    std::memcpy(p + i, &lanes, (n - i) * sizeof(float));
-  }
+  for_each_lanes(p, values.size(), [p](size_t i, size_t live) {
+    return fp16_lane(load(p + i, live));
+  });
+}
+
+void fp16_round_copy(std::span<float> dst, std::span<const float> src) {
+  const float* s = src.data();
+  for_each_lanes(dst.data(), dst.size(), [s](size_t i, size_t live) {
+    return fp16_lane(load(s + i, live));
+  });
+}
+
+void fp16_round_add(std::span<float> dst, std::span<const float> src) {
+  float* d = dst.data();
+  const float* s = src.data();
+  for_each_lanes(d, dst.size(), [d, s](size_t i, size_t live) {
+    const Float4 sum = std::bit_cast<Float4>(load(d + i, live)) +
+                       std::bit_cast<Float4>(fp16_lane(load(s + i, live)));
+    return std::bit_cast<Bits4>(sum);
+  });
+}
+
+void fp16_sum_round(std::span<float> acc, std::span<const float> src) {
+  float* a = acc.data();
+  const float* s = src.data();
+  for_each_lanes(a, acc.size(), [a, s](size_t i, size_t live) {
+    const Float4 sum = std::bit_cast<Float4>(load(a + i, live)) +
+                       std::bit_cast<Float4>(load(s + i, live));
+    return fp16_lane(std::bit_cast<Bits4>(sum));
+  });
 }
 
 }  // namespace hitopk

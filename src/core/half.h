@@ -30,4 +30,14 @@ float half_to_float(Half h);
 // core_test Fp16Codec.BulkMatchesScalarPairOnEveryPattern.
 void fp16_round_trip(std::span<float> values);
 
+// Fused variants over the same lane function, for the quantized reduces
+// (rt = the fp16 round trip above).  Each takes one pass and is bitwise
+// identical to its unfused sequence; dst/acc and src have equal sizes.
+//   fp16_round_copy:  dst = rt(src)        (copy, then fp16_round_trip)
+//   fp16_round_add:   dst += rt(src)       (round a copy, then add it)
+//   fp16_sum_round:   acc = rt(acc + src)  (add, then fp16_round_trip)
+void fp16_round_copy(std::span<float> dst, std::span<const float> src);
+void fp16_round_add(std::span<float> dst, std::span<const float> src);
+void fp16_sum_round(std::span<float> acc, std::span<const float> src);
+
 }  // namespace hitopk

@@ -1,5 +1,6 @@
 #include "core/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -182,6 +183,18 @@ void parallel_for(size_t begin, size_t end,
   Pool::instance().run(job);
 
   if (job.error) std::rethrow_exception(job.error);
+}
+
+void parallel_chunks(size_t count,
+                     const std::function<void(size_t, size_t)>& fn) {
+  if (count <= kParallelChunk) {
+    if (count > 0) fn(0, count);
+    return;
+  }
+  parallel_for(0, parallel_chunk_count(count), [&](size_t c) {
+    const size_t lo = c * kParallelChunk;
+    fn(lo, std::min(count, lo + kParallelChunk));
+  });
 }
 
 }  // namespace hitopk

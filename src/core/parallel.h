@@ -35,4 +35,25 @@ void set_parallel_threads(int n);
 void parallel_for(size_t begin, size_t end,
                   const std::function<void(size_t)>& fn, size_t grain = 1);
 
+// Element count of one parallel_chunks chunk: 64 Ki floats (256 KiB).  A
+// multiple of 16, so a kernel that works in blocks of 4, 8 or 16 elements
+// sees the same block boundaries in every chunk as over the whole span.
+inline constexpr size_t kParallelChunk = size_t{1} << 16;
+
+// Number of parallel_chunks chunks covering `count` elements.
+inline size_t parallel_chunk_count(size_t count) {
+  return (count + kParallelChunk - 1) / kParallelChunk;
+}
+
+// Runs fn(lo, hi) once for each fixed chunk [lo, hi) of [0, count): chunk c
+// covers [c * kParallelChunk, min(count, (c + 1) * kParallelChunk)).  Chunks
+// run on the pool; a span of one chunk or less, a 1-thread pool and a call
+// nested inside a parallel region run inline.  The chunk boundaries do not
+// depend on the thread count, so an elementwise kernel (or one that combines
+// per-chunk results in chunk order) is bitwise identical at every pool
+// width.  For the bulk kernels over whole gradients: the wire codec and the
+// optimizer step.
+void parallel_chunks(size_t count,
+                     const std::function<void(size_t, size_t)>& fn);
+
 }  // namespace hitopk

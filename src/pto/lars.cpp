@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/check.h"
+#include "core/parallel.h"
 
 namespace hitopk::pto {
 namespace {
@@ -51,7 +52,7 @@ namespace {
 
 // Blocked constant-trip momentum update over restrict pointers so the GCC12
 // -O2 vectorizer engages; this runs once per iteration over every parameter
-// in the convergence loop.
+// in the convergence loop, split into parallel_chunks chunks.
 void sgd_update(float* __restrict__ w, float* __restrict__ v,
                 const float* __restrict__ g, size_t n, float momentum,
                 float weight_decay, float lr) {
@@ -80,9 +81,15 @@ void SgdOptimizer::step(const std::string& key, std::span<float> weights,
   auto [it, inserted] = velocity_.try_emplace(key, weights.size());
   Tensor& v = it->second;
   HITOPK_CHECK_EQ(v.size(), weights.size());
-  sgd_update(weights.data(), v.data(), grad.data(), weights.size(),
-             static_cast<float>(momentum_), static_cast<float>(weight_decay_),
-             static_cast<float>(lr));
+  // Elementwise, and every chunk starts on a 16-element block boundary, so
+  // the update is bitwise the single serial call at any pool width.
+  const auto momentum = static_cast<float>(momentum_);
+  const auto weight_decay = static_cast<float>(weight_decay_);
+  const auto rate = static_cast<float>(lr);
+  parallel_chunks(weights.size(), [&](size_t lo, size_t hi) {
+    sgd_update(weights.data() + lo, v.data() + lo, grad.data() + lo, hi - lo,
+               momentum, weight_decay, rate);
+  });
 }
 
 std::vector<std::string> SgdOptimizer::state_keys() const {

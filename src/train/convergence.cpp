@@ -63,12 +63,49 @@ int index_of(int value, const std::vector<int>& v) {
   return -1;
 }
 
+// Rejects options the engine cannot run with a ConfigError, before any
+// member (the topology, the batch arithmetic) is built from them.
+const ConvergenceOptions& validated(const ConvergenceOptions& options,
+                                    const ConvergenceTask& task) {
+  const ConvergenceAlgorithm algorithm = options.algorithm;
+  HITOPK_VALIDATE(options.nodes > 0 && options.gpus_per_node > 0)
+      << "the world needs at least one node and one GPU per node, got"
+      << options.nodes << "x" << options.gpus_per_node;
+  HITOPK_VALIDATE(options.local_batch > 0)
+      << "local_batch must be positive, got" << options.local_batch;
+  HITOPK_VALIDATE(options.epochs >= 0 && options.warmup_epochs >= 0)
+      << "epochs and warmup_epochs must be non-negative, got"
+      << options.epochs << "and" << options.warmup_epochs;
+  HITOPK_VALIDATE(static_cast<size_t>(options.world()) *
+                      static_cast<size_t>(options.local_batch) <=
+                  task.train_size())
+      << "global batch" << options.world() << "x" << options.local_batch
+      << "exceeds the" << task.train_size() << "training samples";
+  const bool sparse = algorithm != ConvergenceAlgorithm::kDense &&
+                      algorithm != ConvergenceAlgorithm::kLocalSgd;
+  HITOPK_VALIDATE(!sparse || (options.density > 0.0 && options.density <= 1.0))
+      << "density must lie in (0, 1], got" << options.density;
+  HITOPK_VALIDATE(algorithm != ConvergenceAlgorithm::kMstopk ||
+                  options.mstopk_samplings > 0)
+      << "mstopk_samplings must be positive, got" << options.mstopk_samplings;
+  if (algorithm == ConvergenceAlgorithm::kLocalSgd) {
+    HITOPK_VALIDATE(options.local_sgd_period > 0)
+        << "local_sgd_period must be positive, got"
+        << options.local_sgd_period;
+    HITOPK_VALIDATE(options.gradient_wire == compress::WireDtype::kFp32)
+        << "LocalSGD averages parameters and sends no gradients; its"
+        << "gradient_wire must be fp32, got"
+        << compress::wire_dtype_name(options.gradient_wire);
+  }
+  return options;
+}
+
 }  // namespace
 
 ConvergenceEngine::ConvergenceEngine(ConvergenceTask& task,
                                      const ConvergenceOptions& options)
     : task_(task),
-      options_(options),
+      options_(validated(options, task)),
       world_(options.world()),
       d_(task.param_count()),
       global_batch_(static_cast<size_t>(world_) *
@@ -86,10 +123,7 @@ ConvergenceEngine::ConvergenceEngine(ConvergenceTask& task,
       active_count_(options.world()),
       shrunk_(coll::shrink_topology(topology_, {})),
       pending_correction_(task.param_count()) {
-  HITOPK_CHECK_GT(world_, 0);
-  HITOPK_CHECK_LE(global_batch_, task_.train_size());
   iters_per_epoch_ = static_cast<int>(task_.train_size() / global_batch_);
-  HITOPK_CHECK_GT(iters_per_epoch_, 0);
   total_iters_ = options_.epochs * iters_per_epoch_;
   warmup_iters_ = options_.warmup_epochs * iters_per_epoch_;
 
@@ -97,7 +131,6 @@ ConvergenceEngine::ConvergenceEngine(ConvergenceTask& task,
   for (int w = 0; w < world_; ++w) worker_grads_.emplace_back(d_);
 
   if (local_sgd_) {
-    HITOPK_CHECK_GT(options_.local_sgd_period, 0);
     for (int w = 0; w < world_; ++w) {
       Tensor copy(d_);
       std::copy(task_.params().begin(), task_.params().end(),
@@ -429,6 +462,8 @@ void ConvergenceEngine::step() {
     return;
   }
 
+  // Each round trip splits itself over the pool (wire_codec.h), so this
+  // loop runs one parallel call per worker.
   if (options_.gradient_wire != compress::WireDtype::kFp32) {
     for (int w : active_idx_) {
       compress::wire_round_trip(options_.gradient_wire,

@@ -71,7 +71,8 @@ struct ConvergenceOptions {
   // (the mixed-precision wire of §5.3, generalized to the typed-payload
   // codecs of compress/wire_codec.h: kFp16 or the int8 quantizer);
   // validates that communication precision does not change the convergence
-  // story.  kFp32 is the exact baseline.
+  // story.  kFp32 is the exact baseline.  kLocalSgd sends parameters, not
+  // gradients, so it rejects any other wire with a ConfigError.
   compress::WireDtype gradient_wire = compress::WireDtype::kFp32;
   uint64_t seed = 42;
 
@@ -114,6 +115,11 @@ struct ConvergenceResult {
 // and mid-epoch position.
 class ConvergenceEngine {
  public:
+  // Throws ConfigError on options it cannot run: an empty world, a
+  // non-positive local batch, negative epochs or warmup, a global batch
+  // larger than the training set, a sparse density outside (0, 1],
+  // non-positive MSTopK samplings or LocalSGD period, or a non-fp32
+  // gradient wire with LocalSGD.
   ConvergenceEngine(ConvergenceTask& task, const ConvergenceOptions& options);
 
   // ---- loop structure

@@ -473,6 +473,8 @@ const std::vector<EngineRow>& engine_golden_table() {
       {"gTopK-SGD/uneven_2_1", 0xc5ffce29e159041cull, {0x1.30071fdbbcc3dp+2, 0x1.5cbd561579745p+1}, {0x1.768p-2, 0x1.758p-1}},
       {"LocalSGD/uneven_2_1", 0x53867e9cef16e73dull, {0x1.1877b0f192e4bp+2, 0x1.1460a6cb94d78p+1}, {0x1.0a8p-1, 0x1.b4cp-1}},
       {"MSTopK-SGD/node_lost", 0x9613a37362569d63ull, {0x1.1f91a524d4706p+2, 0x1.33210593d7c5p+1}, {0x1.a68p-2, 0x1.94cp-1}},
+      {"Dense-SGD/fp16_wire", 0xc81550da429b59c8ull, {0x1.175bc76bf664fp+2, 0x1.0099db3b50c37p+1}, {0x1.14cp-1, 0x1.b48p-1}},
+      {"Dense-SGD/int8_wire", 0xfe518f8143192340ull, {0x1.174d3b349eefep+2, 0x1.00b4453bc0036p+1}, {0x1.178p-1, 0x1.b5cp-1}},
   };
   return rows;
 }
@@ -512,6 +514,21 @@ TEST(EngineGolden, FaultFreeRunsAreFrozen) {
     const auto result = run_convergence(*task, golden_options(algorithm));
     expect_engine_golden(engine_row(
         convergence_algorithm_name(algorithm) + "/fault_free", *task, result));
+  }
+}
+
+// The engine's gradient codec: every worker gradient crosses the wire codec
+// before the dense All-Reduce.
+TEST(EngineGolden, QuantizedWireRunsAreFrozen) {
+  for (const auto wire :
+       {compress::WireDtype::kFp16, compress::WireDtype::kInt8}) {
+    auto task = make_vision_task(11);
+    ConvergenceOptions options = golden_options(ConvergenceAlgorithm::kDense);
+    options.gradient_wire = wire;
+    const auto result = run_convergence(*task, options);
+    expect_engine_golden(engine_row(
+        std::string("Dense-SGD/") + compress::wire_dtype_name(wire) + "_wire",
+        *task, result));
   }
 }
 

@@ -3,6 +3,9 @@
 // curves live in bench_fig10_convergence.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "core/check.h"
 #include "train/convergence.h"
 #include "train/synthetic.h"
 
@@ -219,6 +222,76 @@ TEST(Convergence, AlgorithmNamesRoundTrip) {
     EXPECT_FALSE(convergence_algorithm_name(algorithm).empty());
   }
   EXPECT_THROW(convergence_algorithm_from_name("adam"), CheckError);
+}
+
+// Bad options stop at the constructor with a recoverable ConfigError, not
+// with a crash or an internal CheckError deep in the engine.
+TEST(ConvergenceEngine, InvalidOptionsRaiseConfigError) {
+  using Algo = ConvergenceAlgorithm;
+  struct Case {
+    const char* what;
+    Algo algorithm;
+    void (*edit)(ConvergenceOptions&);
+  };
+  const Case bad[] = {
+      {"local_batch = 0", Algo::kDense,
+       [](ConvergenceOptions& o) { o.local_batch = 0; }},
+      {"local_batch < 0", Algo::kDense,
+       [](ConvergenceOptions& o) { o.local_batch = -4; }},
+      {"nodes = 0", Algo::kDense, [](ConvergenceOptions& o) { o.nodes = 0; }},
+      {"gpus_per_node = 0", Algo::kDense,
+       [](ConvergenceOptions& o) { o.gpus_per_node = 0; }},
+      {"epochs < 0", Algo::kDense,
+       [](ConvergenceOptions& o) { o.epochs = -1; }},
+      {"warmup_epochs < 0", Algo::kDense,
+       [](ConvergenceOptions& o) { o.warmup_epochs = -1; }},
+      {"global batch > train size", Algo::kDense,
+       [](ConvergenceOptions& o) { o.local_batch = 1 << 20; }},
+      {"mstopk_samplings = 0", Algo::kMstopk,
+       [](ConvergenceOptions& o) { o.mstopk_samplings = 0; }},
+      {"density = 0", Algo::kTopk,
+       [](ConvergenceOptions& o) { o.density = 0; }},
+      {"density > 1", Algo::kMstopk,
+       [](ConvergenceOptions& o) { o.density = 1.5; }},
+      {"density < 0", Algo::kGtopk,
+       [](ConvergenceOptions& o) { o.density = -0.1; }},
+      {"density NaN", Algo::kRandomk,
+       [](ConvergenceOptions& o) { o.density = std::nan(""); }},
+      {"local_sgd_period = 0", Algo::kLocalSgd,
+       [](ConvergenceOptions& o) { o.local_sgd_period = 0; }},
+      {"fp16 wire with LocalSGD", Algo::kLocalSgd,
+       [](ConvergenceOptions& o) {
+         o.gradient_wire = compress::WireDtype::kFp16;
+       }},
+      {"int8 wire with LocalSGD", Algo::kLocalSgd,
+       [](ConvergenceOptions& o) {
+         o.gradient_wire = compress::WireDtype::kInt8;
+       }},
+  };
+  auto task = make_vision_task(7);
+  for (const Case& c : bad) {
+    ConvergenceOptions options = quick(c.algorithm, 1);
+    c.edit(options);
+    EXPECT_THROW(ConvergenceEngine(*task, options), ConfigError) << c.what;
+  }
+
+  // The edges of the valid range still construct.
+  const Case good[] = {
+      {"density = 1", Algo::kTopk,
+       [](ConvergenceOptions& o) { o.density = 1; }},
+      {"dense ignores density", Algo::kDense,
+       [](ConvergenceOptions& o) { o.density = 0; }},
+      {"epochs = 0", Algo::kDense, [](ConvergenceOptions& o) { o.epochs = 0; }},
+      {"fp16 gradient wire", Algo::kMstopk,
+       [](ConvergenceOptions& o) {
+         o.gradient_wire = compress::WireDtype::kFp16;
+       }},
+  };
+  for (const Case& c : good) {
+    ConvergenceOptions options = quick(c.algorithm, 1);
+    c.edit(options);
+    EXPECT_NO_THROW(ConvergenceEngine(*task, options)) << c.what;
+  }
 }
 
 }  // namespace

@@ -1,12 +1,19 @@
 // Tests for the shared thread pool (core/parallel.h), the thread-local
 // scratch arena (core/workspace.h), and the determinism contract of the
-// parallel collectives: hitopk_comm / ring_allreduce executed on the pool
-// must produce bitwise-identical RankData to serial execution.
+// parallel code: the bulk kernels that split themselves into
+// parallel_chunks chunks (wire codec, quantized reduce kernels, SGD step)
+// must match an unpartitioned serial reference bitwise, and hitopk_comm /
+// ring_allreduce executed on the pool must produce bitwise-identical
+// RankData to serial execution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -17,15 +24,19 @@
 #include "collectives/hitopkcomm.h"
 #include "collectives/ring.h"
 #include "compress/error_feedback.h"
+#include "compress/wire_codec.h"
+#include "core/half.h"
 #include "core/parallel.h"
 #include "core/rng.h"
 #include "core/tensor.h"
 #include "core/workspace.h"
+#include "pto/lars.h"
 
 namespace hitopk {
 namespace {
 
 using coll::HiTopKOptions;
+using compress::WireDtype;
 using coll::RankData;
 using simnet::Cluster;
 using simnet::LinkParams;
@@ -121,6 +132,230 @@ TEST(ParallelFor, GrainLargerThanRangeRunsInline) {
   std::vector<int> visits(10, 0);
   parallel_for(0, 10, [&](size_t i) { ++visits[i]; }, /*grain=*/100);
   for (int v : visits) ASSERT_EQ(v, 1);
+}
+
+// ---------------------------------------------------------- parallel_chunks
+TEST(ParallelChunks, RunsEachFixedChunkOnce) {
+  ThreadGuard guard;
+  for (const int threads : {1, 4}) {
+    set_parallel_threads(threads);
+    for (const size_t n : {size_t{0}, size_t{1}, kParallelChunk,
+                           kParallelChunk + 1, 3 * kParallelChunk + 5}) {
+      std::vector<int> visits(n, 0);
+      std::mutex mutex;
+      std::set<std::pair<size_t, size_t>> chunks;
+      parallel_chunks(n, [&](size_t lo, size_t hi) {
+        for (size_t i = lo; i < hi; ++i) ++visits[i];
+        std::lock_guard<std::mutex> lock(mutex);
+        chunks.emplace(lo, hi);
+      });
+      for (int v : visits) ASSERT_EQ(v, 1);
+      ASSERT_EQ(chunks.size(), parallel_chunk_count(n)) << "n=" << n;
+      for (const auto& [lo, hi] : chunks) {
+        EXPECT_EQ(lo % kParallelChunk, 0u);
+        EXPECT_EQ(hi, std::min(n, lo + kParallelChunk));
+      }
+    }
+  }
+}
+
+TEST(ParallelChunks, NestedCallsRunInline) {
+  ThreadGuard guard;
+  set_parallel_threads(4);
+  const size_t n = 2 * kParallelChunk + 3;
+  std::vector<std::vector<int>> visits(8, std::vector<int>(n, 0));
+  parallel_for(0, visits.size(), [&](size_t outer) {
+    const auto caller = std::this_thread::get_id();
+    parallel_chunks(n, [&](size_t lo, size_t hi) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      for (size_t i = lo; i < hi; ++i) ++visits[outer][i];
+    });
+  });
+  for (const auto& row : visits) {
+    for (int v : row) ASSERT_EQ(v, 1);
+  }
+}
+
+// The sizes every bulk kernel is checked at: tiny spans, every n % 4 tail,
+// the 16-element SGD block edge, and spans around and across chunk edges.
+const std::vector<size_t>& partition_sizes() {
+  static const std::vector<size_t> sizes = {
+      1, 2, 3, 6, 15, 16, 17, kParallelChunk - 1, kParallelChunk,
+      kParallelChunk + 1, 3 * kParallelChunk + 5};
+  return sizes;
+}
+
+// Gradient-like values N(0, 0.01) laced with the wire's edge cases: +-Inf,
+// float and fp16 subnormals and -0 for every quantized wire; fp16
+// round-to-nearest-even ties and the fp16 overflow tie; ties on the int8
+// grid; and NaN payloads when `with_nan`.  The last element is 3.0, the
+// largest finite magnitude, so the int8 scale (2^-5) comes from the last
+// chunk.  kFp32 gets the plain mix.
+std::vector<float> codec_inputs(WireDtype wire, size_t n, uint64_t seed,
+                                bool with_nan = true) {
+  Rng rng(seed);
+  std::vector<float> v(n);
+  for (float& x : v) x = static_cast<float>(rng.normal() * 0.01);
+  if (wire == WireDtype::kFp32) return v;
+  std::vector<float> specials = {
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      1e-40f,  // float subnormal
+      -3e-6f,  // fp16 subnormal
+      -0.0f,
+  };
+  if (wire == WireDtype::kFp16) {
+    specials.insert(specials.end(), {
+        std::bit_cast<float>(0x3f801000u),  // 1 + 2^-11: ties down to even
+        std::bit_cast<float>(0x3f803000u),  // 1 + 3*2^-11: ties up to even
+        std::bit_cast<float>(0x33000000u),  // 2^-25: subnormal tie to 0
+        std::bit_cast<float>(0x33400000u),  // 3*2^-25: ties up to 2^-23
+        65520.0f,                           // ties up to fp16 Inf
+    });
+  } else {
+    specials.insert(specials.end(), {
+        2.5f / 32.0f,   // 2.5 steps: rounds away to 3
+        -6.5f / 32.0f,  // -6.5 steps: rounds away to -7
+    });
+  }
+  size_t next = 0;
+  for (size_t i = 5; i + 1 < n; i += 97) {
+    v[i] = specials[next++ % specials.size()];
+  }
+  if (with_nan) {
+    for (size_t i = 11; i + 1 < n; i += 1009) {
+      v[i] = std::bit_cast<float>(i % 2 ? 0x7fc00123u : 0xff800001u);
+    }
+  }
+  if (n > 1) v[n - 1] = 3.0f;
+  return v;
+}
+
+// Serial, unpartitioned references: the scalar fp16 pair and the int8
+// quantizer written out over the whole span.
+void reference_round_trip(WireDtype wire, std::span<float> values) {
+  if (wire == WireDtype::kFp16) {
+    for (float& x : values) x = half_to_float(float_to_half(x));
+  } else if (wire == WireDtype::kInt8) {
+    float maxabs = 0.0f;
+    for (float x : values) {
+      if (std::isfinite(x) && std::fabs(x) > maxabs) maxabs = std::fabs(x);
+    }
+    if (maxabs == 0.0f) return;
+    int e = 0;
+    std::frexp(maxabs, &e);
+    const float scale = std::ldexp(1.0f, e - 7);
+    for (float& x : values) {
+      if (!std::isfinite(x)) continue;
+      const long q = std::clamp(std::lround(x / scale), -127l, 127l);
+      x = static_cast<float>(q) * scale;
+    }
+  }
+}
+
+void expect_same_bits(std::span<const float> want, std::span<const float> got,
+                      const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(want[i]), std::bit_cast<uint32_t>(got[i]))
+        << what << " element " << i << " of " << want.size();
+  }
+}
+
+std::string case_name(const char* kernel, WireDtype wire, size_t n,
+                      int threads) {
+  return std::string(kernel) + " " + compress::wire_dtype_name(wire) +
+         " n=" + std::to_string(n) + " threads=" + std::to_string(threads);
+}
+
+TEST(ParallelChunks, WireRoundTripMatchesSerialReference) {
+  ThreadGuard guard;
+  for (const int threads : {1, 4}) {
+    set_parallel_threads(threads);
+    for (const WireDtype wire : {WireDtype::kFp16, WireDtype::kInt8}) {
+      for (const size_t n : partition_sizes()) {
+        std::vector<float> want = codec_inputs(wire, n, n);
+        std::vector<float> got = want;
+        reference_round_trip(wire, want);
+        compress::wire_round_trip(wire, got);
+        expect_same_bits(want, got, case_name("round_trip", wire, n, threads));
+      }
+    }
+  }
+}
+
+// The fused quantized-reduce kernels against today's unfused sequence:
+// copy -> wire_round_trip -> add_into.  NaN rides only in src: NaN + NaN
+// keeps either payload depending on the operand order the compiler picks.
+TEST(ParallelChunks, FusedReduceKernelsMatchTheUnfusedSequence) {
+  ThreadGuard guard;
+  for (const int threads : {1, 4}) {
+    set_parallel_threads(threads);
+    for (const WireDtype wire :
+         {WireDtype::kFp32, WireDtype::kFp16, WireDtype::kInt8}) {
+      for (const size_t n : partition_sizes()) {
+        const std::vector<float> src = codec_inputs(wire, n, 2 * n + 1);
+        const std::vector<float> dst =
+            codec_inputs(wire, n, 2 * n + 2, /*with_nan=*/false);
+
+        std::vector<float> want = src;  // dst = rt(src)
+        reference_round_trip(wire, want);
+        std::vector<float> got(n, 7.0f);
+        compress::wire_round_copy(wire, got, src);
+        expect_same_bits(want, got, case_name("round_copy", wire, n, threads));
+
+        std::vector<float> staged = src;  // dst += rt(src)
+        reference_round_trip(wire, staged);
+        want = dst;
+        tensor_ops::add_into(want, staged);
+        got = dst;
+        compress::wire_round_add(wire, got, src);
+        expect_same_bits(want, got, case_name("round_add", wire, n, threads));
+
+        want = dst;  // acc = rt(acc + src)
+        tensor_ops::add_into(want, src);
+        reference_round_trip(wire, want);
+        got = dst;
+        compress::wire_sum_round(wire, got, src);
+        expect_same_bits(want, got, case_name("sum_round", wire, n, threads));
+      }
+    }
+  }
+}
+
+TEST(ParallelChunks, SgdStepMatchesSerialReference) {
+  ThreadGuard guard;
+  const float momentum = 0.9f;
+  const float weight_decay = 1e-4f;
+  const float lr = 0.05f;
+  for (const int threads : {1, 4}) {
+    set_parallel_threads(threads);
+    for (const size_t n : partition_sizes()) {
+      const std::vector<float> w0 =
+          codec_inputs(WireDtype::kFp32, n, 3 * n + 1);
+      const std::vector<float> g0 =
+          codec_inputs(WireDtype::kFp32, n, 3 * n + 2);
+      const std::vector<float> g1 =
+          codec_inputs(WireDtype::kFp32, n, 3 * n + 3);
+      std::vector<float> want_w = w0;
+      std::vector<float> want_v(n, 0.0f);
+      for (const auto* g : {&g0, &g1}) {
+        for (size_t i = 0; i < n; ++i) {
+          want_v[i] =
+              momentum * want_v[i] + ((*g)[i] + weight_decay * want_w[i]);
+          want_w[i] -= lr * want_v[i];
+        }
+      }
+      pto::SgdOptimizer sgd(momentum, weight_decay);
+      std::vector<float> w = w0;
+      sgd.step("p", w, g0, lr);  // second step: warm momentum
+      sgd.step("p", w, g1, lr);
+      const std::string what = "sgd n=" + std::to_string(n) +
+                               " threads=" + std::to_string(threads);
+      expect_same_bits(want_w, w, what);
+      expect_same_bits(want_v, sgd.state("p"), what + " velocity");
+    }
+  }
 }
 
 // --------------------------------------------------------------- workspace

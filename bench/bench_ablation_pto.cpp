@@ -12,7 +12,6 @@
 #include "models/model_zoo.h"
 #include "pto/lars.h"
 #include "pto/pto.h"
-#include "simgpu/gpu_model.h"
 #include "simnet/cluster.h"
 
 int main() {
@@ -20,7 +19,6 @@ int main() {
   using namespace hitopk;
 
   std::cout << "=== Ablation: PTO for LARS ===\n\n";
-  const simgpu::GpuCostModel gpu;
 
   TablePrinter table({"Model", "GPUs", "Serial (ms)", "PTO (ms)", "Speedup"});
   for (const auto& [label, layers, serial, framework] :

@@ -6,6 +6,9 @@
 
 namespace hitopk::coll {
 
+// Attempts before giving up with completed = false.
+constexpr int kMaxAttempts = 8;
+
 SurvivorWorld shrink_topology(const simnet::Topology& topology,
                               const std::vector<int>& dead_ranks) {
   std::vector<bool> dead(static_cast<size_t>(topology.world_size()), false);
@@ -66,7 +69,7 @@ ElasticResult elastic_allreduce(const simnet::Topology& topology,
   // new attempt is re-derived from full-world liveness so recovered ranks
   // rejoin (grow) just as dead ones drop out (shrink).
   std::vector<int> previous;
-  for (int attempt = 0; attempt < options.max_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     std::vector<int> survivors;
     std::vector<int> dead;
     for (int r = 0; r < topology.world_size(); ++r) {

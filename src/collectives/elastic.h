@@ -58,7 +58,6 @@ struct ElasticOptions {
   GtopkOptions gtopk;  // gTop-k path (outcome field is managed internally)
   // Fixed cost per rebuild: survivor rendezvous + schedule re-derivation.
   double reschedule_seconds = 0.0;
-  int max_attempts = 8;
 };
 
 struct ElasticAttempt {
@@ -80,7 +79,8 @@ struct ElasticResult {
 // fault script.  `data` is indexed by original rank (empty = timing-only).
 // On completion the survivors' buffers hold the collective's result over
 // the surviving contributions; dead ranks' buffers are untouched.  Never
-// throws for faults scripted in the plan.
+// throws for faults scripted in the plan; gives up (completed = false) when
+// every rank is dead or after 8 aborted attempts.
 ElasticResult elastic_allreduce(const simnet::Topology& topology,
                                 const simnet::FaultPlan& plan,
                                 const RankData& data, size_t elems,

@@ -117,16 +117,4 @@ void build_halving_doubling(Schedule& sched, const Group& group,
   }
 }
 
-double halving_doubling_allreduce(simnet::Cluster& cluster, const Group& group,
-                                  const RankData& data, size_t elems,
-                                  WireDtype wire, double start) {
-  check_data(group, data, elems);
-  if (group.size() <= 1) return start;
-  Schedule sched;
-  build_halving_doubling(sched, group, data, elems, wire);
-  const double done = sched.run_timing(cluster, start).finish;
-  sched.run_data();
-  return done;
-}
-
 }  // namespace hitopk::coll

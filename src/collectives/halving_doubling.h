@@ -42,9 +42,4 @@ void build_halving_doubling(Schedule& sched, const Group& group,
                             const RankData& data, size_t elems,
                             WireDtype wire);
 
-// Standalone entry point: build, replay the clock, run the data pass.
-double halving_doubling_allreduce(simnet::Cluster& cluster, const Group& group,
-                                  const RankData& data, size_t elems,
-                                  WireDtype wire, double start);
-
 }  // namespace hitopk::coll

@@ -5,15 +5,19 @@
 #include <vector>
 
 #include "core/check.h"
+#include "models/calibration.h"
 
 namespace hitopk::data {
 namespace {
 
-double read_seconds(const IoParams& io, double latency, double bandwidth,
-                    size_t count, size_t bytes) {
+using models::Calibration;
+
+double read_seconds(double latency, double bandwidth, size_t count,
+                    size_t bytes) {
   if (count == 0) return 0.0;
-  const double batches = std::ceil(static_cast<double>(count) /
-                                   static_cast<double>(io.parallel_requests));
+  const double batches =
+      std::ceil(static_cast<double>(count) /
+                static_cast<double>(Calibration::io_parallel_requests));
   return latency * batches + static_cast<double>(bytes) / bandwidth;
 }
 
@@ -21,13 +25,12 @@ double read_seconds(const IoParams& io, double latency, double bandwidth,
 
 DataCache::DataCache(DataCacheConfig config)
     : config_(std::move(config)),
-      ssd_(config_.use_ssd_cache ? config_.ssd_capacity_bytes : 0),
+      ssd_(config_.use_ssd_cache ? Calibration::ssd_capacity_bytes : 0),
       memory_(config_.use_memory_cache ? config_.memory_capacity_bytes : 0) {}
 
 FetchBreakdown DataCache::fetch_batch(std::span<const uint64_t> sample_ids,
                                       int resolution) {
   set_resolution(resolution);
-  const IoParams& io = config_.io;
   const size_t encoded = config_.dataset.avg_encoded_bytes;
   // Cached entries may be stored at a fixed (larger) resolution.
   const int stored_resolution =
@@ -57,24 +60,27 @@ FetchBreakdown DataCache::fetch_batch(std::span<const uint64_t> sample_ids,
 
   // Reads from the three tiers proceed concurrently (different samples,
   // different devices); decode pipelines with the encoded-tier reads.
-  const double nfs = read_seconds(io, io.nfs_latency, io.nfs_bandwidth,
+  const double nfs = read_seconds(Calibration::nfs_latency,
+                                  Calibration::nfs_bandwidth,
                                   out.nfs_samples, nfs_bytes);
-  const double ssd = read_seconds(io, io.ssd_latency, io.ssd_bandwidth,
+  const double ssd = read_seconds(Calibration::ssd_latency,
+                                  Calibration::ssd_bandwidth,
                                   out.ssd_samples, ssd_bytes);
-  const double ram = read_seconds(io, io.ram_latency, io.ram_bandwidth,
+  const double ram = read_seconds(Calibration::ram_latency,
+                                  Calibration::ram_bandwidth,
                                   out.memory_samples, ram_bytes);
   const double decode = static_cast<double>(out.nfs_samples + out.ssd_samples) *
-                        io.decode_seconds_per_image /
-                        static_cast<double>(io.cpu_cores);
+                        Calibration::decode_seconds_per_image /
+                        static_cast<double>(Calibration::io_cpu_cores);
 
   const double augment_per_image =
-      io.augment_seconds_per_image_96 *
+      Calibration::augment_seconds_per_image_96 *
       (config_.dataset.name == "wmt17"
            ? 0.02  // tokenized text needs no pixel work
            : static_cast<double>(resolution) * resolution / (96.0 * 96.0));
   const double augment = static_cast<double>(sample_ids.size()) *
                          augment_per_image /
-                         static_cast<double>(io.cpu_cores);
+                         static_cast<double>(Calibration::io_cpu_cores);
 
   out.seconds = std::max({nfs, ssd, ram, decode}) + augment;
   return out;

@@ -10,8 +10,9 @@
 // The memory tier is a sharded key/value store: the dataset is split across
 // the cluster's nodes (1/m of the samples per node) to bound memory use.
 // Timing comes from per-tier bandwidth/latency models plus a multi-core
-// decode/augment cost; reads and decodes pipeline (max), augmentation is a
-// dependent stage (add).
+// decode/augment cost (the storage anchors of models/calibration.h); reads
+// and decodes pipeline (max), augmentation is a dependent stage (add).  The
+// SSD tier is the instance's whole local disk.
 #pragma once
 
 #include <cstdint>
@@ -22,37 +23,10 @@
 
 namespace hitopk::data {
 
-// Storage-tier and preprocessing cost parameters, calibrated so the naive
-// NFS path costs ~50 ms per 256-sample batch (Fig. 1 / Fig. 9) and the
-// cached path ~10x less (Fig. 9).
-struct IoParams {
-  // Networked file system (CFS in Table 1), effective per node.
-  double nfs_latency = 2e-3;
-  double nfs_bandwidth = 600e6;  // bytes/s
-  // Local SSD (instance store).
-  double ssd_latency = 1e-4;
-  double ssd_bandwidth = 1.5e9;
-  // Host memory (key/value store of pre-processed samples).
-  double ram_latency = 2e-6;
-  double ram_bandwidth = 10e9;
-  // Outstanding parallel read requests (latency amortization across the
-  // node's async input pipelines).
-  int parallel_requests = 64;
-  // JPEG decode cost per image on one core (source-resolution bound).
-  double decode_seconds_per_image = 6e-3;
-  // Augmentation (crop/mirror/normalize) per image per core at 96x96;
-  // scales with output pixel count.
-  double augment_seconds_per_image_96 = 5e-4;
-  // Pre-processing cores per node.
-  int cpu_cores = 32;
-};
-
 struct DataCacheConfig {
   DatasetSpec dataset = DatasetSpec::imagenet();
-  IoParams io;
   bool use_ssd_cache = true;
   bool use_memory_cache = true;
-  size_t ssd_capacity_bytes = size_t{1} << 40;    // 1 TiB local SSD
   size_t memory_capacity_bytes = size_t{64} << 30;  // per-node cache budget
   int nodes = 16;  // memory cache shards the dataset across nodes
   // When non-zero, samples are cached pre-processed at this fixed

@@ -4,9 +4,23 @@
 #include <cmath>
 
 #include "core/check.h"
+#include "models/calibration.h"
 
 namespace hitopk::simgpu {
 namespace {
+
+using models::Calibration;
+
+// FP32 element size on the device.
+constexpr size_t kFp32 = 4;
+constexpr double kLaunch = Calibration::gpu_kernel_launch;
+// Effective bandwidth of each access pattern (bytes / second).
+constexpr double kCoalescedBandwidth =
+    Calibration::gpu_hbm_bandwidth * Calibration::gpu_coalesced_efficiency;
+constexpr double kSortBandwidth =
+    Calibration::gpu_hbm_bandwidth * Calibration::gpu_sort_pass_efficiency;
+constexpr double kGatherBandwidth =
+    Calibration::gpu_hbm_bandwidth * Calibration::gpu_gather_efficiency;
 
 // ceil(log2(n)) for n >= 1.
 int ceil_log2(size_t n) {
@@ -22,15 +36,11 @@ int ceil_log2(size_t n) {
 }  // namespace
 
 double GpuCostModel::coalesced_pass_seconds(size_t bytes) const {
-  return params_.kernel_launch +
-         static_cast<double>(bytes) /
-             (params_.hbm_bandwidth * params_.coalesced_efficiency);
+  return kLaunch + static_cast<double>(bytes) / kCoalescedBandwidth;
 }
 
 double GpuCostModel::sort_pass_seconds(size_t bytes) const {
-  return params_.kernel_launch +
-         static_cast<double>(bytes) /
-             (params_.hbm_bandwidth * params_.sort_pass_efficiency);
+  return kLaunch + static_cast<double>(bytes) / kSortBandwidth;
 }
 
 double GpuCostModel::exact_topk_seconds(size_t d) const {
@@ -39,7 +49,7 @@ double GpuCostModel::exact_topk_seconds(size_t d) const {
   // reading + writing the full key array.
   const int levels = std::max(1, ceil_log2(d));
   const int passes = levels * (levels + 1) / 2;
-  const size_t bytes_per_pass = d * GpuModelParams::fp32 * 2;  // read+write
+  const size_t bytes_per_pass = d * kFp32 * 2;  // read+write
   return static_cast<double>(passes) * sort_pass_seconds(bytes_per_pass);
 }
 
@@ -52,53 +62,48 @@ double GpuCostModel::dgc_topk_seconds(size_t d, double effective_fraction) const
   const auto effective = static_cast<size_t>(
       std::max(1.0, effective_fraction * static_cast<double>(d)));
   const double selection = exact_topk_seconds(effective);
-  const double scan = coalesced_pass_seconds(d * GpuModelParams::fp32);
+  const double scan = coalesced_pass_seconds(d * kFp32);
   const double compaction =
-      params_.kernel_launch + static_cast<double>(d) * GpuModelParams::fp32 /
-                                  (params_.hbm_bandwidth * params_.gather_efficiency * 4.0);
-  return selection + scan + compaction + params_.host_sync;
+      kLaunch + static_cast<double>(d) * kFp32 / (kGatherBandwidth * 4.0);
+  return selection + scan + compaction + Calibration::gpu_host_sync;
 }
 
 double GpuCostModel::mstopk_seconds(size_t d, size_t k, int n_samplings) const {
   if (d == 0) return 0.0;
-  const size_t pass_bytes = d * GpuModelParams::fp32;
+  const size_t pass_bytes = d * kFp32;
   // abs + mean + max fused statistics (3 passes in the worst case).
   double t = 3.0 * coalesced_pass_seconds(pass_bytes);
   // N counting passes; each is a coalesced read with a block-local popcount.
   t += static_cast<double>(n_samplings) * coalesced_pass_seconds(pass_bytes);
   // Two compaction passes (certain set + band) and the k-element gather.
   t += 2.0 * coalesced_pass_seconds(pass_bytes);
-  t += params_.kernel_launch +
-       static_cast<double>(k) * GpuModelParams::fp32 /
-           (params_.hbm_bandwidth * params_.gather_efficiency);
+  t += kLaunch + static_cast<double>(k) * kFp32 / kGatherBandwidth;
   return t;
 }
 
 double GpuCostModel::elementwise_seconds(size_t d, int n_tensors) const {
-  const size_t bytes = d * GpuModelParams::fp32 * (static_cast<size_t>(n_tensors) + 1);
+  const size_t bytes = d * kFp32 * (static_cast<size_t>(n_tensors) + 1);
   return coalesced_pass_seconds(bytes);
 }
 
 double GpuCostModel::reduction_seconds(size_t d) const {
-  return coalesced_pass_seconds(d * GpuModelParams::fp32) + params_.kernel_launch;
+  return coalesced_pass_seconds(d * kFp32) + kLaunch;
 }
 
 double GpuCostModel::scatter_add_seconds(size_t nnz) const {
-  return params_.kernel_launch +
-         static_cast<double>(nnz) * (GpuModelParams::fp32 + 4) /
-             (params_.hbm_bandwidth * params_.gather_efficiency);
+  return kLaunch +
+         static_cast<double>(nnz) * (kFp32 + 4) / kGatherBandwidth;
 }
 
 double GpuCostModel::lars_seconds(size_t layers, size_t total_params,
                                   int ops_per_layer) const {
   // Memory traffic: read weights + gradients once each.
   const double traffic =
-      static_cast<double>(total_params) * GpuModelParams::fp32 * 2.0 /
-      (params_.hbm_bandwidth * params_.coalesced_efficiency);
+      static_cast<double>(total_params) * kFp32 * 2.0 / kCoalescedBandwidth;
   // Per-layer op scheduling: norms, divisions, clips — launched per layer.
   const double op_overhead = static_cast<double>(layers) *
                              static_cast<double>(ops_per_layer) *
-                             params_.framework_op_overhead;
+                             Calibration::gpu_framework_op_overhead;
   return traffic + op_overhead;
 }
 

@@ -9,44 +9,16 @@
 // This reproduces the architectural argument of Fig. 6: exact top-k needs
 // O(log^2 d) data-wide sort passes at poor (irregular) efficiency, DGC needs
 // two smaller exact selections plus compaction, and MSTopK needs only N
-// coalesced counting passes.  Constants are calibrated in
-// models/calibration.h so the absolute numbers land near the paper's.
+// coalesced counting passes.  The device constants are the V100 anchors of
+// models/calibration.h, so the absolute numbers land near the paper's.
 #pragma once
 
 #include <cstddef>
 
 namespace hitopk::simgpu {
 
-struct GpuModelParams {
-  // V100-SXM2: 900 GB/s HBM2.
-  double hbm_bandwidth = 900e9;  // bytes / second
-  // Achievable fraction of peak for fully coalesced streaming passes.
-  double coalesced_efficiency = 0.80;
-  // Achievable fraction during sort-network passes (irregular strides,
-  // bank conflicts); calibrated so nn.topk(128M) lands near Fig. 6's 1.2 s
-  // and nn.topk(25.6M) near Fig. 1's 0.239 s compression bar.
-  double sort_pass_efficiency = 0.34;
-  // Random gather/scatter efficiency (index-driven access).
-  double gather_efficiency = 0.08;
-  // Kernel launch + scheduling latency per pass.
-  double kernel_launch = 5e-6;  // seconds
-  // Host<->device synchronization (needed when a selection result must be
-  // inspected on the host, as DGC's retry loop does).
-  double host_sync = 0.5e-3;  // seconds
-  // Framework (TF graph executor) per-op overhead; dominates many-small-op
-  // computations such as layer-wise LARS (see §5.4: 11 ms for 161 layers).
-  double framework_op_overhead = 5.5e-6;  // seconds per op
-  // FP32 element size on the device.
-  static constexpr size_t fp32 = 4;
-};
-
 class GpuCostModel {
  public:
-  GpuCostModel() = default;
-  explicit GpuCostModel(const GpuModelParams& params) : params_(params) {}
-
-  const GpuModelParams& params() const { return params_; }
-
   // One streaming pass reading (and optionally writing) `bytes`.
   double coalesced_pass_seconds(size_t bytes) const;
 
@@ -82,9 +54,6 @@ class GpuCostModel {
   // framework overhead dominates (ops_per_layer calibrated to §5.4).
   double lars_seconds(size_t layers, size_t total_params,
                       int ops_per_layer = 12) const;
-
- private:
-  GpuModelParams params_;
 };
 
 }  // namespace hitopk::simgpu

@@ -79,13 +79,27 @@ std::vector<int> JobScheduler::place(int gpus) const {
   // hands a rank out twice; the real busy_ map is updated on admission.
   std::vector<char> scratch = busy_;
 
-  // Fills `want` GPUs from the nodes of `pod` (pod < 0: every node),
-  // fragments first (best-fit: least free GPUs, ties on node id).
-  auto fill_packed = [&](int pod, int want) {
+  // Best-fit packing: the pod with the least free capacity that still fits
+  // the gang (ties on pod id), or every node when no single pod does; within
+  // it, fragments first (least free GPUs, ties on node id).
+  auto pack_best_fit = [&] {
+    std::vector<int> pod_free(static_cast<size_t>(topo.pods()), 0);
+    for (int n = 0; n < topo.nodes(); ++n) {
+      pod_free[static_cast<size_t>(topo.pod_of(n))] +=
+          node_free[static_cast<size_t>(n)];
+    }
+    int best_pod = -1;
+    for (int p = 0; p < topo.pods(); ++p) {
+      const int free = pod_free[static_cast<size_t>(p)];
+      if (free >= gpus &&
+          (best_pod < 0 || free < pod_free[static_cast<size_t>(best_pod)])) {
+        best_pod = p;
+      }
+    }
     std::vector<int> order;
     for (int n = 0; n < topo.nodes(); ++n) {
       if (node_free[static_cast<size_t>(n)] > 0 &&
-          (pod < 0 || topo.pod_of(n) == pod)) {
+          (best_pod < 0 || topo.pod_of(n) == best_pod)) {
         order.push_back(n);
       }
     }
@@ -93,6 +107,7 @@ std::vector<int> JobScheduler::place(int gpus) const {
       return node_free[static_cast<size_t>(a)] <
              node_free[static_cast<size_t>(b)];
     });
+    int want = gpus;
     for (int n : order) {
       if (want == 0) break;
       want -= take_from_node(topo, scratch, n, want, ranks);
@@ -133,40 +148,12 @@ std::vector<int> JobScheduler::place(int gpus) const {
         take_from_node(topo, scratch, best_node, gpus, ranks);
         break;
       }
-      std::vector<int> pod_free(static_cast<size_t>(topo.pods()), 0);
-      for (int n = 0; n < topo.nodes(); ++n) {
-        pod_free[static_cast<size_t>(topo.pod_of(n))] +=
-            node_free[static_cast<size_t>(n)];
-      }
-      int best_pod = -1;
-      for (int p = 0; p < topo.pods(); ++p) {
-        const int free = pod_free[static_cast<size_t>(p)];
-        if (free >= gpus &&
-            (best_pod < 0 || free < pod_free[static_cast<size_t>(best_pod)])) {
-          best_pod = p;
-        }
-      }
-      fill_packed(best_pod, gpus);  // -1 falls through to global packing
+      pack_best_fit();
       break;
     }
-    case PlacementPolicy::kPackByPod: {
-      // Best-fit pod (least free capacity that still fits), else span pods.
-      std::vector<int> pod_free(static_cast<size_t>(topo.pods()), 0);
-      for (int n = 0; n < topo.nodes(); ++n) {
-        pod_free[static_cast<size_t>(topo.pod_of(n))] +=
-            node_free[static_cast<size_t>(n)];
-      }
-      int best_pod = -1;
-      for (int p = 0; p < topo.pods(); ++p) {
-        const int free = pod_free[static_cast<size_t>(p)];
-        if (free >= gpus &&
-            (best_pod < 0 || free < pod_free[static_cast<size_t>(best_pod)])) {
-          best_pod = p;
-        }
-      }
-      fill_packed(best_pod, gpus);
+    case PlacementPolicy::kPackByPod:
+      pack_best_fit();
       break;
-    }
   }
 
   HITOPK_CHECK_EQ(ranks.size(), static_cast<size_t>(gpus));
@@ -174,7 +161,7 @@ std::vector<int> JobScheduler::place(int gpus) const {
   return ranks;
 }
 
-void JobScheduler::admit_from_queue(const JobBody& /*body*/, double now) {
+void JobScheduler::admit_from_queue(double now) {
   for (size_t qi = 0; qi < queue_.size();) {
     JobRecord& rec = records_[queue_[qi]];
     // A gang larger than the free GPU count cannot fit: reject it without
@@ -272,7 +259,7 @@ std::vector<JobRecord> JobScheduler::run(const std::vector<JobSpec>& jobs,
           << "scheduler deadlock: queued jobs but nothing running";
       queue_.push_back(arrivals[next_arrival]);
       ++next_arrival;
-      admit_from_queue(body, arrival_t);
+      admit_from_queue(arrival_t);
       continue;
     }
 
@@ -298,7 +285,7 @@ std::vector<JobRecord> JobScheduler::run(const std::vector<JobSpec>& jobs,
       for (int rank : rec.ranks) busy_[static_cast<size_t>(rank)] = 0;
       free_gpus_ += rec.spec.gpus;
       running_.erase(running_.begin() + static_cast<long>(run_i));
-      admit_from_queue(body, it.finish);
+      admit_from_queue(it.finish);
     }
   }
 
@@ -313,14 +300,17 @@ std::vector<JobRecord> JobScheduler::run(const std::vector<JobSpec>& jobs,
 // ---- trace generation & replay --------------------------------------------
 
 std::vector<JobSpec> generate_trace(const TraceOptions& options) {
-  HITOPK_CHECK(!options.gang_sizes.empty());
-  HITOPK_CHECK(options.gang_weights.empty() ||
-               options.gang_weights.size() == options.gang_sizes.size());
-  HITOPK_CHECK(options.min_iterations >= 1 &&
-               options.max_iterations >= options.min_iterations);
+  HITOPK_VALIDATE(options.jobs >= 0) << "negative job count" << options.jobs;
+  HITOPK_VALIDATE(std::isfinite(options.mean_interarrival_seconds) &&
+                  options.mean_interarrival_seconds > 0.0)
+      << "mean inter-arrival gap" << options.mean_interarrival_seconds;
+  HITOPK_VALIDATE(!options.gang_sizes.empty());
+  for (int size : options.gang_sizes) {
+    HITOPK_VALIDATE(size >= 1) << "gang size" << size;
+  }
+  HITOPK_VALIDATE(options.min_iterations >= 1 &&
+                  options.max_iterations >= options.min_iterations);
   Rng rng(options.seed);
-  double total_weight = 0.0;
-  for (double w : options.gang_weights) total_weight += w;
 
   std::vector<JobSpec> jobs;
   jobs.reserve(static_cast<size_t>(options.jobs));
@@ -330,19 +320,8 @@ std::vector<JobSpec> generate_trace(const TraceOptions& options) {
     JobSpec spec;
     spec.id = i + 1;  // ids >= 1: never alias kDefaultJob
     spec.arrival = t;
-    if (options.gang_weights.empty()) {
-      spec.gpus = options.gang_sizes[rng.uniform_index(
-          options.gang_sizes.size())];
-    } else {
-      double u = rng.uniform() * total_weight;
-      size_t pick = 0;
-      while (pick + 1 < options.gang_sizes.size() &&
-             u >= options.gang_weights[pick]) {
-        u -= options.gang_weights[pick];
-        ++pick;
-      }
-      spec.gpus = options.gang_sizes[pick];
-    }
+    spec.gpus =
+        options.gang_sizes[rng.uniform_index(options.gang_sizes.size())];
     spec.iterations =
         options.min_iterations +
         static_cast<int>(rng.uniform_index(static_cast<uint64_t>(

@@ -133,7 +133,7 @@ class JobScheduler {
 
   bool rank_free(int rank) const { return !busy_[static_cast<size_t>(rank)]; }
   int free_on_node(int node) const;
-  void admit_from_queue(const JobBody& body, double now);
+  void admit_from_queue(double now);
 
   Cluster& cluster_;
   JobSchedulerOptions options_;
@@ -147,21 +147,22 @@ class JobScheduler {
 // ---- trace generation & replay --------------------------------------------
 
 // Poisson-arrival mixed-size workload generator.  Fully determined by the
-// seed: gang sizes draw from `gang_sizes` with `gang_weights` (uniform when
-// weights are empty), iteration counts uniform in [min_iterations,
-// max_iterations], inter-arrival gaps exponential with mean
-// `mean_interarrival_seconds`.
+// seed: gang sizes draw uniformly from `gang_sizes`, iteration counts
+// uniform in [min_iterations, max_iterations], inter-arrival gaps
+// exponential with mean `mean_interarrival_seconds`.
 struct TraceOptions {
   int jobs = 120;
   double mean_interarrival_seconds = 0.05;
   uint64_t seed = 1;
   std::vector<int> gang_sizes = {4, 8, 16, 32};
-  std::vector<double> gang_weights = {};  // empty = uniform
   int min_iterations = 2;
   int max_iterations = 6;
   size_t bytes_per_gpu = 100 << 20;  // gradient payload per iteration
 };
 
+// Throws ConfigError on a negative job count, a non-finite or non-positive
+// mean inter-arrival gap, an empty gang_sizes or an entry below 1, and on
+// min_iterations < 1 or max_iterations < min_iterations.
 std::vector<JobSpec> generate_trace(const TraceOptions& options);
 
 // Aggregate metrics of one replay (see bench_fig12_multitenant).

@@ -6,43 +6,55 @@
 
 namespace hitopk::train {
 
-FtResult run_convergence_ft(ConvergenceTask& task, const FtOptions& options,
-                            CheckpointStore* store_ptr) {
-  HITOPK_VALIDATE(options.checkpoint_interval > 0);
-  HITOPK_VALIDATE(options.checkpoint_versions > 0);
-  HITOPK_VALIDATE(options.compute_seconds_per_iter >= 0.0);
-  HITOPK_VALIDATE(options.checkpoint_write_gbps >= 0.0);
+// Elastic: rendezvous + re-derivation per regrow or shrink (seconds).
+constexpr double kRescheduleSeconds = 0.5;
 
-  CheckpointStore local_store(
-      static_cast<size_t>(options.checkpoint_versions));
-  CheckpointStore& store = store_ptr ? *store_ptr : local_store;
-  ConvergenceEngine engine(task, options.training);
-  const simnet::FaultPlan& plan = options.faults;
-  const int gpus = options.training.gpus_per_node;
-
-  // The plan's preemption script as a sorted, consumed-once event list:
-  // each scripted window contributes a death event and (when it recovers
-  // inside the horizon) a return event.  Consuming events exactly once —
-  // rather than polling alive() — is what lets abort-restart make progress
-  // against a permanent preemption: the restarted full world stands for
-  // re-provisioned capacity, not the same doomed machine.
-  struct Event {
-    double time = 0.0;
-    int rank = 0;
-    bool recovery = false;
-  };
-  std::vector<Event> events;
+std::vector<WorkerEvent> worker_events(const simnet::FaultPlan& plan,
+                                       int world) {
+  std::vector<WorkerEvent> events;
   for (const simnet::Preemption& p : plan.preemptions()) {
-    if (p.rank >= engine.world()) continue;
-    events.push_back(Event{p.time, p.rank, false});
+    if (p.rank >= world) continue;
+    events.push_back(WorkerEvent{p.time, p.rank, false});
     if (p.recover_time < simnet::kNever) {
-      events.push_back(Event{p.recover_time, p.rank, true});
+      events.push_back(WorkerEvent{p.recover_time, p.rank, true});
     }
   }
   std::stable_sort(events.begin(), events.end(),
-                   [](const Event& a, const Event& b) {
+                   [](const WorkerEvent& a, const WorkerEvent& b) {
                      return a.time < b.time;
                    });
+  return events;
+}
+
+double worst_degradation(const ConvergenceEngine& engine,
+                         const simnet::FaultPlan& plan, int first_worker,
+                         double t) {
+  const int gpus = engine.options().gpus_per_node;
+  double degrade = 1.0;
+  for (int w = 0; w < engine.world(); ++w) {
+    if (!engine.worker_active(w)) continue;
+    degrade =
+        std::max(degrade, plan.degrade_factor((first_worker + w) / gpus, t));
+  }
+  return degrade;
+}
+
+FtResult run_convergence_ft(ConvergenceTask& task, const FtOptions& options,
+                            CheckpointStore* store_ptr) {
+  HITOPK_VALIDATE(options.checkpoint_interval > 0);
+  HITOPK_VALIDATE(options.compute_seconds_per_iter >= 0.0);
+  HITOPK_VALIDATE(options.checkpoint_write_gbps >= 0.0);
+
+  CheckpointStore local_store;
+  CheckpointStore& store = store_ptr ? *store_ptr : local_store;
+  ConvergenceEngine engine(task, options.training);
+  const simnet::FaultPlan& plan = options.faults;
+
+  // Consuming the script's events exactly once — rather than polling
+  // alive() — is what lets abort-restart make progress against a permanent
+  // preemption: the restarted full world stands for re-provisioned
+  // capacity, not the same doomed machine.
+  const std::vector<WorkerEvent> events = worker_events(plan, engine.world());
 
   FtResult out;
   out.min_active_workers = engine.world();
@@ -71,13 +83,13 @@ FtResult run_convergence_ft(ConvergenceTask& task, const FtOptions& options,
 
   while (!engine.done()) {
     while (next_event < events.size() && events[next_event].time <= t) {
-      const Event ev = events[next_event++];
+      const WorkerEvent ev = events[next_event++];
       if (ev.recovery) {
         if (options.policy == RecoveryPolicy::kElasticContinue &&
             !engine.worker_active(ev.rank)) {
           engine.restore_worker(ev.rank);
           ++out.regrows;
-          t += options.reschedule_seconds;
+          t += kRescheduleSeconds;
         }
         // Abort-restart ignores returns: restarts already re-provision a
         // full world.
@@ -100,7 +112,7 @@ FtResult run_convergence_ft(ConvergenceTask& task, const FtOptions& options,
       } else if (engine.worker_active(ev.rank)) {
         ++out.preemptions;
         engine.preempt_worker(ev.rank);
-        t += plan.detection_timeout() + options.reschedule_seconds;
+        t += plan.detection_timeout() + kRescheduleSeconds;
         // Record the shrunken world here, not just after a step: the
         // detection + reschedule cost can carry t past a scripted return,
         // in which case the smallest world never takes a step.  An empty
@@ -131,11 +143,7 @@ FtResult run_convergence_ft(ConvergenceTask& task, const FtOptions& options,
     }
 
     if (!engine.epoch_open()) engine.begin_epoch();
-    double degrade = 1.0;
-    for (int w = 0; w < engine.world(); ++w) {
-      if (!engine.worker_active(w)) continue;
-      degrade = std::max(degrade, plan.degrade_factor(w / gpus, t));
-    }
+    const double degrade = worst_degradation(engine, plan, 0, t);
     engine.step();
     t += options.compute_seconds_per_iter * degrade +
          engine.last_step_comm_seconds();

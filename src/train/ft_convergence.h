@@ -19,12 +19,14 @@
 //     with completed = false when there is none.
 //
 // Checkpoints are committed every checkpoint_interval iterations under both
-// policies; the write cost is priced from the *actual serialized blob size*
-// against checkpoint_write_gbps (0 = free writes, the pure-convergence
-// view).  Compute time per iteration is scaled by the worst fault-plan
+// policies into a two-version CheckpointStore ring; the write cost is priced
+// from the *actual serialized blob size* against checkpoint_write_gbps
+// (0 = free writes, the pure-convergence view).  Compute time per iteration is scaled by the worst fault-plan
 // degradation factor over the active workers' nodes, and communication time
 // is the engine's own simulated collective time — so the wall clock, the
 // convergence curve, and the fault script stay one deterministic story.
+// An elastic regrow or shrink charges a fixed 0.5 s of rendezvous and
+// re-derivation on top of the plan's detection timeout.
 #pragma once
 
 #include <functional>
@@ -42,7 +44,6 @@ struct FtOptions {
   RecoveryPolicy policy = RecoveryPolicy::kElasticContinue;
 
   int checkpoint_interval = 50;   // iterations between checkpoint commits
-  int checkpoint_versions = 2;    // CheckpointStore ring size
   double checkpoint_write_gbps = 0.0;  // 0 = free checkpoint writes
 
   // Wall-clock model: seconds of compute per iteration (scaled by the fault
@@ -50,7 +51,6 @@ struct FtOptions {
   // communication seconds.
   double compute_seconds_per_iter = 0.05;
   double restart_seconds = 30.0;     // abort-restart: re-provision + reload
-  double reschedule_seconds = 0.5;   // elastic: rendezvous + re-derivation
 
   // Called after every checkpoint commit (fault-injection hook: corruption
   // tests flip bytes in the just-committed blob via store.mutable_blob and
@@ -80,5 +80,26 @@ struct FtResult {
 // warm-start from a previous run's snapshots).
 FtResult run_convergence_ft(ConvergenceTask& task, const FtOptions& options,
                             CheckpointStore* store = nullptr);
+
+// One scripted preemption of worker `rank`, or its return when `recovery`.
+struct WorkerEvent {
+  double time = 0.0;
+  int rank = 0;
+  bool recovery = false;
+};
+
+// The plan's preemption script over workers [0, world) as a time-ordered,
+// consumed-once event list: each scripted window contributes a death event
+// and, when it recovers inside the horizon, a return event.  Equal times
+// keep script order.
+std::vector<WorkerEvent> worker_events(const simnet::FaultPlan& plan,
+                                       int world);
+
+// The plan's worst degradation factor (>= 1) at time `t` over the nodes of
+// `engine`'s active workers, where local worker w is global worker
+// first_worker + w.
+double worst_degradation(const ConvergenceEngine& engine,
+                         const simnet::FaultPlan& plan, int first_worker,
+                         double t);
 
 }  // namespace hitopk::train

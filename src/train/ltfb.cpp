@@ -4,9 +4,15 @@
 
 #include "collectives/schedule.h"
 #include "core/check.h"
+#include "train/ft_convergence.h"
 
 namespace hitopk::train {
 namespace {
+
+// Population p's engine seed is training.seed + p * kSeedStride.
+constexpr uint64_t kSeedStride = 7919;
+// Elastic: rendezvous + re-derivation per regrow or shrink (seconds).
+constexpr double kRescheduleSeconds = 0.5;
 
 int first_active(const ConvergenceEngine& engine) {
   for (int w = 0; w < engine.world(); ++w) {
@@ -35,7 +41,7 @@ LtfbResult run_ltfb(const TaskFactory& factory, const LtfbOptions& options) {
     HITOPK_VALIDATE(tasks.back() != nullptr) << "task factory returned null";
     ConvergenceOptions opt = options.training;
     opt.seed = options.training.seed +
-               static_cast<uint64_t>(p) * options.seed_stride;
+               static_cast<uint64_t>(p) * kSeedStride;
     engines.push_back(std::make_unique<ConvergenceEngine>(*tasks.back(), opt));
     HITOPK_VALIDATE(engines.back()->iters_per_epoch() ==
                     engines.front()->iters_per_epoch())
@@ -56,26 +62,8 @@ LtfbResult run_ltfb(const TaskFactory& factory, const LtfbOptions& options) {
 
   // Fault script at global worker granularity, consumed once in time order
   // at lockstep iteration boundaries.
-  struct Event {
-    double time = 0.0;
-    int pop = 0;
-    int local = 0;
-    bool recovery = false;
-  };
-  std::vector<Event> events;
-  for (const simnet::Preemption& pr : options.faults.preemptions()) {
-    if (pr.rank < 0 || pr.rank >= P * world_pop) continue;
-    events.push_back(Event{pr.time, pr.rank / world_pop, pr.rank % world_pop,
-                           false});
-    if (pr.recover_time < simnet::kNever) {
-      events.push_back(Event{pr.recover_time, pr.rank / world_pop,
-                             pr.rank % world_pop, true});
-    }
-  }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const Event& a, const Event& b) {
-                     return a.time < b.time;
-                   });
+  const std::vector<WorkerEvent> events =
+      worker_events(options.faults, P * world_pop);
 
   LtfbResult out;
   out.final_quality.assign(static_cast<size_t>(P), -1.0);
@@ -87,21 +75,23 @@ LtfbResult run_ltfb(const TaskFactory& factory, const LtfbOptions& options) {
 
   auto consume_events = [&] {
     while (next_event < events.size() && events[next_event].time <= t) {
-      const Event ev = events[next_event++];
-      if (down[static_cast<size_t>(ev.pop)]) continue;  // forfeited: ignore
-      ConvergenceEngine& engine = *engines[static_cast<size_t>(ev.pop)];
+      const WorkerEvent ev = events[next_event++];
+      const int pop = ev.rank / world_pop;
+      const int local = ev.rank % world_pop;
+      if (down[static_cast<size_t>(pop)]) continue;  // forfeited: ignore
+      ConvergenceEngine& engine = *engines[static_cast<size_t>(pop)];
       if (ev.recovery) {
-        if (!engine.worker_active(ev.local)) {
-          engine.restore_worker(ev.local);
+        if (!engine.worker_active(local)) {
+          engine.restore_worker(local);
           ++out.regrows;
-          t += options.reschedule_seconds;
+          t += kRescheduleSeconds;
         }
-      } else if (engine.worker_active(ev.local)) {
+      } else if (engine.worker_active(local)) {
         ++out.preemptions;
-        engine.preempt_worker(ev.local);
-        t += options.faults.detection_timeout() + options.reschedule_seconds;
+        engine.preempt_worker(local);
+        t += options.faults.detection_timeout() + kRescheduleSeconds;
         if (engine.active_workers() == 0) {
-          down[static_cast<size_t>(ev.pop)] = true;
+          down[static_cast<size_t>(pop)] = true;
           ++out.forfeits;
         }
       }
@@ -130,13 +120,8 @@ LtfbResult run_ltfb(const TaskFactory& factory, const LtfbOptions& options) {
         for (int p = 0; p < P; ++p) {
           if (down[static_cast<size_t>(p)]) continue;
           ConvergenceEngine& engine = *engines[static_cast<size_t>(p)];
-          double degrade = 1.0;
-          for (int w = 0; w < world_pop; ++w) {
-            if (!engine.worker_active(w)) continue;
-            const int node = (p * world_pop + w) / gpus;
-            degrade = std::max(degrade,
-                               options.faults.degrade_factor(node, t));
-          }
+          const double degrade =
+              worst_degradation(engine, options.faults, p * world_pop, t);
           engine.step();
           dt = std::max(dt, options.compute_seconds_per_iter * degrade +
                                 engine.last_step_comm_seconds());

@@ -20,8 +20,10 @@
 // completed = false.
 //
 // Everything is deterministic: population p trains with engine seed
-// training.seed + p * seed_stride, events are consumed at lockstep iteration
-// boundaries, and ties go to the lower population index.
+// training.seed + p * 7919, events are consumed at lockstep iteration
+// boundaries, and ties go to the lower population index.  An elastic regrow
+// or shrink charges a fixed 0.5 s of rendezvous and re-derivation on top of
+// the plan's detection timeout.
 #pragma once
 
 #include <functional>
@@ -47,8 +49,6 @@ struct LtfbOptions {
   int round_epochs = 1;
   simnet::FaultPlan faults;  // global worker indices (see header comment)
   double compute_seconds_per_iter = 0.05;
-  double reschedule_seconds = 0.5;
-  uint64_t seed_stride = 7919;
 };
 
 struct LtfbRoundPoint {

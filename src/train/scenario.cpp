@@ -12,6 +12,16 @@
 namespace hitopk::train {
 namespace {
 
+// Recovery costs (seconds).  Keepalive timeout before the survivors declare
+// a node dead:
+constexpr double kDetectionTimeoutSeconds = 1.0;
+// Flat cost of writing one checkpoint (without checkpoint_write_gbps):
+constexpr double kCheckpointSeconds = 5.0;
+// Abort-restart: provision a full world and reload the checkpoint:
+constexpr double kRestartSeconds = 120.0;
+// Elastic: survivor rendezvous and collective re-derivation:
+constexpr double kRescheduleSeconds = 2.0;
+
 // Uniform topology with `nodes` nodes and the fabric parameters of `base`.
 // The pod grouping survives only while it still tiles the node count.
 simnet::Topology resize_topology(const simnet::Topology& base, int nodes) {
@@ -33,6 +43,13 @@ ScenarioResult simulate_scenario(const simnet::Topology& topology,
          "uniform topology";
   HITOPK_VALIDATE(options.iterations > 0);
   HITOPK_VALIDATE(options.checkpoint_interval > 0);
+  HITOPK_VALIDATE(options.nodes_per_pod > 0);
+  HITOPK_VALIDATE(options.preempt_rate_per_node_hour >= 0.0);
+  HITOPK_VALIDATE(options.burst_rate_per_pod_hour >= 0.0);
+  HITOPK_VALIDATE(options.burst_factor >= 1.0);
+  HITOPK_VALIDATE(options.node_return_seconds >= 0.0);
+  HITOPK_VALIDATE(options.checkpoint_write_gbps >= 0.0)
+      << "negative checkpoint write rate:" << options.checkpoint_write_gbps;
   const int full_nodes = topology.nodes();
   const int gpus = topology.gpus_per_node();
 
@@ -68,13 +85,11 @@ ScenarioResult simulate_scenario(const simnet::Topology& topology,
   // Checkpoint write cost: size-derived when a write rate is given (weights
   // + momentum + error-feedback residuals = 3 float planes, the state the
   // ConvergenceEngine actually serializes), otherwise the legacy flat cost.
-  HITOPK_VALIDATE(options.checkpoint_write_gbps >= 0.0)
-      << "negative checkpoint write rate:" << options.checkpoint_write_gbps;
   const double checkpoint_write_seconds =
       options.checkpoint_write_gbps > 0.0
           ? static_cast<double>(model.total_params()) * 4.0 * 3.0 /
                 (options.checkpoint_write_gbps * 1e9)
-          : options.checkpoint_seconds;
+          : kCheckpointSeconds;
 
   // Bursty correlated stragglers: a FaultPlan degradation script with one
   // "node" per pod, generated over a horizon comfortably past the expected
@@ -134,7 +149,7 @@ ScenarioResult simulate_scenario(const simnet::Topology& topology,
         returns.erase(returns.begin());
         ++nodes_up;
         ++out.rescales;
-        t += options.reschedule_seconds + reshard_seconds;
+        t += kRescheduleSeconds + reshard_seconds;
         next_preempt = t + sample_gap(nodes_up);
       }
       if (nodes_up == 0) {
@@ -158,7 +173,7 @@ ScenarioResult simulate_scenario(const simnet::Topology& topology,
       ++out.preemptions;
       const double preempt_at = std::max(next_preempt, t);
       lost_seconds += preempt_at - t;
-      t = preempt_at + options.detection_timeout_seconds;
+      t = preempt_at + kDetectionTimeoutSeconds;
       if (options.policy == RecoveryPolicy::kAbortRestart) {
         // Roll back to the last checkpoint and restart on a full world.
         lost_seconds +=
@@ -168,9 +183,8 @@ ScenarioResult simulate_scenario(const simnet::Topology& topology,
         out.useful_iterations -= since_checkpoint;
         since_checkpoint = 0;
         ++out.restarts;
-        t += options.restart_seconds;
-        recover_seconds_total +=
-            options.detection_timeout_seconds + options.restart_seconds;
+        t += kRestartSeconds;
+        recover_seconds_total += kDetectionTimeoutSeconds + kRestartSeconds;
         nodes_up = full_nodes;
       } else {
         --nodes_up;
@@ -179,9 +193,9 @@ ScenarioResult simulate_scenario(const simnet::Topology& topology,
         if (options.node_return_seconds < simnet::kNever) {
           returns.push_back(next_preempt + options.node_return_seconds);
         }
-        const double recover = options.reschedule_seconds + reshard_seconds;
+        const double recover = kRescheduleSeconds + reshard_seconds;
         t += recover;
-        recover_seconds_total += options.detection_timeout_seconds + recover;
+        recover_seconds_total += kDetectionTimeoutSeconds + recover;
       }
       next_preempt = t + sample_gap(nodes_up);
       continue;

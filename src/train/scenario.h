@@ -17,9 +17,9 @@
 //
 //   kAbortRestart — the classic fixed-world job: a preemption kills the
 //     run, work since the last checkpoint is lost, and the job restarts on
-//     a re-provisioned full world after `restart_seconds`.  Short
-//     checkpoint intervals bound the lost work but pay `checkpoint_seconds`
-//     often.
+//     a re-provisioned full world after a fixed restart cost.  Short
+//     checkpoint intervals bound the lost work but pay the checkpoint
+//     write often.
 //
 //   kElasticContinue — the elastic job: only the in-flight iteration is
 //     lost; the survivors re-shard the model state (one full parameter pass
@@ -27,6 +27,12 @@
 //     collectives/elastic.h), and continue at the smaller world — at
 //     proportionally lower throughput — until the preempted node returns
 //     and re-shards back in.
+//
+// The recovery costs are fixed model constants (scenario.cpp): a 1 s
+// keepalive timeout before survivors declare a node dead, 120 s to
+// re-provision and reload an aborted job, 2 s of elastic rendezvous and
+// re-derivation, and a flat 5 s per checkpoint write unless
+// `checkpoint_write_gbps` prices it from the snapshot size.
 #pragma once
 
 #include "simnet/fault.h"
@@ -46,22 +52,17 @@ struct ScenarioOptions {
   // simnet::kNever = never.  Elastic only — abort-restart always restarts
   // on a full world.
   double node_return_seconds = simnet::kNever;
-  // Keepalive timeout before the survivors declare the rank dead.
-  double detection_timeout_seconds = 1.0;
 
   // ---- recovery policy costs
   RecoveryPolicy policy = RecoveryPolicy::kElasticContinue;
   int checkpoint_interval = 100;     // iterations between checkpoints
-  double checkpoint_seconds = 5.0;   // cost of writing one checkpoint
   // When positive, the checkpoint write is priced from the snapshot size
-  // instead of the flat checkpoint_seconds: the state a fault-tolerant run
+  // instead of the flat 5 s: the state a fault-tolerant run
   // snapshots is ~3 parameter planes (weights + optimizer momentum +
   // error-feedback residuals, the ConvergenceEngine serialization) at 4
   // bytes each, streamed to durable storage at this rate.  0 keeps the
   // legacy flat cost.
   double checkpoint_write_gbps = 0.0;
-  double restart_seconds = 120.0;    // abort-restart: provision + reload
-  double reschedule_seconds = 2.0;   // elastic: rendezvous + re-derivation
 
   // ---- bursty correlated-per-pod jitter (FaultPlan degradation script)
   double burst_rate_per_pod_hour = 0.0;
@@ -95,8 +96,10 @@ struct ScenarioResult {
   bool completed = true;  // false if the world died out with no returns
 };
 
-// Simulates the job on a uniform `topology` (throws ConfigError otherwise).
-// Deterministic in options.seed.
+// Simulates the job on a uniform `topology`.  Throws ConfigError on an
+// uneven topology, on non-positive iterations, checkpoint_interval or
+// nodes_per_pod, on negative rates, write rate or node_return_seconds, and
+// on burst_factor < 1.  Deterministic in options.seed.
 ScenarioResult simulate_scenario(const simnet::Topology& topology,
                                  const ScenarioOptions& options);
 

@@ -18,6 +18,12 @@
 
 namespace hitopk::train {
 
+using models::Calibration;
+
+// Mixed-precision training (§5.3): dense gradients and sparse values both
+// travel half-width.
+constexpr coll::WireDtype kGradientWire = coll::WireDtype::kFp16;
+
 std::string algorithm_name(Algorithm algorithm) {
   switch (algorithm) {
     case Algorithm::kDenseTree: return "Dense-SGD";
@@ -98,14 +104,14 @@ IterationBreakdown TrainingSimulator::simulate_with_io(
     switch (options_.algorithm) {
       case Algorithm::kDenseTree: {
         coll::TreeOptions tree;
-        tree.wire = options_.dense_wire;
+        tree.wire = kGradientWire;
         done = coll::tree_allreduce(cluster, world, {}, bucket.elems, tree,
                                     ready);
         break;
       }
       case Algorithm::kDense2dTorus: {
         done = ready + coll::torus2d_allreduce(cluster, {}, bucket.elems,
-                                               options_.dense_wire, ready)
+                                               kGradientWire, ready)
                            .total;
         break;
       }
@@ -125,7 +131,7 @@ IterationBreakdown TrainingSimulator::simulate_with_io(
         done = compressed +
                coll::naive_sparse_allgather_time(
                    cluster, k,
-                   coll::wire_elem_bytes(options_.sparse_value_wire),
+                   coll::wire_elem_bytes(kGradientWire),
                    accumulate, compressed)
                    .total;
         break;
@@ -133,9 +139,8 @@ IterationBreakdown TrainingSimulator::simulate_with_io(
       case Algorithm::kMstopkHitopk: {
         coll::HiTopKOptions hi;
         hi.density = options_.density;
-        hi.value_wire = options_.sparse_value_wire;
+        hi.value_wire = kGradientWire;
         hi.mstopk_samplings = options_.mstopk_samplings;
-        hi.mstopk_histogram = options_.mstopk_histogram;
         hi.gpu = &gpu_;
         const auto breakdown =
             coll::hitopk_comm(cluster, {}, bucket.elems, hi, ready);
@@ -154,8 +159,8 @@ IterationBreakdown TrainingSimulator::simulate_with_io(
     const double serial = gpu_.lars_seconds(model.num_tensors(), params);
     const double framework =
         options_.model == "transformer"
-            ? models::Calibration::pto_framework_overhead_transformer
-            : models::Calibration::pto_framework_overhead_resnet50;
+            ? Calibration::pto_framework_overhead_transformer
+            : Calibration::pto_framework_overhead_resnet50;
     lars_seconds =
         pto::pto_timing(pto_cluster, model.num_tensors(), 4, serial, framework)
             .pto_seconds;
@@ -165,20 +170,19 @@ IterationBreakdown TrainingSimulator::simulate_with_io(
   const double update_seconds = gpu_.elementwise_seconds(params, 3);
   double overhead;
   if (sparse) {
-    overhead = options_.sparse_framework_overhead;
+    overhead = Calibration::framework_overhead_sparse;
   } else if (options_.algorithm == Algorithm::kDenseTree) {
-    overhead = options_.dense_framework_overhead +
-               options_.dense_per_tensor_overhead *
+    overhead = Calibration::framework_overhead_dense +
+               Calibration::framework_overhead_per_tensor *
                    static_cast<double>(model.num_tensors());
   } else {
-    overhead = options_.torus_framework_overhead;
+    overhead = Calibration::framework_overhead_torus;
   }
   const double pipeline_total =
       tail_start + lars_seconds + update_seconds + overhead;
 
-  const double io = raw_io;
-  const double total =
-      options_.overlap_io ? std::max(io, pipeline_total) : io + pipeline_total;
+  // The prefetch pipeline hides I/O behind compute.
+  const double total = std::max(raw_io, pipeline_total);
 
   IterationBreakdown out;
   out.ffbp = ffbp;

@@ -7,6 +7,8 @@
 // as gradients materialize), a compression stream, and the LARS + update
 // tail.  Produces the Fig. 1 breakdown (elapsed time that cannot be
 // overlapped) and the Table 3/4 throughput / scaling-efficiency numbers.
+// Gradients travel as FP16 (§5.3), prefetched I/O overlaps the pipeline,
+// and the framework overheads are Table 3's (models/calibration.h).
 #pragma once
 
 #include <string>
@@ -35,33 +37,16 @@ struct TrainerOptions {
   Algorithm algorithm = Algorithm::kMstopkHitopk;
   // Gradient density for the sparse algorithms.
   double density = 0.001;
-  // Wire dtypes: FP16 gradients everywhere (mixed-precision training,
-  // §5.3) — the dense collectives and the sparse legs' values both travel
-  // half-width by default (compress/wire_codec.h).
-  coll::WireDtype dense_wire = coll::WireDtype::kFp16;
-  coll::WireDtype sparse_value_wire = coll::WireDtype::kFp16;
   bool use_datacache = true;
   bool use_pto = true;
-  bool overlap_io = true;    // prefetch pipeline hides I/O behind compute
   bool overlap_comm = true;  // wait-free backpropagation
   size_t fusion_bytes = size_t{64} << 20;
   int mstopk_samplings = 30;
-  // Single-pass histogram MSTopK (default) vs the legacy multi-pass search
-  // in the functional HiTopKComm path.
-  bool mstopk_histogram = true;
   // Coefficient of variation of per-GPU compute time (virtualization
   // jitter).  Synchronous SGD waits for the slowest of P workers; the
   // expected straggler penalty is modelled by the Gaussian order statistic
   // E[max of P] ~ 1 + cv * sqrt(2 ln P).  0 disables straggler modelling.
   double straggler_cv = 0.0;
-  // Per-iteration framework overheads, calibrated against Table 3.
-  // Dense-SGD (stock Horovod) pays per-tensor negotiation on top of a flat
-  // cost; the CommLib schemes fuse aggressively (flat only); the sparse
-  // path adds bookkeeping kernels (zero/extract/scatter) per iteration.
-  double dense_framework_overhead = 3e-3;
-  double dense_per_tensor_overhead = 0.8e-3;
-  double torus_framework_overhead = 3e-3;
-  double sparse_framework_overhead = 22e-3;
 };
 
 struct IterationBreakdown {

@@ -425,6 +425,38 @@ train::ScenarioOptions scenario_base() {
   return options;
 }
 
+TEST(Scenario, RejectsInvalidOptions) {
+  // nodes_per_pod = 0 used to divide by zero computing the pod count.
+  const Topology topo = Topology::tencent_cloud(4, 8);
+  auto with = [](auto edit) {
+    train::ScenarioOptions options = scenario_base();
+    edit(options);
+    return options;
+  };
+  using Options = train::ScenarioOptions;
+  EXPECT_THROW(train::simulate_scenario(
+                   topo, with([](Options& o) { o.nodes_per_pod = 0; })),
+               ConfigError);
+  EXPECT_THROW(train::simulate_scenario(
+                   topo, with([](Options& o) { o.nodes_per_pod = -2; })),
+               ConfigError);
+  EXPECT_THROW(train::simulate_scenario(topo, with([](Options& o) {
+                 o.preempt_rate_per_node_hour = -1.0;
+               })),
+               ConfigError);
+  EXPECT_THROW(train::simulate_scenario(topo, with([](Options& o) {
+                 o.burst_rate_per_pod_hour = -1.0;
+               })),
+               ConfigError);
+  EXPECT_THROW(train::simulate_scenario(
+                   topo, with([](Options& o) { o.burst_factor = 0.5; })),
+               ConfigError);
+  EXPECT_THROW(train::simulate_scenario(topo, with([](Options& o) {
+                 o.node_return_seconds = -1.0;
+               })),
+               ConfigError);
+}
+
 TEST(Scenario, DeterministicInSeed) {
   const Topology topo = Topology::tencent_cloud(4, 2);
   const auto a = train::simulate_scenario(topo, scenario_base());

@@ -510,6 +510,47 @@ TEST(TraceReplay, GeneratorIsSeedDeterministic) {
   EXPECT_TRUE(differs);
 }
 
+TEST(TraceReplay, GeneratorRejectsInvalidOptions) {
+  // jobs = -1 used to reach vector::reserve as a huge size_t and throw
+  // std::length_error.
+  auto with = [](auto edit) {
+    TraceOptions options;
+    edit(options);
+    return options;
+  };
+  EXPECT_THROW(generate_trace(with([](TraceOptions& o) { o.jobs = -1; })),
+               ConfigError);
+  EXPECT_THROW(generate_trace(with([](TraceOptions& o) {
+                 o.mean_interarrival_seconds = 0.0;
+               })),
+               ConfigError);
+  EXPECT_THROW(generate_trace(with([](TraceOptions& o) {
+                 o.mean_interarrival_seconds =
+                     std::numeric_limits<double>::infinity();
+               })),
+               ConfigError);
+  EXPECT_THROW(generate_trace(with([](TraceOptions& o) {
+                 o.mean_interarrival_seconds =
+                     std::numeric_limits<double>::quiet_NaN();
+               })),
+               ConfigError);
+  EXPECT_THROW(
+      generate_trace(with([](TraceOptions& o) { o.gang_sizes.clear(); })),
+      ConfigError);
+  EXPECT_THROW(generate_trace(
+                   with([](TraceOptions& o) { o.gang_sizes = {4, 0}; })),
+               ConfigError);
+  EXPECT_THROW(
+      generate_trace(with([](TraceOptions& o) { o.min_iterations = 0; })),
+      ConfigError);
+  EXPECT_THROW(generate_trace(with([](TraceOptions& o) {
+                 o.min_iterations = 5;
+                 o.max_iterations = 4;
+               })),
+               ConfigError);
+  EXPECT_TRUE(generate_trace(with([](TraceOptions& o) { o.jobs = 0; })).empty());
+}
+
 TEST(TraceReplay, SmokeReplayUnderPinnedSeed) {
   // The CI legs pin HITOPK_FIG12_SEED; this smoke replay follows the same
   // seed so release and sanitizer builds replay one identical trace.

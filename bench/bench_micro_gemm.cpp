@@ -3,12 +3,14 @@
 // Runs the register-tiled sgemm() against the naive-loop reference at the
 // representative shapes of the autodiff engine — the MLP/sequence layer
 // products (batch x hidden) at the convergence-bench batch sizes, their
-// backward transposed variants, and the im2col-lowered CNN convolutions —
-// and *fails* (non-zero exit) if the tiled kernel is slower than the naive
-// loop anywhere.  CI runs this as a regression gate, so a refactor that
-// breaks the microkernel's vectorization (e.g. by giving its inner loops
-// runtime trip counts; see core/gemm.cpp) shows up as a red build instead
-// of a silent several-fold convergence slowdown.
+// backward transposed variants, the im2col-lowered CNN convolutions and the
+// 1024-wide layer of the bench/e2e model — and *fails* (non-zero exit) if
+// the tiled kernel is slower than the naive loop anywhere.  Every row also
+// times the baseline x86-64 build next to the build sgemm() dispatches to
+// (the same build on a host without AVX2).  CI runs this as a regression
+// gate (tiled must never lose to the naive loop).  Smaller regressions show
+// in the printed columns: leaving the microkernels' accumulator loops
+// rolled (see core/gemm.cpp) roughly halves the tiled speed.
 #include <chrono>
 #include <functional>
 #include <iostream>
@@ -66,11 +68,17 @@ int main() {
       {"cnn bwd dW", Trans::kNo, Trans::kYes, 16, 144, 144},
       {"cnn bwd dcol", Trans::kYes, Trans::kNo, 144, 144, 16},
       {"eval fwd (b512)", Trans::kNo, Trans::kNo, 512, 96, 64},
+      {"e2e fwd 1024 (b8)", Trans::kNo, Trans::kNo, 8, 1024, 1024},
+      {"e2e bwd dX 1024", Trans::kNo, Trans::kYes, 8, 1024, 1024},
+      {"e2e bwd dW 1024", Trans::kYes, Trans::kNo, 1024, 1024, 8},
   };
 
-  std::printf("=== bench_micro_gemm: tiled sgemm vs naive loops ===\n\n");
-  TablePrinter table({"shape", "m", "n", "k", "naive us", "tiled us",
-                      "speedup"});
+  using hitopk::gemm::detail::Build;
+  const bool avx2 = hitopk::gemm::detail::build_supported(Build::kAvx2);
+  std::printf("=== bench_micro_gemm: tiled sgemm vs naive loops ===\n");
+  std::printf("sgemm build: %s\n\n", avx2 ? "avx2" : "baseline");
+  TablePrinter table({"shape", "m", "n", "k", "naive us", "baseline us",
+                      "tiled us", "speedup"});
   Rng rng(7);
   bool ok = true;
   double worst = 1e100;
@@ -95,6 +103,15 @@ int main() {
           }
         },
         7) / inner;
+    const double baseline = best_seconds(
+        [&] {
+          for (int i = 0; i < inner; ++i) {
+            hitopk::gemm::detail::sgemm_build(
+                Build::kBaseline, s.trans_a, s.trans_b, s.m, s.n, s.k,
+                a.data(), lda, b.data(), ldb, c.data(), s.n, false);
+          }
+        },
+        7) / inner;
     const double tiled = best_seconds(
         [&] {
           for (int i = 0; i < inner; ++i) {
@@ -109,6 +126,7 @@ int main() {
     table.add_row({s.label, std::to_string(s.m), std::to_string(s.n),
                    std::to_string(s.k),
                    TablePrinter::fmt(naive * 1e6, 2),
+                   TablePrinter::fmt(baseline * 1e6, 2),
                    TablePrinter::fmt(tiled * 1e6, 2),
                    TablePrinter::fmt(speedup, 2) + "x"});
   }

@@ -675,6 +675,11 @@ size_t Tape::count_topk_correct(std::span<const float> logits, size_t rows,
   HITOPK_CHECK_EQ(logits.size(), rows * cols);
   HITOPK_CHECK_EQ(labels.size(), rows);
   HITOPK_CHECK_GT(k, 0u);
+  // Validate every label before any read (as softmax_cross_entropy does).
+  for (const int label : labels) {
+    HITOPK_CHECK(label >= 0 && static_cast<size_t>(label) < cols)
+        << "label out of range:" << label;
+  }
   size_t correct = 0;
   for (size_t i = 0; i < rows; ++i) {
     const float* row = &logits[i * cols];

@@ -1,20 +1,24 @@
 // Blocked, register-tiled single-precision GEMM for the autodiff engine.
 //
-// The convergence experiments (Fig. 10 / Table 2) spend nearly all their
-// compute in small-to-medium dense products: MLP layers (batch x hidden),
-// their two backward products (dA = dC*B^T, dB = A^T*dC), and im2col-lowered
-// convolutions.  sgemm() computes C (+)= op(A) * op(B) through one packed
-// microkernel whose inner loops have compile-time-constant trip counts
-// (kMr x kNr register tile), which is what the GCC12 -O2 "very cheap"
-// vectorizer cost model needs to engage — the same constraint the MSTopK
-// histogram kernels are written around.
+// The convergence experiments (Fig. 10 / Table 2) and the bench/e2e training
+// step spend nearly all their compute in dense products: MLP layers
+// (batch x hidden), their two backward products (dA = dC*B^T,
+// dB = A^T*dC), and im2col-lowered convolutions.  sgemm() computes
+// C (+)= op(A) * op(B) by packing op(A) into row panels and running a
+// register-tile microkernel against B read in place: B's rows for
+// op(B) == B, and B's rows as the tile's columns for op(B) == B^T, so no
+// call copies B.
 //
-// Transposition is absorbed during packing, so all four variants run the
-// identical microkernel.  For K <= kKc (every shape the synthetic tasks
-// produce) each output element accumulates its K products in strictly
-// increasing k order in float, i.e. bitwise-identically to the textbook
-// `for k: c += a[i][k] * b[k][j]` loop; larger K is split into kKc-sized
-// blocks whose partial sums are added in order.
+// One kernel source is compiled twice: a baseline x86-64 build (SSE2,
+// 4-lane vectors, 4x8 tiles in 8 of the 16 xmm registers) and an AVX2
+// build (8-lane vectors, 8x8 tiles in 8 of the 16 ymm registers).  sgemm()
+// picks the AVX2 build once per process when the host supports it; other
+// targets compile only the baseline.  Neither build uses FMA, so both round
+// every product and every sum separately and give identical bits: each
+// output element sums its products in increasing k from +0.0 within each
+// kKc block, and adds the block partials to C in block order.  For
+// K <= kKc that is bitwise the textbook `for k: c += a[i][k] * b[k][j]`
+// loop.
 #pragma once
 
 #include <cstddef>
@@ -26,12 +30,8 @@ enum class Trans {
   kYes,  // operand used transposed
 };
 
-// Register tile (microkernel output block) and K blocking.  kNr is a
-// multiple of the 4-wide SSE vector so the constant-trip j-loops vectorize;
-// kMr * kNr accumulators plus a broadcast and B loads stay within the 16
-// xmm registers of baseline x86-64.
-inline constexpr size_t kMr = 4;
-inline constexpr size_t kNr = 8;
+// K blocking: products are summed in blocks of kKc consecutive k.  Part of
+// the result's bits, so it is the same in every build.
 inline constexpr size_t kKc = 256;
 
 // C (m x n, leading dimension ldc) (+)= op(A) * op(B) where op(A) is m x k
@@ -43,6 +43,26 @@ inline constexpr size_t kKc = 256;
 void sgemm(Trans trans_a, Trans trans_b, size_t m, size_t n, size_t k,
            const float* a, size_t lda, const float* b, size_t ldb, float* c,
            size_t ldc, bool accumulate);
+
+namespace detail {
+
+// The kernel builds sgemm() chooses from.  gemm_test and bench_micro_gemm
+// run each one directly; everything else calls sgemm().
+enum class Build {
+  kBaseline,  // baseline x86-64 (or the target's default vector width)
+  kAvx2,      // x86-64 with AVX2, no FMA
+};
+
+// Whether `build` is compiled in and the host can run it.
+bool build_supported(Build build);
+
+// sgemm() through the given build; a CheckError if it is unsupported.
+void sgemm_build(Build build, Trans trans_a, Trans trans_b, size_t m,
+                 size_t n, size_t k, const float* a, size_t lda,
+                 const float* b, size_t ldb, float* c, size_t ldc,
+                 bool accumulate);
+
+}  // namespace detail
 
 // Reference implementation (textbook triple loop, k innermost in increasing
 // order).  The property tests compare sgemm against this, and

@@ -5,14 +5,18 @@
 // bitwise-identical to serial execution for both dense SGD and LocalSGD.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "autodiff/tape.h"
 #include "core/parallel.h"
 #include "core/rng.h"
 #include "core/tensor.h"
+#include "train/checkpoint.h"
 #include "train/convergence.h"
 #include "train/synthetic.h"
 
@@ -210,6 +214,71 @@ TEST(ParallelConvergence, LocalSgdMatchesSerialBitwise) {
 TEST(ParallelConvergence, MstopkElasticMatchesSerialBitwise) {
   ThreadGuard guard;
   expect_identical_across_threads(elastic_mstopk_with_threads);
+}
+
+// ------------------------------------------------ e2e model gradient golden
+//
+// The bench/e2e training model (vision proxy with {1024, 1024} hidden
+// layers) at 16 workers and local batch 8: every worker's gradient (FNV-1a
+// digest) and loss (hexfloat), pinned bitwise.  Its GEMMs reach K = 1024,
+// i.e. four kKc blocks, which no EngineGolden row does.  Workers fan out
+// over the pool as in the engine; CI reruns this with HITOPK_THREADS=1.
+
+struct WorkerGradientRow {
+  uint64_t digest;
+  double loss;
+};
+
+constexpr WorkerGradientRow kE2eGradientGolden[] = {
+    {0xdd80d63fccceb9f6ull, 0x1.fef5195d45092p+2},
+    {0x802250e639196f4aull, 0x1.3130ea8b24a77p+3},
+    {0xea975f1e408c5ad3ull, 0x1.07801800fa9b8p+3},
+    {0x4edd0c5845658c75ull, 0x1.f883d350ae39ap+2},
+    {0x9ca9bd8f732d7681ull, 0x1.e5ceba223da1ap+2},
+    {0xcb5ae86ebf9db541ull, 0x1.47af5da3b132dp+3},
+    {0x4be6b4f6a88400d8ull, 0x1.d3f281245c656p+2},
+    {0x964c935ec2525494ull, 0x1.93f4e1e644b19p+2},
+    {0x7ea8ab259683dd5aull, 0x1.18135cdf6a4a1p+3},
+    {0x560c5bd14fcb2912ull, 0x1.47efe8102caa8p+3},
+    {0xd06fd6cdd32c3e12ull, 0x1.af055be13251ap+2},
+    {0x4d496330972e0476ull, 0x1.138dfdfeb0c3ap+3},
+    {0xfe386ba15e99c3d0ull, 0x1.2e9ce7d4323d3p+3},
+    {0xc09bd5825d3b2249ull, 0x1.07ee1f7421f15p+3},
+    {0xd1ff273f28de7445ull, 0x1.b6cac4cdb1c96p+2},
+    {0x4016bbec045380efull, 0x1.fdae68b01c1c6p+2},
+};
+
+TEST(GradientGolden, E2eVisionModelWorkerGradientsAreFrozen) {
+  constexpr uint64_t kSeed = 20260807;
+  constexpr size_t kWorkers = 16;
+  constexpr size_t kLocalBatch = 8;
+  auto task = train::make_vision_task(kSeed, "resnet50-proxy", {1024, 1024});
+  Rng rng(kSeed);
+  std::vector<size_t> samples(kWorkers * kLocalBatch);
+  for (size_t& s : samples) s = rng.uniform_index(task->train_size());
+  std::vector<WorkerGradientRow> actual(kWorkers);
+  parallel_for(0, kWorkers, [&](size_t w) {
+    std::vector<float> grad(task->param_count());
+    const double loss = task->gradient(
+        std::span<const size_t>(samples).subspan(w * kLocalBatch, kLocalBatch),
+        grad);
+    actual[w] = {train::fnv1a64({reinterpret_cast<const uint8_t*>(grad.data()),
+                                 grad.size() * sizeof(float)}),
+                 loss};
+  });
+  std::string table;
+  bool same = std::size(kE2eGradientGolden) == kWorkers;
+  for (size_t w = 0; w < kWorkers; ++w) {
+    char row[96];
+    std::snprintf(row, sizeof row, "    {0x%016" PRIx64 "ull, %a},\n",
+                  actual[w].digest, actual[w].loss);
+    table += row;
+    same = same && kE2eGradientGolden[w].digest == actual[w].digest &&
+           std::bit_cast<uint64_t>(kE2eGradientGolden[w].loss) ==
+               std::bit_cast<uint64_t>(actual[w].loss);
+  }
+  EXPECT_TRUE(same) << "worker gradient golden mismatch; actual rows:\n"
+                    << table;
 }
 
 }  // namespace

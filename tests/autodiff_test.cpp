@@ -483,5 +483,20 @@ TEST(Tape, CountTopkCorrect) {
   EXPECT_EQ(Tape::count_topk_correct(logits, 3, 5, labels, 4), 3u);
 }
 
+TEST(Tape, CountTopkCorrectRejectsNegativeLabel) {
+  const std::vector<float> logits{1, 2, 3, 4, 5, 6};
+  const std::vector<int> labels{0, -1};
+  EXPECT_THROW(Tape::count_topk_correct(logits, 2, 3, labels, 1), CheckError);
+}
+
+TEST(Tape, CountTopkCorrectRejectsLabelPastCols) {
+  // The bad label is in the second row: the check runs before any read.
+  const std::vector<float> logits{1, 2, 3, 4, 5, 6};
+  const std::vector<int> labels{1, 7};
+  EXPECT_THROW(Tape::count_topk_correct(logits, 2, 3, labels, 1), CheckError);
+  const std::vector<int> at_cols{3, 0};
+  EXPECT_THROW(Tape::count_topk_correct(logits, 2, 3, at_cols, 1), CheckError);
+}
+
 }  // namespace
 }  // namespace hitopk::ad

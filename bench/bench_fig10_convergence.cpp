@@ -65,8 +65,6 @@ int run_faults_panel(const hitopk::Flags& flags) {
   base.training = training;
   base.checkpoint_interval = 25;
   base.checkpoint_write_gbps = 1.0;
-  base.compute_seconds_per_iter = 0.05;
-  base.restart_seconds = 5.0;
 
   // The seeded Poisson script, at global worker granularity.  The horizon
   // and rate are sized so a handful of revocations land inside the run.
@@ -127,7 +125,6 @@ int run_faults_panel(const hitopk::Flags& flags) {
     options.populations = 2;
     options.round_epochs = epochs % 2 == 0 ? 2 : 1;
     options.faults = plan;
-    options.compute_seconds_per_iter = base.compute_seconds_per_iter;
     const LtfbResult result =
         run_ltfb([](int) { return make_vision_task(1234); }, options);
     Row row;

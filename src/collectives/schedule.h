@@ -206,8 +206,6 @@ class Schedule {
   void run_data() const;
 
   bool empty() const { return sends_.empty() && moves_.empty(); }
-  size_t num_sends() const { return sends_.size(); }
-  size_t num_moves() const { return moves_.size(); }
 
   // ---- introspection (read-only, for validators / planners) -----------
   const std::vector<Send>& sends() const { return sends_; }

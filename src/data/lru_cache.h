@@ -28,7 +28,6 @@ class LruCache {
 
   void clear();
 
-  size_t capacity_bytes() const { return capacity_; }
   size_t used_bytes() const { return used_; }
   size_t entries() const { return index_.size(); }
   size_t hits() const { return hits_; }

@@ -86,10 +86,6 @@ double GpuCostModel::elementwise_seconds(size_t d, int n_tensors) const {
   return coalesced_pass_seconds(bytes);
 }
 
-double GpuCostModel::reduction_seconds(size_t d) const {
-  return coalesced_pass_seconds(d * kFp32) + kLaunch;
-}
-
 double GpuCostModel::scatter_add_seconds(size_t nnz) const {
   return kLaunch +
          static_cast<double>(nnz) * (kFp32 + 4) / kGatherBandwidth;

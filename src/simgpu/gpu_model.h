@@ -42,10 +42,6 @@ class GpuCostModel {
   // Elementwise kernel touching n_tensors inputs + one output of d elements.
   double elementwise_seconds(size_t d, int n_tensors = 1) const;
 
-  // Reduction (sum/norm) over d elements: one coalesced pass + log-depth
-  // finish (folded into one extra launch).
-  double reduction_seconds(size_t d) const;
-
   // Scatter-add of nnz sparse elements into a dense buffer.
   double scatter_add_seconds(size_t nnz) const;
 

@@ -27,30 +27,35 @@ double unit_double(uint64_t x) {
 }  // namespace
 
 void FaultPlan::preempt(int rank, double time, double recover_time) {
-  HITOPK_CHECK_GE(rank, 0);
-  HITOPK_CHECK_GE(time, 0.0);
-  HITOPK_CHECK_GT(recover_time, time);
+  HITOPK_VALIDATE(rank >= 0);
+  HITOPK_VALIDATE(time >= 0.0);
+  HITOPK_VALIDATE(recover_time > time);
   preemptions_.push_back(Preemption{rank, time, recover_time});
 }
 
 void FaultPlan::degrade_node(int node, double begin, double end,
                              double factor) {
-  HITOPK_CHECK_GE(node, 0);
-  HITOPK_CHECK_GE(begin, 0.0);
-  HITOPK_CHECK_GT(end, begin);
-  HITOPK_CHECK_GE(factor, 1.0);
+  HITOPK_VALIDATE(node >= 0);
+  HITOPK_VALIDATE(begin >= 0.0);
+  HITOPK_VALIDATE(end > begin);
+  HITOPK_VALIDATE(factor >= 1.0);
   degradations_.push_back(Degradation{node, begin, end, factor});
 }
 
 void FaultPlan::set_transient(double probability, double backoff_seconds,
                               int max_retries, uint64_t seed) {
-  HITOPK_CHECK(probability >= 0.0 && probability < 1.0);
-  HITOPK_CHECK_GE(backoff_seconds, 0.0);
-  HITOPK_CHECK_GE(max_retries, 0);
+  HITOPK_VALIDATE(probability >= 0.0 && probability < 1.0);
+  HITOPK_VALIDATE(backoff_seconds >= 0.0);
+  HITOPK_VALIDATE(max_retries >= 0);
   transient_probability_ = probability;
   transient_backoff_ = backoff_seconds;
   transient_max_retries_ = max_retries;
   transient_seed_ = seed;
+}
+
+void FaultPlan::set_detection_timeout(double seconds) {
+  HITOPK_VALIDATE(std::isfinite(seconds) && seconds >= 0.0);
+  detection_timeout_ = seconds;
 }
 
 bool FaultPlan::alive(int rank, double time) const {

@@ -58,6 +58,11 @@ class FaultPlan {
   FaultPlan() = default;
 
   // ---- script construction ------------------------------------------------
+  // Each setter throws ConfigError on a value the script cannot mean: a
+  // negative rank or node, a negative or NaN time, an empty window, a
+  // slowdown factor below 1, a probability outside [0, 1), a negative
+  // backoff or retry count, or a detection timeout that is negative or not
+  // finite.
   void preempt(int rank, double time, double recover_time = kNever);
   void degrade_node(int node, double begin, double end, double factor);
   // Every send independently fails with `probability` per attempt (decided by
@@ -68,7 +73,7 @@ class FaultPlan {
                      int max_retries, uint64_t seed = 0x5eed5eed5eedull);
   // Charged by the schedule layer when a dead rank is detected mid-replay
   // (the keepalive/timeout a real runtime would wait out before aborting).
-  void set_detection_timeout(double seconds) { detection_timeout_ = seconds; }
+  void set_detection_timeout(double seconds);
 
   // Samples Poisson preemption / degradation scripts on [0, horizon).
   static FaultPlan generate(uint64_t seed, const Topology& topology,

@@ -124,7 +124,6 @@ class ConvergenceEngine {
 
   // ---- loop structure
   int iters_per_epoch() const { return iters_per_epoch_; }
-  int total_iters() const { return total_iters_; }
   int iter() const { return iter_; }
   int epoch() const { return epoch_; }  // completed epochs
   int step_in_epoch() const { return step_in_epoch_; }

@@ -5,11 +5,11 @@
 // one of the two recovery policies of scenario.h at *worker* granularity:
 //
 //   kAbortRestart — a preemption kills the job; the driver charges
-//     detection + restart, rolls the engine back to the newest *valid*
-//     checkpoint in the CheckpointStore (a corrupt newest version falls back
-//     to the previous one — never a crash), and re-runs the lost iterations
-//     on a full world.  Every preemption event inside the recovery window is
-//     absorbed: no job was running for it to kill.
+//     detection + a fixed 5 s restart, rolls the engine back to the newest
+//     *valid* checkpoint in the CheckpointStore (a corrupt newest version
+//     falls back to the previous one — never a crash), and re-runs the lost
+//     iterations on a full world.  Every preemption event inside the
+//     recovery window is absorbed: no job was running for it to kill.
 //
 //   kElasticContinue — only the in-flight iteration's time is lost; the
 //     engine drops the worker (its error-feedback residual folds into the
@@ -21,12 +21,9 @@
 // Checkpoints are committed every checkpoint_interval iterations under both
 // policies into a two-version CheckpointStore ring; the write cost is priced
 // from the *actual serialized blob size* against checkpoint_write_gbps
-// (0 = free writes, the pure-convergence view).  Compute time per iteration is scaled by the worst fault-plan
-// degradation factor over the active workers' nodes, and communication time
-// is the engine's own simulated collective time — so the wall clock, the
+// (0 = free writes, the pure-convergence view).  The wall clock is the
+// FaultDriver's (below), shared with LTFB (ltfb.h), so the clock, the
 // convergence curve, and the fault script stay one deterministic story.
-// An elastic regrow or shrink charges a fixed 0.5 s of rendezvous and
-// re-derivation on top of the plan's detection timeout.
 #pragma once
 
 #include <functional>
@@ -45,12 +42,6 @@ struct FtOptions {
 
   int checkpoint_interval = 50;   // iterations between checkpoint commits
   double checkpoint_write_gbps = 0.0;  // 0 = free checkpoint writes
-
-  // Wall-clock model: seconds of compute per iteration (scaled by the fault
-  // plan's degradation factor) on top of the engine's simulated
-  // communication seconds.
-  double compute_seconds_per_iter = 0.05;
-  double restart_seconds = 30.0;     // abort-restart: re-provision + reload
 
   // Called after every checkpoint commit (fault-injection hook: corruption
   // tests flip bytes in the just-committed blob via store.mutable_blob and
@@ -81,25 +72,57 @@ struct FtResult {
 FtResult run_convergence_ft(ConvergenceTask& task, const FtOptions& options,
                             CheckpointStore* store = nullptr);
 
-// One scripted preemption of worker `rank`, or its return when `recovery`.
-struct WorkerEvent {
-  double time = 0.0;
-  int rank = 0;
-  bool recovery = false;
+// The fault-event driver of run_convergence_ft and run_ltfb: the plan's
+// preemption script replayed once, in time order, against one or more
+// engines ("populations") that step in lockstep.  Population p's local
+// worker w is global worker p * world + w; script entries past the last
+// population are dropped.  Every elastic regrow or shrink charges a fixed
+// 0.5 s of rendezvous and re-derivation on top of the plan's detection
+// timeout, and a lockstep iteration costs 0.05 s of compute scaled by the
+// plan's worst degradation factor over the active workers' nodes, plus the
+// engine's own simulated collective time.
+class FaultDriver {
+ public:
+  // `engines` share one world size and outlive the driver.
+  FaultDriver(const simnet::FaultPlan& plan,
+              std::vector<ConvergenceEngine*> engines);
+
+  // Applies the next event due at or before `t` and charges its cost to
+  // `t`: a return restores its worker, a preemption of an active worker
+  // removes it.  Returns the event's population, or -1 when none is due.
+  // Events for a population marked out are consumed with no effect.
+  int consume(double& t);
+  // Abort-restart's view of the same cursor: consumes due events up to and
+  // including the next preemption, touching no engine.  False when none.
+  bool consume_preemption(double t);
+  void skip_through(double t);  // consumes every due event with no effect
+  double next_return() const;   // first pending return; kNever when none
+
+  // One lockstep iteration, at wall time `t`, of every population not
+  // marked out, opening and closing epochs as needed.  Returns its cost:
+  // the slowest population's step.
+  double step(double t);
+
+  void mark_out(int population) { out_[population] = true; }
+  bool out(int population) const { return out_[population]; }
+  // Preemptions of live workers (abort-restart: every one consumed).
+  int preemptions() const { return preemptions_; }
+  int regrows() const { return regrows_; }
+
+ private:
+  struct Event {
+    double time = 0.0;
+    int rank = 0;  // global worker
+    bool recovery = false;
+  };
+
+  const simnet::FaultPlan& plan_;
+  std::vector<ConvergenceEngine*> engines_;
+  std::vector<bool> out_;
+  std::vector<Event> events_;  // stable-sorted by time
+  size_t next_ = 0;
+  int preemptions_ = 0;
+  int regrows_ = 0;
 };
-
-// The plan's preemption script over workers [0, world) as a time-ordered,
-// consumed-once event list: each scripted window contributes a death event
-// and, when it recovers inside the horizon, a return event.  Equal times
-// keep script order.
-std::vector<WorkerEvent> worker_events(const simnet::FaultPlan& plan,
-                                       int world);
-
-// The plan's worst degradation factor (>= 1) at time `t` over the nodes of
-// `engine`'s active workers, where local worker w is global worker
-// first_worker + w.
-double worst_degradation(const ConvergenceEngine& engine,
-                         const simnet::FaultPlan& plan, int first_worker,
-                         double t);
 
 }  // namespace hitopk::train

@@ -11,8 +11,6 @@ namespace {
 
 // Population p's engine seed is training.seed + p * kSeedStride.
 constexpr uint64_t kSeedStride = 7919;
-// Elastic: rendezvous + re-derivation per regrow or shrink (seconds).
-constexpr double kRescheduleSeconds = 0.5;
 
 int first_active(const ConvergenceEngine& engine) {
   for (int w = 0; w < engine.world(); ++w) {
@@ -29,7 +27,6 @@ LtfbResult run_ltfb(const TaskFactory& factory, const LtfbOptions& options) {
   HITOPK_VALIDATE(options.round_epochs > 0);
   HITOPK_VALIDATE(options.training.epochs % options.round_epochs == 0)
       << "epochs must divide into whole rounds of round_epochs";
-  HITOPK_VALIDATE(options.compute_seconds_per_iter >= 0.0);
   const int P = options.populations;
   const int world_pop = options.training.world();
   const int gpus = options.training.gpus_per_node;
@@ -62,86 +59,42 @@ LtfbResult run_ltfb(const TaskFactory& factory, const LtfbOptions& options) {
 
   // Fault script at global worker granularity, consumed once in time order
   // at lockstep iteration boundaries.
-  const std::vector<WorkerEvent> events =
-      worker_events(options.faults, P * world_pop);
+  std::vector<ConvergenceEngine*> engine_ptrs;
+  for (const auto& engine : engines) engine_ptrs.push_back(engine.get());
+  FaultDriver faults(options.faults, std::move(engine_ptrs));
 
   LtfbResult out;
   out.final_quality.assign(static_cast<size_t>(P), -1.0);
-  std::vector<bool> down(static_cast<size_t>(P), false);
   const int rounds = options.training.epochs / options.round_epochs;
-  const int ipe = engines.front()->iters_per_epoch();
+  const int round_iters =
+      options.round_epochs * engines.front()->iters_per_epoch();
   double t = 0.0;
-  size_t next_event = 0;
 
-  auto consume_events = [&] {
-    while (next_event < events.size() && events[next_event].time <= t) {
-      const WorkerEvent ev = events[next_event++];
-      const int pop = ev.rank / world_pop;
-      const int local = ev.rank % world_pop;
-      if (down[static_cast<size_t>(pop)]) continue;  // forfeited: ignore
-      ConvergenceEngine& engine = *engines[static_cast<size_t>(pop)];
-      if (ev.recovery) {
-        if (!engine.worker_active(local)) {
-          engine.restore_worker(local);
-          ++out.regrows;
-          t += kRescheduleSeconds;
-        }
-      } else if (engine.worker_active(local)) {
-        ++out.preemptions;
-        engine.preempt_worker(local);
-        t += options.faults.detection_timeout() + kRescheduleSeconds;
-        if (engine.active_workers() == 0) {
-          down[static_cast<size_t>(pop)] = true;
+  for (int round = 0; round < rounds; ++round) {
+    // ---- train: round_epochs epochs in population lockstep
+    for (int it = 0; it < round_iters; ++it) {
+      // A population that loses its last worker forfeits at that event, so
+      // a return later in the same batch finds it already out.
+      for (int p; (p = faults.consume(t)) >= 0;) {
+        if (!faults.out(p) && engines[p]->active_workers() == 0) {
+          faults.mark_out(p);
           ++out.forfeits;
         }
       }
-    }
-  };
-  auto all_down = [&] {
-    return std::all_of(down.begin(), down.end(), [](bool b) { return b; });
-  };
-
-  for (int round = 0; round < rounds && out.completed; ++round) {
-    // ---- train: round_epochs epochs in population lockstep
-    for (int e = 0; e < options.round_epochs && out.completed; ++e) {
-      for (int p = 0; p < P; ++p) {
-        if (!down[static_cast<size_t>(p)]) engines[p]->begin_epoch();
+      if (out.forfeits == P) {
+        out.completed = false;
+        break;
       }
-      for (int it = 0; it < ipe; ++it) {
-        consume_events();
-        if (all_down()) {
-          out.completed = false;
-          break;
-        }
-        // Populations march together: the lockstep iteration costs the
-        // slowest standing population's compute (scaled by its nodes' worst
-        // degradation) plus its own collective time.
-        double dt = 0.0;
-        for (int p = 0; p < P; ++p) {
-          if (down[static_cast<size_t>(p)]) continue;
-          ConvergenceEngine& engine = *engines[static_cast<size_t>(p)];
-          const double degrade =
-              worst_degradation(engine, options.faults, p * world_pop, t);
-          engine.step();
-          dt = std::max(dt, options.compute_seconds_per_iter * degrade +
-                                engine.last_step_comm_seconds());
-        }
-        t += dt;
-      }
-      for (int p = 0; p < P; ++p) {
-        // A population that forfeited mid-epoch never closes it; skip.
-        if (!down[static_cast<size_t>(p)] &&
-            engines[p]->step_in_epoch() == ipe) {
-          engines[p]->end_epoch();
-        }
-      }
+      // Populations march together: the lockstep iteration costs the
+      // slowest standing population's step.
+      t += faults.step(t);
     }
     if (!out.completed) break;
 
     // ---- tournament among the standing populations
     std::vector<int> standing;
     for (int p = 0; p < P; ++p) {
-      if (!down[static_cast<size_t>(p)]) standing.push_back(p);
+      if (!faults.out(p)) standing.push_back(p);
     }
     LtfbRoundPoint point;
     point.round = round + 1;
@@ -177,9 +130,11 @@ LtfbResult run_ltfb(const TaskFactory& factory, const LtfbOptions& options) {
   }
 
   out.wall_seconds = t;
+  out.preemptions = faults.preemptions();
+  out.regrows = faults.regrows();
   double best = -1.0;
   for (int p = 0; p < P; ++p) {
-    if (down[static_cast<size_t>(p)]) continue;
+    if (faults.out(p)) continue;
     const double q = tasks[p]->evaluate();
     out.final_quality[static_cast<size_t>(p)] = q;
     if (q > best) {

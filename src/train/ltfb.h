@@ -21,9 +21,9 @@
 //
 // Everything is deterministic: population p trains with engine seed
 // training.seed + p * 7919, events are consumed at lockstep iteration
-// boundaries, and ties go to the lower population index.  An elastic regrow
-// or shrink charges a fixed 0.5 s of rendezvous and re-derivation on top of
-// the plan's detection timeout.
+// boundaries, and ties go to the lower population index.  The fault events
+// and the wall clock are run_convergence_ft's FaultDriver
+// (ft_convergence.h), with every population as one of its engines.
 #pragma once
 
 #include <functional>
@@ -48,7 +48,6 @@ struct LtfbOptions {
   int populations = 2;
   int round_epochs = 1;
   simnet::FaultPlan faults;  // global worker indices (see header comment)
-  double compute_seconds_per_iter = 0.05;
 };
 
 struct LtfbRoundPoint {

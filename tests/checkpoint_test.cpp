@@ -17,7 +17,9 @@
 #include "core/check.h"
 #include "train/checkpoint.h"
 #include "train/convergence.h"
+#include "simnet/topology.h"
 #include "train/ft_convergence.h"
+#include "train/ltfb.h"
 #include "train/synthetic.h"
 
 namespace hitopk::train {
@@ -429,12 +431,20 @@ ConvergenceOptions golden_options(ConvergenceAlgorithm algorithm) {
   return options;
 }
 
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+// FNV-1a over the task's parameter bytes, continuing from `basis`.
+uint64_t params_digest(ConvergenceTask& task, uint64_t basis = kFnvBasis) {
+  return fnv1a64({reinterpret_cast<const uint8_t*>(task.params().data()),
+                  task.param_count() * sizeof(float)},
+                 basis);
+}
+
 EngineRow engine_row(const std::string& scenario, ConvergenceTask& task,
                      const ConvergenceResult& result) {
   EngineRow row;
   row.name = scenario;
-  row.digest = fnv1a64({reinterpret_cast<const uint8_t*>(task.params().data()),
-                        task.param_count() * sizeof(float)});
+  row.digest = params_digest(task);
   for (const EpochPoint& p : result.curve) {
     row.losses.push_back(p.train_loss);
     row.qualities.push_back(p.quality);
@@ -442,21 +452,27 @@ EngineRow engine_row(const std::string& scenario, ConvergenceTask& task,
   return row;
 }
 
+// `values` as a braced hexfloat list.
+std::string hexfloat_list(const std::vector<double>& values) {
+  std::string out = "{";
+  for (size_t i = 0; i < values.size(); ++i) {
+    char buf[48];
+    std::snprintf(buf, sizeof buf, "%a", values[i]);
+    out += (i == 0 ? "" : ", ") + std::string(buf);
+  }
+  return out + "}";
+}
+
+std::string digest_literal(uint64_t digest) {
+  char hex[24];
+  std::snprintf(hex, sizeof hex, "0x%016" PRIx64 "ull", digest);
+  return hex;
+}
+
 std::string format_row(const EngineRow& row) {
-  auto list = [](const std::vector<double>& values) {
-    std::string out = "{";
-    for (size_t i = 0; i < values.size(); ++i) {
-      char buf[48];
-      std::snprintf(buf, sizeof buf, "%a", values[i]);
-      out += (i == 0 ? "" : ", ") + std::string(buf);
-    }
-    return out + "}";
-  };
-  char digest_hex[24];
-  std::snprintf(digest_hex, sizeof digest_hex, "0x%016" PRIx64 "ull",
-                row.digest);
-  return "{\"" + row.name + "\", " + digest_hex + ", " + list(row.losses) +
-         ", " + list(row.qualities) + "},";
+  return "{\"" + row.name + "\", " + digest_literal(row.digest) + ", " +
+         hexfloat_list(row.losses) + ", " + hexfloat_list(row.qualities) +
+         "},";
 }
 
 const std::vector<EngineRow>& engine_golden_table() {
@@ -567,7 +583,6 @@ FtOptions ft_base(ConvergenceAlgorithm algorithm) {
   FtOptions options;
   options.training = quick(algorithm);
   options.checkpoint_interval = 5;
-  options.compute_seconds_per_iter = 0.05;
   return options;
 }
 
@@ -647,7 +662,6 @@ TEST(FaultTolerant, AbortRestartRollsBackToCheckpoint) {
   auto task = make_vision_task(11);
   auto options = ft_base(ConvergenceAlgorithm::kDense);
   options.policy = RecoveryPolicy::kAbortRestart;
-  options.restart_seconds = 2.0;
   options.faults.preempt(2, 0.7);
   options.faults.set_detection_timeout(0.1);
   const auto result = run_convergence_ft(*task, options);
@@ -664,7 +678,6 @@ TEST(FaultTolerant, CorruptedCheckpointFallsBackNeverCrashes) {
   auto task = make_vision_task(11);
   auto options = ft_base(ConvergenceAlgorithm::kTopk);
   options.policy = RecoveryPolicy::kAbortRestart;
-  options.restart_seconds = 1.0;
   options.faults.preempt(0, 0.9);
   options.faults.set_detection_timeout(0.1);
   // Torn writes: every checkpoint after the initial snapshot is corrupted
@@ -720,6 +733,304 @@ TEST(FaultTolerant, DeterministicInPlanAndSeed) {
   EXPECT_EQ(std::memcmp(task_a->params().data(), task_b->params().data(),
                         task_a->param_count() * sizeof(float)),
             0);
+}
+
+// --------------------------------------------- fault driver golden rows
+//
+// Frozen outputs of the two fault drivers, run_convergence_ft and run_ltfb:
+// an FNV-1a digest of the final parameters (LTFB: every population's, in
+// index order), the simulated clock and qualities as hexfloats, and every
+// counter, compared exactly.  A mismatch prints the actual row in table
+// syntax.
+
+struct FaultRow {
+  std::string name;
+  uint64_t digest = 0;
+  // FT: wall, checkpoint seconds, final and best quality.  LTFB: wall, best
+  // quality, final quality per population, then every round's qualities.
+  std::vector<double> reals;
+  // FT: preemptions, regrows, restores, lost iterations, checkpoint commits,
+  // checkpoint fallbacks, min active workers, completed, curve length.
+  // LTFB: preemptions, regrows, exchanges, forfeits, best population,
+  // completed, then each round's standing count and winners.
+  std::vector<int> counters;
+};
+
+FaultRow ft_row(const std::string& name, ConvergenceTask& task,
+                const FtResult& r) {
+  return {name,
+          params_digest(task),
+          {r.wall_seconds, r.checkpoint_seconds_total,
+           r.convergence.final_quality, r.convergence.best_quality},
+          {r.preemptions, r.regrows, r.restores, r.lost_iterations,
+           r.checkpoint_commits, r.checkpoint_fallbacks, r.min_active_workers,
+           r.completed ? 1 : 0, static_cast<int>(r.convergence.curve.size())}};
+}
+
+FaultRow ltfb_row(const std::string& name,
+                  const std::vector<std::unique_ptr<ConvergenceTask>>& tasks,
+                  const LtfbResult& r) {
+  FaultRow row{name, kFnvBasis, {r.wall_seconds, r.best_quality}, {}};
+  for (const auto& task : tasks) row.digest = params_digest(*task, row.digest);
+  row.reals.insert(row.reals.end(), r.final_quality.begin(),
+                   r.final_quality.end());
+  row.counters = {r.preemptions, r.regrows,         r.exchanges,
+                  r.forfeits,    r.best_population, r.completed ? 1 : 0};
+  for (const LtfbRoundPoint& round : r.rounds) {
+    row.reals.insert(row.reals.end(), round.qualities.begin(),
+                     round.qualities.end());
+    row.counters.push_back(round.standing);
+    row.counters.insert(row.counters.end(), round.winners.begin(),
+                        round.winners.end());
+  }
+  return row;
+}
+
+std::string format_row(const FaultRow& row) {
+  std::string counters = "{";
+  for (size_t i = 0; i < row.counters.size(); ++i) {
+    counters += (i == 0 ? "" : ", ") + std::to_string(row.counters[i]);
+  }
+  return "{\"" + row.name + "\", " + digest_literal(row.digest) + ", " +
+         hexfloat_list(row.reals) + ", " + counters + "}},";
+}
+
+const std::vector<FaultRow>& fault_golden_table() {
+  static const std::vector<FaultRow> rows = {
+      {"fig10/fault_free", 0x0a5785c970bd0e52ull, {0x1.b310917c58874p+3, 0x1.2abd903b436f6p-8, 0x1.cf4p-1, 0x1.cf4p-1}, {0, 0, 0, 0, 11, 0, 4, 1, 4}},
+      {"fig10/elastic", 0x73dd12d2216cf9c8ull, {0x1.c1c664df8ed86p+3, 0x1.2281bdb8656a4p-8, 0x1.cecp-1, 0x1.cecp-1}, {1, 0, 0, 0, 11, 0, 3, 1, 4}},
+      {"fig10/abort_restart", 0x0a5785c970bd0e52ull, {0x1.37f9182963f54p+4, 0x1.2abd903b436f6p-8, 0x1.cf4p-1, 0x1.cf4p-1}, {1, 0, 1, 17, 11, 0, 4, 1, 4}},
+      {"fig10/ltfb", 0xc3305a5927f811c5ull, {0x1.d6fed152bbdp+4, 0x1.09cp-1, 0x1.09cp-1, 0x1.09cp-1, 0x1.6c4p-1, 0x1.a34p-1, 0x1.c68p-2, 0x1.09cp-1}, {4, 3, 2, 0, 0, 1, 2, 1, 2, 1}},
+      {"elastic/stall_then_regrow", 0xcc715eab36d4e19bull, {0x1.3a8572f10e4a9p+4, 0x0p+0, 0x1.dd8p-1, 0x1.dd8p-1}, {4, 4, 0, 0, 52, 0, 1, 1, 4}},
+      {"elastic/no_return", 0x219e86ed99471f09ull, {0x1.19b78c906356bp+1, 0x0p+0, 0x0p+0, 0x0p+0}, {4, 0, 0, 0, 1, 0, 1, 0, 0}},
+      {"elastic/regrow_from_empty", 0xd85878bd763d77fcull, {0x1.f66921ecadffap+3, 0x0p+0, 0x1.0d8p-1, 0x1.2e8p-1}, {4, 1, 0, 0, 52, 0, 1, 1, 4}},
+      {"abort_restart/torn_writes", 0x4ea9452ce908c74aull, {0x1.bb84cf72997cbp+4, 0x0p+0, 0x1.d64p-1, 0x1.d64p-1}, {2, 0, 2, 74, 66, 4, 4, 1, 4}},
+      {"ltfb/mid_round_regrow", 0xe296c10e3f4b11e5ull, {0x1.b2a50f87f77a5p+4, 0x1.becp-1, 0x1.becp-1, 0x1.becp-1, 0x1.a7p-1, 0x1.a1p-1, 0x1.becp-1, 0x1.b6cp-1}, {1, 1, 2, 0, 0, 1, 2, 0, 2, 0}},
+      {"ltfb/forfeit_then_return", 0xdfb1f3bef5149f83ull, {0x1.b3713a2a5422cp+4, 0x1.bfcp-1, 0x1.bfcp-1, -0x1p+0, 0x1.a1cp-1, -0x1p+0, 0x1.bfcp-1, -0x1p+0}, {2, 0, 0, 1, 0, 1, 1, 1}},
+      {"elastic/degraded_node", 0x512637ae21b46bf7ull, {0x1.e6051b5d539bp+3, 0x0p+0, 0x1.d54p-1, 0x1.d54p-1}, {1, 1, 0, 0, 52, 0, 3, 1, 4}},
+      {"ltfb/degraded_node", 0x9585c8f46f9810f5ull, {0x1.b63ea9219113cp+4, 0x1.bc8p-1, 0x1.bc8p-1, 0x1.bc8p-1, 0x1.a74p-1, 0x1.a1p-1, 0x1.bc8p-1, 0x1.bbcp-1}, {1, 1, 2, 0, 0, 1, 2, 0, 2, 0}},
+  };
+  return rows;
+}
+
+void expect_fault_golden(const FaultRow& actual) {
+  for (const FaultRow& want : fault_golden_table()) {
+    if (want.name != actual.name) continue;
+    const bool same = want.digest == actual.digest &&
+                      same_bits(want.reals, actual.reals) &&
+                      want.counters == actual.counters;
+    if (!same) {
+      ADD_FAILURE() << "fault driver golden row mismatch for " << actual.name
+                    << "\n  table:  " << format_row(want)
+                    << "\n  actual: " << format_row(actual);
+    }
+    return;
+  }
+  ADD_FAILURE() << "no fault driver golden row named " << actual.name
+                << "\n  actual: " << format_row(actual);
+}
+
+// A task owned by the test, lent to run_ltfb (which destroys what its
+// factory returns) so the final parameters outlive the run.
+class BorrowedTask : public ConvergenceTask {
+ public:
+  explicit BorrowedTask(ConvergenceTask& task) : task_(task) {}
+  std::string name() const override { return task_.name(); }
+  std::string quality_metric() const override {
+    return task_.quality_metric();
+  }
+  size_t train_size() const override { return task_.train_size(); }
+  size_t param_count() const override { return task_.param_count(); }
+  std::span<float> params() override { return task_.params(); }
+  const std::vector<LayerSegment>& segments() const override {
+    return task_.segments();
+  }
+  double gradient_at(std::span<const float> params,
+                     std::span<const size_t> sample_indices,
+                     std::span<float> grad_out) override {
+    return task_.gradient_at(params, sample_indices, grad_out);
+  }
+  double evaluate() override { return task_.evaluate(); }
+
+ private:
+  ConvergenceTask& task_;
+};
+
+FaultRow ltfb_episode(const std::string& name, const LtfbOptions& options,
+                      uint64_t data_seed) {
+  std::vector<std::unique_ptr<ConvergenceTask>> tasks;
+  for (int p = 0; p < options.populations; ++p) {
+    tasks.push_back(make_vision_task(data_seed));
+  }
+  const LtfbResult result = run_ltfb(
+      [&](int p) { return std::make_unique<BorrowedTask>(*tasks[p]); },
+      options);
+  EXPECT_GT(result.preemptions, 0) << name;
+  return ltfb_row(name, tasks, result);
+}
+
+// The configuration of `bench_fig10_convergence --panel=faults` (its seeded
+// Poisson script on a 2x2 world; LTFB as two 1x2 populations), shortened
+// to 4 epochs: the fewest at which the script's first revocation (11.5 s)
+// lands inside every faulted run.
+constexpr int kFig10Epochs = 4;
+
+ConvergenceOptions fig10_training() {
+  ConvergenceOptions training;
+  training.algorithm = ConvergenceAlgorithm::kTopk;
+  training.nodes = 2;
+  training.gpus_per_node = 2;
+  training.local_batch = 32;
+  training.epochs = kFig10Epochs;
+  training.density = 0.05;
+  training.seed = 99;
+  return training;
+}
+
+simnet::FaultPlan fig10_plan() {
+  simnet::FaultRates rates;
+  rates.preempt_per_rank_hour = 120.0;
+  rates.recover_seconds = 8.0;
+  return simnet::FaultPlan::generate(
+      4242, simnet::Topology::tencent_cloud(2, 2), 60.0, rates);
+}
+
+TEST(FaultDriverGolden, Fig10FaultPanelIsFrozen) {
+  FtOptions base;
+  base.training = fig10_training();
+  base.checkpoint_interval = 25;
+  base.checkpoint_write_gbps = 1.0;
+  const struct {
+    const char* name;
+    RecoveryPolicy policy;
+    bool faulted;
+  } runs[] = {{"fig10/fault_free", RecoveryPolicy::kElasticContinue, false},
+              {"fig10/elastic", RecoveryPolicy::kElasticContinue, true},
+              {"fig10/abort_restart", RecoveryPolicy::kAbortRestart, true}};
+  for (const auto& run : runs) {
+    auto task = make_vision_task(1234);
+    FtOptions options = base;
+    options.policy = run.policy;
+    if (run.faulted) options.faults = fig10_plan();
+    const FtResult result = run_convergence_ft(*task, options);
+    if (run.faulted) {
+      EXPECT_GT(result.preemptions, 0) << run.name;
+    }
+    expect_fault_golden(ft_row(run.name, *task, result));
+  }
+
+  LtfbOptions ltfb;
+  ltfb.training = fig10_training();
+  ltfb.training.nodes = 1;
+  ltfb.populations = 2;
+  ltfb.round_epochs = kFig10Epochs % 2 == 0 ? 2 : 1;
+  ltfb.faults = fig10_plan();
+  expect_fault_golden(ltfb_episode("fig10/ltfb", ltfb, 1234));
+}
+
+// FaultTolerant.ElasticStallsUntilFirstReturn's scripts: the whole world
+// goes at once and returns at 5 s; then the same with no return.
+TEST(FaultDriverGolden, ElasticStallThenRegrowIsFrozen) {
+  auto task = make_vision_task(11);
+  auto options = ft_base(ConvergenceAlgorithm::kDense);
+  for (int w = 0; w < 4; ++w) options.faults.preempt(w, 0.2, 5.0);
+  const auto result = run_convergence_ft(*task, options);
+  EXPECT_GT(result.preemptions, 0);
+  expect_fault_golden(ft_row("elastic/stall_then_regrow", *task, result));
+
+  auto doomed_task = make_vision_task(11);
+  auto doomed = ft_base(ConvergenceAlgorithm::kDense);
+  for (int w = 0; w < 4; ++w) doomed.faults.preempt(w, 0.2);
+  const auto dead = run_convergence_ft(*doomed_task, doomed);
+  EXPECT_GT(dead.preemptions, 0);
+  expect_fault_golden(ft_row("elastic/no_return", *doomed_task, dead));
+}
+
+// FaultTolerant.ElasticRegrowsFromEmptyWorld's script on MSTopK.
+TEST(FaultDriverGolden, ElasticRegrowFromEmptyWorldIsFrozen) {
+  auto task = make_vision_task(11);
+  auto options = ft_base(ConvergenceAlgorithm::kMstopk);
+  options.faults.preempt(0, 0.4, 2.0);
+  for (int w = 1; w < 4; ++w) options.faults.preempt(w, 0.4);
+  options.faults.set_detection_timeout(0.1);
+  const auto result = run_convergence_ft(*task, options);
+  EXPECT_GT(result.preemptions, 0);
+  expect_fault_golden(ft_row("elastic/regrow_from_empty", *task, result));
+}
+
+// Abort-restart where every checkpoint after the first is torn.  The
+// preemption at 1.0 s falls inside the first recovery window and is
+// absorbed; the one at 9 s restarts the job again.
+TEST(FaultDriverGolden, AbortRestartTornWritesIsFrozen) {
+  auto task = make_vision_task(11);
+  auto options = ft_base(ConvergenceAlgorithm::kTopk);
+  options.policy = RecoveryPolicy::kAbortRestart;
+  options.faults.preempt(0, 0.9);
+  options.faults.preempt(1, 1.0);
+  options.faults.preempt(2, 9.0);
+  options.faults.set_detection_timeout(0.1);
+  options.after_commit = [](CheckpointStore& store, uint64_t version) {
+    if (version > 1) {
+      auto& blob = store.mutable_blob(version);
+      blob[blob.size() / 2] ^= 0xff;
+    }
+  };
+  const auto result = run_convergence_ft(*task, options);
+  EXPECT_GT(result.preemptions, 0);
+  expect_fault_golden(ft_row("abort_restart/torn_writes", *task, result));
+}
+
+LtfbOptions ltfb_base() {
+  LtfbOptions options;
+  options.training = quick(ConvergenceAlgorithm::kTopk);
+  options.training.nodes = 1;
+  options.populations = 2;
+  options.round_epochs = 2;
+  return options;
+}
+
+// Population 0 loses a worker mid-round and gets it back.
+TEST(FaultDriverGolden, LtfbMidRoundRegrowIsFrozen) {
+  auto options = ltfb_base();
+  options.faults.preempt(1, 0.4, 1.2);
+  options.faults.set_detection_timeout(0.05);
+  expect_fault_golden(ltfb_episode("ltfb/mid_round_regrow", options, 11));
+}
+
+// Population 1's last preemption (rank 3) and a return for it (rank 2) fall
+// in one consume batch: the first death's detection and reschedule carry the
+// clock past both.  The forfeit is decided at the event, so the return is
+// ignored.
+TEST(FaultDriverGolden, LtfbForfeitBeforeSameBatchReturnIsFrozen) {
+  auto options = ltfb_base();
+  options.faults.preempt(2, 0.2, 0.3);
+  options.faults.preempt(3, 0.25);
+  options.faults.set_detection_timeout(0.05);
+  const FaultRow row = ltfb_episode("ltfb/forfeit_then_return", options, 11);
+  ASSERT_GE(row.counters.size(), 4u);
+  EXPECT_EQ(row.counters[1], 0);  // regrows: the return was ignored
+  EXPECT_EQ(row.counters[3], 1);  // forfeits
+  expect_fault_golden(row);
+}
+
+// Degraded nodes scale the compute part of the step clock: the elastic run
+// degrades node 1 across a shrink and regrow; LTFB degrades population 1's
+// node, so the slower population sets the lockstep cost.
+TEST(FaultDriverGolden, DegradedNodesAreFrozen) {
+  auto task = make_vision_task(11);
+  auto options = ft_base(ConvergenceAlgorithm::kTopk);
+  options.faults.degrade_node(1, 0.2, 2.0, 3.0);
+  options.faults.preempt(0, 0.5, 1.5);
+  options.faults.set_detection_timeout(0.1);
+  const auto result = run_convergence_ft(*task, options);
+  EXPECT_GT(result.preemptions, 0);
+  expect_fault_golden(ft_row("elastic/degraded_node", *task, result));
+
+  auto ltfb = ltfb_base();
+  ltfb.faults.degrade_node(1, 0.1, 1.5, 2.5);
+  ltfb.faults.preempt(0, 0.3, 0.9);
+  ltfb.faults.set_detection_timeout(0.05);
+  expect_fault_golden(ltfb_episode("ltfb/degraded_node", ltfb, 11));
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Unit tests for the core substrate: checks, RNG, tensor, half, stats, table.
+// Unit tests for the core substrate: checks, RNG, tensor, half, table.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -14,7 +14,6 @@
 #include "core/half.h"
 #include "core/parallel.h"
 #include "core/rng.h"
-#include "core/stats.h"
 #include "core/table.h"
 #include "core/tensor.h"
 
@@ -427,34 +426,6 @@ TEST(Fp16Codec, EveryTailLengthAndOffset) {
       }
     }
   }
-}
-
-// ---------------------------------------------------------------- stats
-TEST(RunningStats, Empty) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-}
-
-TEST(RunningStats, KnownMoments) {
-  RunningStats s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
-  EXPECT_EQ(s.min(), 2.0);
-  EXPECT_EQ(s.max(), 9.0);
-}
-
-TEST(Percentile, MedianAndExtremes) {
-  std::vector<double> v{5.0, 1.0, 3.0, 2.0, 4.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 50.0), 3.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 100.0), 5.0);
-}
-
-TEST(Percentile, Interpolates) {
-  std::vector<double> v{0.0, 10.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 25.0), 2.5);
 }
 
 // ---------------------------------------------------------------- table

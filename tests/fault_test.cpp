@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <type_traits>
 #include <vector>
 
@@ -135,6 +136,55 @@ TEST(FaultPlan, GenerateRejectsNegativeRates) {
   bad = FaultRates{};
   bad.recover_seconds = 0.0;  // a preempted rank cannot return instantly
   EXPECT_THROW(FaultPlan::generate(9, topo, 3600.0, bad), ConfigError);
+}
+
+TEST(FaultPlan, ScriptConstructionRejectsBadInput) {
+  const double nan = std::nan("");
+  const double inf = simnet::kNever;
+  const struct {
+    const char* what;
+    std::function<void(FaultPlan&)> call;
+  } bad[] = {
+      {"negative rank", [](FaultPlan& p) { p.preempt(-1, 1.0); }},
+      {"negative time", [](FaultPlan& p) { p.preempt(0, -1.0); }},
+      {"NaN time", [&](FaultPlan& p) { p.preempt(0, nan); }},
+      {"return before preemption",
+       [](FaultPlan& p) { p.preempt(0, 2.0, 1.0); }},
+      {"instant return", [](FaultPlan& p) { p.preempt(0, 2.0, 2.0); }},
+      {"NaN return", [&](FaultPlan& p) { p.preempt(0, 2.0, nan); }},
+      {"negative node",
+       [](FaultPlan& p) { p.degrade_node(-1, 0.0, 1.0, 2.0); }},
+      {"negative begin",
+       [](FaultPlan& p) { p.degrade_node(0, -1.0, 1.0, 2.0); }},
+      {"empty window", [](FaultPlan& p) { p.degrade_node(0, 1.0, 1.0, 2.0); }},
+      {"speedup factor",
+       [](FaultPlan& p) { p.degrade_node(0, 0.0, 1.0, 0.5); }},
+      {"NaN factor", [&](FaultPlan& p) { p.degrade_node(0, 0.0, 1.0, nan); }},
+      {"negative probability",
+       [](FaultPlan& p) { p.set_transient(-0.1, 1e-3, 2); }},
+      {"certain failure", [](FaultPlan& p) { p.set_transient(1.0, 1e-3, 2); }},
+      {"NaN probability", [&](FaultPlan& p) { p.set_transient(nan, 1e-3, 2); }},
+      {"negative backoff", [](FaultPlan& p) { p.set_transient(0.1, -1.0, 2); }},
+      {"negative retries",
+       [](FaultPlan& p) { p.set_transient(0.1, 1e-3, -1); }},
+      {"negative timeout", [](FaultPlan& p) { p.set_detection_timeout(-0.1); }},
+      {"NaN timeout", [&](FaultPlan& p) { p.set_detection_timeout(nan); }},
+      {"infinite timeout", [&](FaultPlan& p) { p.set_detection_timeout(inf); }},
+  };
+  for (const auto& c : bad) {
+    FaultPlan plan;
+    EXPECT_THROW(c.call(plan), ConfigError) << c.what;
+    EXPECT_TRUE(plan.empty()) << c.what;
+    EXPECT_EQ(plan.detection_timeout(), 0.0) << c.what;
+  }
+  // The boundary values are accepted.
+  FaultPlan plan;
+  plan.preempt(0, 0.0);
+  plan.preempt(1, 0.0, 1e-9);
+  plan.degrade_node(0, 0.0, inf, 1.0);
+  plan.set_transient(0.0, 0.0, 0);
+  plan.set_detection_timeout(0.0);
+  EXPECT_EQ(plan.preemptions().size(), 2u);
 }
 
 TEST(FaultPlan, EmptyPlanRemapIsANoOp) {

@@ -44,9 +44,9 @@ struct GtopkShape {
 double schedule_gtopk(simnet::Cluster& cluster, const GtopkShape& shape,
                       size_t payload, size_t k,
                       std::vector<compress::SparseTensor>& state,
-                      double start, size_t& rounds, ScheduleOutcome* outcome) {
+                      double start, size_t& rounds) {
   const auto [p, q, rem] = shape;
-  bool functional = !state.empty();
+  const bool functional = !state.empty();
 
   Schedule sched;
   const uint32_t slot0 = sched.add_slots(static_cast<uint32_t>(p));
@@ -73,17 +73,7 @@ double schedule_gtopk(simnet::Cluster& cluster, const GtopkShape& shape,
     }
     sched.end_step();
   }
-  double done;
-  if (outcome != nullptr) {
-    *outcome = sched.run_timing_abortable(cluster, start);
-    done = outcome->finish;
-    // Aborted exchange: no merge ever completed consistently across the
-    // world, so the functional rounds are skipped and callers leave the
-    // input gradients untouched.
-    if (outcome->aborted()) functional = false;
-  } else {
-    done = sched.run_timing(cluster, start).finish;
-  }
+  const double done = sched.run_timing(cluster, start).finish;
 
   if (functional) {
     if (rem > 0) {
@@ -163,12 +153,10 @@ GtopkResult gtopk_comm(simnet::Cluster& cluster, const RankData& data,
   }
 
   const double done =
-      schedule_gtopk(cluster, shape, payload, k, state, start, out.rounds,
-                     options.outcome);
+      schedule_gtopk(cluster, shape, payload, k, state, start, out.rounds);
   out.total = done - start;
 
-  const bool aborted = options.outcome != nullptr && options.outcome->aborted();
-  if (functional && !aborted) {
+  if (functional) {
     out.final_nnz = state[0].nnz();
     parallel_for(0, static_cast<size_t>(shape.p), [&](size_t r) {
       auto dst = data[r];

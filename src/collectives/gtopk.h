@@ -23,7 +23,6 @@
 #pragma once
 
 #include "collectives/common.h"
-#include "collectives/schedule.h"
 #include "compress/error_feedback.h"
 #include "compress/sparse_tensor.h"
 
@@ -38,15 +37,6 @@ struct GtopkOptions {
   compress::ErrorFeedback* error_feedback = nullptr;
   std::string ef_key_prefix = "gtopk";
   uint64_t seed = 42;
-  // Abortable mode: when set, the timed replay runs through
-  // Schedule::run_timing_abortable against the cluster's FaultPlan and the
-  // outcome lands here.  On an abort the functional merges and the final
-  // scatter are skipped entirely, so every data[rank] keeps the gradient it
-  // handed in (EF-primed if error feedback is on — the local selection and
-  // EF exchange had already happened on the worker, exactly as on a real
-  // machine) and an elastic retry on the surviving world starts from clean
-  // inputs.
-  ScheduleOutcome* outcome = nullptr;
 };
 
 struct GtopkResult {

@@ -233,10 +233,8 @@ double Planner::score(const simnet::Cluster& base, const Candidate& cand,
   // What-if replay on a copy of `base`, reservation timelines included: on
   // a fresh cluster from t = 0 the score is the schedule's intrinsic cost on
   // the topology, on a loaded one its duration amid the traffic other
-  // tenants already hold.  Scoring must never observe scripted faults (it
-  // is a hypothetical, not a fault replay), so the copy drops the plan.
+  // tenants already hold.
   simnet::Cluster replica = base;
-  replica.set_fault_plan(nullptr);
   if (cand.algorithm == PlanAlgorithm::kGtopk) {
     GtopkOptions gopts;
     gopts.density = density;

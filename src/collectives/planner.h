@@ -165,7 +165,7 @@ class Planner {
                        const Candidate& cand, const Group& group,
                        const RankData& data, size_t elems) const;
   // The candidate's duration from `start` when replayed under `job` on a
-  // copy of `base` with the fault plan dropped.
+  // copy of `base`.
   double score(const simnet::Cluster& base, const Candidate& cand,
                const Group& group, size_t elems, double density, int job,
                double start) const;

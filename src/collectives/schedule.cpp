@@ -81,8 +81,8 @@ void Schedule::end_step() { ++step_; }
 
 void Schedule::sync(bool collapse) { syncs_.push_back({step_, collapse}); }
 
-ScheduleOutcome Schedule::run_timing_abortable(simnet::Cluster& cluster,
-                                               double start, int job) const {
+ScheduleOutcome Schedule::run_timing(simnet::Cluster& cluster, double start,
+                                     int job) const {
   ScheduleOutcome out;
   out.sync_times.reserve(syncs_.size());
   // clock = slot readiness at the last step boundary; next = in-progress
@@ -99,7 +99,6 @@ ScheduleOutcome Schedule::run_timing_abortable(simnet::Cluster& cluster,
     return best;
   };
 
-  bool degraded = false;
   size_t sync_cursor = 0;
   size_t i = 0;
   while (i < sends_.size() || sync_cursor < syncs_.size()) {
@@ -127,38 +126,11 @@ ScheduleOutcome Schedule::run_timing_abortable(simnet::Cluster& cluster,
       const Send& t = sends_[i];
       const simnet::FlowOutcome sent = cluster.submit(
           {job, t.src, t.dst, t.bytes, clock[t.src_slot], t.extra_seconds});
-      if (!sent.delivered) {
-        // Abort: everything already in flight this step (the partials in
-        // `next`, which started >= the step-boundary clock) drains, the
-        // failure surfaces at sent.time, and the runtime waits out its
-        // detection timeout before declaring the rank dead.
-        const double detect =
-            cluster.fault_plan() ? cluster.fault_plan()->detection_timeout()
-                                 : 0.0;
-        out.status = ScheduleStatus::kAborted;
-        out.abort_step = static_cast<int>(step);
-        out.dead_rank = sent.dead_rank;
-        out.finish =
-            std::max(running_max(next), sent.time) + detect;
-        return out;
-      }
-      out.retries += sent.retries;
-      degraded = degraded || sent.degraded;
       next[t.dst_slot] = std::max(next[t.dst_slot], sent.time);
     }
     std::swap(clock, next);
   }
   out.finish = running_max(clock);
-  if (degraded) out.status = ScheduleStatus::kDegraded;
-  return out;
-}
-
-ScheduleOutcome Schedule::run_timing(simnet::Cluster& cluster, double start,
-                                     int job) const {
-  ScheduleOutcome out = run_timing_abortable(cluster, start, job);
-  HITOPK_CHECK(!out.aborted())
-      << "run_timing touched preempted rank" << out.dead_rank << "at step"
-      << out.abort_step << "(use run_timing_abortable on fault-injected runs)";
   return out;
 }
 

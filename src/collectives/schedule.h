@@ -10,9 +10,8 @@
 //
 // The Schedule class runs one recorded schedule as two passes:
 //
-//   timing pass (run_timing_abortable, and run_timing, which also checks
-//     that no send hit a preempted rank) — one serial replay of the recorded
-//     sends against the Cluster port clocks, in recorded issue order, with
+//   timing pass (run_timing) — one serial replay of the recorded sends
+//     against the Cluster port clocks, in recorded issue order, with
 //     snapshot ("next = ready") semantics at step boundaries.  Issue order and
 //     readiness slots are recorded explicitly, so the clocks depend only on
 //     the record, never on the data pass.
@@ -76,27 +75,10 @@ enum class TransferOp : uint8_t {
   kChainLast,
 };
 
-// Outcome of a timed replay (run_timing_abortable / run_timing).
-//
-//   kCompleted — every recorded send delivered at full health.
-//   kDegraded  — completed, but some sends paid degradation windows or
-//                transient retries (finish reflects the slowdown).
-//   kAborted   — a send touched a preempted rank: the replay stopped at
-//                that schedule step, charged the fault plan's detection
-//                timeout on top of all in-flight work, and never ran the
-//                data pass (buffers keep their pre-collective contents, so
-//                a rebuilt schedule on the surviving world starts clean).
-enum class ScheduleStatus : uint8_t { kCompleted, kDegraded, kAborted };
-
+// Outcome of a timed replay (run_timing).
 struct ScheduleOutcome {
-  ScheduleStatus status = ScheduleStatus::kCompleted;
-  double finish = 0.0;              // completion, or abort-detected time
-  std::vector<double> sync_times;   // syncs reached before finishing/aborting
-  int abort_step = -1;              // schedule step of the fatal send
-  int dead_rank = -1;               // the preempted endpoint
-  int retries = 0;                  // transient retries across delivered sends
-  bool aborted() const { return status == ScheduleStatus::kAborted; }
-  bool completed() const { return status != ScheduleStatus::kAborted; }
+  double finish = 0.0;              // the last slot's completion
+  std::vector<double> sync_times;   // one per recorded sync, in order
 };
 
 class Schedule {
@@ -188,17 +170,7 @@ class Schedule {
   // context the recorded sends are submitted under: on a shared
   // multi-tenant cluster the replay's flows processor-share contended ports
   // with other jobs' reservations, while on an idle cluster every job id
-  // replays to identical clocks (the single-tenant compatibility pin).  On a
-  // dead-rank hit it stops issuing, charges the fault plan's detection
-  // timeout, and reports the abort step — it never throws for faults
-  // scripted in the plan.  Callers skip run_data when the outcome is
-  // aborted.
-  ScheduleOutcome run_timing_abortable(simnet::Cluster& cluster, double start,
-                                       int job = simnet::kDefaultJob) const;
-
-  // run_timing_abortable for callers that run no fault plan: a send that
-  // touches a preempted rank is a caller bug there, so an abort fails a
-  // HITOPK_CHECK instead of returning.
+  // replays to identical clocks (the single-tenant compatibility pin).
   ScheduleOutcome run_timing(simnet::Cluster& cluster, double start,
                              int job = simnet::kDefaultJob) const;
 

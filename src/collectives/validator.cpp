@@ -62,7 +62,7 @@ struct ChainState {
 }  // namespace
 
 void ScheduleValidator::validate(const ScheduleView& view) const {
-  // ---- sends: endpoints, liveness, slots, step ordering -----------------
+  // ---- sends: endpoints, slots, step ordering ---------------------------
   uint32_t prev_step = 0;
   for (size_t i = 0; i < view.sends.size(); ++i) {
     const Schedule::Send& s = view.sends[i];
@@ -80,16 +80,6 @@ void ScheduleValidator::validate(const ScheduleView& view) const {
     }
     HITOPK_VALIDATE(s.src != s.dst)
         << "send" << i << "loops rank" << s.src << "to itself";
-    if (!options_.live.empty()) {
-      const auto live_rank = [&](int r) {
-        return r >= 0 && r < static_cast<int>(options_.live.size()) &&
-               options_.live[static_cast<size_t>(r)];
-      };
-      HITOPK_VALIDATE(live_rank(s.src))
-          << "send" << i << "sources from dead rank" << s.src;
-      HITOPK_VALIDATE(live_rank(s.dst))
-          << "send" << i << "targets dead rank" << s.dst;
-    }
     HITOPK_VALIDATE(s.src_slot < view.num_slots)
         << "send" << i << "src slot" << s.src_slot << "of" << view.num_slots;
     HITOPK_VALIDATE(s.dst_slot < view.num_slots)

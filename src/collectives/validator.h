@@ -7,8 +7,8 @@
 // the schedule.  ScheduleValidator walks the recorded primitives and checks
 // the invariants every legal schedule satisfies:
 //
-//   sends    — endpoints are in-range, distinct world ranks that are alive
-//              (when a liveness mask is given); readiness slots exist.
+//   sends    — endpoints are in-range, distinct world ranks; readiness
+//              slots exist.
 //   ordering — step indices are nondecreasing in record order for sends,
 //              moves, and syncs (the engine replays in record order, so
 //              record order *is* port order; a step that jumps backwards
@@ -72,9 +72,6 @@ struct ValidatorOptions {
   // World size the sends' ranks must lie in; <= 0 skips the range check
   // (schedules recorded against an abstract group).
   int world_size = 0;
-  // Per-world-rank liveness; empty = everyone alive.  A send touching a
-  // dead rank is rejected — elastic rebuilds must not reference casualties.
-  std::vector<bool> live;
   // All-reduce contract: every element of every functional buffer is
   // written at least once (no rank ends with an untouched partial).  Leave
   // false for standalone reduce-scatter / all-gather legs, whose outputs

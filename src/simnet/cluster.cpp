@@ -113,7 +113,6 @@ void Cluster::reset() {
   intra_node_bytes_ = 0;
   traffic_.clear();
   trace_.clear();
-  send_seq_ = 0;
 }
 
 void Cluster::retire_before(double t) {
@@ -161,39 +160,6 @@ FlowOutcome Cluster::submit(const Flow& flow) {
   FlowOutcome outcome;
   outcome.start = start;
   outcome.inter_node = crosses_node;
-  double nic_degrade = 1.0;
-  const bool faults = fault_plan_ != nullptr && !fault_plan_->empty();
-  if (faults) {
-    // Message-boundary fault granularity: a transfer whose start falls in a
-    // preemption window never happens; nothing below this point runs, so a
-    // failed flow leaves ports, counters, and the trace untouched.
-    if (!fault_plan_->alive(src, start)) {
-      outcome.delivered = false;
-      outcome.dead_rank = src;
-      outcome.time = start;
-      return outcome;
-    }
-    if (!fault_plan_->alive(dst, start)) {
-      outcome.delivered = false;
-      outcome.dead_rank = dst;
-      outcome.time = start;
-      return outcome;
-    }
-    if (crosses_node) {
-      nic_degrade =
-          std::max(fault_plan_->degrade_factor(topology_.node_of(src), start),
-                   fault_plan_->degrade_factor(topology_.node_of(dst), start));
-      duration *= nic_degrade;
-    }
-    outcome.retries = fault_plan_->transient_attempts(send_seq_++);
-    if (outcome.retries > 0) {
-      // Each failed attempt wasted one full (possibly degraded) transfer
-      // plus the backoff before the retry.
-      duration += outcome.retries *
-                  (duration + fault_plan_->transient_backoff());
-    }
-    outcome.degraded = nic_degrade > 1.0 || outcome.retries > 0;
-  }
 
   // Processor sharing across jobs: the flow's service window is checked
   // against every contended port it crosses; overlapping reservations of
@@ -234,9 +200,7 @@ FlowOutcome Cluster::submit(const Flow& flow) {
     // sharing the service window stretches with the share factor: the job
     // receives 1/share of the port rate while contended.
     double nic_service =
-        (static_cast<double>(bytes) * topology_.nic_beta() +
-         flow.extra_seconds) *
-        nic_degrade;
+        static_cast<double>(bytes) * topology_.nic_beta() + flow.extra_seconds;
     if (share > 1.0) nic_service *= share;
     nic_send_[src_node].reserve(job, start, start + nic_service);
     nic_recv_[dst_node].reserve(job, start, start + nic_service);

@@ -37,7 +37,11 @@
 // nodes_per_pod * nic_rate / f); with f == 1 neither layer is consulted.
 //
 // All flows are simulated deterministically in a single OS thread;
-// simulated concurrency comes from the port timelines.
+// simulated concurrency comes from the port timelines.  The engine is
+// fault-free: every submitted flow is delivered.  Preemptions and
+// degradation windows are a simnet::FaultPlan script that the training
+// drivers consume between iterations (train::FaultDriver,
+// train::simulate_scenario), not a property of individual messages.
 #pragma once
 
 #include <cstddef>
@@ -47,7 +51,6 @@
 #include <string>
 #include <vector>
 
-#include "simnet/fault.h"
 #include "simnet/topology.h"
 
 namespace hitopk::simnet {
@@ -70,17 +73,10 @@ struct Flow {
   double extra_seconds = 0.0;
 };
 
-// Structured result of submitting a Flow.  When `delivered` is false the
-// transfer never happened: no port was reserved, no byte was counted, and
-// `time` is the instant the failure became observable (the would-be start);
-// the caller charges the fault plan's detection timeout on top.
+// Structured result of submitting a Flow.
 struct FlowOutcome {
-  bool delivered = true;
   double start = 0.0;   // instant the flow occupied its ports
-  double time = 0.0;    // completion (or failure-observable instant)
-  int dead_rank = -1;   // preempted endpoint when !delivered
-  int retries = 0;      // transient re-sends paid by this flow
-  bool degraded = false;  // paid a degradation window or retries
+  double time = 0.0;    // completion
   double share = 1.0;   // processor-sharing factor (1 = exclusive ports)
   bool inter_node = false;
 };
@@ -156,15 +152,8 @@ class Cluster {
 
   // Submits one flow.  The transfer starts at max(flow.ready, ports free
   // for flow.job) and the outcome reports start/completion plus the
-  // processor-sharing factor its bottleneck port imposed.  With a fault
-  // plan installed, a flow touching a preempted rank returns
-  // delivered=false without mutating any state.
+  // processor-sharing factor its bottleneck port imposed.
   FlowOutcome submit(const Flow& flow);
-
-  // Installs a fault script (non-owning; nullptr disables).  The plan is
-  // kept across reset() so a reset cluster replays the same script.
-  void set_fault_plan(const FaultPlan* plan) { fault_plan_ = plan; }
-  const FaultPlan* fault_plan() const { return fault_plan_; }
 
   // Models local (non-communication) work on a rank: occupies no ports,
   // returns ready + duration.  Exists so call sites read uniformly.
@@ -239,8 +228,6 @@ class Cluster {
   std::map<int, JobTraffic> traffic_;  // ordered: deterministic iteration
   bool tracing_ = false;
   std::vector<TraceEvent> trace_;
-  const FaultPlan* fault_plan_ = nullptr;  // non-owning
-  uint64_t send_seq_ = 0;  // transient-failure hash key; cleared by reset()
 };
 
 }  // namespace hitopk::simnet

@@ -23,7 +23,7 @@
 //     assumed here.
 //
 // The actual per-iteration work is a caller-supplied JobBody callback, so
-// simnet stays independent of the collectives layer; train/scenario.h
+// simnet stays independent of the collectives layer; train/tenant.h
 // provides a body that runs a real ring All-Reduce schedule plus a
 // PerfModel compute phase (see make_tenant_body).
 //

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "collectives/common.h"
 #include "collectives/elastic.h"
 #include "compress/error_feedback.h"
 #include "core/rng.h"

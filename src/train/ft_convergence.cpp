@@ -110,9 +110,10 @@ FtResult run_convergence_ft(ConvergenceTask& task, const FtOptions& options,
   CheckpointStore& store = store_ptr ? *store_ptr : local_store;
   ConvergenceEngine engine(task, options.training);
   // Consuming the script's events exactly once — rather than polling
-  // alive() — is what lets abort-restart make progress against a permanent
-  // preemption: the restarted full world stands for re-provisioned
-  // capacity, not the same doomed machine.
+  // whether a rank is inside a preemption window — is what lets
+  // abort-restart make progress against a permanent preemption: the
+  // restarted full world stands for re-provisioned capacity, not the same
+  // doomed machine.
   FaultDriver faults(options.faults, {&engine});
   const bool elastic = options.policy == RecoveryPolicy::kElasticContinue;
 

@@ -8,9 +8,9 @@
 // thermal event), which the constant-cv Gaussian straggler model cannot
 // express because it assumes independent per-worker noise.  The burst
 // windows are a simnet::FaultPlan degradation script (one entry per pod),
-// so the straggler model and the collective-level fault injection share one
-// event-script format and one determinism contract: same seed, same
-// timeline, bit-identical metrics.
+// so this timeline and train::FaultDriver read one event-script format
+// under one determinism contract: same seed, same timeline, bit-identical
+// metrics.
 //
 // Two recovery policies, the checkpoint-interval trade-off between them
 // being the point of bench_fig11_faults:
@@ -23,8 +23,8 @@
 //
 //   kElasticContinue — the elastic job: only the in-flight iteration is
 //     lost; the survivors re-shard the model state (one full parameter pass
-//     over the fabric), re-derive their collectives (the elastic layer of
-//     collectives/elastic.h), and continue at the smaller world — at
+//     over the fabric), re-derive their collectives for the shrunk world
+//     (collectives/elastic.h), and continue at the smaller world — at
 //     proportionally lower throughput — until the preempted node returns
 //     and re-shards back in.
 //

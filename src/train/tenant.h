@@ -10,10 +10,11 @@
 //     parallel), then
 //   communicate — a bandwidth-optimal ring All-Reduce of the job's gradient
 //     payload over its placed gang, recorded once per distinct rank set by
-//     the schedule engine and replayed under the job's id via
-//     run_timing_abortable, so concurrent tenants processor-share NICs and
-//     uplinks and a preemption scripted on the cluster's FaultPlan aborts
-//     exactly the jobs placed on the dead rank.
+//     the schedule engine and replayed under the job's id via run_timing,
+//     so concurrent tenants processor-share NICs and uplinks.  The body
+//     never reports an abort: the transfer engine is fault-free, and the
+//     scheduler's abort path (JobIteration::aborted) serves bodies that
+//     model their own failures.
 //
 // The gang is locality-sorted before the ring is built (pod, node, rank),
 // so a spread placement still crosses each pod boundary a minimal number of

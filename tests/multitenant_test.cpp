@@ -1,6 +1,6 @@
 // Multi-tenant conformance suite: the per-flow reservation API, cross-job
 // processor sharing, per-job accounting, gang placement policies, the job
-// scheduler event loop, FaultPlan interplay, the contention-aware planner
+// scheduler event loop and its abort path, the contention-aware planner
 // entry point, and the Poisson trace-replay harness.
 //
 // The two contracts everything here leans on:
@@ -30,7 +30,6 @@
 #include "core/check.h"
 #include "core/rng.h"
 #include "simnet/cluster.h"
-#include "simnet/fault.h"
 #include "simnet/job_scheduler.h"
 #include "train/checkpoint.h"
 #include "train/tenant.h"
@@ -423,34 +422,43 @@ TEST(Scheduler, BackfillLetsSmallJobsPassBlockedHead) {
 }
 
 TEST(Scheduler, FaultAbortsOnlyJobsPlacedOnDeadRank) {
-  // Rank 3 is preempted from the start.  Two 2-GPU jobs under locality
-  // placement land on node 0 (ranks 0,1) and node 1 (ranks 2,3); only the
-  // job holding rank 3 aborts, and its gang frees for the next arrival.
-  FaultPlan plan;
-  plan.preempt(3, 0.0);
+  // Rank 3 is dead from the start.  Two 2-GPU jobs under locality
+  // placement land on node 0 (ranks 0,1) and node 1 (ranks 2,3); the
+  // scripted body reports an abort for any gang holding rank 3, so only
+  // that job aborts, and its gang frees for the next arrival.
+  static constexpr int kDeadRank = 3;
   Cluster cluster(tiny());
-  cluster.set_fault_plan(&plan);
   JobScheduler sched(cluster, {PlacementPolicy::kLocalityAware, true});
 
   const JobBody body = [](Cluster& c, const JobSpec& spec,
                           const std::vector<int>& ranks, double start) {
+    if (std::find(ranks.begin(), ranks.end(), kDeadRank) != ranks.end()) {
+      return JobIteration{start, true};
+    }
+    if (ranks.size() == 1) return JobIteration{start + 1.0, false};
     const FlowOutcome out =
         c.submit({spec.id, ranks[0], ranks[1], 1 << 16, start});
-    return JobIteration{out.time, !out.delivered};
+    return JobIteration{out.time, false};
   };
   std::vector<JobSpec> jobs(3);
   jobs[0] = {1, 0.0, 2, 2, 0, 0.0};
   jobs[1] = {2, 0.0, 2, 2, 0, 0.0};
-  jobs[2] = {3, 1.0, 2, 1, 0, 0.0};  // arrives late, reuses a freed gang
+  jobs[2] = {3, 1e-5, 1, 1, 0, 0.0};  // arrives while job 1 holds node 0
   const auto records = sched.run(jobs, body);
   ASSERT_EQ(records.size(), 3u);
   EXPECT_FALSE(records[0].aborted);
   EXPECT_EQ(records[0].iterations_done, 2);
   EXPECT_TRUE(records[1].aborted);
   EXPECT_EQ(records[1].iterations_done, 0);
-  ASSERT_EQ(records[1].ranks.size(), 2u);
-  EXPECT_EQ(records[1].ranks[1], 3);
+  EXPECT_EQ(records[1].ranks, (std::vector<int>{2, kDeadRank}));
+  EXPECT_DOUBLE_EQ(records[1].finish, 0.0);
+  // Node 0 is still busy when job 3 arrives, so it can start on arrival
+  // only on the aborted job's freed node; rank 2 is alive, so it completes.
+  ASSERT_GT(records[0].finish, jobs[2].arrival);
+  EXPECT_DOUBLE_EQ(records[2].start, jobs[2].arrival);
+  EXPECT_EQ(records[2].ranks, (std::vector<int>{2}));
   EXPECT_FALSE(records[2].aborted);
+  EXPECT_EQ(records[2].iterations_done, 1);
 }
 
 TEST(Scheduler, RejectsTracesItCannotReplay) {

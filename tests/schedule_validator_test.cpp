@@ -91,21 +91,6 @@ TEST(ValidatorSends, SelfLoopRejected) {
   expect_rejected(v);
 }
 
-TEST(ValidatorSends, DeadRankRejected) {
-  OwnedView v;
-  v.num_slots = 2;
-  v.sends.push_back({0, 0, 2, 0, 1, 64, 0.0});  // rank 2 is a casualty
-  ValidatorOptions opts;
-  opts.world_size = 4;
-  opts.live = {true, true, false, true};
-  expect_rejected(v, opts);
-
-  ValidatorOptions all_live;
-  all_live.world_size = 4;
-  all_live.live = {true, true, true, true};
-  EXPECT_NO_THROW(ScheduleValidator(all_live).validate(v.view()));
-}
-
 TEST(ValidatorSends, SlotOutOfRangeRejected) {
   OwnedView v;
   v.num_slots = 2;

@@ -2,6 +2,8 @@
 // costs, port serialization, and the shared-NIC contention model.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/check.h"
 #include "simnet/cluster.h"
 #include "simnet/topology.h"
@@ -298,6 +300,39 @@ TEST(Cluster, QuiescentTimeIsMaxPortTime) {
   c.submit({.src = 0, .dst = 1, .bytes = 1000});
   c.submit({.src = 0, .dst = 2, .bytes = 1000});
   EXPECT_DOUBLE_EQ(c.quiescent_time(), 2e-6 + 2e-5);
+}
+
+TEST(Cluster, ResetReplaysBitIdentically) {
+  auto drive = [](Cluster& c) {
+    std::vector<double> times;
+    times.push_back(c.submit({.src = 0, .dst = 2, .bytes = 4096}).time);
+    times.push_back(c.submit({.src = 1, .dst = 3, .bytes = 4096}).time);
+    times.push_back(c.submit({.src = 0, .dst = 1, .bytes = 4096}).time);
+    times.push_back(
+        c.submit({.job = 2, .src = 2, .dst = 0, .bytes = 8192}).time);
+    return times;
+  };
+  Cluster fresh(tiny()), reused(tiny());
+  fresh.enable_tracing();
+  reused.enable_tracing();
+  drive(reused);  // dirty run
+  reused.reset();
+  const auto a = drive(fresh);
+  const auto b = drive(reused);
+  for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+  // Identical clocks, counters and traces: reset == fresh.
+  EXPECT_EQ(fresh.quiescent_time(), reused.quiescent_time());
+  EXPECT_EQ(fresh.inter_node_bytes(), reused.inter_node_bytes());
+  EXPECT_EQ(fresh.intra_node_bytes(), reused.intra_node_bytes());
+  EXPECT_EQ(fresh.traffic_jobs(), reused.traffic_jobs());
+  ASSERT_EQ(fresh.trace().size(), reused.trace().size());
+  for (size_t i = 0; i < fresh.trace().size(); ++i) {
+    EXPECT_EQ(fresh.trace()[i].src, reused.trace()[i].src);
+    EXPECT_EQ(fresh.trace()[i].dst, reused.trace()[i].dst);
+    EXPECT_EQ(fresh.trace()[i].bytes, reused.trace()[i].bytes);
+    EXPECT_EQ(fresh.trace()[i].start, reused.trace()[i].start);
+    EXPECT_EQ(fresh.trace()[i].duration, reused.trace()[i].duration);
+  }
 }
 
 TEST(Cluster, ComputeIsPureDelay) {

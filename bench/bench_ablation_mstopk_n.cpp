@@ -1,7 +1,8 @@
 // Ablation: MSTopK's sampling count N (Alg. 1) — selection quality and
 // device-model cost vs N.  The paper fixes N = 30 (Fig. 6); this sweep
-// shows why: the threshold brackets tighten geometrically, so ~20-30
-// coalesced passes recover nearly all of the exact top-k mass.
+// shows why: the threshold brackets tighten geometrically, so ~10
+// coalesced passes recover nearly all of the exact top-k mass.  It runs the
+// multi-pass mode, the only one whose bracket search consumes N.
 #include <cmath>
 #include <iostream>
 
@@ -32,17 +33,23 @@ int main() {
   TablePrinter table({"N", "Selected mass vs exact", "Bracket gap (k2-k1)",
                       "Device time (ms)"});
   for (const int n : {1, 2, 5, 10, 15, 20, 30, 50}) {
-    compress::MsTopK mstopk(n, 77);
+    // The multi-pass mode is Alg. 1's N-sampling binary search; the
+    // default histogram mode brackets in two reads and ignores N.
+    compress::MsTopK mstopk(n, 77, compress::MsTopKMode::kMultiPass);
     const compress::SparseTensor approx = mstopk.compress(x.span(), k);
     double mass = 0.0;
     for (float v : approx.values) mass += std::fabs(v);
     const auto& stats = mstopk.last_stats();
-    table.add_row({std::to_string(n), TablePrinter::fmt_percent(mass / exact_mass),
+    table.add_row({std::to_string(n),
+                   TablePrinter::fmt_percent(mass / exact_mass),
                    std::to_string(stats.k2 - stats.k1),
                    TablePrinter::fmt(gpu.mstopk_seconds(d, k, n) * 1e3, 2)});
   }
   table.print(std::cout);
-  std::cout << "\nExpected: mass recovery saturates near 100% by N~20-30 "
-               "while cost grows linearly in N.\n";
+  std::cout << "\nExpected: the bracket gap shrinks geometrically and mass "
+               "recovery saturates near 100% by N~10, while cost grows "
+               "linearly in N.  The search stops early once a sampled "
+               "threshold selects exactly k (the 12th here), so the rows "
+               "from N = 15 on repeat.\n";
   return 0;
 }

@@ -106,6 +106,8 @@ double schedule_gtopk(simnet::Cluster& cluster, const GtopkShape& shape,
 GtopkResult gtopk_comm(simnet::Cluster& cluster, const RankData& data,
                        size_t elems, const GtopkOptions& options,
                        double start) {
+  HITOPK_VALIDATE(options.density > 0.0 && options.density <= 1.0)
+      << "gtopk_comm density must lie in (0, 1]; got" << options.density;
   const simnet::Topology& topo = cluster.topology();
   GtopkShape shape;
   shape.p = topo.world_size();

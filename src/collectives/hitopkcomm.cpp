@@ -232,6 +232,11 @@ std::vector<HiTopKEfEntry> hitopk_ef_entries(const simnet::Topology& topo,
 HiTopKBreakdown hitopk_comm(simnet::Cluster& cluster, const RankData& data,
                             size_t elems, const HiTopKOptions& options,
                             double start) {
+  HITOPK_VALIDATE(options.density > 0.0 && options.density <= 1.0)
+      << "hitopk_comm density must lie in (0, 1]; got" << options.density;
+  HITOPK_VALIDATE(options.mstopk_samplings > 0)
+      << "hitopk_comm needs mstopk_samplings > 0; got"
+      << options.mstopk_samplings;
   const simnet::Topology& topo = cluster.topology();
   check_data(world_group(topo), data, elems);
   const int m = topo.nodes();

@@ -43,81 +43,54 @@ SparseTensor MsTopK::compress(std::span<const float> x, size_t k) {
   if (k == 0 || d == 0) return out;
   if (k >= d) return first_k_fallback(x, k);
 
-  // The bit-bucket search needs no statistics: its boundaries are float
-  // bit patterns, and degenerate inputs (all-equal magnitudes) simply put
-  // every element in one sub-bucket, which the band top-up handles.
-  if (mode_ == MsTopKMode::kHistogram) {
-    return bit_select(x, k);
-  }
-
-  // Alg. 1 lines 1-3: magnitude statistics, one fused pass (the multi-pass
-  // thresholds are arithmetic combinations of mean/max).
-  const tensor_ops::AbsStats abs = tensor_ops::abs_stats(x);
-  const float abs_max = abs.abs_max;
-  const float abs_mean =
-      static_cast<float>(abs.abs_sum / static_cast<double>(d));
-
-  // Degenerate input (all zeros or all equal magnitude): no threshold can
-  // discriminate, fall back to the first k indices.
-  if (!(abs_max > abs_mean)) return first_k_fallback(x, k);
-
-  multi_pass_brackets(x, k, abs_mean, abs_max);
-  return gather_selection(x, k);
+  Scratch<uint32_t> certain(0);
+  Scratch<uint32_t> band(0);
+  const bool bracketed =
+      mode_ == MsTopKMode::kHistogram
+          ? bit_brackets(x, k, certain.vec(), band.vec())
+          : multi_pass_brackets(x, k, certain.vec(), band.vec());
+  if (!bracketed) return first_k_fallback(x, k);
+  return select(x, k, certain.vec(), band.vec());
 }
 
-SparseTensor MsTopK::bit_select(std::span<const float> x, size_t k) {
-  Scratch<uint32_t> certain_buf(0);
-  Scratch<uint32_t> band_buf(0);
-  std::vector<uint32_t>& certain = certain_buf.vec();
-  std::vector<uint32_t>& band = band_buf.vec();
+bool MsTopK::bit_brackets(std::span<const float> x, size_t k,
+                          std::vector<uint32_t>& certain,
+                          std::vector<uint32_t>& band) {
+  // The bit-bucket search needs no statistics: its boundaries are float
+  // bit patterns, and degenerate inputs (all-equal magnitudes) simply put
+  // every element in one sub-bucket, which the band handles.
   const MagnitudeBrackets brackets =
       bracket_kth_magnitude(x, k, &certain, &band);
+  stats_.buckets = kThresholdBuckets;
   if (!brackets.finite) {
     // Non-finite magnitudes poison any threshold comparison: keep the
-    // legacy degenerate fallback, like the statistics modes whose
-    // mean/max a NaN or inf poisons.
+    // legacy degenerate fallback, like the statistics mode whose mean/max
+    // a NaN or inf poisons.
     stats_.samplings = 1;
-    stats_.buckets = kThresholdBuckets;
-    return first_k_fallback(x, k);
+    return false;
   }
   stats_.thres1 = brackets.thres1;
   stats_.thres2 = brackets.thres2;
   stats_.k1 = brackets.k1;
   stats_.k2 = brackets.k2;
   stats_.samplings = 2;  // coarse counting read + gather read
-  stats_.buckets = kThresholdBuckets;
-
-  // Alg. 1 lines 25-29 on the pre-partitioned sets: every certain index,
-  // plus a random contiguous run of the remainder from the band.  The
-  // exact bracket counts guarantee band coverage (k2 - k1 >= k - k1), so
-  // the legacy top-up is unreachable here.
-  std::vector<uint32_t> chosen;
-  chosen.reserve(k);
-  chosen.assign(certain.begin(), certain.end());
-  if (chosen.size() > k) chosen.resize(k);
-  const size_t need = k - chosen.size();
-  if (need > 0 && !band.empty()) {
-    const size_t take = std::min(need, band.size());
-    const size_t max_start = band.size() - take;
-    const size_t start = static_cast<size_t>(rng_.uniform_index(max_start + 1));
-    chosen.insert(chosen.end(), band.begin() + static_cast<long>(start),
-                  band.begin() + static_cast<long>(start + take));
-  }
-  HITOPK_CHECK_EQ(chosen.size(), k);
-
-  std::sort(chosen.begin(), chosen.end());
-  SparseTensor out;
-  out.dense_size = x.size();
-  out.indices = std::move(chosen);
-  out.values.resize(out.indices.size());
-  for (size_t i = 0; i < out.indices.size(); ++i) {
-    out.values[i] = x[out.indices[i]];
-  }
-  return out;
+  return true;
 }
 
-void MsTopK::multi_pass_brackets(std::span<const float> x, size_t k,
-                                 float abs_mean, float abs_max) {
+bool MsTopK::multi_pass_brackets(std::span<const float> x, size_t k,
+                                 std::vector<uint32_t>& certain,
+                                 std::vector<uint32_t>& band) {
+  // Alg. 1 lines 1-3: magnitude statistics, one fused pass (the multi-pass
+  // thresholds are arithmetic combinations of mean/max).
+  const tensor_ops::AbsStats abs = tensor_ops::abs_stats(x);
+  const float abs_max = abs.abs_max;
+  const float abs_mean =
+      static_cast<float>(abs.abs_sum / static_cast<double>(x.size()));
+
+  // Degenerate input (all zeros or all equal magnitude): no threshold can
+  // discriminate, fall back to the first k indices.
+  if (!(abs_max > abs_mean)) return false;
+
   // Alg. 1 lines 4-24: binary search the threshold ratio in [0, 1], where
   // thres = mean + ratio * (max - mean).  thres1/k1 bracket from below
   // (nnz <= k), thres2/k2 from above (nnz > k).
@@ -151,24 +124,14 @@ void MsTopK::multi_pass_brackets(std::span<const float> x, size_t k,
   stats_.thres2 = thres2;
   stats_.k1 = k1;
   stats_.k2 = k2;
-}
-
-SparseTensor MsTopK::gather_selection(std::span<const float> x, size_t k) {
-  const size_t d = x.size();
-  const float thres1 = stats_.thres1;
-  const float thres2 = stats_.thres2;
 
   // Alg. 1 lines 25-26: gather the certain set (>= thres1) and the band
   // [thres2, thres1).  thres1 == 0 means no threshold ever selected <= k
   // elements (heavy ties at the max); then the certain set is empty and the
   // band is everything >= thres2.
-  Scratch<uint32_t> certain_buf(0);
-  Scratch<uint32_t> band_buf(0);
-  std::vector<uint32_t>& certain = certain_buf.vec();
-  std::vector<uint32_t>& band = band_buf.vec();
-  certain.reserve(stats_.k1);
+  certain.reserve(k1);
   const bool have_upper = thres1 > 0.0f;
-  for (size_t i = 0; i < d; ++i) {
+  for (size_t i = 0; i < x.size(); ++i) {
     const float m = std::fabs(x[i]);
     if (have_upper && m >= thres1) {
       certain.push_back(static_cast<uint32_t>(i));
@@ -176,13 +139,20 @@ SparseTensor MsTopK::gather_selection(std::span<const float> x, size_t k) {
       band.push_back(static_cast<uint32_t>(i));
     }
   }
-  if (certain.size() > k) certain.resize(k);  // Tie overflow guard.
+  return true;
+}
 
-  // Alg. 1 lines 27-28: random contiguous run of (k - k1) band elements.
-  const size_t need = k - certain.size();
+SparseTensor MsTopK::select(std::span<const float> x, size_t k,
+                            const std::vector<uint32_t>& certain,
+                            const std::vector<uint32_t>& band) {
+  // Alg. 1 lines 25-29: every certain index (at most k: the tie overflow
+  // guard), plus a random contiguous run of (k - k1) band elements.
+  const size_t n_certain = std::min(k, certain.size());
   std::vector<uint32_t> chosen;
   chosen.reserve(k);
-  chosen.assign(certain.begin(), certain.end());
+  chosen.assign(certain.begin(),
+                certain.begin() + static_cast<long>(n_certain));
+  const size_t need = k - chosen.size();
   if (need > 0 && !band.empty()) {
     const size_t take = std::min(need, band.size());
     const size_t max_start = band.size() - take;
@@ -190,19 +160,20 @@ SparseTensor MsTopK::gather_selection(std::span<const float> x, size_t k) {
     chosen.insert(chosen.end(), band.begin() + static_cast<long>(start),
                   band.begin() + static_cast<long>(start + take));
   }
-  // Band exhausted (possible only with extreme ties): top up from the lowest
-  // unselected indices so the contract "exactly k elements" holds.
+  // Band exhausted (possible only with extreme ties in the multi-pass
+  // search; the bit brackets' exact counts always cover k): top up from the
+  // lowest unselected indices so the contract "exactly k elements" holds.
   if (chosen.size() < k) {
-    std::vector<bool> used(d, false);
+    std::vector<bool> used(x.size(), false);
     for (uint32_t idx : chosen) used[idx] = true;
-    for (size_t i = 0; i < d && chosen.size() < k; ++i) {
+    for (size_t i = 0; i < x.size() && chosen.size() < k; ++i) {
       if (!used[i]) chosen.push_back(static_cast<uint32_t>(i));
     }
   }
 
   std::sort(chosen.begin(), chosen.end());
   SparseTensor out;
-  out.dense_size = d;
+  out.dense_size = x.size();
   out.indices = std::move(chosen);
   out.values.resize(out.indices.size());
   for (size_t i = 0; i < out.indices.size(); ++i) {

@@ -8,17 +8,19 @@
 // (k - k1) elements from the band [thres2, thres1), giving exactly k
 // selected elements (lines 25-29).
 //
-// Two implementations of the bracket search:
-//   kHistogram (default) — two counting passes over integer magnitude-bit
-//       buckets (threshold_select::bracket_kth_magnitude): a half-octave
-//       pass locates the boundary bucket, an exact 512-way mantissa-bit
-//       refinement brackets the k-th magnitude to 2^13 ulps.  No statistics
-//       pass and no verification recount (bit-pattern boundaries make the
-//       counts exact by construction): two counting passes plus the gather,
-//       the same pass structure as exact_topk.
+// Two implementations of the bracket search, one selection tail:
+//   kHistogram (default) — threshold_select::bracket_kth_magnitude, the
+//       same counting read and gather that exact_topk runs: a half-octave
+//       magnitude-bit histogram locates the boundary bucket, and an exact
+//       512-way mantissa-bit refinement of its gathered candidates
+//       brackets the k-th magnitude to 2^13 ulps.  No statistics pass and
+//       no verification recount (bit-pattern boundaries make the counts
+//       exact by construction).
 //   kMultiPass — the paper's literal binary search: each of the N samplings
 //       is one counting pass (count |x(i)| >= thres).  O(N*d); kept as the
 //       validation reference and for the sampling-count ablation.
+// Both hand their certain set and band to one implementation of lines
+// 25-29, so they draw the band run from the RNG identically.
 #pragma once
 
 #include "compress/compressor.h"
@@ -66,17 +68,26 @@ class MsTopK : public Compressor {
   MsTopKMode mode() const { return mode_; }
 
  private:
-  // Fast path: bit-bucket bracket search and selection in two data reads
-  // (threshold_select::bracket_kth_magnitude does the search and hands back
-  // the certain/band index sets; this draws the random band run).
-  SparseTensor bit_select(std::span<const float> x, size_t k);
+  // The two bracket searches: each fills stats_, the certain set
+  // (|x(i)| >= thres1) and the band ([thres2, thres1), ascending index
+  // order), or returns false when no threshold can discriminate and
+  // compress() falls back to the first k indices.
+  //   bit_brackets — threshold_select::bracket_kth_magnitude, two data
+  //     reads;
+  //   multi_pass_brackets — Alg. 1 lines 1-26: statistics, the N-sampling
+  //     binary search, and a gather pass.
+  bool bit_brackets(std::span<const float> x, size_t k,
+                    std::vector<uint32_t>& certain,
+                    std::vector<uint32_t>& band);
+  bool multi_pass_brackets(std::span<const float> x, size_t k,
+                           std::vector<uint32_t>& certain,
+                           std::vector<uint32_t>& band);
 
-  // Alg. 1's binary search: fills stats_.{thres1,thres2,k1,k2,samplings}.
-  void multi_pass_brackets(std::span<const float> x, size_t k, float abs_mean,
-                           float abs_max);
-
-  // Alg. 1 lines 25-29: emit the certain set plus a random band run.
-  SparseTensor gather_selection(std::span<const float> x, size_t k);
+  // Alg. 1 lines 25-29, shared by both modes: the certain set plus a random
+  // contiguous band run, indices sorted and values gathered from x.
+  SparseTensor select(std::span<const float> x, size_t k,
+                      const std::vector<uint32_t>& certain,
+                      const std::vector<uint32_t>& band);
 
   int n_samplings_;
   Rng rng_;

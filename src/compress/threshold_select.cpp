@@ -11,7 +11,7 @@
 namespace hitopk::compress {
 namespace {
 
-constexpr size_t kSlots = static_cast<size_t>(kThresholdBuckets) + 1;
+constexpr size_t kBuckets = static_cast<size_t>(kThresholdBuckets);
 
 // Packed selection key: magnitude bits in the high word (IEEE-754
 // non-negative floats order like their bit patterns), inverted index in the
@@ -25,36 +25,39 @@ inline uint32_t magnitude_bits(float v) {
   return std::bit_cast<uint32_t>(v) & 0x7FFFFFFFu;
 }
 
-inline size_t pack_key(float v, size_t i) {
-  return (static_cast<size_t>(magnitude_bits(v)) << 32) |
-         (~static_cast<uint32_t>(i));
+inline size_t pack_key(uint32_t bits, size_t i) {
+  return (static_cast<size_t>(bits) << 32) | (~static_cast<uint32_t>(i));
 }
 
+inline uint32_t key_bits(size_t key) {
+  return static_cast<uint32_t>(key >> 32);
+}
+
+inline uint32_t key_index(size_t key) { return ~static_cast<uint32_t>(key); }
+
 // Log-spaced bucket of |v|: exponent byte plus top mantissa bit, in
-// [0, kThresholdBuckets - 1].  Monotone nondecreasing in |v| because
-// non-negative IEEE-754 floats order like their bit patterns and shifting
-// preserves order.  Handles denormals, zeros, and infinities uniformly —
-// no statistics pass or width arithmetic required.
+// [0, kBuckets - 1].  Monotone nondecreasing in |v| because non-negative
+// IEEE-754 floats order like their bit patterns and shifting preserves
+// order.  Handles denormals, zeros, and infinities uniformly — no
+// statistics pass or width arithmetic required.
 inline uint32_t magnitude_bits_bucket(float v) {
   return magnitude_bits(v) >> 22;
 }
 
 // One worker's counting pass over [p, p + n): a vectorizable arithmetic
-// block turns magnitudes into histogram slots (no per-element boundary
-// comparisons or branches), then a scalar block scatters them into four
-// interleaved sub-histograms so consecutive same-bucket hits don't
-// serialize on one counter.  hist must have 4 * kSlots zeroed entries.
-// slot_of must return values in [0, kSlots - 1].
-template <typename SlotFn>
-void count_into(const float* p, size_t n, size_t* hist, SlotFn slot_of) {
+// block turns magnitudes into buckets (no per-element boundary comparisons
+// or branches), then a scalar block scatters them into four interleaved
+// sub-histograms so consecutive same-bucket hits don't serialize on one
+// counter.  hist must have 4 * kBuckets zeroed entries.
+void count_into(const float* p, size_t n, size_t* hist) {
   constexpr size_t kBlock = 1024;
   size_t* h0 = hist;
-  size_t* h1 = h0 + kSlots;
-  size_t* h2 = h1 + kSlots;
-  size_t* h3 = h2 + kSlots;
+  size_t* h1 = h0 + kBuckets;
+  size_t* h2 = h1 + kBuckets;
+  size_t* h3 = h2 + kBuckets;
   uint32_t idx[kBlock];
   auto index_block = [&](const float* q, size_t count) {
-    for (size_t j = 0; j < count; ++j) idx[j] = slot_of(q[j]);
+    for (size_t j = 0; j < count; ++j) idx[j] = magnitude_bits_bucket(q[j]);
   };
   auto scatter_block = [&](size_t count) {
     size_t j = 0;
@@ -66,7 +69,7 @@ void count_into(const float* p, size_t n, size_t* hist, SlotFn slot_of) {
     }
     for (; j < count; ++j) ++h0[idx[j]];
   };
-  // Full blocks get a compile-time trip count so the slot arithmetic
+  // Full blocks get a compile-time trip count so the bucket arithmetic
   // vectorizes even under -O2's conservative cost model; the remainder goes
   // through the same lambdas with a runtime count.
   const size_t full_end = n - n % kBlock;
@@ -78,65 +81,121 @@ void count_into(const float* p, size_t n, size_t* hist, SlotFn slot_of) {
   scatter_block(n - full_end);
 }
 
-// Shared counting core: partitions x into per-worker chunks when the pool
-// and the input are both large enough to amortize the extra sub-histogram
-// merges, counts with `slot_of`, and merges into counts[kSlots].  Bucket
-// counts are integers, so any partitioning merges to the identical
-// histogram.
-template <typename SlotFn>
-void histogram_count(std::span<const float> x, std::span<size_t> counts,
-                     SlotFn slot_of) {
-  HITOPK_CHECK_EQ(counts.size(), kSlots);
+// Counting core: partitions x into per-worker chunks when the pool and the
+// input are both large enough to amortize the extra sub-histogram merges,
+// and merges into counts[kBuckets].  Bucket counts are integers, so any
+// partitioning merges to the identical histogram.
+void histogram_count(std::span<const float> x, std::span<size_t> counts) {
+  HITOPK_CHECK_EQ(counts.size(), kBuckets);
   const size_t d = x.size();
   constexpr size_t kMinChunk = 1 << 16;
   const size_t max_chunks = std::max<size_t>(1, d / kMinChunk);
   const size_t chunks = std::min<size_t>(
       static_cast<size_t>(std::max(1, parallel_threads())), max_chunks);
 
-  Scratch<size_t> hist_buf(chunks * 4 * kSlots, /*zeroed=*/true);
+  Scratch<size_t> hist_buf(chunks * 4 * kBuckets, /*zeroed=*/true);
   size_t* slabs = hist_buf.data();
   if (chunks == 1) {
-    count_into(x.data(), d, slabs, slot_of);
+    count_into(x.data(), d, slabs);
   } else {
     parallel_for(0, chunks, [&](size_t c) {
       const size_t begin = d * c / chunks;
       const size_t end = d * (c + 1) / chunks;
-      count_into(x.data() + begin, end - begin, slabs + c * 4 * kSlots,
-                 slot_of);
+      count_into(x.data() + begin, end - begin, slabs + c * 4 * kBuckets);
     });
   }
   for (size_t c = 0; c < chunks; ++c) {
-    const size_t* slab = slabs + c * 4 * kSlots;
-    for (size_t s = 0; s < kSlots; ++s) {
-      counts[s] += slab[s] + slab[kSlots + s] + slab[2 * kSlots + s] +
-                   slab[3 * kSlots + s];
+    const size_t* slab = slabs + c * 4 * kBuckets;
+    for (size_t s = 0; s < kBuckets; ++s) {
+      counts[s] += slab[s] + slab[kBuckets + s] + slab[2 * kBuckets + s] +
+                   slab[3 * kBuckets + s];
     }
   }
 }
 
-// Suffix scan shared by selection and threshold: the bucket holding the
-// k-th magnitude and the exact count of elements in buckets above it
+// The two data reads every selection here runs on.
+//
+// Read 1 counts x into the half-octave buckets and scans down to the
+// bucket holding the k-th magnitude; `above` elements sit in higher buckets
 // (< k of them, each with strictly larger magnitude than every boundary-
-// bucket element, by monotonicity of the bucket map).
-struct BoundaryScan {
-  uint32_t boundary = 0;
+// bucket element, by monotonicity of the bucket map).  Read 2 writes the
+// indices above the boundary bucket to `above_idx` (ascending) and the
+// bucket's occupants to `keys` as packed keys (ascending index order).
+// Sizes are known exactly from the histogram, so neither output
+// reallocates while being filled.  Two-phase like the counting read: a
+// constant-trip block extracts magnitude bits (vectorizable), then a scalar
+// block compares them against the bucket's bit bounds — almost always
+// "below, skip" for sparse selections.
+//
+// Requires 0 < k <= x.size().  With `finite_only`, an input holding an inf
+// or NaN (bits >= 0x7F800000 land in buckets 510/511) stops after read 1
+// with finite = false and nothing gathered.
+struct Split {
+  uint32_t bucket = 0;
   size_t above = 0;
+  bool finite = true;
 };
 
-BoundaryScan scan_boundary(std::span<const size_t> counts, size_t k) {
-  BoundaryScan scan;
-  size_t above = 0;
-  for (int b = kThresholdBuckets - 1; b >= 0; --b) {
-    const size_t c = counts[static_cast<size_t>(b)];
-    if (above + c >= k) {
-      scan.boundary = static_cast<uint32_t>(b);
-      scan.above = above;
-      return scan;
-    }
-    above += c;
+Split split_at_kth(std::span<const float> x, size_t k,
+                   std::vector<uint32_t>& above_idx, std::vector<size_t>& keys,
+                   bool finite_only = false) {
+  Scratch<size_t> counts(kBuckets, /*zeroed=*/true);
+  histogram_count(x, counts.span());
+  Split split;
+  if (finite_only && counts[510] + counts[511] > 0) {
+    split.finite = false;
+    return split;
   }
-  HITOPK_CHECK(false) << "histogram lost elements";  // d >= k are all counted
-  return scan;
+  for (int b = kThresholdBuckets - 1;; --b) {
+    HITOPK_CHECK_GE(b, 0) << "histogram lost elements";  // all d >= k counted
+    const size_t c = counts[static_cast<size_t>(b)];
+    if (split.above + c >= k) {
+      split.bucket = static_cast<uint32_t>(b);
+      break;
+    }
+    split.above += c;
+  }
+
+  above_idx.resize(split.above);
+  keys.resize(counts[split.bucket]);
+  uint32_t* above_out = above_idx.data();
+  size_t* keys_out = keys.data();
+  size_t n_above = 0;
+  size_t n_keys = 0;
+  // First magnitude-bit pattern inside / above the boundary bucket.  For
+  // bucket 511 `above_bits` wraps to 0x80000000, which no magnitude
+  // reaches — exactly "nothing is above the top bucket".
+  const uint32_t lower_bits = split.bucket << 22;
+  const uint32_t above_bits = (split.bucket + 1) << 22;
+  constexpr size_t kBlock = 1024;
+  uint32_t mag[kBlock];
+  const float* p = x.data();
+  auto bits_block = [&](size_t base, size_t count) {
+    for (size_t j = 0; j < count; ++j) mag[j] = magnitude_bits(p[base + j]);
+  };
+  auto gather_block = [&](size_t base, size_t count) {
+    for (size_t j = 0; j < count; ++j) {
+      const uint32_t m = mag[j];
+      if (m < lower_bits) continue;  // common case first
+      const size_t i = base + j;
+      if (m >= above_bits) {
+        above_out[n_above++] = static_cast<uint32_t>(i);
+      } else {
+        keys_out[n_keys++] = pack_key(m, i);
+      }
+    }
+  };
+  const size_t d = x.size();
+  const size_t full_end = d - d % kBlock;
+  for (size_t base = 0; base < full_end; base += kBlock) {
+    bits_block(base, kBlock);
+    gather_block(base, kBlock);
+  }
+  bits_block(full_end, d - full_end);
+  gather_block(full_end, d - full_end);
+  HITOPK_CHECK_EQ(n_above, split.above);
+  HITOPK_CHECK_EQ(n_keys, keys.size());
+  return split;
 }
 
 }  // namespace
@@ -151,80 +210,31 @@ MagnitudeBrackets bracket_kth_magnitude(std::span<const float> x, size_t k,
   if (band != nullptr) band->clear();
   if (d == 0 || k == 0 || k >= d) return out;  // no bracket to find
 
-  // Read 1: half-octave bit buckets locate the boundary bucket (exactly
-  // select_topk's coarse geometry).
-  Scratch<size_t> counts(kSlots, /*zeroed=*/true);
-  histogram_count(x, counts.span(),
-                  [](float v) { return magnitude_bits_bucket(v); });
-  // Non-finite magnitudes (bits >= 0x7F800000 land in buckets 510/511):
-  // no representable threshold can discriminate above an infinity, and a
-  // NaN poisons every magnitude comparison — report "no bracket" so the
-  // caller can fall back, exactly like the legacy searches whose
-  // mean/max statistics a non-finite input poisons.
-  if (counts[510] + counts[511] > 0) {
-    out.finite = false;
-    return out;
-  }
-  const BoundaryScan scan = scan_boundary(counts.span(), k);
-  const uint32_t bucket = scan.boundary;
-
-  // Read 2: select_topk-style gather.  Elements above the boundary bucket
-  // are certain winners; the bucket's occupants become candidates carrying
-  // their magnitude bits (index order preserved).  Sizes are known exactly
-  // from the histogram — no reallocation.
+  // Elements above the boundary bucket are certain winners; the bucket's
+  // occupants are candidates carrying their magnitude bits.  Non-finite
+  // magnitudes: no representable threshold can discriminate above an
+  // infinity, and a NaN poisons every magnitude comparison — report "no
+  // bracket" so the caller can fall back, exactly like the legacy searches
+  // whose mean/max statistics a non-finite input poisons.
   Scratch<uint32_t> own_certain(0);
   std::vector<uint32_t>& sure = certain != nullptr ? *certain
                                                    : own_certain.vec();
-  sure.resize(scan.above);
-  uint32_t* sure_out = sure.data();
-  size_t n_sure = 0;
-  Scratch<uint32_t> cand_idx(counts[bucket]);
-  Scratch<uint32_t> cand_bits(counts[bucket]);
-  size_t n_cand = 0;
-  const uint32_t lower_bits = bucket << 22;
-  // For bucket 511 this wraps to 0x80000000, which no magnitude reaches —
-  // exactly "nothing is above the top bucket".
-  const uint32_t above_bits = (bucket + 1) << 22;
-  {
-    constexpr size_t kBlock = 1024;
-    uint32_t mag[kBlock];
-    const float* p = x.data();
-    auto bits_block = [&](size_t base, size_t count) {
-      for (size_t j = 0; j < count; ++j) mag[j] = magnitude_bits(p[base + j]);
-    };
-    auto gather_block = [&](size_t base, size_t count) {
-      for (size_t j = 0; j < count; ++j) {
-        const uint32_t m = mag[j];
-        if (m < lower_bits) continue;  // common case first
-        const uint32_t i = static_cast<uint32_t>(base + j);
-        if (m >= above_bits) {
-          sure_out[n_sure++] = i;
-        } else {
-          cand_idx[n_cand] = i;
-          cand_bits[n_cand] = m;
-          ++n_cand;
-        }
-      }
-    };
-    const size_t full_end = d - d % kBlock;
-    for (size_t base = 0; base < full_end; base += kBlock) {
-      bits_block(base, kBlock);
-      gather_block(base, kBlock);
-    }
-    bits_block(full_end, d - full_end);
-    gather_block(full_end, d - full_end);
+  Scratch<size_t> keys(0);
+  const Split split = split_at_kth(x, k, sure, keys.vec(),
+                                   /*finite_only=*/true);
+  if (!split.finite) {
+    out.finite = false;
+    return out;
   }
-  HITOPK_CHECK_EQ(n_sure, scan.above);
-  HITOPK_CHECK_EQ(n_cand, counts[bucket]);
+  const uint32_t bucket = split.bucket;
 
   // Exact 512-way refinement on the candidates' mantissa bits 13..21 —
   // O(bucket occupancy), no further pass over x.
-  Scratch<size_t> fine(static_cast<size_t>(kThresholdBuckets),
-                       /*zeroed=*/true);
-  for (size_t c = 0; c < n_cand; ++c) {
-    ++fine[(cand_bits[c] >> 13) & (kThresholdBuckets - 1)];
+  Scratch<size_t> fine(kBuckets, /*zeroed=*/true);
+  for (const size_t key : keys.vec()) {
+    ++fine[(key_bits(key) >> 13) & (kBuckets - 1)];
   }
-  size_t above = scan.above;
+  size_t above = split.above;
   uint32_t sub = 0;
   for (int b = kThresholdBuckets - 1; b >= 0; --b) {
     const size_t c = fine[static_cast<size_t>(b)];
@@ -265,11 +275,12 @@ MagnitudeBrackets bracket_kth_magnitude(std::span<const float> x, size_t k,
   // [edge2, edge1) they form the band, ascending index order preserved.
   if (certain != nullptr || band != nullptr) {
     const uint32_t certain_edge = promoted ? edge2 : edge1;
-    for (size_t c = 0; c < n_cand; ++c) {
-      if (cand_bits[c] >= certain_edge) {
-        sure.push_back(cand_idx[c]);
-      } else if (cand_bits[c] >= edge2 && band != nullptr) {
-        band->push_back(cand_idx[c]);
+    for (const size_t key : keys.vec()) {
+      const uint32_t bits = key_bits(key);
+      if (bits >= certain_edge) {
+        sure.push_back(key_index(key));
+      } else if (bits >= edge2 && band != nullptr) {
+        band->push_back(key_index(key));
       }
     }
     HITOPK_CHECK_EQ(sure.size(), out.k1);
@@ -285,12 +296,14 @@ SparseTensor select_topk_nth(std::span<const float> x, size_t k) {
   if (k == 0) return out;
   Scratch<size_t> keys_buf(x.size());
   size_t* keys = keys_buf.data();
-  for (size_t i = 0; i < x.size(); ++i) keys[i] = pack_key(x[i], i);
+  for (size_t i = 0; i < x.size(); ++i) {
+    keys[i] = pack_key(magnitude_bits(x[i]), i);
+  }
   std::nth_element(keys, keys + (k - 1), keys + x.size(),
                    std::greater<size_t>());
   out.indices.resize(k);
   for (size_t i = 0; i < k; ++i) {
-    out.indices[i] = ~static_cast<uint32_t>(keys[i]);
+    out.indices[i] = key_index(keys[i]);
   }
   std::sort(out.indices.begin(), out.indices.end());
   out.values.resize(k);
@@ -302,9 +315,9 @@ float topk_threshold_nth(std::span<const float> x, size_t k) {
   k = std::min(k, x.size());
   if (k == 0) return 0.0f;
   // Rank magnitude bits instead of fabs floats: same order (non-negative
-  // IEEE floats order like their bit patterns), total even on adversarial
-  // bit patterns, and the integer nth_element is what the histogram repair
-  // uses — keeping the two paths' comparators identical.
+  // IEEE floats order like their bit patterns) and total even on
+  // adversarial bit patterns, like the histogram repair's packed keys,
+  // whose high word is exactly these bits.
   Scratch<uint32_t> mags(x.size());
   for (size_t i = 0; i < x.size(); ++i) mags[i] = magnitude_bits(x[i]);
   std::nth_element(mags.vec().begin(),
@@ -313,81 +326,28 @@ float topk_threshold_nth(std::span<const float> x, size_t k) {
   return std::bit_cast<float>(mags[k - 1]);
 }
 
-SparseTensor select_topk(std::span<const float> x, size_t k) {
+SparseTensor exact_topk(std::span<const float> x, size_t k) {
   SparseTensor out;
   out.dense_size = x.size();
   k = std::min(k, x.size());
   if (k == 0) return out;
   if (x.size() < kHistogramMinSize) return select_topk_nth(x, k);
 
-  // Counting pass on the log-spaced bit buckets (slot == bucket; slot
-  // kThresholdBuckets stays empty) and suffix scan to the boundary.
-  Scratch<size_t> counts(kSlots, /*zeroed=*/true);
-  histogram_count(x, counts.span(),
-                  [](float v) { return magnitude_bits_bucket(v); });
-  const BoundaryScan scan = scan_boundary(counts.span(), k);
-
-  // Gather pass.  Sizes are known exactly from the histogram: scan.above
-  // certain winners go straight into the output index array, and the
-  // boundary bucket's elements become repair candidates carrying their
-  // exact keys — no reallocation, no second counting.  Two-phase like the
-  // counting pass: a constant-trip block extracts magnitude bits
-  // (vectorizable), then a scalar block compares them against the bucket's
-  // bit bounds — almost always "below, skip" for sparse selections.
-  out.indices.resize(k);
-  uint32_t* chosen = out.indices.data();
-  size_t n_chosen = 0;
-  Scratch<size_t> cand_buf(counts[scan.boundary]);
-  size_t* cand = cand_buf.data();
-  size_t n_cand = 0;
-  // First magnitude-bit pattern inside / above the boundary bucket.  For
-  // boundary 511 `above_bits` wraps to 0x80000000, which no magnitude
-  // reaches — exactly "nothing is above the top bucket".
-  const uint32_t lower_bits = scan.boundary << 22;
-  const uint32_t above_bits = (scan.boundary + 1) << 22;
-  {
-    constexpr size_t kBlock = 1024;
-    uint32_t mag[kBlock];
-    const float* p = x.data();
-    auto bits_block = [&](size_t base, size_t count) {
-      for (size_t j = 0; j < count; ++j) mag[j] = magnitude_bits(p[base + j]);
-    };
-    auto gather_block = [&](size_t base, size_t count) {
-      for (size_t j = 0; j < count; ++j) {
-        const uint32_t m = mag[j];
-        if (m < lower_bits) continue;  // common case first
-        const size_t i = base + j;
-        if (m >= above_bits) {
-          chosen[n_chosen++] = static_cast<uint32_t>(i);
-        } else {
-          cand[n_cand++] = (static_cast<size_t>(m) << 32) |
-                           (~static_cast<uint32_t>(i));
-        }
-      }
-    };
-    const size_t full_end = x.size() - x.size() % kBlock;
-    for (size_t base = 0; base < full_end; base += kBlock) {
-      bits_block(base, kBlock);
-      gather_block(base, kBlock);
-    }
-    bits_block(full_end, x.size() - full_end);
-    gather_block(full_end, x.size() - full_end);
+  // The split's above-bucket indices go straight into the output; the
+  // remaining (k - above) slots go to the best boundary-bucket candidates
+  // under the reference comparator.  nth_element over just the boundary
+  // bucket (a half-octave of magnitudes; all of d only when every element
+  // shares one bucket) replaces the reference's nth_element over d.
+  out.indices.reserve(k);
+  Scratch<size_t> keys_buf(0);
+  std::vector<size_t>& keys = keys_buf.vec();
+  const Split split = split_at_kth(x, k, out.indices, keys);
+  const size_t need = k - split.above;
+  if (need < keys.size()) {
+    std::nth_element(keys.begin(), keys.begin() + static_cast<long>(need - 1),
+                     keys.end(), std::greater<size_t>());
   }
-  HITOPK_CHECK_EQ(n_chosen, scan.above);
-  HITOPK_CHECK_EQ(n_cand, counts[scan.boundary]);
-
-  // Exact boundary repair: the remaining (k - above) slots go to the best
-  // candidates under the reference comparator.  nth_element over just the
-  // boundary bucket (a half-octave of magnitudes; all of d only when every
-  // element shares one bucket) replaces the reference's nth_element over d.
-  const size_t need = k - scan.above;
-  if (need < n_cand) {
-    std::nth_element(cand, cand + (need - 1), cand + n_cand,
-                     std::greater<size_t>());
-  }
-  for (size_t i = 0; i < need; ++i) {
-    chosen[n_chosen++] = ~static_cast<uint32_t>(cand[i]);
-  }
+  for (size_t i = 0; i < need; ++i) out.indices.push_back(key_index(keys[i]));
 
   std::sort(out.indices.begin(), out.indices.end());
   out.values.resize(k);
@@ -395,31 +355,21 @@ SparseTensor select_topk(std::span<const float> x, size_t k) {
   return out;
 }
 
-float topk_threshold(std::span<const float> x, size_t k) {
-  if (k == 0 || x.empty()) return 0.0f;
+float exact_topk_threshold(std::span<const float> x, size_t k) {
   k = std::min(k, x.size());
+  if (k == 0) return 0.0f;
   if (x.size() < kHistogramMinSize) return topk_threshold_nth(x, k);
 
-  Scratch<size_t> counts(kSlots, /*zeroed=*/true);
-  histogram_count(x, counts.span(),
-                  [](float v) { return magnitude_bits_bucket(v); });
-  const BoundaryScan scan = scan_boundary(counts.span(), k);
-
   // The k-th magnitude overall is the (k - above)-th largest within the
-  // boundary bucket (same set argument as select_topk), so the exact repair
-  // only has to rank the boundary bucket's magnitude bits.
-  Scratch<uint32_t> cand_buf(counts[scan.boundary]);
-  uint32_t* cand = cand_buf.data();
-  size_t n_cand = 0;
-  for (const float v : x) {
-    const uint32_t mag = magnitude_bits(v);
-    if ((mag >> 22) == scan.boundary) cand[n_cand++] = mag;
-  }
-  HITOPK_CHECK_EQ(n_cand, counts[scan.boundary]);
-  const size_t need = k - scan.above;
-  std::nth_element(cand, cand + (need - 1), cand + n_cand,
-                   std::greater<uint32_t>());
-  return std::bit_cast<float>(cand[need - 1]);
+  // boundary bucket (same set argument as exact_topk).
+  Scratch<uint32_t> above_idx(0);
+  Scratch<size_t> keys_buf(0);
+  std::vector<size_t>& keys = keys_buf.vec();
+  const Split split = split_at_kth(x, k, above_idx.vec(), keys);
+  const size_t need = k - split.above;
+  std::nth_element(keys.begin(), keys.begin() + static_cast<long>(need - 1),
+                   keys.end(), std::greater<size_t>());
+  return std::bit_cast<float>(key_bits(keys[need - 1]));
 }
 
 }  // namespace hitopk::compress

@@ -3,25 +3,28 @@
 // Every top-k flavour in this library ultimately needs the same primitive:
 // "where does the k-th largest |x(i)| sit?".  The generic answer
 // (std::nth_element over d elements) is a cache-hostile partial sort that
-// dominated the TopK-SGD iteration; this module answers it with one
-// blocked, parallel 512-bucket magnitude-histogram counting core:
+// dominated the TopK-SGD iteration; this module answers it with one split
+// into two blocked data reads, shared by every entry point below:
 //
-//   - bracket_kth_magnitude(): MSTopK's bracket search (below).
-//   - select_topk() / topk_threshold(): exact top-k selection and k-th
-//     magnitude via *log-spaced* buckets read straight off the magnitude
-//     bits ((bits & 0x7FFFFFFF) >> 22: exponent plus top mantissa bit).
-//     IEEE-754 magnitude bits order like magnitudes, so the map is monotone
-//     and needs no statistics pass, no width arithmetic, and no degenerate-
-//     range fallbacks: one counting pass, a suffix scan to the bucket
-//     holding the k-th magnitude, then an exact repair pass (nth_element
-//     over just that bucket's candidates, on the same packed magnitude/index
-//     keys the reference uses) resolves the boundary.  Elements in higher
-//     buckets have strictly larger magnitudes than every boundary-bucket
-//     element, so the selected set — indices AND values — is bit-identical
-//     to the nth_element reference for every input bit pattern.
+//   read 1 — a parallel counting pass over *log-spaced* buckets read
+//     straight off the magnitude bits ((bits & 0x7FFFFFFF) >> 22: exponent
+//     plus top mantissa bit) and a suffix scan to the bucket holding the
+//     k-th magnitude.  IEEE-754 magnitude bits order like magnitudes, so
+//     the map is monotone and needs no statistics pass, no width
+//     arithmetic, and no degenerate-range fallbacks;
+//   read 2 — a gather of the indices above that bucket (certain winners)
+//     and of the bucket's occupants as packed magnitude/index keys.
+//
+// exact_topk() / exact_topk_threshold() resolve the boundary exactly with
+// nth_element over just those keys, on the same comparator the reference
+// uses.  Elements in higher buckets have strictly larger magnitudes than
+// every boundary-bucket element, so the selected set — indices AND values —
+// is bit-identical to the nth_element reference for every input bit
+// pattern.  bracket_kth_magnitude() refines the keys' bits instead, for
+// MSTopK's bracket search.
 //
 // select_topk_nth() / topk_threshold_nth() are that packed-key nth_element
-// reference, at every size (select_topk itself takes it below
+// reference, at every size (exact_topk itself takes it below
 // kHistogramMinSize); tests/threshold_select_test.cpp pins the two paths
 // bit-identical across adversarial distributions, and bench_micro_compress
 // times one against the other.
@@ -45,18 +48,14 @@ inline constexpr int kThresholdBuckets = 512;
 // purely a performance heuristic.
 inline constexpr size_t kHistogramMinSize = 2048;
 
-// Exact magnitude brackets around the k-th largest |x(i)| in two blocked
-// data reads — the machinery MSTopK's bracket search runs on:
-//
-//   read 1 — the log-spaced magnitude-bit histogram (bits >> 22, as in
-//     select_topk) locates the half-octave bucket holding the k-th
-//     magnitude;
-//   read 2 — a select_topk-style gather: indices above the bucket are
-//     emitted directly, the bucket's occupants become candidates carrying
-//     their magnitude bits, and a 512-way sub-histogram of those bits
-//     (mantissa bits 13..21, O(bucket) work — no third read) refines the
-//     bracket to 2^13 ulps of the k-th magnitude, tighter than a
-//     (max-mean)/512 linear bucket for anything Gaussian-shaped.
+// Exact magnitude brackets around the k-th largest |x(i)| from the same two
+// data reads as exact selection — the machinery MSTopK's bracket search
+// runs on: read 1 locates the half-octave bucket holding the k-th
+// magnitude, read 2 emits the indices above it and the bucket's packed
+// keys, and a 512-way sub-histogram of those keys' bits (mantissa bits
+// 13..21, O(bucket) work — no third read) refines the bracket to 2^13 ulps
+// of the k-th magnitude, tighter than a (max-mean)/512 linear bucket for
+// anything Gaussian-shaped.
 //
 // Because every boundary is an exact float bit pattern (not float
 // arithmetic on mean/max), the counts are exact by construction: no
@@ -89,12 +88,14 @@ MagnitudeBrackets bracket_kth_magnitude(std::span<const float> x, size_t k,
                                         std::vector<uint32_t>* certain = nullptr,
                                         std::vector<uint32_t>* band = nullptr);
 
-// Exactly min(k, x.size()) elements with the largest |x(i)|, ties broken by
-// lower index; indices sorted ascending, values gathered from x.
-SparseTensor select_topk(std::span<const float> x, size_t k);
+// Exact top-k (the nn.topk baseline of Fig. 6): exactly min(k, x.size())
+// elements with the largest |x(i)|, ties broken by lower index; indices
+// sorted ascending, values gathered from x.
+SparseTensor exact_topk(std::span<const float> x, size_t k);
 
-// The k-th largest |x(i)| (0 when k == 0 or x is empty).
-float topk_threshold(std::span<const float> x, size_t k);
+// The k-th largest |x(i)| (the exact threshold `thres` of Eq. 2); 0 when
+// k == 0 or x is empty.
+float exact_topk_threshold(std::span<const float> x, size_t k);
 
 // The packed-key std::nth_element reference for the two functions above:
 // bit-identical results for every input bit pattern, at nth_element speed.

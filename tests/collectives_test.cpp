@@ -5,9 +5,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "collectives/common.h"
+#include "collectives/gtopk.h"
 #include "collectives/hier_allreduce.h"
 #include "collectives/hitopkcomm.h"
 #include "collectives/naive_allgather.h"
@@ -16,6 +19,7 @@
 #include "collectives/tree_allreduce.h"
 #include "compress/exact_topk.h"
 #include "compress/mstopk.h"
+#include "core/check.h"
 #include "core/rng.h"
 #include "core/tensor.h"
 
@@ -352,6 +356,43 @@ TEST(HiTopKComm, DensityOneEqualsDenseAllReduce) {
   options.density = 1.0;
   hitopk_comm(cluster, f.spans, elems, options, 0.0);
   expect_all_equal_reference(f);
+}
+
+// A density outside (0, 1] used to turn into a nonsense k: 2.0 selected
+// twice the shard, -0.5 wrapped k to ~1.8e19, NaN gave k = 2^63.
+TEST(SparseCollectives, DensityOutsideUnitIntervalRaisesConfigError) {
+  Topology topo = fabric(2, 2);
+  const size_t elems = 4096;
+  const struct {
+    double density;
+    int samplings;
+  } cases[] = {{0.0, 30},
+               {-0.5, 30},
+               {2.0, 30},
+               {std::numeric_limits<double>::quiet_NaN(), 30},
+               {0.01, 0},
+               {0.01, -3}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE("density " + std::to_string(c.density) + " samplings " +
+                 std::to_string(c.samplings));
+    Cluster cluster(topo);
+    HiTopKOptions hi;
+    hi.density = c.density;
+    hi.mstopk_samplings = c.samplings;
+    EXPECT_THROW(hitopk_comm(cluster, {}, elems, hi, 0.0), ConfigError);
+    if (c.samplings <= 0) continue;  // gTop-k runs no MSTopK
+    GtopkOptions gt;
+    gt.density = c.density;
+    EXPECT_THROW(gtopk_comm(cluster, {}, elems, gt, 0.0), ConfigError);
+  }
+  // The edges of the interval stay valid.
+  Cluster cluster(topo);
+  HiTopKOptions hi;
+  hi.density = 1.0;
+  EXPECT_NO_THROW(hitopk_comm(cluster, {}, elems, hi, 0.0));
+  GtopkOptions gt;
+  gt.density = 1.0;
+  EXPECT_NO_THROW(gtopk_comm(cluster, {}, elems, gt, 0.0));
 }
 
 TEST(HiTopKComm, AllRanksIdenticalResult) {

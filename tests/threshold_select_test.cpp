@@ -133,7 +133,7 @@ TEST(ThresholdSelect, SelectionBitIdenticalToNthElementReference) {
     for (size_t k : {size_t{1}, size_t{2}, d / 1000 + 1, d / 100 + 1, d / 10,
                      d - 1, d, d + 5}) {
       if (k == 0) continue;
-      const SparseTensor fast = select_topk(input.x.span(), k);
+      const SparseTensor fast = exact_topk(input.x.span(), k);
       const SparseTensor ref = select_topk_nth(input.x.span(), k);
       expect_bit_identical(fast, ref,
                            input.name + " k=" + std::to_string(k));
@@ -146,7 +146,7 @@ TEST(ThresholdSelect, ThresholdBitIdenticalToNthElementReference) {
   for (auto& input : adversarial_inputs()) {
     const size_t d = input.x.size();
     for (size_t k : {size_t{1}, d / 100 + 1, d / 10, d}) {
-      const float fast = topk_threshold(input.x.span(), k);
+      const float fast = exact_topk_threshold(input.x.span(), k);
       const float ref = topk_threshold_nth(input.x.span(), k);
       EXPECT_EQ(std::bit_cast<uint32_t>(fast), std::bit_cast<uint32_t>(ref))
           << input.name << " k=" << k;
@@ -157,8 +157,8 @@ TEST(ThresholdSelect, ThresholdBitIdenticalToNthElementReference) {
 TEST(ThresholdSelect, ThresholdMatchesKthSelectedMagnitude) {
   for (auto& input : adversarial_inputs()) {
     const size_t k = input.x.size() / 50 + 1;
-    const SparseTensor sel = select_topk(input.x.span(), k);
-    const float thres = topk_threshold(input.x.span(), k);
+    const SparseTensor sel = exact_topk(input.x.span(), k);
+    const float thres = exact_topk_threshold(input.x.span(), k);
     // The threshold is the smallest selected magnitude.
     float smallest = std::numeric_limits<float>::infinity();
     for (float v : sel.values) smallest = std::min(smallest, std::fabs(v));
@@ -178,9 +178,9 @@ TEST(ThresholdSelect, IdenticalAcrossThreadCounts) {
   const size_t k = x.size() / 500;
   const int previous = parallel_threads();
   set_parallel_threads(1);
-  const SparseTensor serial = select_topk(x.span(), k);
+  const SparseTensor serial = exact_topk(x.span(), k);
   set_parallel_threads(4);
-  const SparseTensor parallel = select_topk(x.span(), k);
+  const SparseTensor parallel = exact_topk(x.span(), k);
   set_parallel_threads(previous);
   expect_bit_identical(serial, parallel, "thread sweep");
 }
@@ -192,8 +192,8 @@ TEST(ThresholdSelect, EmptyAndZeroK) {
   x.fill_normal(rng, 0.0f, 1.0f);
   for (const auto& input : {empty.span(), x.span()}) {
     const size_t k = input.empty() ? 5 : 0;
-    EXPECT_EQ(select_topk(input, k).nnz(), 0u);
-    EXPECT_EQ(topk_threshold(input, k), 0.0f);
+    EXPECT_EQ(exact_topk(input, k).nnz(), 0u);
+    EXPECT_EQ(exact_topk_threshold(input, k), 0.0f);
     EXPECT_EQ(select_topk_nth(input, k).nnz(), 0u);
     EXPECT_EQ(topk_threshold_nth(input, k), 0.0f);
   }

@@ -1,10 +1,11 @@
 // Fig. 10: convergence (held-out top-5 accuracy vs epoch) of Dense-SGD,
 // TopK-SGD, and MSTopK-SGD on the two CNN workloads.
 //
-// Substitution (DESIGN.md): real distributed SGD on synthetic Gaussian-
-// mixture classification stands in for ImageNet CNNs — per-worker gradients
-// are real, compression and error feedback are real, and aggregation goes
-// through the functional collectives (ring AR / NaiveAG / HiTopKComm).
+// Substitution ("Substitutions" in docs/REPRODUCING.md): real distributed
+// SGD on synthetic Gaussian-mixture classification stands in for ImageNet
+// CNNs — per-worker gradients are real, compression and error feedback are
+// real, and aggregation goes through the functional collectives (ring AR /
+// NaiveAG / HiTopKComm).
 // Expected shape: the three curves are nearly identical, with the sparse
 // variants a hair below dense (Table 2).
 //
@@ -201,7 +202,8 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Fig. 10: convergence of Dense/TopK/MSTopK-SGD "
                "(16 simulated workers, rho=0.01) ===\n";
-  std::cout << "(synthetic stand-in tasks; see DESIGN.md substitutions)\n\n";
+  std::cout << "(synthetic stand-in tasks; see Substitutions in "
+               "docs/REPRODUCING.md)\n\n";
 
   const ConvergenceAlgorithm algorithms[] = {ConvergenceAlgorithm::kDense,
                                              ConvergenceAlgorithm::kTopk,

@@ -11,9 +11,12 @@
 // BM_WireRoundTripFp16 times the fp16 wire codec per element.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "collectives/hitopkcomm.h"
 #include "compress/dgc_topk.h"
@@ -208,23 +211,33 @@ bool validate_and_report() {
   for (float v : selection.values) selected_mass += std::fabs(v);
   for (float v : exact.values) exact_mass += std::fabs(v);
 
-  auto mstopk_seconds = [&](compress::MsTopK& op) {
-    op.compress(x.span(), k);  // warm-up
-    const auto begin = clock::now();
-    for (int r = 0; r < 5; ++r) op.compress(x.span(), k);
-    return std::chrono::duration<double>(clock::now() - begin).count() / 5;
+  // Each operator's time is the median of 9 calls after one warm-up, and
+  // the two operators of a speedup alternate call by call: a busy host
+  // stretches a few calls, which moves a mean but not the median, and a
+  // load change mid-run hits both operators alike.
+  auto median_seconds_pair = [](auto&& fast, auto&& slow) {
+    fast();  // warm-up
+    slow();
+    std::array<double, 9> fast_s{}, slow_s{};
+    auto time_call = [](auto&& call) {
+      const auto begin = clock::now();
+      call();
+      return std::chrono::duration<double>(clock::now() - begin).count();
+    };
+    for (size_t r = 0; r < fast_s.size(); ++r) {
+      fast_s[r] = time_call(fast);
+      slow_s[r] = time_call(slow);
+    }
+    std::nth_element(fast_s.begin(), fast_s.begin() + 4, fast_s.end());
+    std::nth_element(slow_s.begin(), slow_s.begin() + 4, slow_s.end());
+    return std::pair{fast_s[4], slow_s[4]};
   };
-  const double hist_s = mstopk_seconds(hist);
-  const double legacy_s = mstopk_seconds(legacy);
-
-  auto topk_seconds = [&](auto select) {
-    select(x.span(), k);  // warm-up
-    const auto begin = clock::now();
-    for (int r = 0; r < 5; ++r) select(x.span(), k);
-    return std::chrono::duration<double>(clock::now() - begin).count() / 5;
-  };
-  const double topk_hist_s = topk_seconds(compress::exact_topk);
-  const double topk_nth_s = topk_seconds(compress::select_topk_nth);
+  const auto [hist_s, legacy_s] =
+      median_seconds_pair([&] { hist.compress(x.span(), k); },
+                          [&] { legacy.compress(x.span(), k); });
+  const auto [topk_hist_s, topk_nth_s] = median_seconds_pair(
+      [&] { compress::exact_topk(x.span(), k); },
+      [&] { compress::select_topk_nth(x.span(), k); });
   const compress::SparseTensor topk_ref =
       compress::select_topk_nth(x.span(), k);
   const bool topk_identical =

@@ -5,9 +5,10 @@
 //           VGG-19       92.19%        91.55%    91.94%   (top-5)
 //           Transformer  26.74         24.42     24.16    (BLEU)
 //
-// Substitution: synthetic stand-in tasks (DESIGN.md); the sequence task
-// reports token accuracy in place of BLEU.  The claim under reproduction is
-// the *ordering and gap*: sparse variants land within ~1-2 points of dense.
+// Substitution: synthetic stand-in tasks ("Substitutions" in
+// docs/REPRODUCING.md); the sequence task reports token accuracy in place of
+// BLEU.  The claim under reproduction is the *ordering and gap*: sparse
+// variants land within ~1-2 points of dense.
 #include <iostream>
 
 #include "core/table.h"

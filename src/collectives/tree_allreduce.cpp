@@ -159,18 +159,6 @@ void build_one_tree(Schedule& sched, const simnet::Topology& topo,
   }
 }
 
-double run_tree(simnet::Cluster& cluster, const RankData& data,
-                size_t half_begin, size_t half_elems,
-                const TreeOptions& options, double start, int tree) {
-  Schedule sched;
-  build_one_tree(sched, cluster.topology(), data, half_begin, half_elems,
-                 options, tree);
-  // An empty record (degenerate half or world) replays to `start`.
-  const double finish = sched.run_timing(cluster, start).finish;
-  sched.run_data();
-  return finish;
-}
-
 }  // namespace
 
 void build_tree_allreduce(Schedule& sched, const simnet::Topology& topo,
@@ -181,8 +169,8 @@ void build_tree_allreduce(Schedule& sched, const simnet::Topology& topo,
   check_data(world_group(topo), data, elems);
   const size_t half = elems / 2;
   // Tree 1's record follows tree 0's at strictly later steps, so the replay
-  // issues tree 0's sends first against fresh slots for both — the same
-  // port-clock sequence as the entry point's two sequential schedules.
+  // issues tree 0's sends first against fresh slots for both: the two trees
+  // start together and contend only through the cluster's ports.
   build_one_tree(sched, topo, data, 0, half, options, 0);
   build_one_tree(sched, topo, data, half, elems - half, options, 1);
 }
@@ -191,8 +179,6 @@ double tree_allreduce(simnet::Cluster& cluster, const Group& group,
                       const RankData& data, size_t elems,
                       const TreeOptions& options, double start) {
   const simnet::Topology& topo = cluster.topology();
-  HITOPK_VALIDATE(topo.uniform())
-      << "tree_allreduce's leader layout needs a uniform topology";
   // TreeAR is a whole-cluster collective (it is NCCL's All-Reduce): the
   // group must be the full world in rank order.
   HITOPK_VALIDATE(group.size() == static_cast<size_t>(topo.world_size()))
@@ -202,15 +188,12 @@ double tree_allreduce(simnet::Cluster& cluster, const Group& group,
     HITOPK_VALIDATE(group[i] == static_cast<int>(i))
         << "tree_allreduce group must be the full world in rank order";
   }
-  check_data(group, data, elems);
-  if (topo.world_size() <= 1) return start;
-
-  const size_t half = elems / 2;
-  const double done0 =
-      run_tree(cluster, data, 0, half, options, start, 0);
-  const double done1 =
-      run_tree(cluster, data, half, elems - half, options, start, 1);
-  return std::max(done0, done1);
+  Schedule sched;
+  build_tree_allreduce(sched, topo, data, elems, options);
+  // An empty record (degenerate world or halves) replays to `start`.
+  const double finish = sched.run_timing(cluster, start).finish;
+  sched.run_data();
+  return finish;
 }
 
 }  // namespace hitopk::coll

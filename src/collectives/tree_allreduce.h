@@ -27,10 +27,9 @@ double tree_allreduce(simnet::Cluster& cluster, const Group& group,
                       const TreeOptions& options, double start);
 
 // Records the whole collective — tree 0 over [0, elems/2), then tree 1 over
-// the rest — into one caller-owned schedule.  Replaying it is port-clock
-// identical to tree_allreduce's sequential two-tree execution (both trees
-// start from the same slot epoch; the replay issues tree 0's sends first,
-// exactly like the entry point).  Requires a uniform topology and operates
+// the rest — into one caller-owned schedule; tree_allreduce replays exactly
+// this record.  Both trees start from the same slot epoch and the replay
+// issues tree 0's sends first.  Requires a uniform topology and operates
 // on the full world in rank order; data may be empty for timing-only.
 // Exposed for the planner (collectives/planner.h).
 void build_tree_allreduce(Schedule& sched, const simnet::Topology& topo,

@@ -1,9 +1,9 @@
 // Dataset descriptors for the paper's workloads.
 //
-// Substitution note (DESIGN.md): the real ImageNet/WMT17 bytes are not
-// available, so datasets are described by their storage statistics — sample
-// counts and encoded/decoded sizes — which is everything the I/O subsystem's
-// behaviour depends on.
+// Substitution note ("Substitutions" in docs/REPRODUCING.md): the real
+// ImageNet/WMT17 bytes are not available, so datasets are described by their
+// storage statistics — sample counts and encoded/decoded sizes — which is
+// everything the I/O subsystem's behaviour depends on.
 #pragma once
 
 #include <cstddef>

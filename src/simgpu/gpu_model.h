@@ -1,9 +1,10 @@
 // Analytical V100 device cost model.
 //
-// Substitution for real GPU hardware (see DESIGN.md): every operator the
-// paper times on a V100 is described by its kernel-pass structure — how many
-// passes over how many bytes, and whether each pass is coalesced (streaming)
-// or irregular (sort/gather).  Time = sum over passes of
+// Substitution for real GPU hardware (see "Substitutions" in
+// docs/REPRODUCING.md): every operator the paper times on a V100 is
+// described by its kernel-pass structure — how many passes over how many
+// bytes, and whether each pass is coalesced (streaming) or irregular
+// (sort/gather).  Time = sum over passes of
 //     launch_latency + bytes_touched / (hbm_bandwidth * access_efficiency).
 //
 // This reproduces the architectural argument of Fig. 6: exact top-k needs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "autodiff/tape.h"
 #include "core/check.h"
@@ -22,90 +23,59 @@ ad::Tape& scratch_tape() {
   return tape;
 }
 
-// ------------------------------------------------------------ vision task
-struct ClassificationData {
-  Tensor x;  // n x dim
+// Held-out samples per evaluate() forward pass.  Each row's logits are
+// independent of the chunk it rides in, so the chunk size moves no bits; it
+// only sets how far every pool thread's tape grows (the bench/e2e training
+// runs peak ~60 MB lower at 256 rows than at 512).
+constexpr size_t kEvalChunk = 256;
+
+// One data split: `width` values per sample (features for the vision and CNN
+// tasks, token ids for the sequence task), row-major, plus one label each.
+template <typename Row>
+struct Split {
+  std::vector<Row> x;
   std::vector<int> y;
-  size_t classes = 0;
 };
 
-class MlpVisionTask : public ConvergenceTask {
+// The one implementation of the ConvergenceTask contract.  A stand-in
+// derives from it and supplies three things: its data generator (a row
+// filler passed to generate()), its segment table with init (add_segment,
+// sizing params_, init_normal), and its forward graph (forward()).  The
+// batch gather, input validation, gradient_at and evaluate live here once.
+template <typename Row>
+class SyntheticTask : public ConvergenceTask {
  public:
-  MlpVisionTask(uint64_t seed, std::string name, std::vector<size_t> hidden)
-      : name_(std::move(name)) {
-    // Gaussian mixture: class centers on a random sphere, isotropic noise
-    // sized so top-1 is hard but top-5 is reachable (mirroring ImageNet's
-    // top-5 metric head-room).  Train and test share the same centers.
-    Rng rng(seed);
-    Tensor centers(kClasses, kDim);
-    centers.fill_normal(rng, 0.0f, 1.0f);
-    auto fill = [&](ClassificationData& data, size_t samples) {
-      data.classes = kClasses;
-      data.x = Tensor(samples, kDim);
-      data.y.resize(samples);
-      for (size_t i = 0; i < samples; ++i) {
-        const size_t c = static_cast<size_t>(rng.uniform_index(kClasses));
-        data.y[i] = static_cast<int>(c);
-        for (size_t j = 0; j < kDim; ++j) {
-          data.x.at(i, j) =
-              centers.at(c, j) + static_cast<float>(rng.normal(0.0, kNoise));
-        }
-      }
-    };
-    fill(train_, kTrainSamples);
-    fill(test_, kTestSamples);
-
-    // Layer dimensions: dim -> hidden... -> classes.
-    std::vector<size_t> dims{kDim};
-    dims.insert(dims.end(), hidden.begin(), hidden.end());
-    dims.push_back(kClasses);
-    size_t total = 0;
-    for (size_t l = 0; l + 1 < dims.size(); ++l) {
-      segments_.push_back({"w" + std::to_string(l), total, dims[l] * dims[l + 1]});
-      total += dims[l] * dims[l + 1];
-      segments_.push_back({"b" + std::to_string(l), total, dims[l + 1]});
-      total += dims[l + 1];
-    }
-    dims_ = std::move(dims);
-    params_ = Tensor(total);
-    Rng init(seed + 1);
-    size_t seg = 0;
-    for (size_t l = 0; l + 1 < dims_.size(); ++l) {
-      // He initialization for the weights; zero biases.
-      const float scale =
-          std::sqrt(2.0f / static_cast<float>(dims_[l]));
-      auto w = params_.slice(segments_[seg].begin, segments_[seg].count);
-      for (auto& v : w) v = static_cast<float>(init.normal(0.0, scale));
-      seg += 2;
-    }
-  }
-
-  std::string name() const override { return name_; }
-  std::string quality_metric() const override { return "top-5 accuracy"; }
-  size_t train_size() const override { return kTrainSamples; }
-  size_t param_count() const override { return params_.size(); }
-  std::span<float> params() override { return params_.span(); }
-  const std::vector<LayerSegment>& segments() const override {
-    return segments_;
-  }
+  std::string name() const final { return name_; }
+  std::string quality_metric() const final { return metric_; }
+  size_t train_size() const final { return train_.y.size(); }
+  size_t param_count() const final { return params_.size(); }
+  std::span<float> params() final { return params_.span(); }
+  const std::vector<LayerSegment>& segments() const final { return segments_; }
 
   double gradient_at(std::span<const float> params,
                      std::span<const size_t> sample_indices,
-                     std::span<float> grad_out) override {
-    HITOPK_CHECK_EQ(grad_out.size(), params_.size());
-    HITOPK_CHECK_EQ(params.size(), params_.size());
-    tensor_ops::zero(grad_out);
+                     std::span<float> grad_out) final {
+    HITOPK_VALIDATE(params.size() == params_.size())
+        << "gradient_at got" << params.size() << "parameters, the task has"
+        << params_.size();
+    HITOPK_VALIDATE(grad_out.size() == params_.size())
+        << "gradient_at got a" << grad_out.size()
+        << "element gradient buffer, the task has" << params_.size()
+        << "parameters";
     const size_t b = sample_indices.size();
-    HITOPK_CHECK_GT(b, 0u);
+    HITOPK_VALIDATE(b > 0) << "gradient_at needs a non-empty batch";
     // Gather the batch into thread-local scratch (reused across calls).
-    Scratch<float> x(b * kDim);
+    Scratch<Row> x(b * width_);
     Scratch<int> y(b);
     for (size_t i = 0; i < b; ++i) {
       const size_t idx = sample_indices[i];
-      HITOPK_CHECK_LT(idx, kTrainSamples);
-      std::copy_n(&train_.x[idx * kDim], kDim, &x[i * kDim]);
+      HITOPK_VALIDATE(idx < train_.y.size())
+          << "sample index" << idx << "is outside the" << train_.y.size()
+          << "training samples";
+      std::copy_n(&train_.x[idx * width_], width_, &x[i * width_]);
       y[i] = train_.y[idx];
     }
+    tensor_ops::zero(grad_out);
     ad::Tape& tape = scratch_tape();
     const ad::VarId logits = forward(tape, params, x.span(), b, grad_out);
     const double loss = tape.softmax_cross_entropy(logits, y.span());
@@ -113,54 +83,156 @@ class MlpVisionTask : public ConvergenceTask {
     return loss;
   }
 
-  double evaluate() override {
-    const size_t n = kTestSamples;
-    // Chunked forward pass (no gradients); chunks are independent, so they
-    // run on the thread pool, each with its own scratch gather buffers.
-    const size_t chunk = 512;
-    const size_t num_chunks = (n + chunk - 1) / chunk;
+  double evaluate() final {
+    const size_t n = test_.y.size();
+    // Chunked forward pass (no gradients) straight over the held-out rows;
+    // chunks are independent, so they run on the thread pool.
+    const size_t num_chunks = (n + kEvalChunk - 1) / kEvalChunk;
     std::vector<size_t> correct(num_chunks, 0);
     const std::span<const float> params = params_.span();
+    const std::span<const Row> x(test_.x);
+    const std::span<const int> y(test_.y);
     parallel_for(0, num_chunks, [&](size_t c) {
-      const size_t begin = c * chunk;
-      const size_t count = std::min(chunk, n - begin);
-      Scratch<float> x(count * kDim);
-      Scratch<int> y(count);
-      for (size_t i = 0; i < count; ++i) {
-        std::copy_n(&test_.x[(begin + i) * kDim], kDim, &x[i * kDim]);
-        y[i] = test_.y[begin + i];
-      }
+      const size_t begin = c * kEvalChunk;
+      const size_t count = std::min(kEvalChunk, n - begin);
       ad::Tape& tape = scratch_tape();
-      const ad::VarId logits = forward(tape, params, x.span(), count, {});
-      correct[c] = ad::Tape::count_topk_correct(tape.value(logits), count,
-                                               kClasses, y.span(), 5);
+      const ad::VarId logits = forward(
+          tape, params, x.subspan(begin * width_, count * width_), count, {});
+      correct[c] = ad::Tape::count_topk_correct(
+          tape.value(logits), count, tape.cols(logits),
+          y.subspan(begin, count), topk_);
     });
     size_t total = 0;
     for (size_t c : correct) total += c;
     return static_cast<double>(total) / static_cast<double>(n);
   }
 
+ protected:
+  // `width` values per sample; quality is top-`topk` accuracy.
+  SyntheticTask(std::string name, std::string metric, size_t width,
+                size_t topk)
+      : name_(std::move(name)),
+        metric_(std::move(metric)),
+        width_(width),
+        topk_(topk) {}
+
+  // Fills the train then the test split with `train` and `test` samples: each sample
+  // draws its class from `rng`, then fill_row(class, row) writes its `width`
+  // values.
+  template <typename FillRow>
+  void generate(Rng& rng, size_t classes, size_t train, size_t test,
+                FillRow fill_row) {
+    for (auto [split, samples] : {std::pair{&train_, train},
+                                  std::pair{&test_, test}}) {
+      split->x.resize(samples * width_);
+      split->y.resize(samples);
+      for (size_t i = 0; i < samples; ++i) {
+        const size_t c = static_cast<size_t>(rng.uniform_index(classes));
+        split->y[i] = static_cast<int>(c);
+        fill_row(c, &split->x[i * width_]);
+      }
+    }
+  }
+
+  // Appends the next segment of the flat parameter vector; size params_ to
+  // the table's total once it is complete.
+  void add_segment(std::string seg_name, size_t count) {
+    segments_.push_back({std::move(seg_name), segment_total(), count});
+  }
+  size_t segment_total() const {
+    return segments_.empty() ? 0
+                             : segments_.back().begin + segments_.back().count;
+  }
+
+  // Draws segment `seg` from N(0, scale^2), element by element.
+  void init_normal(size_t seg, Rng& rng, float scale) {
+    const LayerSegment& s = segments_[seg];
+    for (float& v : params_.slice(s.begin, s.count)) {
+      v = static_cast<float>(rng.normal(0.0, scale));
+    }
+  }
+
+  // A rows x cols parameter leaf over segment `seg` of `params`; when grad is
+  // non-empty the leaf accumulates into the same slice of it.
+  ad::VarId param_leaf(ad::Tape& tape, std::span<const float> params,
+                       std::span<float> grad, size_t seg, size_t rows,
+                       size_t cols) const {
+    const LayerSegment& s = segments_[seg];
+    return tape.leaf(params.subspan(s.begin, s.count),
+                     grad.empty() ? std::span<float>{}
+                                  : grad.subspan(s.begin, s.count),
+                     rows, cols);
+  }
+
+  // Builds the forward graph of `batch` samples (rows of `x`) over the given
+  // flat parameters and returns the logits.
+  virtual ad::VarId forward(ad::Tape& tape, std::span<const float> params,
+                            std::span<const Row> x, size_t batch,
+                            std::span<float> grad) const = 0;
+
+  Tensor params_;
+
  private:
-  // Builds the forward graph over the given flat parameters; when grad is
-  // non-empty the parameter leaves accumulate into slices of it.
+  Split<Row> train_;
+  Split<Row> test_;
+  std::vector<LayerSegment> segments_;
+  std::string name_;
+  std::string metric_;
+  size_t width_;
+  size_t topk_;
+};
+
+// ------------------------------------------------------------ vision task
+class MlpVisionTask : public SyntheticTask<float> {
+ public:
+  MlpVisionTask(uint64_t seed, std::string name, std::vector<size_t> hidden)
+      : SyntheticTask(std::move(name), "top-5 accuracy", kDim, 5) {
+    HITOPK_VALIDATE(!hidden.empty())
+        << "make_vision_task needs at least one hidden layer";
+    for (size_t width : hidden) {
+      HITOPK_VALIDATE(width > 0)
+          << "make_vision_task hidden widths must be positive";
+    }
+    // Gaussian mixture: class centers on a random sphere, isotropic noise
+    // sized so top-1 is hard but top-5 is reachable (mirroring ImageNet's
+    // top-5 metric head-room).  Train and test share the same centers.
+    Rng rng(seed);
+    Tensor centers(kClasses, kDim);
+    centers.fill_normal(rng, 0.0f, 1.0f);
+    generate(rng, kClasses, kTrainSamples, kTestSamples,
+             [&](size_t c, float* row) {
+               for (size_t j = 0; j < kDim; ++j) {
+                 row[j] = centers.at(c, j) +
+                          static_cast<float>(rng.normal(0.0, kNoise));
+               }
+             });
+
+    // Layer dimensions: dim -> hidden... -> classes.
+    dims_.push_back(kDim);
+    dims_.insert(dims_.end(), hidden.begin(), hidden.end());
+    dims_.push_back(kClasses);
+    for (size_t l = 0; l + 1 < dims_.size(); ++l) {
+      add_segment("w" + std::to_string(l), dims_[l] * dims_[l + 1]);
+      add_segment("b" + std::to_string(l), dims_[l + 1]);
+    }
+    params_ = Tensor(segment_total());
+    Rng init(seed + 1);
+    for (size_t l = 0; l + 1 < dims_.size(); ++l) {
+      // He initialization for the weights; zero biases.
+      init_normal(2 * l, init, std::sqrt(2.0f / static_cast<float>(dims_[l])));
+    }
+  }
+
+ private:
   ad::VarId forward(ad::Tape& tape, std::span<const float> params,
                     std::span<const float> x, size_t batch,
-                    std::span<float> grad) {
-    const ad::VarId input = tape.leaf(x, {}, batch, kDim);
-    ad::VarId h = input;
-    size_t seg = 0;
+                    std::span<float> grad) const override {
+    ad::VarId h = tape.leaf(x, {}, batch, kDim);
     for (size_t l = 0; l + 1 < dims_.size(); ++l) {
-      const LayerSegment& ws = segments_[seg];
-      const LayerSegment& bs = segments_[seg + 1];
-      seg += 2;
-      auto w_val = params.subspan(ws.begin, ws.count);
-      auto b_val = params.subspan(bs.begin, bs.count);
-      std::span<float> w_grad =
-          grad.empty() ? std::span<float>{} : grad.subspan(ws.begin, ws.count);
-      std::span<float> b_grad =
-          grad.empty() ? std::span<float>{} : grad.subspan(bs.begin, bs.count);
-      const ad::VarId w = tape.leaf(w_val, w_grad, dims_[l], dims_[l + 1]);
-      const ad::VarId bias = tape.leaf(b_val, b_grad, 1, dims_[l + 1]);
+      const ad::VarId w =
+          param_leaf(tape, params, grad, 2 * l, dims_[l], dims_[l + 1]);
+      const ad::VarId bias =
+          param_leaf(tape, params, grad, 2 * l + 1, 1, dims_[l + 1]);
       // Hidden layers fuse the bias add with the ReLU clamp.
       h = l + 2 < dims_.size() ? tape.add_bias_relu(tape.matmul(h, w), bias)
                                : tape.add_bias(tape.matmul(h, w), bias);
@@ -174,157 +246,53 @@ class MlpVisionTask : public ConvergenceTask {
   static constexpr size_t kTestSamples = 2048;
   static constexpr double kNoise = 2.20;
 
-  std::string name_;
-  ClassificationData train_;
-  ClassificationData test_;
   std::vector<size_t> dims_;
-  Tensor params_;
-  std::vector<LayerSegment> segments_;
 };
 
 // ------------------------------------------------------------ seq task
-struct SequenceData {
-  std::vector<int> tokens;  // n * seq_len
-  std::vector<int> y;
-  size_t seq_len = 0;
-  size_t classes = 0;
-  size_t vocab = 0;
-};
-
 // Class-conditional unigram sequences: class c emits tokens mostly from its
 // own slice of the vocabulary, with uniform noise mixed in.
-SequenceData make_unigram_sequences(size_t classes, size_t vocab,
-                                    size_t seq_len, size_t samples,
-                                    double noise_prob, Rng& rng) {
-  SequenceData data;
-  data.seq_len = seq_len;
-  data.classes = classes;
-  data.vocab = vocab;
-  data.tokens.resize(samples * seq_len);
-  data.y.resize(samples);
-  const size_t slice = vocab / classes;
-  for (size_t i = 0; i < samples; ++i) {
-    const size_t c = static_cast<size_t>(rng.uniform_index(classes));
-    data.y[i] = static_cast<int>(c);
-    for (size_t t = 0; t < seq_len; ++t) {
-      int token;
-      if (rng.uniform() < noise_prob) {
-        token = static_cast<int>(rng.uniform_index(vocab));
-      } else {
-        token = static_cast<int>(c * slice + rng.uniform_index(slice));
-      }
-      data.tokens[i * seq_len + t] = token;
-    }
-  }
-  return data;
-}
-
-class SeqTask : public ConvergenceTask {
+class SeqTask : public SyntheticTask<int> {
  public:
-  explicit SeqTask(uint64_t seed, std::string name) : name_(std::move(name)) {
+  SeqTask(uint64_t seed, std::string name)
+      : SyntheticTask(std::move(name), "token accuracy", kSeqLen, 1) {
     Rng rng(seed);
-    train_ = make_unigram_sequences(kClasses, kVocab, kSeqLen, kTrainSamples,
-                                    kNoise, rng);
-    test_ = make_unigram_sequences(kClasses, kVocab, kSeqLen, kTestSamples,
-                                   kNoise, rng);
-    size_t total = 0;
-    segments_.push_back({"embedding", total, kVocab * kWidth});
-    total += kVocab * kWidth;
-    segments_.push_back({"w1", total, kWidth * kHidden});
-    total += kWidth * kHidden;
-    segments_.push_back({"b1", total, kHidden});
-    total += kHidden;
-    segments_.push_back({"w2", total, kHidden * kClasses});
-    total += kHidden * kClasses;
-    segments_.push_back({"b2", total, kClasses});
-    total += kClasses;
-    params_ = Tensor(total);
+    const size_t slice = kVocab / kClasses;
+    generate(rng, kClasses, kTrainSamples, kTestSamples,
+             [&](size_t c, int* tokens) {
+               for (size_t t = 0; t < kSeqLen; ++t) {
+                 tokens[t] = static_cast<int>(
+                     rng.uniform() < kNoise
+                         ? rng.uniform_index(kVocab)
+                         : c * slice + rng.uniform_index(slice));
+               }
+             });
+
+    add_segment("embedding", kVocab * kWidth);
+    add_segment("w1", kWidth * kHidden);
+    add_segment("b1", kHidden);
+    add_segment("w2", kHidden * kClasses);
+    add_segment("b2", kClasses);
+    params_ = Tensor(segment_total());
     Rng init(seed + 1);
-    for (const auto& seg : segments_) {
-      if (seg.name[0] == 'b') continue;
-      const float scale = seg.name == "embedding"
-                              ? 0.5f
-                              : std::sqrt(2.0f / static_cast<float>(kWidth));
-      auto w = params_.slice(seg.begin, seg.count);
-      for (auto& v : w) v = static_cast<float>(init.normal(0.0, scale));
-    }
-  }
-
-  std::string name() const override { return name_; }
-  std::string quality_metric() const override { return "token accuracy"; }
-  size_t train_size() const override { return kTrainSamples; }
-  size_t param_count() const override { return params_.size(); }
-  std::span<float> params() override { return params_.span(); }
-  const std::vector<LayerSegment>& segments() const override {
-    return segments_;
-  }
-
-  double gradient_at(std::span<const float> params,
-                     std::span<const size_t> sample_indices,
-                     std::span<float> grad_out) override {
-    HITOPK_CHECK_EQ(grad_out.size(), params_.size());
-    HITOPK_CHECK_EQ(params.size(), params_.size());
-    tensor_ops::zero(grad_out);
-    const size_t b = sample_indices.size();
-    ad::Tape& tape = scratch_tape();
-    Scratch<int> y(b);
-    const ad::VarId logits =
-        forward(tape, params, train_, sample_indices, grad_out, y.span());
-    const double loss = tape.softmax_cross_entropy(logits, y.span());
-    tape.backward();
-    return loss;
-  }
-
-  double evaluate() override {
-    const size_t chunk = 512;
-    const size_t num_chunks = (kTestSamples + chunk - 1) / chunk;
-    std::vector<size_t> correct(num_chunks, 0);
-    const std::span<const float> params = params_.span();
-    parallel_for(0, num_chunks, [&](size_t c) {
-      const size_t begin = c * chunk;
-      const size_t count = std::min(chunk, kTestSamples - begin);
-      Scratch<size_t> idx(count);
-      Scratch<int> y(count);
-      for (size_t i = 0; i < count; ++i) idx[i] = begin + i;
-      ad::Tape& tape = scratch_tape();
-      const ad::VarId logits =
-          forward(tape, params, test_, idx.span(), {}, y.span());
-      correct[c] = ad::Tape::count_topk_correct(tape.value(logits), count,
-                                               kClasses, y.span(), 1);
-    });
-    size_t total = 0;
-    for (size_t c : correct) total += c;
-    return static_cast<double>(total) / static_cast<double>(kTestSamples);
+    const float he = std::sqrt(2.0f / static_cast<float>(kWidth));
+    init_normal(0, init, 0.5f);  // embedding; zero biases
+    init_normal(1, init, he);
+    init_normal(3, init, he);
   }
 
  private:
   ad::VarId forward(ad::Tape& tape, std::span<const float> params,
-                    const SequenceData& data, std::span<const size_t> indices,
-                    std::span<float> grad, std::span<int> labels_out) {
-    const size_t b = indices.size();
-    Scratch<int> ids(b * kSeqLen);
-    for (size_t i = 0; i < b; ++i) {
-      std::copy_n(&data.tokens[indices[i] * kSeqLen], kSeqLen,
-                  &ids[i * kSeqLen]);
-      labels_out[i] = data.y[indices[i]];
-    }
-    auto leaf_of = [&](size_t seg_index, size_t rows, size_t cols) {
-      const LayerSegment& seg = segments_[seg_index];
-      auto value = params.subspan(seg.begin, seg.count);
-      std::span<float> g = grad.empty()
-                               ? std::span<float>{}
-                               : grad.subspan(seg.begin, seg.count);
-      return tape.leaf(value, g, rows, cols);
-    };
-    const ad::VarId table = leaf_of(0, kVocab, kWidth);
-    const ad::VarId embedded =
-        tape.embedding(table, std::span<const int>(ids.span()));
+                    std::span<const int> ids, size_t,
+                    std::span<float> grad) const override {
+    const ad::VarId table = param_leaf(tape, params, grad, 0, kVocab, kWidth);
+    const ad::VarId embedded = tape.embedding(table, ids);
     const ad::VarId pooled = tape.mean_pool(embedded, kSeqLen);
-    const ad::VarId w1 = leaf_of(1, kWidth, kHidden);
-    const ad::VarId b1 = leaf_of(2, 1, kHidden);
+    const ad::VarId w1 = param_leaf(tape, params, grad, 1, kWidth, kHidden);
+    const ad::VarId b1 = param_leaf(tape, params, grad, 2, 1, kHidden);
     const ad::VarId h = tape.add_bias_relu(tape.matmul(pooled, w1), b1);
-    const ad::VarId w2 = leaf_of(3, kHidden, kClasses);
-    const ad::VarId b2 = leaf_of(4, 1, kClasses);
+    const ad::VarId w2 = param_leaf(tape, params, grad, 3, kHidden, kClasses);
+    const ad::VarId b2 = param_leaf(tape, params, grad, 4, 1, kClasses);
     return tape.add_bias(tape.matmul(h, w2), b2);
   }
 
@@ -336,18 +304,13 @@ class SeqTask : public ConvergenceTask {
   static constexpr size_t kTrainSamples = 8192;
   static constexpr size_t kTestSamples = 2048;
   static constexpr double kNoise = 0.82;
-
-  std::string name_;
-  SequenceData train_;
-  SequenceData test_;
-  Tensor params_;
-  std::vector<LayerSegment> segments_;
 };
 
 // ------------------------------------------------------------ CNN task
-class CnnTask : public ConvergenceTask {
+class CnnTask : public SyntheticTask<float> {
  public:
-  explicit CnnTask(uint64_t seed, std::string name) : name_(std::move(name)) {
+  CnnTask(uint64_t seed, std::string name)
+      : SyntheticTask(std::move(name), "top-1 accuracy", kPixels, 1) {
     // Class motifs: distinct 3x3 binary stamps.
     const uint16_t motifs[kClasses] = {
         0b000111000,  // horizontal bar
@@ -360,128 +323,53 @@ class CnnTask : public ConvergenceTask {
         0b101010101,  // checkers
     };
     Rng rng(seed);
-    auto fill = [&](Tensor& x, std::vector<int>& y, size_t samples) {
-      x = Tensor(samples, kPixels);
-      y.resize(samples);
-      for (size_t i = 0; i < samples; ++i) {
-        const size_t c = static_cast<size_t>(rng.uniform_index(kClasses));
-        y[i] = static_cast<int>(c);
-        float* img = &x[i * kPixels];
-        for (size_t p = 0; p < kPixels; ++p) {
-          img[p] = static_cast<float>(rng.normal(0.0, kNoise));
-        }
-        // Stamp the motif at a random interior position.
-        const size_t oy = 1 + rng.uniform_index(kSide - 3);
-        const size_t ox = 1 + rng.uniform_index(kSide - 3);
-        for (int ky = 0; ky < 3; ++ky) {
-          for (int kx = 0; kx < 3; ++kx) {
-            if (motifs[c] >> (8 - (ky * 3 + kx)) & 1) {
-              img[(oy + static_cast<size_t>(ky) - 1) * kSide + ox +
-                  static_cast<size_t>(kx) - 1] += 3.0f;
-            }
-          }
-        }
-      }
-    };
-    fill(train_x_, train_y_, kTrainSamples);
-    fill(test_x_, test_y_, kTestSamples);
+    generate(rng, kClasses, kTrainSamples, kTestSamples,
+             [&](size_t c, float* img) {
+               for (size_t p = 0; p < kPixels; ++p) {
+                 img[p] = static_cast<float>(rng.normal(0.0, kNoise));
+               }
+               // Stamp the motif at a random interior position.
+               const size_t oy = 1 + rng.uniform_index(kSide - 3);
+               const size_t ox = 1 + rng.uniform_index(kSide - 3);
+               for (size_t ky = 0; ky < 3; ++ky) {
+                 for (size_t kx = 0; kx < 3; ++kx) {
+                   if (motifs[c] >> (8 - (ky * 3 + kx)) & 1) {
+                     img[(oy + ky - 1) * kSide + ox + kx - 1] += 3.0f;
+                   }
+                 }
+               }
+             });
 
-    size_t total = 0;
-    auto segment = [&](const char* seg_name, size_t count) {
-      segments_.push_back({seg_name, total, count});
-      total += count;
-    };
-    segment("conv1.w", kChannels * 1 * 9);
-    segment("conv2.w", kChannels * kChannels * 9);
-    segment("fc.w", kChannels * kClasses);
-    segment("fc.b", kClasses);
-    params_ = Tensor(total);
+    add_segment("conv1.w", kChannels * 1 * 9);
+    add_segment("conv2.w", kChannels * kChannels * 9);
+    add_segment("fc.w", kChannels * kClasses);
+    add_segment("fc.b", kClasses);
+    params_ = Tensor(segment_total());
     Rng init(seed + 1);
-    for (size_t s = 0; s < 3; ++s) {  // He-style init for the weights
-      auto w = params_.slice(segments_[s].begin, segments_[s].count);
-      const float scale = s < 2 ? 0.35f : 0.4f;
-      for (auto& v : w) v = static_cast<float>(init.normal(0.0, scale));
-    }
-  }
-
-  std::string name() const override { return name_; }
-  std::string quality_metric() const override { return "top-1 accuracy"; }
-  size_t train_size() const override { return kTrainSamples; }
-  size_t param_count() const override { return params_.size(); }
-  std::span<float> params() override { return params_.span(); }
-  const std::vector<LayerSegment>& segments() const override {
-    return segments_;
-  }
-
-  double gradient_at(std::span<const float> params,
-                     std::span<const size_t> sample_indices,
-                     std::span<float> grad_out) override {
-    HITOPK_CHECK_EQ(grad_out.size(), params_.size());
-    HITOPK_CHECK_EQ(params.size(), params_.size());
-    tensor_ops::zero(grad_out);
-    const size_t b = sample_indices.size();
-    Scratch<float> x(b * kPixels);
-    Scratch<int> y(b);
-    for (size_t i = 0; i < b; ++i) {
-      std::copy_n(&train_x_[sample_indices[i] * kPixels], kPixels,
-                  &x[i * kPixels]);
-      y[i] = train_y_[sample_indices[i]];
-    }
-    ad::Tape& tape = scratch_tape();
-    const ad::VarId logits = forward(tape, params, x.span(), b, grad_out);
-    const double loss = tape.softmax_cross_entropy(logits, y.span());
-    tape.backward();
-    return loss;
-  }
-
-  double evaluate() override {
-    const size_t chunk = 256;
-    const size_t num_chunks = (kTestSamples + chunk - 1) / chunk;
-    std::vector<size_t> correct(num_chunks, 0);
-    const std::span<const float> params = params_.span();
-    parallel_for(0, num_chunks, [&](size_t c) {
-      const size_t begin = c * chunk;
-      const size_t count = std::min(chunk, kTestSamples - begin);
-      Scratch<float> x(count * kPixels);
-      Scratch<int> y(count);
-      for (size_t i = 0; i < count; ++i) {
-        std::copy_n(&test_x_[(begin + i) * kPixels], kPixels, &x[i * kPixels]);
-        y[i] = test_y_[begin + i];
-      }
-      ad::Tape& tape = scratch_tape();
-      const ad::VarId logits = forward(tape, params, x.span(), count, {});
-      correct[c] = ad::Tape::count_topk_correct(tape.value(logits), count,
-                                               kClasses, y.span(), 1);
-    });
-    size_t total = 0;
-    for (size_t c : correct) total += c;
-    return static_cast<double>(total) / static_cast<double>(kTestSamples);
+    // He-style init for the weights; zero bias.
+    init_normal(0, init, 0.35f);
+    init_normal(1, init, 0.35f);
+    init_normal(2, init, 0.4f);
   }
 
  private:
   ad::VarId forward(ad::Tape& tape, std::span<const float> params,
                     std::span<const float> x, size_t batch,
-                    std::span<float> grad) {
-    auto leaf_of = [&](size_t seg_index, size_t rows, size_t cols) {
-      const LayerSegment& seg = segments_[seg_index];
-      auto value = params.subspan(seg.begin, seg.count);
-      std::span<float> g = grad.empty()
-                               ? std::span<float>{}
-                               : grad.subspan(seg.begin, seg.count);
-      return tape.leaf(value, g, rows, cols);
-    };
+                    std::span<float> grad) const override {
     const ad::VarId input = tape.leaf(x, {}, batch, kPixels);
-    const ad::VarId w1 = leaf_of(0, kChannels, 9);
-    const ad::VarId h1 = tape.relu(
-        tape.conv2d(input, w1, 1, kSide, kSide, kChannels, 3));
-    const ad::VarId w2 = leaf_of(1, kChannels, kChannels * 9);
+    const ad::VarId w1 = param_leaf(tape, params, grad, 0, kChannels, 9);
+    const ad::VarId h1 =
+        tape.relu(tape.conv2d(input, w1, 1, kSide, kSide, kChannels, 3));
+    const ad::VarId w2 =
+        param_leaf(tape, params, grad, 1, kChannels, kChannels * 9);
     const ad::VarId h2 = tape.relu(
         tape.conv2d(h1, w2, kChannels, kSide, kSide, kChannels, 3));
     // Global average pooling makes the head translation invariant — the
     // motif can appear anywhere in the canvas.
     const ad::VarId pooled = tape.channel_pool(h2, kChannels);
-    const ad::VarId fc_w = leaf_of(2, kChannels, kClasses);
-    const ad::VarId fc_b = leaf_of(3, 1, kClasses);
+    const ad::VarId fc_w =
+        param_leaf(tape, params, grad, 2, kChannels, kClasses);
+    const ad::VarId fc_b = param_leaf(tape, params, grad, 3, 1, kClasses);
     return tape.add_bias(tape.matmul(pooled, fc_w), fc_b);
   }
 
@@ -492,14 +380,6 @@ class CnnTask : public ConvergenceTask {
   static constexpr size_t kTrainSamples = 4096;
   static constexpr size_t kTestSamples = 1024;
   static constexpr double kNoise = 0.55;
-
-  std::string name_;
-  Tensor train_x_;
-  Tensor test_x_;
-  std::vector<int> train_y_;
-  std::vector<int> test_y_;
-  Tensor params_;
-  std::vector<LayerSegment> segments_;
 };
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Synthetic convergence tasks (substitution for ImageNet / WMT17; see
-// DESIGN.md).
+// "Substitutions" in docs/REPRODUCING.md).
 //
 // The paper's Fig. 10 / Table 2 claims are about the *relative* convergence
 // of Dense-SGD vs TopK-SGD vs MSTopK-SGD, which depends on gradient

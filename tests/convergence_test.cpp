@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "core/check.h"
 #include "train/convergence.h"
@@ -105,6 +107,40 @@ TEST(SyntheticTasks, CnnTaskShape) {
   const double q = task->evaluate();
   EXPECT_GT(q, 0.03);
   EXPECT_LT(q, 0.35);
+}
+
+// Bad task input stops with a recoverable ConfigError in every task: no
+// out-of-bounds read of the training split, no NaN loss from an empty batch,
+// no internal CheckError, and no constant model from a zero-width layer.
+TEST(SyntheticTasks, BadInputRaisesConfigError) {
+  enum Call { kIndexAtTrainSize, kEmptyBatch, kShortParams, kLongGrad };
+  const char* what[] = {"index == train_size()", "empty batch",
+                        "short params", "long grad_out"};
+  const std::unique_ptr<ConvergenceTask> tasks[] = {
+      make_vision_task(3), make_sequence_task(3), make_cnn_task(3)};
+  for (const auto& task : tasks) {
+    for (Call call : {kIndexAtTrainSize, kEmptyBatch, kShortParams,
+                      kLongGrad}) {
+      std::vector<float> params(task->params().begin(),
+                                task->params().end());
+      std::vector<float> grad(task->param_count());
+      std::vector<size_t> batch{0, 1};
+      switch (call) {
+        case kIndexAtTrainSize: batch[1] = task->train_size(); break;
+        case kEmptyBatch: batch.clear(); break;
+        case kShortParams: params.pop_back(); break;
+        case kLongGrad: grad.push_back(0.0f); break;
+      }
+      EXPECT_THROW(task->gradient_at(params, batch, grad), ConfigError)
+          << task->name() << ": " << what[call];
+    }
+  }
+
+  const std::vector<size_t> bad_hidden[] = {{}, {0}, {64, 0}};
+  for (const auto& hidden : bad_hidden) {
+    EXPECT_THROW(make_vision_task(1, "x", hidden), ConfigError)
+        << hidden.size() << " hidden layers";
+  }
 }
 
 // ------------------------------------------------------------ harness

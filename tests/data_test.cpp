@@ -209,7 +209,7 @@ TEST(DataCache, HigherResolutionCostsMoreAugment) {
 
 TEST(DataCache, Fig9IoTimesInCalibratedRange) {
   // Naive path ~0.05 s and cached path <= 0.01 s per 256-batch at 96^2
-  // (see the Fig. 9 discussion in DESIGN.md).
+  // (see "Substitutions" in docs/REPRODUCING.md).
   DataCache cache(small_config());
   const auto ids = batch_ids(0, 256);
   const double cold = cache.fetch_batch(ids, 96).seconds;

@@ -9,9 +9,10 @@
 #include "collectives/param_server.h"
 #include "collectives/torus2d.h"
 #include "collectives/tree_allreduce.h"
+#include "core/cli.h"
 #include "core/table.h"
 
-int main() {
+int run() {
   using hitopk::TablePrinter;
   using namespace hitopk::coll;
   using hitopk::simnet::Cluster;
@@ -83,3 +84,5 @@ int main() {
                "hierarchical schemes close most of the gap).\n";
   return 0;
 }
+
+int main() { return hitopk::run_main(run); }

@@ -7,12 +7,13 @@
 #include <iostream>
 
 #include "collectives/hitopkcomm.h"
+#include "core/cli.h"
 #include "core/table.h"
 #include "simgpu/gpu_model.h"
 #include "train/convergence.h"
 #include "train/synthetic.h"
 
-int main() {
+int run() {
   using hitopk::TablePrinter;
   using namespace hitopk;
 
@@ -61,3 +62,5 @@ int main() {
                "quality saturates,\njustifying the paper's small rho.\n";
   return 0;
 }
+
+int main() { return hitopk::run_main(run); }

@@ -4,10 +4,11 @@
 // latency; huge buckets serialize communication after backprop.
 #include <iostream>
 
+#include "core/cli.h"
 #include "core/table.h"
 #include "train/timeline.h"
 
-int main() {
+int run() {
   using hitopk::TablePrinter;
   using namespace hitopk::train;
 
@@ -49,3 +50,5 @@ int main() {
                "where Horovod's default sits.\n";
   return 0;
 }
+
+int main() { return hitopk::run_main(run); }

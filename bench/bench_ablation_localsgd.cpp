@@ -3,11 +3,12 @@
 // period H and compares against MSTopK-SGD at matched communication budget.
 #include <iostream>
 
+#include "core/cli.h"
 #include "core/table.h"
 #include "train/convergence.h"
 #include "train/synthetic.h"
 
-int main() {
+int run() {
   using hitopk::TablePrinter;
   using namespace hitopk::train;
 
@@ -48,3 +49,5 @@ int main() {
                "the same per-iteration synchronization semantics.\n";
   return 0;
 }
+
+int main() { return hitopk::run_main(run); }

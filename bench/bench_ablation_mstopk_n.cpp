@@ -8,12 +8,13 @@
 
 #include "compress/exact_topk.h"
 #include "compress/mstopk.h"
+#include "core/cli.h"
 #include "core/rng.h"
 #include "core/table.h"
 #include "core/tensor.h"
 #include "simgpu/gpu_model.h"
 
-int main() {
+int run() {
   using hitopk::TablePrinter;
   using namespace hitopk;
 
@@ -53,3 +54,5 @@ int main() {
                "from N = 15 on repeat.\n";
   return 0;
 }
+
+int main() { return hitopk::run_main(run); }

@@ -6,6 +6,7 @@
 // 30 ms -> 14 ms ("about 2x speedups").
 #include <iostream>
 
+#include "core/cli.h"
 #include "core/rng.h"
 #include "core/table.h"
 #include "models/calibration.h"
@@ -14,7 +15,7 @@
 #include "pto/pto.h"
 #include "simnet/cluster.h"
 
-int main() {
+int run() {
   using hitopk::TablePrinter;
   using namespace hitopk;
 
@@ -67,3 +68,5 @@ int main() {
             << mismatches << " mismatches (expected 0).\n";
   return 0;
 }
+
+int main() { return hitopk::run_main(run); }

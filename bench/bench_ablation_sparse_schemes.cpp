@@ -7,11 +7,12 @@
 #include "collectives/gtopk.h"
 #include "collectives/hitopkcomm.h"
 #include "collectives/naive_allgather.h"
+#include "core/cli.h"
 #include "core/table.h"
 #include "train/convergence.h"
 #include "train/synthetic.h"
 
-int main() {
+int run() {
   using hitopk::TablePrinter;
   using namespace hitopk;
 
@@ -74,3 +75,5 @@ int main() {
                "thanks to the NVLink hierarchy.\n";
   return 0;
 }
+
+int main() { return hitopk::run_main(run); }

@@ -10,11 +10,12 @@
 // fault scenarios use.
 #include <iostream>
 
+#include "core/cli.h"
 #include "core/table.h"
 #include "train/scenario.h"
 #include "train/timeline.h"
 
-int main() {
+int run() {
   using hitopk::TablePrinter;
   using namespace hitopk::train;
 
@@ -90,3 +91,5 @@ int main() {
                "algorithm-\nagnostic.\n";
   return 0;
 }
+
+int main() { return hitopk::run_main(run); }

@@ -7,10 +7,11 @@
 // of the iteration.
 #include <iostream>
 
+#include "core/cli.h"
 #include "core/table.h"
 #include "train/timeline.h"
 
-int main() {
+int run() {
   using hitopk::TablePrinter;
   using namespace hitopk::train;
 
@@ -49,3 +50,5 @@ int main() {
                "forward+backward pass itself).\n";
   return 0;
 }
+
+int main() { return hitopk::run_main(run); }

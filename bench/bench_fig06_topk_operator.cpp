@@ -16,6 +16,7 @@
 #include "compress/dgc_topk.h"
 #include "compress/exact_topk.h"
 #include "compress/mstopk.h"
+#include "core/cli.h"
 #include "core/rng.h"
 #include "core/table.h"
 #include "core/tensor.h"
@@ -35,7 +36,7 @@ double cpu_seconds(hitopk::compress::Compressor& compressor,
 
 }  // namespace
 
-int main() {
+int run() {
   using hitopk::TablePrinter;
   std::cout << "=== Fig. 6: top-k operator time (k = 0.001 * d, N = 30 "
                "samplings) ===\n\n";
@@ -85,3 +86,5 @@ int main() {
                "paper-literal N-pass binary search (validation reference).\n";
   return 0;
 }
+
+int main() { return hitopk::run_main(run); }

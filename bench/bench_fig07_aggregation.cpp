@@ -41,6 +41,7 @@
 #include "collectives/ring.h"
 #include "collectives/torus2d.h"
 #include "collectives/tree_allreduce.h"
+#include "core/cli.h"
 #include "core/flags.h"
 #include "core/rng.h"
 #include "core/table.h"
@@ -380,7 +381,7 @@ void write_json(const std::string& path, const std::vector<SimRow>& small,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const Flags flags(argc, argv);
   const size_t functional_elems = static_cast<size_t>(
       flags.get_int("functional_elems", 1 << 20));
@@ -484,4 +485,8 @@ int main(int argc, char** argv) {
                planner_rows, functional, functional_elems, reps);
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hitopk::run_main([&] { return run(argc, argv); });
 }

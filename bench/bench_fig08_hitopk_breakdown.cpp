@@ -8,10 +8,11 @@
 #include <iostream>
 
 #include "collectives/hitopkcomm.h"
+#include "core/cli.h"
 #include "core/table.h"
 #include "simgpu/gpu_model.h"
 
-int main() {
+int run() {
   using hitopk::TablePrinter;
   using namespace hitopk::coll;
   using hitopk::simnet::Cluster;
@@ -79,3 +80,5 @@ int main() {
                "AllGather legs by ~25%.\n";
   return 0;
 }
+
+int main() { return hitopk::run_main(run); }

@@ -6,12 +6,13 @@
 #include <iostream>
 #include <numeric>
 
+#include "core/cli.h"
 #include "core/table.h"
 #include "data/datacache.h"
 #include "models/perf_model.h"
 #include "core/table.h"
 
-int main() {
+int run() {
   using hitopk::TablePrinter;
   using namespace hitopk::data;
 
@@ -68,3 +69,5 @@ int main() {
             << TablePrinter::fmt(second_run, 4) << " s\n";
   return 0;
 }
+
+int main() { return hitopk::run_main(run); }

@@ -29,6 +29,7 @@
 #include <iomanip>
 #include <iostream>
 
+#include "core/cli.h"
 #include "core/flags.h"
 #include "core/table.h"
 #include "simnet/fault.h"
@@ -189,7 +190,7 @@ int run_faults_panel(const hitopk::Flags& flags) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using hitopk::TablePrinter;
   using namespace hitopk::train;
 
@@ -293,4 +294,8 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected: near-identical curves; sparse variants within a "
                "point or two of dense at the end (Table 2).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hitopk::run_main([&] { return run(argc, argv); });
 }

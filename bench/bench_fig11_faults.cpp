@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cli.h"
 #include "core/flags.h"
 #include "core/table.h"
 #include "train/scenario.h"
@@ -49,7 +50,7 @@ struct Row {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const Flags flags(argc, argv);
   const int iterations = flags.get_int("iterations", 2000);
   const uint64_t seed = static_cast<uint64_t>(flags.get_int("seed", 42));
@@ -200,4 +201,8 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hitopk::run_main([&] { return run(argc, argv); });
 }

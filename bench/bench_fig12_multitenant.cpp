@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cli.h"
 #include "core/flags.h"
 #include "core/table.h"
 #include "simnet/job_scheduler.h"
@@ -53,7 +54,7 @@ uint64_t default_seed() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const Flags flags(argc, argv);
   const int jobs = flags.get_int("jobs", 120);
   const uint64_t seed = static_cast<uint64_t>(
@@ -196,4 +197,8 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hitopk::run_main([&] { return run(argc, argv); });
 }

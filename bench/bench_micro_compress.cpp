@@ -8,7 +8,9 @@
 // quality validation of the histogram variant (exactly k selected, magnitude
 // -mass overlap vs exact top-k) so the speedup numbers are read alongside
 // proof that the fast path still selects the right elements.
-// BM_WireRoundTripFp16 times the fp16 wire codec per element.
+// BM_WireRoundTripFp16 times the fp16 wire codec per element, one row per
+// build the host runs (core/isa.h): the baseline lane function and, with
+// AVX2 and F16C, the hardware conversions.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -16,6 +18,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <span>
+#include <string>
 #include <utility>
 
 #include "collectives/hitopkcomm.h"
@@ -24,6 +28,10 @@
 #include "compress/mstopk.h"
 #include "compress/other_compressors.h"
 #include "compress/wire_codec.h"
+#include "core/cli.h"
+#include "core/half.h"
+#include "core/isa.h"
+#include "core/parallel.h"
 #include "core/rng.h"
 #include "core/tensor.h"
 
@@ -153,7 +161,8 @@ BENCHMARK(BM_HiTopKCommFunctional);
 // itself over the pool) is the number to watch for a vectorization or
 // partitioning regression.  Every round trip is idempotent, so reusing the
 // rounded buffer keeps the mix.
-void wire_round_trip_bench(benchmark::State& state, compress::WireDtype wire) {
+template <class RoundTrip>
+void wire_round_trip_bench(benchmark::State& state, RoundTrip round_trip) {
   const size_t d = static_cast<size_t>(state.range(0));
   Rng rng(12);
   Tensor x(d);
@@ -164,7 +173,7 @@ void wire_round_trip_bench(benchmark::State& state, compress::WireDtype wire) {
                       : static_cast<float>(rng.normal(0.0, 1e-2));
   }
   for (auto _ : state) {
-    compress::wire_round_trip(wire, x.span());
+    round_trip(x.span());
     benchmark::DoNotOptimize(x.data());
     benchmark::ClobberMemory();
   }
@@ -176,13 +185,33 @@ void wire_round_trip_bench(benchmark::State& state, compress::WireDtype wire) {
           benchmark::Counter::kInvert);
 }
 
-void BM_WireRoundTripFp16(benchmark::State& state) {
-  wire_round_trip_bench(state, compress::WireDtype::kFp16);
+// BM_WireRoundTripFp16/<build>: wire_round_trip(kFp16) split over the pool
+// the same way, through one named build of the codec.  The host's build is
+// the one wire_round_trip itself runs.
+void register_fp16_round_trip_benches() {
+  for (const isa::Build build : isa::kBuilds) {
+    if (!isa::build_supported(build)) continue;
+    const std::string name =
+        std::string("BM_WireRoundTripFp16/") + isa::build_name(build);
+    benchmark::RegisterBenchmark(
+        name.c_str(),
+        [build](benchmark::State& state) {
+          const auto round_trip = detail::fp16_kernels(build).round_trip;
+          wire_round_trip_bench(state, [round_trip](std::span<float> x) {
+            parallel_chunks(x.size(), [&](size_t lo, size_t hi) {
+              round_trip(x.subspan(lo, hi - lo));
+            });
+          });
+        })
+        ->Arg(1 << 20)
+        ->UseRealTime();
+  }
 }
-BENCHMARK(BM_WireRoundTripFp16)->Arg(1 << 20)->UseRealTime();
 
 void BM_WireRoundTripInt8(benchmark::State& state) {
-  wire_round_trip_bench(state, compress::WireDtype::kInt8);
+  wire_round_trip_bench(state, [](std::span<float> x) {
+    compress::wire_round_trip(compress::WireDtype::kInt8, x);
+  });
 }
 BENCHMARK(BM_WireRoundTripInt8)->Arg(1 << 20)->UseRealTime();
 
@@ -312,11 +341,16 @@ bool validate_and_report() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   if (!validate_and_report()) return 1;
+  register_fp16_round_trip_benches();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hitopk::run_main([&] { return run(argc, argv); });
 }

@@ -7,17 +7,20 @@
 // 1024-wide layer of the bench/e2e model — and *fails* (non-zero exit) if
 // the tiled kernel is slower than the naive loop anywhere.  Every row also
 // times the baseline x86-64 build next to the build sgemm() dispatches to
-// (the same build on a host without AVX2).  CI runs this as a regression
-// gate (tiled must never lose to the naive loop).  Smaller regressions show
-// in the printed columns: leaving the microkernels' accumulator loops
-// rolled (see core/gemm.cpp) roughly halves the tiled speed.
+// (core/isa.h; the same build on a host without AVX2 and F16C).  CI runs
+// this as a regression gate (tiled must never lose to the naive loop).
+// Smaller regressions show in the printed columns: leaving the
+// microkernels' accumulator loops rolled (see core/gemm.cpp) roughly halves
+// the tiled speed.
 #include <chrono>
 #include <functional>
 #include <iostream>
 #include <cstdio>
 #include <vector>
 
+#include "core/cli.h"
 #include "core/gemm.h"
+#include "core/isa.h"
 #include "core/rng.h"
 #include "core/table.h"
 #include "core/tensor.h"
@@ -47,7 +50,7 @@ double best_seconds(const std::function<void()>& fn, int reps) {
 
 }  // namespace
 
-int main() {
+int run() {
   using hitopk::Rng;
   using hitopk::TablePrinter;
   using hitopk::Tensor;
@@ -73,10 +76,10 @@ int main() {
       {"e2e bwd dW 1024", Trans::kYes, Trans::kNo, 1024, 1024, 8},
   };
 
-  using hitopk::gemm::detail::Build;
-  const bool avx2 = hitopk::gemm::detail::build_supported(Build::kAvx2);
+  using hitopk::isa::Build;
   std::printf("=== bench_micro_gemm: tiled sgemm vs naive loops ===\n");
-  std::printf("sgemm build: %s\n\n", avx2 ? "avx2" : "baseline");
+  std::printf("sgemm build: %s\n\n",
+              hitopk::isa::build_name(hitopk::isa::host_build()));
   TablePrinter table({"shape", "m", "n", "k", "naive us", "baseline us",
                       "tiled us", "speedup"});
   Rng rng(7);
@@ -136,3 +139,5 @@ int main() {
                  : "FAIL (tiled slower than the naive loop)");
   return ok ? 0 : 1;
 }
+
+int main() { return hitopk::run_main(run); }

@@ -11,11 +11,12 @@
 // variants land within ~1-2 points of dense.
 #include <iostream>
 
+#include "core/cli.h"
 #include "core/table.h"
 #include "train/convergence.h"
 #include "train/synthetic.h"
 
-int main() {
+int run() {
   using hitopk::TablePrinter;
   using namespace hitopk::train;
 
@@ -63,3 +64,5 @@ int main() {
                "CNNs, loses slightly on Transformer).\n";
   return 0;
 }
+
+int main() { return hitopk::run_main(run); }

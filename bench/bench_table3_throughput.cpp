@@ -9,6 +9,7 @@
 //   Transformer      :    678 /   2534 /   3502    16.5 / 61.6 / 87.8 %
 #include <iostream>
 
+#include "core/cli.h"
 #include "core/table.h"
 #include "train/timeline.h"
 
@@ -40,7 +41,7 @@ constexpr Algorithm kAlgorithms[] = {
 
 }  // namespace
 
-int main() {
+int run() {
   std::cout << "=== Table 3: 128-GPU system throughput and scaling "
                "efficiency ===\n";
   const Topology topo = Topology::tencent_cloud(16, 8);
@@ -79,3 +80,5 @@ int main() {
                "(§5.5.2).\n";
   return 0;
 }
+
+int main() { return hitopk::run_main(run); }

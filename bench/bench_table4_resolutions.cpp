@@ -8,10 +8,11 @@
 //           1       288x288  128  710           72,960 (80%)
 #include <iostream>
 
+#include "core/cli.h"
 #include "core/table.h"
 #include "train/dawnbench.h"
 
-int main() {
+int run() {
   using hitopk::TablePrinter;
   using namespace hitopk::train;
 
@@ -48,3 +49,5 @@ int main() {
                "single-GPU column is a pure-compute anchor.\n";
   return 0;
 }
+
+int main() { return hitopk::run_main(run); }

@@ -6,10 +6,11 @@
 //          / Alibaba 158 s (32GbE) / Ours 151 s (25GbE).
 #include <iostream>
 
+#include "core/cli.h"
 #include "core/table.h"
 #include "train/dawnbench.h"
 
-int main() {
+int run() {
   using hitopk::TablePrinter;
   using namespace hitopk::train;
 
@@ -51,3 +52,5 @@ int main() {
   }
   return 0;
 }
+
+int main() { return hitopk::run_main(run); }

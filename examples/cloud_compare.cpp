@@ -3,10 +3,11 @@
 // the instance presets and over a custom user-defined fabric.
 #include <iostream>
 
+#include "core/cli.h"
 #include "core/table.h"
 #include "train/timeline.h"
 
-int main() {
+int run() {
   using hitopk::TablePrinter;
   using hitopk::simnet::LinkParams;
   using hitopk::simnet::Topology;
@@ -51,3 +52,5 @@ int main() {
             << TablePrinter::fmt(it.throughput, 0) << " samples/s\n";
   return 0;
 }
+
+int main() { return hitopk::run_main(run); }

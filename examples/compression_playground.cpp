@@ -11,12 +11,13 @@
 #include "compress/mstopk.h"
 #include "compress/other_compressors.h"
 #include "compress/quantizers.h"
+#include "core/cli.h"
 #include "core/rng.h"
 #include "core/table.h"
 #include "core/tensor.h"
 #include "simgpu/gpu_model.h"
 
-int main() {
+int run() {
   using hitopk::TablePrinter;
   using namespace hitopk;
 
@@ -116,3 +117,5 @@ int main() {
             << max_error << " (exact closure)\n";
   return 0;
 }
+
+int main() { return hitopk::run_main(run); }

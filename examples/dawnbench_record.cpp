@@ -3,10 +3,11 @@
 // phase between MSTopK-SGD and dense, and stretching/shrinking the phases.
 #include <iostream>
 
+#include "core/cli.h"
 #include "core/table.h"
 #include "train/dawnbench.h"
 
-int main() {
+int run() {
   using hitopk::TablePrinter;
   using namespace hitopk::train;
 
@@ -66,3 +67,5 @@ int main() {
   }
   return 0;
 }
+
+int main() { return hitopk::run_main(run); }

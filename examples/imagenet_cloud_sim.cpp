@@ -4,11 +4,12 @@
 // introduction motivates.
 #include <iostream>
 
+#include "core/cli.h"
 #include "core/table.h"
 #include "data/dataset.h"
 #include "train/timeline.h"
 
-int main() {
+int run() {
   using hitopk::TablePrinter;
   using namespace hitopk::train;
 
@@ -56,3 +57,5 @@ int main() {
   }
   return 0;
 }
+
+int main() { return hitopk::run_main(run); }

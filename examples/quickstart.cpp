@@ -13,11 +13,12 @@
 #include "collectives/hitopkcomm.h"
 #include "compress/exact_topk.h"
 #include "compress/mstopk.h"
+#include "core/cli.h"
 #include "core/rng.h"
 #include "core/tensor.h"
 #include "simnet/cluster.h"
 
-int main() {
+int run() {
   using namespace hitopk;
 
   // --- 1. MSTopK vs exact top-k ------------------------------------------
@@ -81,3 +82,5 @@ int main() {
             << timing.inter_allgather * 1e3 << " ms)\n";
   return 0;
 }
+
+int main() { return hitopk::run_main(run); }

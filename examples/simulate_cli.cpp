@@ -13,6 +13,7 @@
 
 #include "collectives/hitopkcomm.h"
 #include "collectives/torus2d.h"
+#include "core/cli.h"
 #include "core/flags.h"
 #include "core/table.h"
 #include "models/model_zoo.h"
@@ -30,7 +31,7 @@ simnet::Topology topology_from_flags(const Flags& flags) {
   if (cloud == "infiniband") {
     return simnet::Topology::infiniband_100g(nodes, gpus);
   }
-  HITOPK_CHECK(cloud == "tencent" || cloud == "aws")
+  HITOPK_VALIDATE(cloud == "tencent" || cloud == "aws")
       << "unknown --cloud:" << cloud;
   return simnet::Topology::tencent_cloud(nodes, gpus);
 }
@@ -40,13 +41,13 @@ train::Algorithm algorithm_from_flags(const Flags& flags) {
   if (name == "dense") return train::Algorithm::kDenseTree;
   if (name == "2dtar") return train::Algorithm::kDense2dTorus;
   if (name == "topk") return train::Algorithm::kTopkNaiveAg;
-  HITOPK_CHECK(name == "mstopk") << "unknown --algorithm:" << name;
+  HITOPK_VALIDATE(name == "mstopk") << "unknown --algorithm:" << name;
   return train::Algorithm::kMstopkHitopk;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const Flags flags(argc, argv);
   if (flags.has("help")) {
     std::cout << "flags: --model --resolution --batch --nodes --gpus "
@@ -108,4 +109,8 @@ int main(int argc, char** argv) {
               << flags.get("trace") << " (open in chrome://tracing)\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return hitopk::run_main([&] { return run(argc, argv); });
 }

@@ -4,13 +4,14 @@
 // through the sparse collectives.
 #include <iostream>
 
+#include "core/cli.h"
 #include "core/table.h"
 #include "models/model_zoo.h"
 #include "train/convergence.h"
 #include "train/synthetic.h"
 #include "train/timeline.h"
 
-int main() {
+int run() {
   using hitopk::TablePrinter;
   using namespace hitopk::train;
 
@@ -54,3 +55,5 @@ int main() {
   }
   return 0;
 }
+
+int main() { return hitopk::run_main(run); }

@@ -260,20 +260,12 @@ __attribute__((target("avx2"), flatten)) void sgemm_avx2(
 using SgemmFn = void (*)(Trans, Trans, size_t, size_t, size_t, const float*,
                          size_t, const float*, size_t, float*, size_t, bool);
 
-// Callers pass only builds that build_supported() accepts.
-SgemmFn build_fn(detail::Build build) {
+// Callers pass only builds that isa::build_supported() accepts.
+SgemmFn build_fn(isa::Build build) {
 #if defined(__x86_64__)
-  if (build == detail::Build::kAvx2) return sgemm_avx2;
+  if (build == isa::Build::kAvx2) return sgemm_avx2;
 #endif
   return sgemm_baseline;
-}
-
-// The widest build the host runs, chosen once per process.
-SgemmFn host_fn() {
-  static const SgemmFn fn = build_fn(
-      detail::build_supported(detail::Build::kAvx2) ? detail::Build::kAvx2
-                                                    : detail::Build::kBaseline);
-  return fn;
 }
 
 // The degenerate shapes, shared by every build; fn runs the rest.
@@ -296,21 +288,12 @@ void run(SgemmFn fn, Trans trans_a, Trans trans_b, size_t m, size_t n,
 
 namespace detail {
 
-bool build_supported(Build build) {
-  if (build == Build::kBaseline) return true;
-#if defined(__x86_64__)
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
-void sgemm_build(Build build, Trans trans_a, Trans trans_b, size_t m,
+void sgemm_build(isa::Build build, Trans trans_a, Trans trans_b, size_t m,
                  size_t n, size_t k, const float* a, size_t lda,
                  const float* b, size_t ldb, float* c, size_t ldc,
                  bool accumulate) {
-  HITOPK_CHECK(build_supported(build)) << "sgemm build unsupported on host";
+  HITOPK_CHECK(isa::build_supported(build))
+      << "sgemm build unsupported on host";
   run(build_fn(build), trans_a, trans_b, m, n, k, a, lda, b, ldb, c, ldc,
       accumulate);
 }
@@ -320,7 +303,8 @@ void sgemm_build(Build build, Trans trans_a, Trans trans_b, size_t m,
 void sgemm(Trans trans_a, Trans trans_b, size_t m, size_t n, size_t k,
            const float* a, size_t lda, const float* b, size_t ldb, float* c,
            size_t ldc, bool accumulate) {
-  run(host_fn(), trans_a, trans_b, m, n, k, a, lda, b, ldb, c, ldc,
+  static const SgemmFn host_fn = build_fn(isa::host_build());
+  run(host_fn, trans_a, trans_b, m, n, k, a, lda, b, ldb, c, ldc,
       accumulate);
 }
 

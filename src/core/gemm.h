@@ -12,16 +12,17 @@
 // One kernel source is compiled twice: a baseline x86-64 build (SSE2,
 // 4-lane vectors, 4x8 tiles in 8 of the 16 xmm registers) and an AVX2
 // build (8-lane vectors, 8x8 tiles in 8 of the 16 ymm registers).  sgemm()
-// picks the AVX2 build once per process when the host supports it; other
-// targets compile only the baseline.  Neither build uses FMA, so both round
-// every product and every sum separately and give identical bits: each
-// output element sums its products in increasing k from +0.0 within each
-// kKc block, and adds the block partials to C in block order.  For
-// K <= kKc that is bitwise the textbook `for k: c += a[i][k] * b[k][j]`
-// loop.
+// runs the host's build (core/isa.h); other targets compile only the
+// baseline.  Neither build uses FMA, so both round every product and every
+// sum separately and give identical bits: each output element sums its
+// products in increasing k from +0.0 within each kKc block, and adds the
+// block partials to C in block order.  For K <= kKc that is bitwise the
+// textbook `for k: c += a[i][k] * b[k][j]` loop.
 #pragma once
 
 #include <cstddef>
+
+#include "core/isa.h"
 
 namespace hitopk::gemm {
 
@@ -46,18 +47,10 @@ void sgemm(Trans trans_a, Trans trans_b, size_t m, size_t n, size_t k,
 
 namespace detail {
 
-// The kernel builds sgemm() chooses from.  gemm_test and bench_micro_gemm
-// run each one directly; everything else calls sgemm().
-enum class Build {
-  kBaseline,  // baseline x86-64 (or the target's default vector width)
-  kAvx2,      // x86-64 with AVX2, no FMA
-};
-
-// Whether `build` is compiled in and the host can run it.
-bool build_supported(Build build);
-
-// sgemm() through the given build; a CheckError if it is unsupported.
-void sgemm_build(Build build, Trans trans_a, Trans trans_b, size_t m,
+// sgemm() through the given build; a CheckError if the host cannot run it.
+// gemm_test and bench_micro_gemm run each build directly; everything else
+// calls sgemm().
+void sgemm_build(isa::Build build, Trans trans_a, Trans trans_b, size_t m,
                  size_t n, size_t k, const float* a, size_t lda,
                  const float* b, size_t ldb, float* c, size_t ldc,
                  bool accumulate);

@@ -3,6 +3,12 @@
 #include <bit>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
+#include "core/check.h"
+
 namespace hitopk {
 
 Half float_to_half(float value) {
@@ -77,8 +83,9 @@ float half_to_float(Half h) {
 namespace {
 
 // Four float lanes as raw bits.  GCC/Clang vector extensions lower this to
-// baseline SSE2 on x86-64, with no -march flag or runtime dispatch; plain
-// GCC -O2 does not vectorize the equivalent scalar loop.
+// baseline SSE2 on x86-64 (plain GCC -O2 does not vectorize the equivalent
+// scalar loop).  The lane function below is the baseline build of the codec
+// and the avx2 build's path for NaN blocks and short tails.
 using Bits4 = uint32_t __attribute__((vector_size(16)));
 using Float4 = float __attribute__((vector_size(16)));
 
@@ -146,23 +153,23 @@ template <class Kernel>
   return lanes;
 }
 
-}  // namespace
+// The baseline build: the lane function over every float of the span.
 
-void fp16_round_trip(std::span<float> values) {
+void round_trip_lanes(std::span<float> values) {
   float* p = values.data();
   for_each_lanes(p, values.size(), [p](size_t i, size_t live) {
     return fp16_lane(load(p + i, live));
   });
 }
 
-void fp16_round_copy(std::span<float> dst, std::span<const float> src) {
+void round_copy_lanes(std::span<float> dst, std::span<const float> src) {
   const float* s = src.data();
   for_each_lanes(dst.data(), dst.size(), [s](size_t i, size_t live) {
     return fp16_lane(load(s + i, live));
   });
 }
 
-void fp16_round_add(std::span<float> dst, std::span<const float> src) {
+void round_add_lanes(std::span<float> dst, std::span<const float> src) {
   float* d = dst.data();
   const float* s = src.data();
   for_each_lanes(d, dst.size(), [d, s](size_t i, size_t live) {
@@ -172,7 +179,7 @@ void fp16_round_add(std::span<float> dst, std::span<const float> src) {
   });
 }
 
-void fp16_sum_round(std::span<float> acc, std::span<const float> src) {
+void sum_round_lanes(std::span<float> acc, std::span<const float> src) {
   float* a = acc.data();
   const float* s = src.data();
   for_each_lanes(a, acc.size(), [a, s](size_t i, size_t live) {
@@ -180,6 +187,138 @@ void fp16_sum_round(std::span<float> acc, std::span<const float> src) {
                        std::bit_cast<Float4>(load(s + i, live));
     return fp16_lane(std::bit_cast<Bits4>(sum));
   });
+}
+
+constexpr detail::Fp16Kernels kBaselineKernels = {
+    round_trip_lanes, round_copy_lanes, round_add_lanes, sum_round_lanes};
+
+#if defined(__x86_64__)
+// The avx2 build: the hardware narrows (vcvtps2ph, round to nearest even)
+// and widens (vcvtph2ps) eight floats at a time.  On every non-NaN float
+// that is the lane function's result; on a NaN it is not, because the
+// hardware quiets a signalling NaN.  So an 8-float block with a NaN lane,
+// and the tail of fewer than 8, run the lane function: every result keeps
+// the baseline's bits.  AVX2 and F16C only, never FMA.  The loops are
+// written out, because a lambda does not inherit the target attribute.
+#define HITOPK_F16C __attribute__((target("avx2,f16c")))
+
+[[gnu::always_inline]] HITOPK_F16C inline bool any_nan(__m256 v) {
+  return _mm256_movemask_ps(_mm256_cmp_ps(v, v, _CMP_UNORD_Q)) != 0;
+}
+
+[[gnu::always_inline]] HITOPK_F16C inline __m256 f16c_round(__m256 v) {
+  return _mm256_cvtph_ps(_mm256_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT));
+}
+
+HITOPK_F16C void round_trip_f16c(std::span<float> values) {
+  float* p = values.data();
+  const size_t n = values.size();
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(p + i);
+    if (any_nan(v)) {
+      round_trip_lanes(values.subspan(i, 8));
+    } else {
+      _mm256_storeu_ps(p + i, f16c_round(v));
+    }
+  }
+  round_trip_lanes(values.subspan(i));
+}
+
+HITOPK_F16C void round_copy_f16c(std::span<float> dst,
+                                 std::span<const float> src) {
+  float* d = dst.data();
+  const float* s = src.data();
+  const size_t n = dst.size();
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(s + i);
+    if (any_nan(v)) {
+      round_copy_lanes(dst.subspan(i, 8), src.subspan(i, 8));
+    } else {
+      _mm256_storeu_ps(d + i, f16c_round(v));
+    }
+  }
+  round_copy_lanes(dst.subspan(i), src.subspan(i));
+}
+
+HITOPK_F16C void round_add_f16c(std::span<float> dst,
+                                std::span<const float> src) {
+  float* d = dst.data();
+  const float* s = src.data();
+  const size_t n = dst.size();
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(s + i);
+    if (any_nan(v)) {
+      round_add_lanes(dst.subspan(i, 8), src.subspan(i, 8));
+    } else {
+      _mm256_storeu_ps(d + i,
+                       _mm256_add_ps(_mm256_loadu_ps(d + i), f16c_round(v)));
+    }
+  }
+  round_add_lanes(dst.subspan(i), src.subspan(i));
+}
+
+HITOPK_F16C void sum_round_f16c(std::span<float> acc,
+                                std::span<const float> src) {
+  float* a = acc.data();
+  const float* s = src.data();
+  const size_t n = acc.size();
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 sum =
+        _mm256_add_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(s + i));
+    if (any_nan(sum)) {
+      sum_round_lanes(acc.subspan(i, 8), src.subspan(i, 8));
+    } else {
+      _mm256_storeu_ps(a + i, f16c_round(sum));
+    }
+  }
+  sum_round_lanes(acc.subspan(i), src.subspan(i));
+}
+
+#undef HITOPK_F16C
+
+constexpr detail::Fp16Kernels kF16cKernels = {
+    round_trip_f16c, round_copy_f16c, round_add_f16c, sum_round_f16c};
+#endif
+
+const detail::Fp16Kernels& host_kernels() {
+  static const detail::Fp16Kernels& kernels =
+      detail::fp16_kernels(isa::host_build());
+  return kernels;
+}
+
+}  // namespace
+
+namespace detail {
+
+const Fp16Kernels& fp16_kernels(isa::Build build) {
+  HITOPK_CHECK(isa::build_supported(build))
+      << "fp16 codec build unsupported on host";
+#if defined(__x86_64__)
+  if (build == isa::Build::kAvx2) return kF16cKernels;
+#endif
+  return kBaselineKernels;
+}
+
+}  // namespace detail
+
+void fp16_round_trip(std::span<float> values) {
+  host_kernels().round_trip(values);
+}
+
+void fp16_round_copy(std::span<float> dst, std::span<const float> src) {
+  host_kernels().round_copy(dst, src);
+}
+
+void fp16_round_add(std::span<float> dst, std::span<const float> src) {
+  host_kernels().round_add(dst, src);
+}
+
+void fp16_sum_round(std::span<float> acc, std::span<const float> src) {
+  host_kernels().sum_round(acc, src);
 }
 
 }  // namespace hitopk

@@ -244,7 +244,7 @@ ModelSpec model_by_name(const std::string& name) {
   if (name == "vgg19") return vgg19();
   if (name == "transformer") return transformer_wmt();
   if (name == "bert") return bert_base();
-  HITOPK_CHECK(false) << "unknown model:" << name;
+  HITOPK_VALIDATE(false) << "unknown model:" << name;
   return {};
 }
 

@@ -77,7 +77,7 @@ ModelSpec transformer_wmt();
 ModelSpec bert_base();
 
 // Lookup by name ("resnet50", "resnet152", "vgg19", "transformer",
-// "bert"); throws CheckError on unknown names.
+// "bert"); throws ConfigError on unknown names.
 ModelSpec model_by_name(const std::string& name);
 
 }  // namespace hitopk::models

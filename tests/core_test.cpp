@@ -16,6 +16,7 @@
 #include "core/rng.h"
 #include "core/table.h"
 #include "core/tensor.h"
+#include "isa_builds.h"
 
 namespace hitopk {
 namespace {
@@ -312,14 +313,28 @@ TEST(Half, RoundTripIsIdempotent) {
 }
 
 // ----------------------------------------------------------- fp16 codec
-// fp16_round_trip (one branch-free lane function over four floats, plus a
-// zero-padded tail through the same function) must be bitwise identical to
-// the scalar oracle half_to_float(float_to_half(x)) on every float pattern.
+// Every build of the bulk codec (core/isa.h: the baseline lane function over
+// four floats, and the F16C build with its NaN-block and short-tail
+// fallback) must be bitwise identical to the scalar oracle
+// half_to_float(float_to_half(x)) on every float pattern, NaN payloads
+// included.  Each test runs once per build; a build the host cannot run
+// skips itself.
 
 uint32_t scalar_round_trip(uint32_t bits) {
   return std::bit_cast<uint32_t>(
       half_to_float(float_to_half(std::bit_cast<float>(bits))));
 }
+
+float scalar_round_trip(float value) {
+  return std::bit_cast<float>(scalar_round_trip(std::bit_cast<uint32_t>(value)));
+}
+
+class Fp16Codec : public IsaBuildTest {
+ protected:
+  const detail::Fp16Kernels& kernels() const {
+    return detail::fp16_kernels(GetParam());
+  }
+};
 
 struct SweepResult {
   uint64_t mismatches = 0;
@@ -329,13 +344,14 @@ struct SweepResult {
 // Round-trips patterns pattern(0..count-1) in bulk and compares every lane
 // with the oracle.  The buffer is per thread, so blocks reuse its pages.
 template <typename Pattern>
-SweepResult sweep(size_t count, Pattern pattern) {
+SweepResult sweep(const detail::Fp16Kernels& kernels, size_t count,
+                  Pattern pattern) {
   thread_local std::vector<float> values;
   values.resize(count);
   for (size_t i = 0; i < count; ++i) {
     values[i] = std::bit_cast<float>(pattern(i));
   }
-  fp16_round_trip(values);
+  kernels.round_trip(values);
   SweepResult result;
   for (size_t i = 0; i < count; ++i) {
     const uint32_t got = std::bit_cast<uint32_t>(values[i]);
@@ -350,7 +366,7 @@ SweepResult sweep(size_t count, Pattern pattern) {
   return result;
 }
 
-TEST(Fp16Codec, BulkMatchesScalarPairOnEveryPattern) {
+TEST_P(Fp16Codec, BulkMatchesScalarPairOnEveryPattern) {
   // Default: every high 16 bits (so every sign, exponent and the top 7
   // mantissa bits: all zero, subnormal, NaN and Inf classes) times 64 low
   // halves.  The low halves put each tie-critical low-13-bit pattern under
@@ -371,16 +387,17 @@ TEST(Fp16Codec, BulkMatchesScalarPairOnEveryPattern) {
 
   // Exhaustive blocks hold 2^20 consecutive patterns; default blocks hold
   // 256 high halves x 64 low halves.
+  const detail::Fp16Kernels& codec = kernels();
   const size_t blocks = exhaustive ? size_t{1} << 12 : size_t{1} << 8;
   std::vector<SweepResult> results(blocks);
   parallel_for(0, blocks, [&](size_t block) {
     const auto b = static_cast<uint32_t>(block);
     if (exhaustive) {
-      results[block] = sweep(size_t{1} << 20, [b](size_t i) {
+      results[block] = sweep(codec, size_t{1} << 20, [b](size_t i) {
         return b << 20 | static_cast<uint32_t>(i);
       });
     } else {
-      results[block] = sweep(256 * lows.size(), [b, &lows](size_t i) {
+      results[block] = sweep(codec, 256 * lows.size(), [b, &lows](size_t i) {
         const auto high = static_cast<uint32_t>(i / lows.size());
         return (b << 8 | high) << 16 | lows[i % lows.size()];
       });
@@ -399,34 +416,106 @@ TEST(Fp16Codec, BulkMatchesScalarPairOnEveryPattern) {
       << (exhaustive ? "all 2^32 patterns" : "2^22 patterns");
 }
 
-TEST(Fp16Codec, EveryTailLengthAndOffset) {
-  // Spans of 0..17 floats at offsets 0..3 run the four-lane body, the
-  // padded tail, or both, from unaligned starts.  Inputs mix every class;
-  // floats outside the span must stay untouched.
+TEST_P(Fp16Codec, EveryTailLengthAndOffset) {
+  // Spans of 0..33 floats at offsets 0..7 run the four- and eight-lane
+  // blocks, the short tails, or all of them, from unaligned starts, and
+  // cross both edges of an eight-lane block.  The inputs cycle through
+  // every class; the NaN classes sit at 11, 12 and 18 (mod 21), so some
+  // eight-lane blocks hold a NaN and some do not.  Floats outside the span
+  // must stay untouched.
   const uint32_t classes[] = {
       0x00000000u, 0x80000000u, 0x3f801000u, 0x3f803000u, 0x33000000u,
       0xb3800001u, 0x38800000u, 0x387fffffu, 0x477fefffu, 0x477ff000u,
       0x7f800000u, 0xff800001u, 0x7fc00000u, 0x00000001u, 0x3dcccccdu,
       0xc2f6e979u, 0x47800000u, 0x387fe000u, 0x7f802000u, 0x3a000000u,
       0x0000ffffu};
-  std::vector<float> base(std::size(classes));
-  for (size_t i = 0; i < base.size(); ++i) {
-    base[i] = std::bit_cast<float>(classes[i]);
+  constexpr size_t kMaxOffset = 7, kMaxLength = 33;
+  std::vector<uint32_t> inputs(kMaxOffset + kMaxLength + 1);
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    inputs[i] = classes[i % std::size(classes)];
   }
-  for (size_t offset = 0; offset <= 3; ++offset) {
-    for (size_t length = 0; length <= 17; ++length) {
-      std::vector<float> values = base;
-      fp16_round_trip(std::span<float>(values).subspan(offset, length));
+  for (size_t offset = 0; offset <= kMaxOffset; ++offset) {
+    for (size_t length = 0; length <= kMaxLength; ++length) {
+      std::vector<float> values(inputs.size());
+      for (size_t i = 0; i < values.size(); ++i) {
+        values[i] = std::bit_cast<float>(inputs[i]);
+      }
+      kernels().round_trip(std::span<float>(values).subspan(offset, length));
       for (size_t i = 0; i < values.size(); ++i) {
         const bool inside = i >= offset && i < offset + length;
         const uint32_t want =
-            inside ? scalar_round_trip(classes[i]) : classes[i];
+            inside ? scalar_round_trip(inputs[i]) : inputs[i];
         EXPECT_EQ(std::bit_cast<uint32_t>(values[i]), want)
             << "offset " << offset << " length " << length << " index " << i;
       }
     }
   }
 }
+
+TEST_P(Fp16Codec, FusedKernelsMatchScalarPair) {
+  // 8-float blocks of (acc, src) pairs, then a tail of 5:
+  //   block 0: finite values only (the F16C path for every kernel);
+  //   block 1: acc + src overflows the half range (65504 + 16 = 65520, the
+  //            tie that rounds to Inf) and float range (3e38 + 3e38) with
+  //            finite inputs: no NaN anywhere, so the F16C path;
+  //   block 2: inf + -inf, a NaN sum of non-NaN inputs (sum_round's
+  //            fallback; round_copy and round_add take the F16C path);
+  //   block 3: NaN sources, quiet and signalling, with payload bits that
+  //            survive the narrowing (the fallback of every kernel; only
+  //            round_copy can show it, as the sums quiet every NaN);
+  //   blocks 4-5 and the tail: N(0, 1e-3) with subnormal halves.
+  // acc holds no NaN, so no sum has two NaN operands and every result has
+  // one defined bit pattern.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float qnan = std::bit_cast<float>(0x7fc00001u);
+  const float snan = std::bit_cast<float>(0xff902001u);
+  std::vector<float> acc = {1.0f,     -2.5f,  0.1f,   3e-5f,
+                            -7e-6f,   1e4f,   -1e-8f, 0.0f,
+                            65504.0f, 3e38f,  -65504.0f, 65000.0f,
+                            1.0f,     -3e38f, 2.0f,   65504.0f,
+                            inf,      -inf,   inf,    1.0f,
+                            -inf,     0.5f,   inf,    -1.0f,
+                            1.0f,     inf,    -2.0f,  0.25f,
+                            -inf,     0.0f,   3.0f,   -0.0f};
+  std::vector<float> src = {0.5f,     1e-3f,  -0.2f,  6e-8f,
+                            2e-7f,    -3.0f,  1e-8f,  -0.0f,
+                            16.0f,    3e38f,  -16.0f, 520.0f,
+                            65519.0f, -3e38f, -1.0f,  15.0f,
+                            -inf,     inf,    1.0f,   inf,
+                            2.0f,     -inf,   -inf,   0.0f,
+                            qnan,     snan,   1.0f,   -qnan,
+                            2.0f,     snan,   qnan,   -snan};
+  Rng rng(20260807);
+  while (acc.size() < 6 * 8 + 5) {
+    acc.push_back(static_cast<float>(rng.normal(0.0, 1e-3)));
+    src.push_back(static_cast<float>(rng.normal(0.0, 1e-3)));
+  }
+  const size_t n = acc.size();
+  std::vector<float> want_copy(n), want_add(n), want_sum(n);
+  for (size_t i = 0; i < n; ++i) {
+    want_copy[i] = scalar_round_trip(src[i]);
+    want_add[i] = acc[i] + scalar_round_trip(src[i]);
+    want_sum[i] = scalar_round_trip(acc[i] + src[i]);
+  }
+  std::vector<float> copy(n, 7.0f), add = acc, sum = acc;
+  kernels().round_copy(copy, src);
+  kernels().round_add(add, src);
+  kernels().sum_round(sum, src);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(std::bit_cast<uint32_t>(copy[i]),
+              std::bit_cast<uint32_t>(want_copy[i]))
+        << "round_copy index " << i;
+    EXPECT_EQ(std::bit_cast<uint32_t>(add[i]),
+              std::bit_cast<uint32_t>(want_add[i]))
+        << "round_add index " << i;
+    EXPECT_EQ(std::bit_cast<uint32_t>(sum[i]),
+              std::bit_cast<uint32_t>(want_sum[i]))
+        << "sum_round index " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Builds, Fp16Codec, ::testing::ValuesIn(isa::kBuilds),
+                         ::testing::PrintToStringParamName());
 
 // ---------------------------------------------------------------- table
 TEST(TablePrinter, AlignedOutput) {

@@ -8,8 +8,8 @@
 // The Gemm suite checks sgemm() as dispatched, including against the
 // textbook loop where the two coincide (K <= kKc, overwriting C).  The
 // GemmBuild suite runs the oracle corpus through each compiled kernel build
-// (baseline and AVX2) via gemm::detail::sgemm_build; the AVX2 instance
-// skips itself on hosts without AVX2.
+// (baseline and AVX2, core/isa.h) via gemm::detail::sgemm_build; the AVX2
+// instance skips itself on hosts without AVX2 and F16C.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,27 +18,18 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <ostream>
 #include <string>
 #include <vector>
 
 #include "core/gemm.h"
 #include "core/rng.h"
 #include "core/tensor.h"
+#include "isa_builds.h"
 
 namespace hitopk::gemm {
-namespace detail {
-
-// Names the build in gtest output.
-void PrintTo(Build build, std::ostream* os) {
-  *os << (build == Build::kBaseline ? "baseline" : "avx2");
-}
-
-}  // namespace detail
-
 namespace {
 
-using detail::Build;
+using isa::Build;
 
 using SgemmEntry =
     std::function<void(Trans, Trans, size_t, size_t, size_t, const float*,
@@ -355,14 +346,8 @@ std::vector<Case> special_value_cases() {
   return cases;
 }
 
-class GemmBuild : public ::testing::TestWithParam<Build> {
+class GemmBuild : public IsaBuildTest {
  protected:
-  void SetUp() override {
-    if (!detail::build_supported(GetParam())) {
-      GTEST_SKIP() << "build not supported on this host";
-    }
-  }
-
   void expect_cases_match_oracle(const std::vector<Case>& cases) {
     const SgemmEntry entry = build_entry(GetParam());
     uint64_t seed = 1000;
@@ -390,7 +375,7 @@ TEST_P(GemmBuild, SpecialValuesMatchOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Builds, GemmBuild,
-                         ::testing::Values(Build::kBaseline, Build::kAvx2),
+                         ::testing::ValuesIn(isa::kBuilds),
                          ::testing::PrintToStringParamName());
 
 }  // namespace

@@ -132,7 +132,7 @@ TEST(ModelZoo, LookupByName) {
   EXPECT_EQ(model_by_name("bert").name, "bert");
   EXPECT_EQ(model_by_name("vgg19").name, "vgg19");
   EXPECT_EQ(model_by_name("transformer").name, "transformer");
-  EXPECT_THROW(model_by_name("alexnet"), CheckError);
+  EXPECT_THROW(model_by_name("alexnet"), ConfigError);
 }
 
 // ------------------------------------------------------------ perf model

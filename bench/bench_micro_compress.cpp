@@ -10,7 +10,8 @@
 // proof that the fast path still selects the right elements.
 // BM_WireRoundTripFp16 times the fp16 wire codec per element, one row per
 // build the host runs (core/isa.h): the baseline lane function and, with
-// AVX2 and F16C, the hardware conversions.
+// AVX2 and F16C, the hardware conversions.  BM_MsTopKShard times MSTopK's
+// bracket search per element of one HiTopKComm shard.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -21,12 +22,14 @@
 #include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "collectives/hitopkcomm.h"
 #include "compress/dgc_topk.h"
 #include "compress/exact_topk.h"
 #include "compress/mstopk.h"
 #include "compress/other_compressors.h"
+#include "compress/threshold_select.h"
 #include "compress/wire_codec.h"
 #include "core/cli.h"
 #include "core/half.h"
@@ -207,6 +210,29 @@ void register_fp16_round_trip_benches() {
         ->UseRealTime();
   }
 }
+
+// BM_MsTopKShard: MSTopK's two reads (bracket_kth_magnitude with its
+// certain set and band) on the e2e model's HiTopKComm shard, 292,608
+// N(0, 1e-3) elements at k = 1%; per_elem is wall time per shard element
+// (real time: the counting read splits itself over the pool, the gather
+// runs on the caller).
+void BM_MsTopKShard(benchmark::State& state) {
+  constexpr size_t kShard = 292608;
+  Rng rng(30);
+  Tensor x(kShard);
+  x.fill_normal(rng, 0.0f, 1e-3f);
+  std::vector<uint32_t> certain;
+  std::vector<uint32_t> band;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(compress::bracket_kth_magnitude(
+        x.span(), kShard / 100, &certain, &band));
+  }
+  state.counters["per_elem"] = benchmark::Counter(
+      static_cast<double>(kShard),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_MsTopKShard)->UseRealTime();
 
 void BM_WireRoundTripInt8(benchmark::State& state) {
   wire_round_trip_bench(state, [](std::span<float> x) {

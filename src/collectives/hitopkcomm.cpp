@@ -1,8 +1,10 @@
 #include "collectives/hitopkcomm.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <functional>
 
 #include "collectives/ring.h"
 #include "compress/mstopk.h"
@@ -55,60 +57,101 @@ struct CompactStream {
   std::vector<float> values;
 };
 
+// `v` where `take` is 1 and +0.0f where it is 0, without a branch.
+inline float keep_if(float v, uint32_t take) {
+  return std::bit_cast<float>(std::bit_cast<uint32_t>(v) & (0u - take));
+}
+
+// One two-way merge of merge_accumulate's cascade: the running sums
+// (a_idx, a_val) with one block (b_idx, b_val), both strictly ascending,
+// into (out_idx, out_val); returns the output count.  An index in both
+// adds the block's value to the running sum; an index in the block alone
+// starts a sum at 0.0f + value.  `first` means the running "sums" are the
+// first block's raw values, so they start from 0.0f too; later, the
+// running sums pass through as -0.0f + sum, which is the sum's own bits
+// (no sum starting at +0.0f is ever -0.0f).  With `last`, exact-zero sums
+// are dropped and indices are shifted by `offset`.  Every step is
+// branch-free: the cursors advance by the compare results and a side not
+// taken adds +0.0f, which also leaves every sum's bits unchanged.
+size_t merge_two(const uint32_t* a_idx, const float* a_val, size_t na,
+                 const uint32_t* b_idx, const float* b_val, size_t nb,
+                 bool first, bool last, uint32_t offset, uint32_t* out_idx,
+                 float* out_val) {
+  const float start = first ? 0.0f : -0.0f;
+  size_t i = 0;
+  size_t j = 0;
+  size_t w = 0;
+  auto emit = [&](uint32_t index, float sum) {
+    out_idx[w] = index + offset;
+    out_val[w] = sum;
+    w += !last || sum != 0.0f ? 1 : 0;
+  };
+  while (i < na && j < nb) {
+    const uint32_t x = a_idx[i];
+    const uint32_t y = b_idx[j];
+    const uint32_t take_a = x <= y ? 1 : 0;
+    const uint32_t take_b = y <= x ? 1 : 0;
+    emit(std::min(x, y),
+         (start + keep_if(a_val[i], take_a)) + keep_if(b_val[j], take_b));
+    i += take_a;
+    j += take_b;
+  }
+  for (; i < na; ++i) emit(a_idx[i], start + a_val[i]);
+  for (; j < nb; ++j) emit(b_idx[j], 0.0f + b_val[j]);
+  return w;
+}
+
 // Merge-accumulates one stream's m sorted sparse blocks into a compact
 // (index, value) stream.  Each output index sums its occurrences in block
 // order starting from a literal 0.0f — bitwise the value a scatter-add of
 // the blocks into a zeroed dense buffer yields, including signed-zero and
-// NaN propagation — and exact-zero sums are dropped.  Touching only the
-// k-way frontier costs O(nnz * m) instead of a dense memset plus a
-// full-shard nonzero rescan.
+// NaN propagation — and exact-zero sums are dropped.  The blocks merge in a
+// cascade of branch-free two-way merges, ((b0 + b1) + b2) + ..., which adds
+// in block order: touching only the selected entries costs O(nnz * m)
+// instead of a dense memset plus a full-shard nonzero rescan, and no step
+// branches on which blocks hold the next index.
 void merge_accumulate(std::span<const compress::SparseTensor* const> blocks,
                       size_t shard_begin, CompactStream& out) {
-  struct Cursor {
-    const uint32_t* idx;
-    const uint32_t* end;
-    const float* val;
-  };
-  std::vector<Cursor> cursors;
-  cursors.reserve(blocks.size());
   size_t total = 0;
   for (const compress::SparseTensor* sp : blocks) {
-    // MsTopK::compress emits ascending indices on every path.
-    HITOPK_CHECK(std::is_sorted(sp->indices.begin(), sp->indices.end()));
-    if (!sp->indices.empty()) {
-      cursors.push_back({sp->indices.data(),
-                         sp->indices.data() + sp->indices.size(),
-                         sp->values.data()});
-      total += sp->indices.size();
+    // MsTopK::compress emits strictly ascending indices on every path.
+    HITOPK_CHECK(std::adjacent_find(sp->indices.begin(), sp->indices.end(),
+                                    std::greater_equal<uint32_t>()) ==
+                 sp->indices.end());
+    total += sp->indices.size();
+  }
+  out.indices.resize(total);
+  out.values.resize(total);
+  const uint32_t offset = static_cast<uint32_t>(shard_begin);
+  size_t n = 0;
+  if (blocks.size() == 1) {
+    n = merge_two(nullptr, nullptr, 0, blocks[0]->indices.data(),
+                  blocks[0]->values.data(), blocks[0]->indices.size(),
+                  /*first=*/true, /*last=*/true, offset, out.indices.data(),
+                  out.values.data());
+  } else if (blocks.size() > 1) {
+    // The running sums alternate between `out` and one spare pair of
+    // buffers, in the parity that leaves the last merge's output in `out`.
+    std::vector<uint32_t> spare_idx(blocks.size() > 2 ? total : 0);
+    std::vector<float> spare_val(spare_idx.size());
+    const uint32_t* a_idx = blocks[0]->indices.data();
+    const float* a_val = blocks[0]->values.data();
+    n = blocks[0]->indices.size();
+    for (size_t b = 1; b < blocks.size(); ++b) {
+      const bool last = b + 1 == blocks.size();
+      const bool into_out = (blocks.size() - 1 - b) % 2 == 0;
+      uint32_t* out_idx = into_out ? out.indices.data() : spare_idx.data();
+      float* out_val = into_out ? out.values.data() : spare_val.data();
+      n = merge_two(a_idx, a_val, n, blocks[b]->indices.data(),
+                    blocks[b]->values.data(), blocks[b]->indices.size(),
+                    /*first=*/b == 1, last, last ? offset : 0, out_idx,
+                    out_val);
+      a_idx = out_idx;
+      a_val = out_val;
     }
   }
-  out.indices.clear();
-  out.values.clear();
-  out.indices.reserve(total);
-  out.values.reserve(total);
-  while (!cursors.empty()) {
-    uint32_t lo = *cursors.front().idx;
-    for (size_t c = 1; c < cursors.size(); ++c) {
-      lo = std::min(lo, *cursors[c].idx);
-    }
-    // Blocks stay in storage order, so duplicate indices accumulate in
-    // block order.
-    float sum = 0.0f;
-    for (Cursor& cur : cursors) {
-      while (cur.idx != cur.end && *cur.idx == lo) {
-        sum += *cur.val;
-        ++cur.idx;
-        ++cur.val;
-      }
-    }
-    cursors.erase(std::remove_if(cursors.begin(), cursors.end(),
-                                 [](const Cursor& c) { return c.idx == c.end; }),
-                  cursors.end());
-    if (sum != 0.0f) {
-      out.indices.push_back(static_cast<uint32_t>(shard_begin + lo));
-      out.values.push_back(sum);
-    }
-  }
+  out.indices.resize(n);
+  out.values.resize(n);
 }
 
 // Rebuilds the full aggregated gradient on every rank from the compact
@@ -279,13 +322,16 @@ HiTopKBreakdown hitopk_comm(simnet::Cluster& cluster, const RankData& data,
   std::vector<compress::SparseTensor> sel(static_cast<size_t>(L * m));
   if (functional) {
     // Pre-create the residual entries so the parallel workers below only
-    // ever look them up (inserts would race).  Entry u belongs to unit u.
+    // ever look them up (inserts would race).  Entry u belongs to unit u;
+    // residual[u] is its storage.
     std::vector<HiTopKEfEntry> ef;
+    std::vector<std::span<float>> residual;
     if (options.error_feedback != nullptr) {
       ef = hitopk_ef_entries(topo, elems, options.ef_key_prefix);
       HITOPK_CHECK_EQ(ef.size(), units.size());
       for (const HiTopKEfEntry& entry : ef) {
-        options.error_feedback->ensure(entry.key, entry.range.count);
+        residual.push_back(
+            options.error_feedback->ensure(entry.key, entry.range.count));
       }
     }
     // Every unit simulates an independent selection: disjoint shard
@@ -309,15 +355,16 @@ HiTopKBreakdown hitopk_comm(simnet::Cluster& cluster, const RankData& data,
                         static_cast<uint64_t>(rank) * static_cast<uint64_t>(L) +
                         static_cast<uint64_t>(s);
       compress::MsTopK mstopk(options.mstopk_samplings, seed, mode);
-      // Fused EF exchange: the shard is untouched between compensation and
-      // absorption, so the residual is primed during compensation and
-      // absorption only subtracts the sent values.
-      if (options.error_feedback != nullptr) {
-        options.error_feedback->apply_priming(ef[u].key, shard_span);
-      }
       compress::SparseTensor& block =
           sel[static_cast<size_t>(s * m + units[u].node)];
-      block = mstopk.compress(shard_span, shard_k(options.density, shard.count));
+      const size_t k = shard_k(options.density, shard.count);
+      // Fused EF exchange: MSTopK compensates the shard with its residual
+      // inside its counting read and leaves the residual primed with the
+      // compensated shard; the shard is untouched from there to
+      // absorption, which only subtracts the sent values.
+      block = options.error_feedback != nullptr
+                  ? mstopk.compress(shard_span, k, residual[u])
+                  : mstopk.compress(shard_span, k);
       // Typed payloads: the values cross the wire in the selected dtype, so
       // round them through the codec *before* error feedback absorbs the
       // send — the residual then keeps the quantization error alongside the

@@ -17,8 +17,8 @@ Tensor& ErrorFeedback::entry(const std::string& key, size_t size) {
   return it->second;
 }
 
-void ErrorFeedback::ensure(const std::string& key, size_t size) {
-  entry(key, size);
+std::span<float> ErrorFeedback::ensure(const std::string& key, size_t size) {
+  return entry(key, size).span();
 }
 
 void ErrorFeedback::apply_priming(const std::string& key,

@@ -23,12 +23,16 @@ namespace hitopk::compress {
 
 class ErrorFeedback {
  public:
-  // Pre-creates a zero residual of `size` elements for `key` if absent.
-  // apply_priming/absorb_primed insert missing entries themselves, which
-  // mutates the map; callers that run them on distinct keys from parallel
-  // workers (HiTopKComm's per-shard loop) must ensure() every key serially
-  // first so the workers only ever look entries up.
-  void ensure(const std::string& key, size_t size);
+  // Pre-creates a zero residual of `size` elements for `key` if absent,
+  // and returns its storage.  apply_priming/absorb_primed insert missing
+  // entries themselves, which mutates the map; callers that run them on
+  // distinct keys from parallel workers (HiTopKComm's per-shard loop) must
+  // ensure() every key serially first so the workers only ever look
+  // entries up.  The returned span stays valid until the key is erased,
+  // taken, set or reset; a caller that compensates the gradient itself
+  // (MsTopK::compress with a residual) primes it in place, then finishes
+  // with absorb_primed() like apply_priming's callers.
+  std::span<float> ensure(const std::string& key, size_t size);
 
   // The compensation half of the exchange, fused with the residual update:
   // grad += residual[key] AND residual[key] = the compensated gradient, in

@@ -5,6 +5,7 @@
 
 #include "compress/threshold_select.h"
 #include "core/check.h"
+#include "core/tensor.h"
 #include "core/workspace.h"
 
 namespace hitopk::compress {
@@ -35,32 +36,48 @@ MsTopK::MsTopK(int n_samplings, uint64_t seed, MsTopKMode mode)
   HITOPK_CHECK_GT(n_samplings, 0);
 }
 
-SparseTensor MsTopK::compress(std::span<const float> x, size_t k) {
-  const size_t d = x.size();
-  SparseTensor out;
-  out.dense_size = d;
+template <typename Search>
+SparseTensor MsTopK::select_after(std::span<const float> x, size_t k,
+                                  const Search& search) {
   stats_ = MsTopKStats{};
-  if (k == 0 || d == 0) return out;
-  if (k >= d) return first_k_fallback(x, k);
-
   Scratch<uint32_t> certain(0);
   Scratch<uint32_t> band(0);
-  const bool bracketed =
-      mode_ == MsTopKMode::kHistogram
-          ? bit_brackets(x, k, certain.vec(), band.vec())
-          : multi_pass_brackets(x, k, certain.vec(), band.vec());
-  if (!bracketed) return first_k_fallback(x, k);
+  if (!search(certain.vec(), band.vec())) return first_k_fallback(x, k);
   return select(x, k, certain.vec(), band.vec());
 }
 
-bool MsTopK::bit_brackets(std::span<const float> x, size_t k,
-                          std::vector<uint32_t>& certain,
-                          std::vector<uint32_t>& band) {
+SparseTensor MsTopK::compress(std::span<const float> x, size_t k) {
+  if (k == 0 || k >= x.size()) {
+    stats_ = MsTopKStats{};
+    return first_k_fallback(x, k);
+  }
+  return select_after(x, k, [&](std::vector<uint32_t>& certain,
+                                std::vector<uint32_t>& band) {
+    return mode_ == MsTopKMode::kHistogram
+               ? record_brackets(bracket_kth_magnitude(x, k, &certain, &band))
+               : multi_pass_brackets(x, k, certain, band);
+  });
+}
+
+SparseTensor MsTopK::compress(std::span<float> x, size_t k,
+                              std::span<float> residual) {
+  HITOPK_CHECK_EQ(residual.size(), x.size());
+  if (mode_ == MsTopKMode::kMultiPass || k == 0 || k >= x.size()) {
+    // No counting read to fold the compensation into: prime up front.
+    tensor_ops::add_into_both(x, residual);
+    return compress(std::span<const float>(x), k);
+  }
+  return select_after(x, k, [&](std::vector<uint32_t>& certain,
+                                std::vector<uint32_t>& band) {
+    return record_brackets(
+        bracket_kth_magnitude_primed(x, residual, k, &certain, &band));
+  });
+}
+
+bool MsTopK::record_brackets(const MagnitudeBrackets& brackets) {
   // The bit-bucket search needs no statistics: its boundaries are float
   // bit patterns, and degenerate inputs (all-equal magnitudes) simply put
   // every element in one sub-bucket, which the band handles.
-  const MagnitudeBrackets brackets =
-      bracket_kth_magnitude(x, k, &certain, &band);
   stats_.buckets = kThresholdBuckets;
   if (!brackets.finite) {
     // Non-finite magnitudes poison any threshold comparison: keep the

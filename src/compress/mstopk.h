@@ -21,9 +21,17 @@
 //       validation reference and for the sampling-count ablation.
 // Both hand their certain set and band to one implementation of lines
 // 25-29, so they draw the band run from the RNG identically.
+//
+// Under error feedback, compress(x, k, residual) takes the shard's
+// residual and compensates the shard itself.  In the histogram mode the
+// compensation rides in the counting read: each element is added to its
+// residual, written back to both buffers and counted in one visit, so
+// HiTopKComm's step 2 reads each shard element twice (count, gather)
+// instead of three times.
 #pragma once
 
 #include "compress/compressor.h"
+#include "compress/threshold_select.h"
 #include "core/rng.h"
 
 namespace hitopk::compress {
@@ -60,6 +68,18 @@ class MsTopK : public Compressor {
 
   SparseTensor compress(std::span<const float> x, size_t k) override;
 
+  // compress() of the error-feedback-compensated shard: x and residual
+  // both become x + residual (ErrorFeedback::apply_priming's add), then x is
+  // selected from, with the same bits in the selection, x and residual as
+  // apply_priming followed by compress().  The histogram mode folds the add
+  // into its counting read (bracket_kth_magnitude_primed), so the shard is
+  // read once for both; the multi-pass mode and k == 0 or k >= x.size()
+  // add up front.  Every path primes the whole shard exactly once, the
+  // non-finite first-k fallback included.  The caller absorbs the send
+  // with ErrorFeedback::absorb_primed on the residual's key.
+  SparseTensor compress(std::span<float> x, size_t k,
+                        std::span<float> residual);
+
   // Search diagnostics for the most recent compress() call (used by the
   // sampling-count ablation and the histogram-vs-legacy property tests).
   const MsTopKStats& last_stats() const { return stats_; }
@@ -68,17 +88,24 @@ class MsTopK : public Compressor {
   MsTopKMode mode() const { return mode_; }
 
  private:
+  // The body both compress() overloads share for 0 < k < x.size(): resets
+  // stats_, runs `search(certain, band)` (one of the bracket searches
+  // below) and hands its result to select(), or the first k indices when
+  // it returns false.
+  template <typename Search>
+  SparseTensor select_after(std::span<const float> x, size_t k,
+                            const Search& search);
+
   // The two bracket searches: each fills stats_, the certain set
   // (|x(i)| >= thres1) and the band ([thres2, thres1), ascending index
   // order), or returns false when no threshold can discriminate and
   // compress() falls back to the first k indices.
-  //   bit_brackets — threshold_select::bracket_kth_magnitude, two data
-  //     reads;
+  //   record_brackets — stores the result of
+  //     threshold_select::bracket_kth_magnitude (two data reads, the first
+  //     one primed under error feedback) into stats_;
   //   multi_pass_brackets — Alg. 1 lines 1-26: statistics, the N-sampling
   //     binary search, and a gather pass.
-  bool bit_brackets(std::span<const float> x, size_t k,
-                    std::vector<uint32_t>& certain,
-                    std::vector<uint32_t>& band);
+  bool record_brackets(const MagnitudeBrackets& brackets);
   bool multi_pass_brackets(std::span<const float> x, size_t k,
                            std::vector<uint32_t>& certain,
                            std::vector<uint32_t>& band);

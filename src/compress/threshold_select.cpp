@@ -4,6 +4,10 @@
 #include <bit>
 #include <cmath>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include "core/check.h"
 #include "core/parallel.h"
 #include "core/workspace.h"
@@ -44,21 +48,19 @@ inline uint32_t magnitude_bits_bucket(float v) {
   return magnitude_bits(v) >> 22;
 }
 
-// One worker's counting pass over [p, p + n): a vectorizable arithmetic
-// block turns magnitudes into buckets (no per-element boundary comparisons
-// or branches), then a scalar block scatters them into four interleaved
-// sub-histograms so consecutive same-bucket hits don't serialize on one
-// counter.  hist must have 4 * kBuckets zeroed entries.
-void count_into(const float* p, size_t n, size_t* hist) {
+// One worker's counting pass over [0, n): `fill(base, count, idx)` writes
+// the buckets of elements [base, base + count) to idx, then a scalar block
+// scatters them into four interleaved sub-histograms so consecutive
+// same-bucket hits don't serialize on one counter.  hist must have
+// 4 * kBuckets zeroed entries.
+template <typename Fill>
+void count_blocks(size_t n, size_t* hist, const Fill& fill) {
   constexpr size_t kBlock = 1024;
   size_t* h0 = hist;
   size_t* h1 = h0 + kBuckets;
   size_t* h2 = h1 + kBuckets;
   size_t* h3 = h2 + kBuckets;
   uint32_t idx[kBlock];
-  auto index_block = [&](const float* q, size_t count) {
-    for (size_t j = 0; j < count; ++j) idx[j] = magnitude_bits_bucket(q[j]);
-  };
   auto scatter_block = [&](size_t count) {
     size_t j = 0;
     for (; j + 4 <= count; j += 4) {
@@ -71,23 +73,54 @@ void count_into(const float* p, size_t n, size_t* hist) {
   };
   // Full blocks get a compile-time trip count so the bucket arithmetic
   // vectorizes even under -O2's conservative cost model; the remainder goes
-  // through the same lambdas with a runtime count.
+  // through the same code with a runtime count.
   const size_t full_end = n - n % kBlock;
   for (size_t base = 0; base < full_end; base += kBlock) {
-    index_block(p + base, kBlock);
+    fill(base, kBlock, idx);
     scatter_block(kBlock);
   }
-  index_block(p + full_end, n - full_end);
+  fill(full_end, n - full_end, idx);
   scatter_block(n - full_end);
 }
 
-// Counting core: partitions x into per-worker chunks when the pool and the
-// input are both large enough to amortize the extra sub-histogram merges,
-// and merges into counts[kBuckets].  Bucket counts are integers, so any
-// partitioning merges to the identical histogram.
-void histogram_count(std::span<const float> x, std::span<size_t> counts) {
+// Read 1 over [p, p + n): a vectorizable arithmetic block turns magnitudes
+// into buckets, no per-element boundary comparisons or branches.
+void count_into(const float* p, size_t n, size_t* hist) {
+  count_blocks(n, hist, [p](size_t base, size_t count, uint32_t* idx) {
+    const float* q = p + base;
+    for (size_t j = 0; j < count; ++j) idx[j] = magnitude_bits_bucket(q[j]);
+  });
+}
+
+// Read 1 with error feedback folded in: p[j] and r[j] both become
+// p[j] + r[j] (the float add of ErrorFeedback::apply_priming, so the same
+// bits), and that sum is what is counted.  The shard is read once, instead
+// of written by a compensation pass and read again by the count.
+void prime_block(float* __restrict__ p, float* __restrict__ r,
+                 uint32_t* __restrict__ idx, size_t count) {
+  for (size_t j = 0; j < count; ++j) {
+    const float sum = p[j] + r[j];
+    p[j] = sum;
+    r[j] = sum;
+    idx[j] = magnitude_bits_bucket(sum);
+  }
+}
+
+void prime_count_into(float* p, float* r, size_t n, size_t* hist) {
+  count_blocks(n, hist, [p, r](size_t base, size_t count, uint32_t* idx) {
+    prime_block(p + base, r + base, idx, count);
+  });
+}
+
+// Counting core: partitions [0, d) into per-worker chunks when the pool
+// and the input are both large enough to amortize the extra sub-histogram
+// merges, runs `count_chunk(begin, end, hist)` on each, and merges into
+// counts[kBuckets].  Bucket counts are integers, so any partitioning merges
+// to the identical histogram.
+template <typename CountChunk>
+void histogram_count(size_t d, std::span<size_t> counts,
+                     const CountChunk& count_chunk) {
   HITOPK_CHECK_EQ(counts.size(), kBuckets);
-  const size_t d = x.size();
   constexpr size_t kMinChunk = 1 << 16;
   const size_t max_chunks = std::max<size_t>(1, d / kMinChunk);
   const size_t chunks = std::min<size_t>(
@@ -96,12 +129,11 @@ void histogram_count(std::span<const float> x, std::span<size_t> counts) {
   Scratch<size_t> hist_buf(chunks * 4 * kBuckets, /*zeroed=*/true);
   size_t* slabs = hist_buf.data();
   if (chunks == 1) {
-    count_into(x.data(), d, slabs);
+    count_chunk(0, d, slabs);
   } else {
     parallel_for(0, chunks, [&](size_t c) {
-      const size_t begin = d * c / chunks;
-      const size_t end = d * (c + 1) / chunks;
-      count_into(x.data() + begin, end - begin, slabs + c * 4 * kBuckets);
+      count_chunk(d * c / chunks, d * (c + 1) / chunks,
+                  slabs + c * 4 * kBuckets);
     });
   }
   for (size_t c = 0; c < chunks; ++c) {
@@ -113,34 +145,139 @@ void histogram_count(std::span<const float> x, std::span<size_t> counts) {
   }
 }
 
+// Read 1 of a plain split: x is only read.
+struct PlainRead {
+  std::span<const float> x;
+  void operator()(size_t begin, size_t end, size_t* hist) const {
+    count_into(x.data() + begin, end - begin, hist);
+  }
+};
+
+// Read 1 of a primed split: x is compensated by the residual as it is
+// counted.
+struct PrimedRead {
+  std::span<float> x;
+  std::span<float> residual;
+  void operator()(size_t begin, size_t end, size_t* hist) const {
+    prime_count_into(x.data() + begin, residual.data() + begin, end - begin,
+                     hist);
+  }
+};
+
+// Read 2's output: the index of every magnitude at or above `above_bits`
+// goes to `above`, a packed key for every one in [lower_bits, above_bits)
+// to `keys`, both in ascending index order.
+struct Gathered {
+  uint32_t* above;
+  size_t* keys;
+  size_t n_above = 0;
+  size_t n_keys = 0;
+
+  // Files element i, whose magnitude bits m are at least lower_bits.
+  void take(uint32_t m, size_t i, uint32_t above_bits) {
+    if (m >= above_bits) {
+      above[n_above++] = static_cast<uint32_t>(i);
+    } else {
+      keys[n_keys++] = pack_key(m, i);
+    }
+  }
+};
+
+#if defined(__x86_64__)
+// Read 2's gather, a mask walk over 16 floats at a time in SSE2, which
+// every x86-64 CPU has, so there is one build and no dispatch: mask the
+// sign off, compare against lower_bits - 1 (magnitudes are below 2^31, so
+// the signed compare is exact, and lower_bits == 0 wraps to -1, below every
+// magnitude), movemask four compares into one 16-bit mask, then visit only
+// its set bits with ctz.  Skipping an element below the bucket, which is
+// almost every element of a sparse selection, costs no branch of its own.
+// The last 0..15 elements are tested one at a time.
+void gather(std::span<const float> x, uint32_t lower_bits,
+            uint32_t above_bits, Gathered& out) {
+  const float* p = x.data();
+  const size_t n = x.size();
+  const __m128i sign_off = _mm_set1_epi32(0x7FFFFFFF);
+  const __m128i floor_bits =
+      _mm_set1_epi32(static_cast<int>(lower_bits - 1));
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    unsigned mask = 0;
+    for (unsigned q = 0; q < 4; ++q) {
+      const __m128i v = _mm_and_si128(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i + 4 * q)),
+          sign_off);
+      mask |= static_cast<unsigned>(_mm_movemask_ps(
+                  _mm_castsi128_ps(_mm_cmpgt_epi32(v, floor_bits))))
+              << (4 * q);
+    }
+    for (; mask != 0; mask &= mask - 1) {
+      const size_t j = i + static_cast<size_t>(std::countr_zero(mask));
+      out.take(magnitude_bits(p[j]), j, above_bits);
+    }
+  }
+  for (; i < n; ++i) {
+    const uint32_t m = magnitude_bits(p[i]);
+    if (m >= lower_bits) out.take(m, i, above_bits);
+  }
+}
+#else
+// Read 2's gather, two-phase like the counting read: a constant-trip block
+// extracts magnitude bits (vectorizable), then a scalar block compares them
+// against the bucket's bit bounds — almost always "below, skip" for sparse
+// selections.
+void gather(std::span<const float> x, uint32_t lower_bits,
+            uint32_t above_bits, Gathered& out) {
+  constexpr size_t kBlock = 1024;
+  uint32_t mag[kBlock];
+  const float* p = x.data();
+  auto bits_block = [&](size_t base, size_t count) {
+    for (size_t j = 0; j < count; ++j) mag[j] = magnitude_bits(p[base + j]);
+  };
+  auto gather_block = [&](size_t base, size_t count) {
+    for (size_t j = 0; j < count; ++j) {
+      if (mag[j] < lower_bits) continue;  // common case first
+      out.take(mag[j], base + j, above_bits);
+    }
+  };
+  const size_t d = x.size();
+  const size_t full_end = d - d % kBlock;
+  for (size_t base = 0; base < full_end; base += kBlock) {
+    bits_block(base, kBlock);
+    gather_block(base, kBlock);
+  }
+  bits_block(full_end, d - full_end);
+  gather_block(full_end, d - full_end);
+}
+#endif
+
 // The two data reads every selection here runs on.
 //
-// Read 1 counts x into the half-octave buckets and scans down to the
-// bucket holding the k-th magnitude; `above` elements sit in higher buckets
-// (< k of them, each with strictly larger magnitude than every boundary-
-// bucket element, by monotonicity of the bucket map).  Read 2 writes the
-// indices above the boundary bucket to `above_idx` (ascending) and the
-// bucket's occupants to `keys` as packed keys (ascending index order).
-// Sizes are known exactly from the histogram, so neither output
-// reallocates while being filled.  Two-phase like the counting read: a
-// constant-trip block extracts magnitude bits (vectorizable), then a scalar
-// block compares them against the bucket's bit bounds — almost always
-// "below, skip" for sparse selections.
+// Read 1 (`read`, a PlainRead or PrimedRead) counts x into the half-octave
+// buckets and scans down to the bucket holding the k-th magnitude; `above`
+// elements sit in higher buckets (< k of them, each with strictly larger
+// magnitude than every boundary-bucket element, by monotonicity of the
+// bucket map).  Read 2 (gather) writes the indices above the boundary
+// bucket to `above_idx` (ascending) and the bucket's occupants to `keys` as
+// packed keys (ascending index order).  Sizes are known exactly from the
+// histogram, so neither output reallocates while being filled.
 //
 // Requires 0 < k <= x.size().  With `finite_only`, an input holding an inf
 // or NaN (bits >= 0x7F800000 land in buckets 510/511) stops after read 1
-// with finite = false and nothing gathered.
+// with finite = false and nothing gathered; a primed read has compensated
+// all of x by then.
 struct Split {
   uint32_t bucket = 0;
   size_t above = 0;
   bool finite = true;
 };
 
-Split split_at_kth(std::span<const float> x, size_t k,
+template <typename Read>
+Split split_at_kth(const Read& read, size_t k,
                    std::vector<uint32_t>& above_idx, std::vector<size_t>& keys,
                    bool finite_only = false) {
+  const std::span<const float> x = read.x;
   Scratch<size_t> counts(kBuckets, /*zeroed=*/true);
-  histogram_count(x, counts.span());
+  histogram_count(x.size(), counts.span(), read);
   Split split;
   if (finite_only && counts[510] + counts[511] > 0) {
     split.finite = false;
@@ -158,57 +295,29 @@ Split split_at_kth(std::span<const float> x, size_t k,
 
   above_idx.resize(split.above);
   keys.resize(counts[split.bucket]);
-  uint32_t* above_out = above_idx.data();
-  size_t* keys_out = keys.data();
-  size_t n_above = 0;
-  size_t n_keys = 0;
+  Gathered out{above_idx.data(), keys.data()};
   // First magnitude-bit pattern inside / above the boundary bucket.  For
   // bucket 511 `above_bits` wraps to 0x80000000, which no magnitude
   // reaches — exactly "nothing is above the top bucket".
   const uint32_t lower_bits = split.bucket << 22;
   const uint32_t above_bits = (split.bucket + 1) << 22;
-  constexpr size_t kBlock = 1024;
-  uint32_t mag[kBlock];
-  const float* p = x.data();
-  auto bits_block = [&](size_t base, size_t count) {
-    for (size_t j = 0; j < count; ++j) mag[j] = magnitude_bits(p[base + j]);
-  };
-  auto gather_block = [&](size_t base, size_t count) {
-    for (size_t j = 0; j < count; ++j) {
-      const uint32_t m = mag[j];
-      if (m < lower_bits) continue;  // common case first
-      const size_t i = base + j;
-      if (m >= above_bits) {
-        above_out[n_above++] = static_cast<uint32_t>(i);
-      } else {
-        keys_out[n_keys++] = pack_key(m, i);
-      }
-    }
-  };
-  const size_t d = x.size();
-  const size_t full_end = d - d % kBlock;
-  for (size_t base = 0; base < full_end; base += kBlock) {
-    bits_block(base, kBlock);
-    gather_block(base, kBlock);
-  }
-  bits_block(full_end, d - full_end);
-  gather_block(full_end, d - full_end);
-  HITOPK_CHECK_EQ(n_above, split.above);
-  HITOPK_CHECK_EQ(n_keys, keys.size());
+  gather(x, lower_bits, above_bits, out);
+  HITOPK_CHECK_EQ(out.n_above, split.above);
+  HITOPK_CHECK_EQ(out.n_keys, keys.size());
   return split;
 }
 
-}  // namespace
-
-MagnitudeBrackets bracket_kth_magnitude(std::span<const float> x, size_t k,
-                                        std::vector<uint32_t>* certain,
-                                        std::vector<uint32_t>* band) {
-  MagnitudeBrackets out;
-  const size_t d = x.size();
-  out.k2 = d;
+// bracket_kth_magnitude's body over either read 1 (requires
+// 0 < k < x.size()).
+template <typename Read>
+MagnitudeBrackets brackets_at_kth(const Read& read, size_t k,
+                                  std::vector<uint32_t>* certain,
+                                  std::vector<uint32_t>* band) {
   if (certain != nullptr) certain->clear();
   if (band != nullptr) band->clear();
-  if (d == 0 || k == 0 || k >= d) return out;  // no bracket to find
+  MagnitudeBrackets out;
+  const size_t d = read.x.size();
+  out.k2 = d;
 
   // Elements above the boundary bucket are certain winners; the bucket's
   // occupants are candidates carrying their magnitude bits.  Non-finite
@@ -220,7 +329,7 @@ MagnitudeBrackets bracket_kth_magnitude(std::span<const float> x, size_t k,
   std::vector<uint32_t>& sure = certain != nullptr ? *certain
                                                    : own_certain.vec();
   Scratch<size_t> keys(0);
-  const Split split = split_at_kth(x, k, sure, keys.vec(),
+  const Split split = split_at_kth(read, k, sure, keys.vec(),
                                    /*finite_only=*/true);
   if (!split.finite) {
     out.finite = false;
@@ -288,6 +397,33 @@ MagnitudeBrackets bracket_kth_magnitude(std::span<const float> x, size_t k,
   return out;
 }
 
+}  // namespace
+
+MagnitudeBrackets bracket_kth_magnitude(std::span<const float> x, size_t k,
+                                        std::vector<uint32_t>* certain,
+                                        std::vector<uint32_t>* band) {
+  if (x.empty() || k == 0 || k >= x.size()) {
+    if (certain != nullptr) certain->clear();
+    if (band != nullptr) band->clear();
+    MagnitudeBrackets none;  // no bracket to find
+    none.k2 = x.size();
+    return none;
+  }
+  return brackets_at_kth(PlainRead{x}, k, certain, band);
+}
+
+MagnitudeBrackets bracket_kth_magnitude_primed(std::span<float> x,
+                                               std::span<float> residual,
+                                               size_t k,
+                                               std::vector<uint32_t>* certain,
+                                               std::vector<uint32_t>* band) {
+  HITOPK_CHECK_EQ(residual.size(), x.size());
+  HITOPK_CHECK(k > 0 && k < x.size())
+      << "primed brackets need 0 < k < d, got k = " << k
+      << ", d = " << x.size();
+  return brackets_at_kth(PrimedRead{x, residual}, k, certain, band);
+}
+
 // The reference selection: nth_element over all packed keys.
 SparseTensor select_topk_nth(std::span<const float> x, size_t k) {
   SparseTensor out;
@@ -341,7 +477,7 @@ SparseTensor exact_topk(std::span<const float> x, size_t k) {
   out.indices.reserve(k);
   Scratch<size_t> keys_buf(0);
   std::vector<size_t>& keys = keys_buf.vec();
-  const Split split = split_at_kth(x, k, out.indices, keys);
+  const Split split = split_at_kth(PlainRead{x}, k, out.indices, keys);
   const size_t need = k - split.above;
   if (need < keys.size()) {
     std::nth_element(keys.begin(), keys.begin() + static_cast<long>(need - 1),
@@ -365,7 +501,7 @@ float exact_topk_threshold(std::span<const float> x, size_t k) {
   Scratch<uint32_t> above_idx(0);
   Scratch<size_t> keys_buf(0);
   std::vector<size_t>& keys = keys_buf.vec();
-  const Split split = split_at_kth(x, k, above_idx.vec(), keys);
+  const Split split = split_at_kth(PlainRead{x}, k, above_idx.vec(), keys);
   const size_t need = k - split.above;
   std::nth_element(keys.begin(), keys.begin() + static_cast<long>(need - 1),
                    keys.end(), std::greater<size_t>());

@@ -13,7 +13,13 @@
 //     the map is monotone and needs no statistics pass, no width
 //     arithmetic, and no degenerate-range fallbacks;
 //   read 2 — a gather of the indices above that bucket (certain winners)
-//     and of the bucket's occupants as packed magnitude/index keys.
+//     and of the bucket's occupants as packed magnitude/index keys.  On
+//     x86-64 it compares 16 magnitudes at a time (SSE2) and walks only the
+//     set bits of the compare mask; elsewhere it tests each element.
+//
+// MSTopK under error feedback runs a primed read 1
+// (bracket_kth_magnitude_primed): the counting pass also adds the
+// residual into the shard, so compensation costs no pass of its own.
 //
 // exact_topk() / exact_topk_threshold() resolve the boundary exactly with
 // nth_element over just those keys, on the same comparator the reference
@@ -87,6 +93,21 @@ struct MagnitudeBrackets {
 MagnitudeBrackets bracket_kth_magnitude(std::span<const float> x, size_t k,
                                         std::vector<uint32_t>* certain = nullptr,
                                         std::vector<uint32_t>* band = nullptr);
+
+// bracket_kth_magnitude() of the error-feedback-compensated x, with the
+// compensation folded into read 1: as each element is counted, x[i] and
+// residual[i] both become x[i] + residual[i] — the float add of
+// ErrorFeedback::apply_priming, so the brackets and both buffers hold the
+// same bits as apply_priming followed by bracket_kth_magnitude.  Requires
+// 0 < k < x.size(): with nothing to bracket there is no read to fold the
+// add into, and the caller (MsTopK::compress) primes those cases itself.
+// Every return primes the whole of x exactly once; a non-finite input
+// returns finite = false after read 1, which has primed it.  x and residual
+// must be the same size and must not overlap.
+MagnitudeBrackets bracket_kth_magnitude_primed(
+    std::span<float> x, std::span<float> residual, size_t k,
+    std::vector<uint32_t>* certain = nullptr,
+    std::vector<uint32_t>* band = nullptr);
 
 // Exact top-k (the nn.topk baseline of Fig. 6): exactly min(k, x.size())
 // elements with the largest |x(i)|, ties broken by lower index; indices

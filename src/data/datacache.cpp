@@ -26,7 +26,13 @@ double read_seconds(double latency, double bandwidth, size_t count,
 DataCache::DataCache(DataCacheConfig config)
     : config_(std::move(config)),
       ssd_(config_.use_ssd_cache ? Calibration::ssd_capacity_bytes : 0),
-      memory_(config_.use_memory_cache ? config_.memory_capacity_bytes : 0) {}
+      memory_(config_.use_memory_cache ? config_.memory_capacity_bytes : 0) {
+  HITOPK_VALIDATE(config_.nodes > 0)
+      << "DataCache needs at least one node; got" << config_.nodes;
+  HITOPK_VALIDATE(config_.cache_resolution >= 0)
+      << "DataCache cache_resolution must be >= 0; got"
+      << config_.cache_resolution;
+}
 
 FetchBreakdown DataCache::fetch_batch(std::span<const uint64_t> sample_ids,
                                       int resolution) {
@@ -102,7 +108,8 @@ FetchBreakdown DataCache::fetch_shard_batch(uint64_t shard_offset,
 void DataCache::new_run() { memory_.clear(); }
 
 void DataCache::set_resolution(int resolution) {
-  HITOPK_CHECK_GT(resolution, 0);
+  HITOPK_VALIDATE(resolution > 0)
+      << "resolution must be positive; got" << resolution;
   if (config_.cache_resolution > 0 &&
       resolution <= config_.cache_resolution) {
     // Fixed-resolution caching: down-cropping per batch keeps entries valid

@@ -74,7 +74,10 @@ double PerfModel::single_gpu_throughput(const std::string& model,
 
 double PerfModel::ffbp_seconds(const std::string& model, int resolution,
                                int local_batch) {
-  HITOPK_CHECK_GT(local_batch, 0);
+  HITOPK_VALIDATE(local_batch > 0)
+      << "local batch must be positive; got" << local_batch;
+  HITOPK_VALIDATE(resolution > 0)
+      << "resolution must be positive; got" << resolution;
   return static_cast<double>(local_batch) /
          single_gpu_throughput(model, resolution);
 }

@@ -41,13 +41,15 @@ Topology::Topology(std::vector<int> gpus, LinkParams intra, LinkParams inter,
     : gpus_(std::move(gpus)), intra_(intra), inter_(inter),
       nic_beta_(nic_beta > 0.0 ? nic_beta : inter.beta),
       oversubscription_(oversubscription), nodes_per_pod_(nodes_per_pod) {
-  HITOPK_CHECK(!gpus_.empty()) << "topology needs at least one node";
-  HITOPK_CHECK_GE(oversubscription_, 1.0);
-  HITOPK_CHECK_GE(nodes_per_pod_, 0);
+  HITOPK_VALIDATE(!gpus_.empty()) << "topology needs at least one node";
+  HITOPK_VALIDATE(oversubscription_ >= 1.0)
+      << "topology oversubscription must be >= 1; got" << oversubscription_;
+  HITOPK_VALIDATE(nodes_per_pod_ >= 0)
+      << "topology nodes_per_pod must be >= 0; got" << nodes_per_pod_;
   node_base_.reserve(gpus_.size() + 1);
   uniform_gpus_ = gpus_.front();
   for (int n : gpus_) {
-    HITOPK_CHECK_GT(n, 0);
+    HITOPK_VALIDATE(n > 0) << "every node needs at least one GPU; got" << n;
     node_base_.push_back(world_size_);
     world_size_ += n;
     max_gpus_ = std::max(max_gpus_, n);

@@ -36,7 +36,19 @@ std::string algorithm_name(Algorithm algorithm) {
 
 TrainingSimulator::TrainingSimulator(simnet::Topology topology,
                                      TrainerOptions options)
-    : topology_(std::move(topology)), options_(std::move(options)) {}
+    : topology_(std::move(topology)), options_(std::move(options)) {
+  HITOPK_VALIDATE(options_.resolution > 0)
+      << "resolution must be positive; got" << options_.resolution;
+  HITOPK_VALIDATE(options_.local_batch > 0)
+      << "local batch must be positive; got" << options_.local_batch;
+  HITOPK_VALIDATE(options_.density > 0.0 && options_.density <= 1.0)
+      << "density must lie in (0, 1]; got" << options_.density;
+  HITOPK_VALIDATE(options_.straggler_cv >= 0.0 &&
+                  std::isfinite(options_.straggler_cv))
+      << "straggler_cv must be finite and >= 0; got" << options_.straggler_cv;
+  HITOPK_VALIDATE(options_.mstopk_samplings > 0)
+      << "mstopk_samplings must be positive; got" << options_.mstopk_samplings;
+}
 
 double TrainingSimulator::raw_io_seconds() {
   data::DataCacheConfig config;

@@ -64,6 +64,9 @@ struct IterationBreakdown {
 
 class TrainingSimulator {
  public:
+  // Raises ConfigError when an option is out of range: a non-positive
+  // resolution, local batch or mstopk_samplings, a density outside (0, 1],
+  // or a negative or non-finite straggler_cv.
   TrainingSimulator(simnet::Topology topology, TrainerOptions options);
 
   // Steady-state training iteration (caches warm when DataCache is on).

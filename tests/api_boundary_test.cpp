@@ -1,0 +1,122 @@
+// Bad input at the simulator's public entry points stops with a
+// ConfigError (exit 2 from every bench and example main, core/cli.h), never
+// a CheckError abort, a std::length_error or a silent run.  One row per bad
+// case; simulate_cli's flags map onto the Topology, TrainerOptions,
+// PerfModel and DataCache rows.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "core/check.h"
+#include "data/datacache.h"
+#include "models/perf_model.h"
+#include "simnet/topology.h"
+#include "train/timeline.h"
+
+namespace hitopk {
+namespace {
+
+struct BadCase {
+  std::string name;
+  std::function<void()> call;
+};
+
+train::TrainerOptions trainer_with(
+    const std::function<void(train::TrainerOptions&)>& edit) {
+  train::TrainerOptions options;
+  edit(options);
+  return options;
+}
+
+void simulate(const train::TrainerOptions& options) {
+  train::TrainingSimulator sim(simnet::Topology::tencent_cloud(2, 8), options);
+  sim.simulate_iteration();
+}
+
+std::vector<BadCase> bad_cases() {
+  const simnet::LinkParams link{1e-6, 1e-9};
+  return {
+      // simulate_cli --nodes=0 / --gpus=0.
+      {"topology nodes=0", [] { simnet::Topology::tencent_cloud(0, 8); }},
+      {"topology gpus=0", [] { simnet::Topology::tencent_cloud(16, 0); }},
+      {"topology nodes=-3", [] { simnet::Topology::aliyun(-3, 8); }},
+      {"uneven fleet with an empty node",
+       [link] { simnet::Topology(std::vector<int>{8, 0, 4}, link, link); }},
+      {"uneven fleet of no nodes",
+       [link] { simnet::Topology(std::vector<int>{}, link, link); }},
+      {"oversubscription below 1",
+       [link] { simnet::Topology(2, 4, link, link, 0.0, 0.5); }},
+      {"negative nodes_per_pod",
+       [link] { simnet::Topology(2, 4, link, link, 0.0, 1.0, -1); }},
+      // simulate_cli --batch=0 / --batch=-4 / --resolution=0 /
+      // --straggler-cv=-1 / --density.
+      {"trainer batch=0", [] {
+         simulate(trainer_with([](auto& o) { o.local_batch = 0; }));
+       }},
+      {"trainer batch=-4", [] {
+         simulate(trainer_with([](auto& o) { o.local_batch = -4; }));
+       }},
+      {"trainer resolution=0", [] {
+         simulate(trainer_with([](auto& o) { o.resolution = 0; }));
+       }},
+      {"trainer straggler_cv=-1", [] {
+         simulate(trainer_with([](auto& o) { o.straggler_cv = -1.0; }));
+       }},
+      {"trainer straggler_cv=nan", [] {
+         simulate(trainer_with([](auto& o) { o.straggler_cv = NAN; }));
+       }},
+      {"trainer density=0", [] {
+         simulate(trainer_with([](auto& o) { o.density = 0.0; }));
+       }},
+      {"trainer density=2", [] {
+         simulate(trainer_with([](auto& o) { o.density = 2.0; }));
+       }},
+      {"trainer density=nan", [] {
+         simulate(trainer_with([](auto& o) { o.density = NAN; }));
+       }},
+      {"trainer mstopk_samplings=0", [] {
+         simulate(trainer_with([](auto& o) { o.mstopk_samplings = 0; }));
+       }},
+      {"perf model batch=0",
+       [] { models::PerfModel::ffbp_seconds("resnet50", 224, 0); }},
+      {"perf model resolution=0",
+       [] { models::PerfModel::ffbp_seconds("resnet50", 0, 32); }},
+      {"datacache nodes=0", [] {
+         data::DataCacheConfig config;
+         config.nodes = 0;
+         data::DataCache cache(config);
+       }},
+      {"datacache cache_resolution=-1", [] {
+         data::DataCacheConfig config;
+         config.cache_resolution = -1;
+         data::DataCache cache(config);
+       }},
+      {"datacache fetch at resolution 0", [] {
+         data::DataCache cache(data::DataCacheConfig{});
+         const std::vector<uint64_t> ids = {0, 1, 2};
+         cache.fetch_batch(ids, 0);
+       }},
+  };
+}
+
+TEST(ApiBoundary, BadInputRaisesConfigError) {
+  for (const BadCase& bad : bad_cases()) {
+    EXPECT_THROW(bad.call(), ConfigError) << bad.name;
+  }
+}
+
+TEST(ApiBoundary, DefaultsStillRun) {
+  // The rows above differ from these calls only in the bad field.
+  EXPECT_NO_THROW(simulate(train::TrainerOptions{}));
+  EXPECT_NO_THROW(models::PerfModel::ffbp_seconds("resnet50", 224, 32));
+  data::DataCache cache(data::DataCacheConfig{});
+  const std::vector<uint64_t> ids = {0, 1, 2};
+  EXPECT_NO_THROW(cache.fetch_batch(ids, 224));
+}
+
+}  // namespace
+}  // namespace hitopk

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "compress/dgc_topk.h"
@@ -550,6 +552,72 @@ TEST(ErrorFeedback, FusedExchangeMatchesApplyAbsorb) {
   test::ef_apply(split, "w", split_res.span());
   test::ef_apply(fused, "w", fused_res.span());
   for (size_t i = 0; i < 128; ++i) EXPECT_EQ(split_res[i], fused_res[i]);
+
+  // MsTopK::compress with the residual (the compensation folded into the
+  // counting read) equals apply_priming + compress bit for bit: the
+  // selection, the compensated gradient and the residual, over three
+  // steps, in both modes, on every path: the bracketed selection, k == 0,
+  // k == d, k > d, a non-finite gradient (first-k fallback after the
+  // counting read) and all-equal magnitudes (the multi-pass first-k
+  // fallback).
+  auto bits_equal = [](std::span<const float> a, std::span<const float> b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (std::bit_cast<uint32_t>(a[i]) != std::bit_cast<uint32_t>(b[i])) {
+        return false;
+      }
+    }
+    return true;
+  };
+  constexpr size_t kD = 4096;
+  struct Path {
+    const char* name;
+    size_t k;
+    float fill;  // 0: N(0, 1) gradients; otherwise every element
+    bool non_finite;
+  };
+  const Path paths[] = {{"bracketed", kD / 100, 0.0f, false},
+                        {"k=0", 0, 0.0f, false},
+                        {"k=d", kD, 0.0f, false},
+                        {"k>d", kD + 3, 0.0f, false},
+                        {"non_finite", kD / 100, 0.0f, true},
+                        {"all_equal", kD / 100, -0.75f, false}};
+  for (const MsTopKMode mode :
+       {MsTopKMode::kHistogram, MsTopKMode::kMultiPass}) {
+    for (const Path& path : paths) {
+      SCOPED_TRACE(std::string(path.name) + (mode == MsTopKMode::kHistogram
+                                                 ? " histogram"
+                                                 : " multi-pass"));
+      ErrorFeedback unfolded, folded;
+      MsTopK unfolded_op(30, 17, mode), folded_op(30, 17, mode);
+      const std::span<float> residual = folded.ensure("w", kD);
+      Rng grads(73);
+      for (int step = 0; step < 3; ++step) {
+        Tensor g(kD);
+        if (path.fill != 0.0f) {
+          g.fill(path.fill);
+        } else {
+          g.fill_normal(grads, 0.0f, 1.0f);
+        }
+        if (path.non_finite) g[kD / 3] = std::numeric_limits<float>::infinity();
+        Tensor unfolded_grad = g, folded_grad = g;
+        unfolded.apply_priming("w", unfolded_grad.span());
+        const SparseTensor want =
+            unfolded_op.compress(unfolded_grad.span(), path.k);
+        unfolded.absorb_primed("w", want);
+        const SparseTensor got =
+            folded_op.compress(folded_grad.span(), path.k, residual);
+        folded.absorb_primed("w", got);
+
+        ASSERT_EQ(got.indices, want.indices) << "step " << step;
+        ASSERT_TRUE(bits_equal(got.values, want.values)) << "step " << step;
+        ASSERT_TRUE(bits_equal(folded_grad.span(), unfolded_grad.span()))
+            << "step " << step;
+        ASSERT_TRUE(bits_equal(folded.residual("w"), unfolded.residual("w")))
+            << "step " << step;
+      }
+    }
+  }
 }
 
 TEST(ErrorFeedback, AbsorbPrimedGuardsIndexRange) {

@@ -199,5 +199,151 @@ TEST(ThresholdSelect, EmptyAndZeroK) {
   }
 }
 
+// ------------------------------------------------------- read 2's mask walk
+//
+// On x86-64 read 2 compares 16 magnitudes at a time and tests the last
+// 0..15 one by one.  Every entry point that runs it must match a reference
+// that does not: exact_topk (indices and value bits) and its threshold the
+// nth_element reference, and bracket_kth_magnitude's certain set and band
+// the scan of x against its thresholds below.
+
+uint32_t mag_bits(float v) { return std::bit_cast<uint32_t>(v) & 0x7FFFFFFFu; }
+
+// The brackets' own contract, checked against one scan of x: k1 < k <= k2
+// (or k1 == k, k2 == d when the loose edge selects exactly k), the certain
+// set is every index with |x| >= thres1 and the band every index in
+// [thres2, thres1), and the k-th magnitude lies in [thres2, thres1) unless
+// promoted.  The band is ascending; the certain set lists the indices above
+// the boundary bucket, ascending, then the bucket's own, ascending.
+void expect_brackets_match_scan(std::span<const float> x, size_t k,
+                                const std::string& label) {
+  SCOPED_TRACE(label + " k=" + std::to_string(k));
+  std::vector<uint32_t> certain, band;
+  const MagnitudeBrackets b = bracket_kth_magnitude(x, k, &certain, &band);
+  const bool finite = std::all_of(x.begin(), x.end(),
+                                  [](float v) { return std::isfinite(v); });
+  ASSERT_EQ(b.finite, finite);
+  if (!finite) {
+    EXPECT_TRUE(certain.empty());
+    EXPECT_TRUE(band.empty());
+    return;
+  }
+  const uint32_t t1 = mag_bits(b.thres1);
+  const uint32_t t2 = mag_bits(b.thres2);
+  const bool promoted = b.k1 == k;
+  // The half-octave bucket holding the loose edge (thres1 once promoted).
+  const uint32_t bucket = (promoted ? t1 : t2) >> 22;
+  std::vector<uint32_t> want_certain, want_band, bucket_certain;
+  for (size_t i = 0; i < x.size(); ++i) {
+    const uint32_t m = mag_bits(x[i]);
+    if (m >> 22 > bucket) {
+      want_certain.push_back(static_cast<uint32_t>(i));
+    } else if (m >= t1) {
+      bucket_certain.push_back(static_cast<uint32_t>(i));
+    } else if (!promoted && m >= t2) {
+      want_band.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  want_certain.insert(want_certain.end(), bucket_certain.begin(),
+                      bucket_certain.end());
+  EXPECT_EQ(certain, want_certain);
+  EXPECT_EQ(band, want_band);
+  EXPECT_EQ(b.k1, want_certain.size());
+  if (promoted) {
+    EXPECT_EQ(b.k2, x.size());
+  } else {
+    EXPECT_LT(b.k1, k);
+    EXPECT_GE(b.k2, k);
+    EXPECT_EQ(b.k2, b.k1 + want_band.size());
+    const uint32_t kth = mag_bits(topk_threshold_nth(x, k));
+    EXPECT_GE(kth, t2);
+    EXPECT_LT(kth, t1);
+  }
+}
+
+void expect_split_matches_references(std::span<const float> x, size_t k,
+                                     const std::string& label) {
+  expect_bit_identical(exact_topk(x, k), select_topk_nth(x, k),
+                       label + " k=" + std::to_string(k));
+  EXPECT_EQ(std::bit_cast<uint32_t>(exact_topk_threshold(x, k)),
+            std::bit_cast<uint32_t>(topk_threshold_nth(x, k)))
+      << label << " k=" << k;
+  expect_brackets_match_scan(x, k, label);
+}
+
+void expect_split_matches_references(std::span<const float> x,
+                                     const std::string& label) {
+  const size_t d = x.size();
+  for (size_t k : {size_t{1}, d / 100 + 1, d / 10 + 1, d / 2, d - 1}) {
+    if (k > 0 && k < d) expect_split_matches_references(x, k, label);
+  }
+}
+
+TEST(SplitGather, EveryTailLengthAndOffset) {
+  // Spans of kHistogramMinSize + 0..33 floats (exact top-k's histogram
+  // path) and of 0..33 floats (brackets alone; exact top-k takes the
+  // reference below the cutoff) at offsets 0..7 cover every tail from
+  // unaligned starts.  The classes put elements above, inside and below the
+  // boundary bucket, with signed zeros and subnormals.
+  const uint32_t classes[] = {
+      0x3f800000u, 0xbf800001u, 0x00000000u, 0x80000000u, 0x3a83126fu,
+      0x40490fdbu, 0xc0490fdbu, 0x00000001u, 0x807fffffu, 0x3f800000u,
+      0x3b03126fu, 0xbf7fffffu, 0x3f400000u, 0x41200000u, 0x3c23d70au,
+      0xc1200000u, 0x3f000000u};
+  constexpr size_t kMaxOffset = 7, kMaxTail = 33;
+  Rng rng(421);
+  std::vector<float> values(kMaxOffset + kHistogramMinSize + kMaxTail);
+  for (float& v : values) {
+    v = std::bit_cast<float>(classes[rng.uniform_index(std::size(classes))]);
+  }
+  for (size_t offset = 0; offset <= kMaxOffset; ++offset) {
+    for (size_t tail = 0; tail <= kMaxTail; ++tail) {
+      const std::string label =
+          "offset " + std::to_string(offset) + " tail " + std::to_string(tail);
+      const std::span<const float> all(values);
+      expect_split_matches_references(
+          all.subspan(offset, kHistogramMinSize + tail), label);
+      for (size_t k = 1; k < tail; k += 5) {
+        expect_brackets_match_scan(all.subspan(offset, tail), k, label);
+      }
+    }
+  }
+}
+
+TEST(SplitGather, AdversarialInputs) {
+  for (auto& input : adversarial_inputs()) {
+    expect_split_matches_references(input.x.span(), input.name);
+  }
+  {
+    // Every magnitude in one half-octave bucket [1, 1.5): the boundary
+    // bucket holds all of x.
+    Rng rng(423);
+    Tensor x(6000);
+    for (size_t i = 0; i < x.size(); ++i) {
+      x[i] = static_cast<float>(rng.uniform(1.0, 1.5)) *
+             (i % 2 == 0 ? 1.0f : -1.0f);
+    }
+    expect_split_matches_references(x.span(), "one_bucket");
+  }
+  {
+    // NaNs of both signs with assorted payloads in 3/4 of the slots put
+    // the boundary in bucket 511, whose upper bound wraps to 0x80000000
+    // (nothing is above it); infinities sit in bucket 510 below them.
+    Rng rng(425);
+    Tensor x(5000);
+    for (size_t i = 0; i < x.size(); ++i) {
+      const uint64_t r = rng.uniform_index(8);
+      const uint32_t payload =
+          static_cast<uint32_t>(rng.uniform_index(1u << 22));
+      x[i] = r < 3   ? std::bit_cast<float>(0x7FC00000u | payload)
+             : r < 6 ? std::bit_cast<float>(0xFFC00000u | payload)
+             : r < 7 ? (i % 2 ? 1.0f : -1.0f) *
+                           std::numeric_limits<float>::infinity()
+                     : static_cast<float>(rng.normal(0.0, 1.0));
+    }
+    expect_split_matches_references(x.span(), "bucket_511");
+  }
+}
+
 }  // namespace
 }  // namespace hitopk::compress

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
 #include "core/check.h"
@@ -164,6 +165,18 @@ std::span<float> Tape::node_grad(Node& n) {
   return arena_.span(n.grad_offset, n.rows * n.cols);
 }
 
+bool Tape::claim_first_write(Node& n) {
+  if (n.op != Op::kLeaf || n.grad_written) return false;
+  n.grad_written = true;
+  return true;
+}
+
+std::span<float> Tape::grad_for_add(Node& n) {
+  const std::span<float> g = node_grad(n);
+  if (!g.empty() && claim_first_write(n)) std::fill(g.begin(), g.end(), 0.0f);
+  return g;
+}
+
 std::span<const int> Tape::node_ids(const Node& n) const {
   return std::span<const int>(ids_.data() + n.ids_begin, n.ids_count);
 }
@@ -188,6 +201,18 @@ VarId Tape::leaf(std::span<const float> value, std::span<float> grad,
   HITOPK_CHECK_EQ(value.size(), rows * cols);
   if (!grad.empty()) {
     HITOPK_CHECK_EQ(grad.size(), value.size());
+    // A leaf's first contribution overwrites its grad, so a second leaf
+    // over the same floats would silently drop the first one's.
+    const auto lo = reinterpret_cast<uintptr_t>(grad.data());
+    const uintptr_t hi = lo + grad.size_bytes();
+    for (size_t id = 0; id < nodes_.size(); ++id) {
+      const std::span<float> other = nodes_[id].leaf_grad;
+      if (other.empty()) continue;
+      const auto other_lo = reinterpret_cast<uintptr_t>(other.data());
+      HITOPK_VALIDATE(hi <= other_lo || other_lo + other.size_bytes() <= lo)
+          << "leaf grad overlaps the grad of leaf" << id
+          << "; to tie weights, reuse that leaf's VarId";
+    }
   }
   Node n;
   n.op = Op::kLeaf;
@@ -480,17 +505,19 @@ void Tape::backward_matmul(Node& n) {
   const auto gc = node_grad(n);
   auto ga = node_grad(check_id(n.a));
   auto gb = node_grad(check_id(n.b));
+  // A leaf's first contribution is written, not added: the GEMM's sums
+  // start at +0.0, so they equal 0 + the sums bit for bit.
   if (!ga.empty()) {
     // dA += dC * B^T
     gemm::sgemm(gemm::Trans::kNo, gemm::Trans::kYes, n.rows, inner, n.cols,
                 gc.data(), n.cols, node_value(check_id(n.b)).data(), n.cols,
-                ga.data(), inner, /*accumulate=*/true);
+                ga.data(), inner, !claim_first_write(check_id(n.a)));
   }
   if (!gb.empty()) {
     // dB += A^T * dC
     gemm::sgemm(gemm::Trans::kYes, gemm::Trans::kNo, inner, n.cols, n.rows,
                 node_value(check_id(n.a)).data(), inner, gc.data(), n.cols,
-                gb.data(), n.cols, /*accumulate=*/true);
+                gb.data(), n.cols, !claim_first_write(check_id(n.b)));
   }
 }
 
@@ -500,9 +527,10 @@ void Tape::backward_conv2d(Node& n) {
   const size_t patch = c_in * k * k;
   const auto vw = node_value(check_id(n.b));
   const auto gout = node_grad(n);
-  auto gx = node_grad(check_id(n.a));
+  auto gx = grad_for_add(check_id(n.a));
   auto gw = node_grad(check_id(n.b));
   if (gx.empty() && gw.empty()) return;
+  const bool write_gw = !gw.empty() && claim_first_write(check_id(n.b));
   // A weight that can receive a gradient always has its im2col panels
   // cached by the forward pass (see conv2d()).
   HITOPK_CHECK(gw.empty() || n.col_offset != kNone);
@@ -516,7 +544,7 @@ void Tape::backward_conv2d(Node& n) {
       // dW += dOut (c_out x hw) * col^T (hw x patch); col cached by forward
       gemm::sgemm(gemm::Trans::kNo, gemm::Trans::kYes, c_out, patch, hw,
                   gout_img, hw, &cols[b * patch * hw], hw, gw.data(), patch,
-                  /*accumulate=*/true);
+                  /*accumulate=*/!(write_gw && b == 0));
     }
     if (!gx.empty()) {
       // dcol (patch x hw) = W^T (patch x c_out) * dOut (c_out x hw)
@@ -530,12 +558,14 @@ void Tape::backward_conv2d(Node& n) {
 
 void Tape::backward() {
   HITOPK_CHECK_NE(loss_node_, -1) << "no loss op recorded";
-  // Zeroed arena grad blocks for every non-leaf node; leaf gradients
-  // accumulate into external storage and are left untouched.  The terminal
-  // xent node's own grad is never read (its backward step seeds its input
-  // directly), so it gets no block.
+  // Zeroed arena grad blocks for every non-leaf node; leaf gradients are
+  // external storage, written by their first contribution below.  The
+  // terminal xent node's own grad is never read (its backward step seeds
+  // its input directly), so it gets no block.
   for (auto& n : nodes_) {
-    if (n.op != Op::kLeaf && n.op != Op::kSoftmaxXent) {
+    if (n.op == Op::kLeaf) {
+      n.grad_written = false;
+    } else if (n.op != Op::kSoftmaxXent) {
       n.grad_offset = arena_.alloc(n.rows * n.cols, /*zeroed=*/true);
     }
   }
@@ -547,7 +577,7 @@ void Tape::backward() {
       case Op::kLeaf:
         break;
       case Op::kSoftmaxXent: {
-        auto gx = node_grad(check_id(n.a));
+        auto gx = grad_for_add(check_id(n.a));
         if (gx.empty()) break;
         const auto probs = node_value(n);
         const auto labels = node_ids(n);
@@ -566,8 +596,8 @@ void Tape::backward() {
         break;
       case Op::kAddBias: {
         const auto gc = node_grad(n);
-        auto gx = node_grad(check_id(n.a));
-        auto gb = node_grad(check_id(n.b));
+        auto gx = grad_for_add(check_id(n.a));
+        auto gb = grad_for_add(check_id(n.b));
         if (!gx.empty()) {
           for (size_t i = 0; i < gc.size(); ++i) gx[i] += gc[i];
         }
@@ -581,7 +611,7 @@ void Tape::backward() {
         break;
       }
       case Op::kRelu: {
-        auto gx = node_grad(check_id(n.a));
+        auto gx = grad_for_add(check_id(n.a));
         if (gx.empty()) break;
         const auto gc = node_grad(n);
         const auto vx = node_value(check_id(n.a));
@@ -596,8 +626,8 @@ void Tape::backward() {
         // bitwise.
         const auto gc = node_grad(n);
         const auto out = node_value(n);
-        auto gx = node_grad(check_id(n.a));
-        auto gb = node_grad(check_id(n.b));
+        auto gx = grad_for_add(check_id(n.a));
+        auto gb = grad_for_add(check_id(n.b));
         for (size_t i = 0; i < n.rows; ++i) {
           const float* orow = &out[i * n.cols];
           const float* grow = &gc[i * n.cols];
@@ -611,7 +641,7 @@ void Tape::backward() {
         break;
       }
       case Op::kTanh: {
-        auto gx = node_grad(check_id(n.a));
+        auto gx = grad_for_add(check_id(n.a));
         if (gx.empty()) break;
         const auto gc = node_grad(n);
         const auto out = node_value(n);
@@ -621,7 +651,7 @@ void Tape::backward() {
         break;
       }
       case Op::kEmbedding: {
-        auto gt = node_grad(check_id(n.a));
+        auto gt = grad_for_add(check_id(n.a));
         if (gt.empty()) break;
         const auto gc = node_grad(n);
         const auto ids = node_ids(n);
@@ -634,7 +664,7 @@ void Tape::backward() {
         break;
       }
       case Op::kChannelPool: {
-        auto gx = node_grad(check_id(n.a));
+        auto gx = grad_for_add(check_id(n.a));
         if (gx.empty()) break;
         const auto gc = node_grad(n);
         const float inv = 1.0f / static_cast<float>(n.group);
@@ -651,7 +681,7 @@ void Tape::backward() {
         backward_conv2d(n);
         break;
       case Op::kMeanPool: {
-        auto gx = node_grad(check_id(n.a));
+        auto gx = grad_for_add(check_id(n.a));
         if (gx.empty()) break;
         const auto gc = node_grad(n);
         const float inv = 1.0f / static_cast<float>(n.group);
@@ -666,6 +696,10 @@ void Tape::backward() {
         break;
       }
     }
+  }
+  // A leaf no op reached still has its gradient written: zero.
+  for (auto& n : nodes_) {
+    if (n.op == Op::kLeaf) grad_for_add(n);
   }
 }
 

@@ -18,10 +18,12 @@
 //     equivalent to add_bias() followed by relu().
 //
 // Leaves reference external storage (the trainer's flat parameter/gradient
-// buffers), so parameters persist outside the tape.  Supported ops cover
-// the MLP classifier, the embedding-based sequence model, and the small CNN
-// used as convergence stand-ins: matmul, bias add, (fused) relu, tanh,
-// embedding lookup, conv2d, mean/channel pooling, and softmax cross-entropy.
+// buffers), so parameters persist outside the tape.  backward() writes each
+// leaf gradient rather than adding into it, so a caller need not zero the
+// buffer first.  Supported ops cover the MLP classifier, the embedding-based
+// sequence model, and the small CNN used as convergence stand-ins: matmul,
+// bias add, (fused) relu, tanh, embedding lookup, conv2d, mean/channel
+// pooling, and softmax cross-entropy.
 #pragma once
 
 #include <initializer_list>
@@ -46,7 +48,10 @@ class Tape {
   void reset();
 
   // Leaf over external row-major storage.  `grad` may be empty (constants /
-  // inputs); when present, backward() accumulates into it.
+  // inputs); when present, backward() writes it: the pass's first
+  // contribution overwrites the buffer, later ones add to it, and a leaf no
+  // op reaches comes out zero.  Throws ConfigError if `grad` overlaps an
+  // earlier leaf's grad; to tie weights, reuse that leaf's VarId.
   VarId leaf(std::span<const float> value, std::span<float> grad, size_t rows,
              size_t cols);
 
@@ -96,7 +101,7 @@ class Tape {
   // tolerance).
   double softmax_cross_entropy(VarId logits, std::span<const int> labels);
 
-  // Runs reverse-mode accumulation from the loss into every leaf grad.
+  // Writes d(loss)/d(leaf) into every leaf grad (see leaf()).
   // softmax_cross_entropy must have been called exactly once.
   void backward();
 
@@ -143,6 +148,7 @@ class Tape {
     size_t col_offset = kNone;         // conv2d: cached im2col panels
     std::span<const float> leaf_value; // leaf external value
     std::span<float> leaf_grad;        // leaf external grad (may be empty)
+    bool grad_written = false;         // leaf: this pass wrote leaf_grad
     size_t ids_begin = 0;              // embedding / labels, in ids_
     size_t ids_count = 0;
     size_t group = 1;                  // mean-pool group size
@@ -155,6 +161,11 @@ class Tape {
 
   std::span<const float> node_value(const Node& n) const;
   std::span<float> node_grad(Node& n);
+  // True, once per backward pass, for a leaf whose grad the pass has not
+  // yet written: the caller's contribution must overwrite it.
+  bool claim_first_write(Node& n);
+  // n's grad, ready for `+=`: a leaf's first contribution zeroes it first.
+  std::span<float> grad_for_add(Node& n);
   std::span<const int> node_ids(const Node& n) const;
   Node& check_id(VarId id);
   const Node& check_id(VarId id) const;

@@ -76,6 +76,13 @@ const ConvergenceOptions& validated(const ConvergenceOptions& options,
   HITOPK_VALIDATE(options.epochs >= 0 && options.warmup_epochs >= 0)
       << "epochs and warmup_epochs must be non-negative, got"
       << options.epochs << "and" << options.warmup_epochs;
+  // NaN fails every comparison, so these checks reject it too.
+  HITOPK_VALIDATE(options.learning_rate > 0.0 &&
+                  std::isfinite(options.learning_rate))
+      << "learning_rate must be finite and positive, got"
+      << options.learning_rate;
+  HITOPK_VALIDATE(options.momentum >= 0.0 && options.momentum < 1.0)
+      << "momentum must lie in [0, 1), got" << options.momentum;
   HITOPK_VALIDATE(static_cast<size_t>(options.world()) *
                       static_cast<size_t>(options.local_batch) <=
                   task.train_size())
@@ -502,14 +509,24 @@ void ConvergenceEngine::step() {
 
   // All active workers hold the identical aggregated gradient; update the
   // shared parameters with its mean.  Error-feedback mass flushed at a
-  // rescale rides along exactly once.
+  // rescale rides along exactly once.  One elementwise pass on the pool:
+  // (aggregate + pending) * 1/N, the same two roundings as serially.
   Tensor& aggregated = worker_grads_[static_cast<size_t>(active_idx_[0])];
-  if (has_pending_correction_) {
-    tensor_ops::add_into(aggregated.span(), pending_correction_.span());
-    pending_correction_.fill(0.0f);
-    has_pending_correction_ = false;
-  }
-  aggregated *= 1.0f / static_cast<float>(active_count_);
+  const std::span<float> mean = aggregated.span();
+  const std::span<float> pending = has_pending_correction_
+                                       ? pending_correction_.span()
+                                       : std::span<float>{};
+  const float inv_n = 1.0f / static_cast<float>(active_count_);
+  parallel_chunks(mean.size(), [&](size_t lo, size_t hi) {
+    const std::span<float> out = mean.subspan(lo, hi - lo);
+    if (!pending.empty()) {
+      const std::span<float> flushed = pending.subspan(lo, hi - lo);
+      tensor_ops::add_into(out, flushed);
+      tensor_ops::zero(flushed);
+    }
+    tensor_ops::scale(out, inv_n);
+  });
+  has_pending_correction_ = false;
   if (options_.use_lars) {
     // Per-layer trust ratios over the task's segment table (Eq. 11).
     for (const auto& segment : task_.segments()) {

@@ -117,8 +117,9 @@ struct ConvergenceResult {
 class ConvergenceEngine {
  public:
   // Throws ConfigError on options it cannot run: an empty world, a
-  // non-positive local batch, negative epochs or warmup, a global batch
-  // larger than the training set, a sparse density outside (0, 1],
+  // non-positive local batch, negative epochs or warmup, a learning rate
+  // that is not finite and positive, a momentum outside [0, 1), a global
+  // batch larger than the training set, a sparse density outside (0, 1],
   // non-positive MSTopK samplings or LocalSGD period, or a non-fp32
   // gradient wire with LocalSGD.
   ConvergenceEngine(ConvergenceTask& task, const ConvergenceOptions& options);

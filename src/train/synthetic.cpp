@@ -75,7 +75,6 @@ class SyntheticTask : public ConvergenceTask {
       std::copy_n(&train_.x[idx * width_], width_, &x[i * width_]);
       y[i] = train_.y[idx];
     }
-    tensor_ops::zero(grad_out);
     ad::Tape& tape = scratch_tape();
     const ad::VarId logits = forward(tape, params, x.span(), b, grad_out);
     const double loss = tape.softmax_cross_entropy(logits, y.span());
@@ -153,7 +152,7 @@ class SyntheticTask : public ConvergenceTask {
   }
 
   // A rows x cols parameter leaf over segment `seg` of `params`; when grad is
-  // non-empty the leaf accumulates into the same slice of it.
+  // non-empty the backward pass writes the same slice of it.
   ad::VarId param_leaf(ad::Tape& tape, std::span<const float> params,
                        std::span<float> grad, size_t seg, size_t rows,
                        size_t cols) const {

@@ -45,9 +45,9 @@ class ConvergenceTask {
   virtual std::span<float> params() = 0;
   virtual const std::vector<LayerSegment>& segments() const = 0;
 
-  // Computes the mean mini-batch gradient of the current parameters over
-  // the given training samples into grad_out (zeroed first).  Returns the
-  // batch loss.
+  // Writes the mean mini-batch gradient of the current parameters over the
+  // given training samples into grad_out (every element; its old contents
+  // are never read).  Returns the batch loss.
   double gradient(std::span<const size_t> sample_indices,
                   std::span<float> grad_out) {
     return gradient_at(params(), sample_indices, grad_out);

@@ -2,7 +2,8 @@
 // ConfigError (exit 2 from every bench and example main, core/cli.h), never
 // a CheckError abort, a std::length_error or a silent run.  One row per bad
 // case; simulate_cli's flags map onto the Topology, TrainerOptions,
-// PerfModel and DataCache rows.
+// PerfModel and DataCache rows, and every check ConvergenceEngine makes of
+// its ConvergenceOptions has a row.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,6 +16,7 @@
 #include "data/datacache.h"
 #include "models/perf_model.h"
 #include "simnet/topology.h"
+#include "train/convergence.h"
 #include "train/timeline.h"
 
 namespace hitopk {
@@ -37,7 +39,17 @@ void simulate(const train::TrainerOptions& options) {
   sim.simulate_iteration();
 }
 
+// Builds a ConvergenceEngine on a small vision task from the default
+// options with one field edited.
+void converge(const std::function<void(train::ConvergenceOptions&)>& edit) {
+  static const auto task = train::make_vision_task(7);
+  train::ConvergenceOptions options;
+  edit(options);
+  train::ConvergenceEngine engine(*task, options);
+}
+
 std::vector<BadCase> bad_cases() {
+  using Algo = train::ConvergenceAlgorithm;
   const simnet::LinkParams link{1e-6, 1e-9};
   return {
       // simulate_cli --nodes=0 / --gpus=0.
@@ -100,6 +112,70 @@ std::vector<BadCase> bad_cases() {
          const std::vector<uint64_t> ids = {0, 1, 2};
          cache.fetch_batch(ids, 0);
        }},
+      {"convergence nodes=0",
+       [] { converge([](auto& o) { o.nodes = 0; }); }},
+      {"convergence gpus_per_node=0",
+       [] { converge([](auto& o) { o.gpus_per_node = 0; }); }},
+      {"convergence local_batch=0",
+       [] { converge([](auto& o) { o.local_batch = 0; }); }},
+      {"convergence epochs=-1",
+       [] { converge([](auto& o) { o.epochs = -1; }); }},
+      {"convergence warmup_epochs=-1",
+       [] { converge([](auto& o) { o.warmup_epochs = -1; }); }},
+      {"convergence learning_rate=nan",
+       [] { converge([](auto& o) { o.learning_rate = NAN; }); }},
+      {"convergence learning_rate=inf",
+       [] { converge([](auto& o) { o.learning_rate = INFINITY; }); }},
+      {"convergence learning_rate=-1",
+       [] { converge([](auto& o) { o.learning_rate = -1.0; }); }},
+      {"convergence learning_rate=0",
+       [] { converge([](auto& o) { o.learning_rate = 0.0; }); }},
+      {"convergence momentum=nan",
+       [] { converge([](auto& o) { o.momentum = NAN; }); }},
+      {"convergence momentum=-0.5",
+       [] { converge([](auto& o) { o.momentum = -0.5; }); }},
+      {"convergence momentum=1",
+       [] { converge([](auto& o) { o.momentum = 1.0; }); }},
+      {"convergence momentum=2",
+       [] { converge([](auto& o) { o.momentum = 2.0; }); }},
+      {"convergence global batch over the training set",
+       [] { converge([](auto& o) { o.local_batch = 1 << 20; }); }},
+      {"convergence topk density=0", [] {
+         converge([](auto& o) {
+           o.algorithm = Algo::kTopk;
+           o.density = 0.0;
+         });
+       }},
+      {"convergence mstopk density=2", [] {
+         converge([](auto& o) {
+           o.algorithm = Algo::kMstopk;
+           o.density = 2.0;
+         });
+       }},
+      {"convergence randomk density=nan", [] {
+         converge([](auto& o) {
+           o.algorithm = Algo::kRandomk;
+           o.density = NAN;
+         });
+       }},
+      {"convergence mstopk_samplings=0", [] {
+         converge([](auto& o) {
+           o.algorithm = Algo::kMstopk;
+           o.mstopk_samplings = 0;
+         });
+       }},
+      {"convergence local_sgd_period=0", [] {
+         converge([](auto& o) {
+           o.algorithm = Algo::kLocalSgd;
+           o.local_sgd_period = 0;
+         });
+       }},
+      {"convergence LocalSGD with an fp16 wire", [] {
+         converge([](auto& o) {
+           o.algorithm = Algo::kLocalSgd;
+           o.gradient_wire = compress::WireDtype::kFp16;
+         });
+       }},
   };
 }
 
@@ -116,6 +192,10 @@ TEST(ApiBoundary, DefaultsStillRun) {
   data::DataCache cache(data::DataCacheConfig{});
   const std::vector<uint64_t> ids = {0, 1, 2};
   EXPECT_NO_THROW(cache.fetch_batch(ids, 224));
+  EXPECT_NO_THROW(converge([](auto&) {}));
+  // The edges of the optimizer ranges.
+  EXPECT_NO_THROW(converge([](auto& o) { o.momentum = 0.0; }));
+  EXPECT_NO_THROW(converge([](auto& o) { o.learning_rate = 1e-30; }));
 }
 
 }  // namespace

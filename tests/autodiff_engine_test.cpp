@@ -5,6 +5,7 @@
 // bitwise-identical to serial execution for both dense SGD and LocalSGD.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -33,7 +34,7 @@ class ThreadGuard {
 };
 
 // Builds a two-layer MLP forward/backward on the given tape and returns the
-// loss; grads accumulate into `grad`.
+// loss; backward() writes the gradients into `grad`.
 double mlp_pass(ad::Tape& tape, const std::vector<float>& params,
                 const Tensor& x, const std::vector<int>& labels,
                 std::vector<float>& grad, bool fused) {
@@ -248,7 +249,10 @@ constexpr WorkerGradientRow kE2eGradientGolden[] = {
     {0x4016bbec045380efull, 0x1.fdae68b01c1c6p+2},
 };
 
-TEST(GradientGolden, E2eVisionModelWorkerGradientsAreFrozen) {
+// The e2e model's 16 worker gradients, each into a buffer that starts
+// filled with `fill`; returns the actual rows when they differ from
+// kE2eGradientGolden, an empty string when they match.
+std::string e2e_gradient_mismatch(float fill) {
   constexpr uint64_t kSeed = 20260807;
   constexpr size_t kWorkers = 16;
   constexpr size_t kLocalBatch = 8;
@@ -258,7 +262,7 @@ TEST(GradientGolden, E2eVisionModelWorkerGradientsAreFrozen) {
   for (size_t& s : samples) s = rng.uniform_index(task->train_size());
   std::vector<WorkerGradientRow> actual(kWorkers);
   parallel_for(0, kWorkers, [&](size_t w) {
-    std::vector<float> grad(task->param_count());
+    std::vector<float> grad(task->param_count(), fill);
     const double loss = task->gradient(
         std::span<const size_t>(samples).subspan(w * kLocalBatch, kLocalBatch),
         grad);
@@ -277,8 +281,24 @@ TEST(GradientGolden, E2eVisionModelWorkerGradientsAreFrozen) {
            std::bit_cast<uint64_t>(kE2eGradientGolden[w].loss) ==
                std::bit_cast<uint64_t>(actual[w].loss);
   }
-  EXPECT_TRUE(same) << "worker gradient golden mismatch; actual rows:\n"
-                    << table;
+  return same ? std::string() : table;
+}
+
+TEST(GradientGolden, E2eVisionModelWorkerGradientsAreFrozen) {
+  const std::string table = e2e_gradient_mismatch(0.0f);
+  EXPECT_TRUE(table.empty()) << "worker gradient golden mismatch; actual "
+                                "rows:\n"
+                             << table;
+}
+
+// gradient_at writes every gradient element: buffers that start as NaN
+// give the same digests as zeroed ones.
+TEST(GradientGolden, E2eWorkerGradientsIgnoreBufferContents) {
+  const std::string table =
+      e2e_gradient_mismatch(std::bit_cast<float>(0x7fc0deadu));
+  EXPECT_TRUE(table.empty()) << "worker gradients from NaN-filled buffers "
+                                "differ from the golden rows; actual rows:\n"
+                             << table;
 }
 
 }  // namespace

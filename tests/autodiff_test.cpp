@@ -2,11 +2,14 @@
 // for every operator.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <vector>
 
 #include "autodiff/tape.h"
+#include "core/check.h"
 #include "core/rng.h"
 #include "core/tensor.h"
 
@@ -292,22 +295,74 @@ TEST(TapeGradient, EmbeddingMeanPoolModel) {
   expect_grad_close(analytic, numerical_gradient(params, loss_fn));
 }
 
-TEST(TapeGradient, GradientsAccumulateAcrossBackwardPasses) {
-  // Two identical backward passes into the same leaf grad buffer must sum.
-  std::vector<float> grad(2, 0.0f);
-  Tensor w = Tensor::from(1, 2, {0.3f, -0.2f});
-  Tensor x = Tensor::from(1, 1, {1.0f});
-  double first_grad = 0.0;
-  for (int pass = 0; pass < 2; ++pass) {
+TEST(TapeGradient, BackwardWritesLeafGradients) {
+  // Flat parameters: w (3x3, used by both matmuls), b (1x3), then 4 floats
+  // of an unused leaf.  x (2x3) -> tanh(x*w + b) -> *w -> logits (2x3).
+  Rng rng(53);
+  std::vector<float> params(9 + 3 + 4);
+  for (auto& p : params) p = static_cast<float>(rng.normal(0.0, 0.7));
+  Tensor x(2, 3);
+  x.fill_normal(rng, 0.0f, 1.0f);
+  const std::vector<int> labels{2, 0};
+  const std::span<const float> p(params);
+  // With `untied` set, the second matmul reads w through a leaf of its
+  // own whose grad goes to *untied.
+  auto pass = [&](std::span<float> grad, std::vector<float>* untied) {
     Tape tape;
-    const VarId logits =
-        tape.matmul(tape.leaf(x.span(), {}, 1, 1),
-                    tape.leaf(w.span(), std::span<float>(grad), 1, 2));
-    tape.softmax_cross_entropy(logits, std::vector<int>{0});
+    const VarId w = tape.leaf(p.subspan(0, 9), grad.subspan(0, 9), 3, 3);
+    const VarId b = tape.leaf(p.subspan(9, 3), grad.subspan(9, 3), 1, 3);
+    tape.leaf(p.subspan(12, 4), grad.subspan(12, 4), 2, 2);
+    const VarId w2 =
+        untied ? tape.leaf(p.subspan(0, 9), std::span<float>(*untied), 3, 3)
+               : w;
+    const VarId h = tape.tanh_act(
+        tape.add_bias(tape.matmul(tape.leaf(x.span(), {}, 2, 3), w), b));
+    tape.softmax_cross_entropy(tape.matmul(h, w2), labels);
     tape.backward();
-    if (pass == 0) first_grad = grad[0];
+  };
+  auto bits_equal = [](const std::vector<float>& a,
+                       const std::vector<float>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+  };
+
+  std::vector<float> fresh(params.size(), 0.0f);
+  pass(fresh, nullptr);
+  // A NaN-filled buffer is overwritten, not read.
+  std::vector<float> poisoned(params.size(),
+                              std::bit_cast<float>(0x7fc0beefu));
+  pass(poisoned, nullptr);
+  EXPECT_TRUE(bits_equal(poisoned, fresh));
+  // A second pass into the same buffer is not added to the first.
+  std::vector<float> again = fresh;
+  pass(again, nullptr);
+  EXPECT_TRUE(bits_equal(again, fresh));
+  // The tied w sums both matmuls' contributions.
+  std::vector<float> split(params.size(), 0.0f);
+  std::vector<float> second(9, 0.0f);
+  pass(split, &second);
+  bool both_reach = false;
+  for (size_t i = 0; i < 9; ++i) {
+    EXPECT_EQ(fresh[i], split[i] + second[i]) << i;
+    both_reach = both_reach || (split[i] != 0.0f && second[i] != 0.0f);
   }
-  EXPECT_NEAR(grad[0], 2.0 * first_grad, 1e-6);
+  EXPECT_TRUE(both_reach);
+  // A leaf no op reaches comes out zero.
+  for (size_t i = 12; i < params.size(); ++i) EXPECT_EQ(fresh[i], 0.0f) << i;
+}
+
+TEST(Tape, OverlappingLeafGradsRaiseConfigError) {
+  std::vector<float> value(6, 1.0f);
+  std::vector<float> grad(6, 0.0f);
+  const std::span<const float> v(value);
+  const std::span<float> g(grad);
+  Tape tape;
+  tape.leaf(v.subspan(0, 4), g.subspan(0, 4), 2, 2);
+  EXPECT_THROW(tape.leaf(v.subspan(2, 4), g.subspan(2, 4), 2, 2), ConfigError);
+  EXPECT_THROW(tape.leaf(v.subspan(0, 2), g.subspan(0, 2), 1, 2), ConfigError);
+  // Adjacent grads and shared values without grads are fine.
+  EXPECT_NO_THROW(tape.leaf(v.subspan(4, 2), g.subspan(4, 2), 1, 2));
+  EXPECT_NO_THROW(tape.leaf(v.subspan(0, 4), {}, 2, 2));
 }
 
 TEST(Tape, ChannelPoolAveragesPerChannel) {

@@ -3,7 +3,7 @@
 
   python3 tools/ab_e2e.py PARENT CHANGE [--workload W ...] [--pairs 10]
       [--seconds S] [--seed N] [--trace 0|1] [--scratch DIR] [--keep]
-      [--json OUT]
+      [--json OUT] [--history PATH]
 
 PARENT and CHANGE are local git revisions (a sha, a branch, HEAD~1).  Each
 one is checked out in its own `git worktree` under --scratch (default: a
@@ -32,7 +32,11 @@ parent's Q3 - Q1:
               few pairs agree with)
 
 A run that fails (non-zero exit, no JSON, or failed > 0) is reported, and
-the tool exits 1.  With --json, the table is also written as JSON.  The
+the tool exits 1.  With --json, the table is also written as JSON.  With
+--history, the same record plus a "host" entry (the CPUs this process may
+run on, as nproc counts them, and whether the CPU flags list avx2 and f16c)
+is appended to PATH as one line; bench/refs/BENCH_history.jsonl is the
+committed trajectory of perf claims.  The
 worktrees are removed at the end unless --keep is given; a kept worktree
 at the right revision is reused, build included, by the next invocation.
 """
@@ -93,6 +97,22 @@ def run_once(bench, path, workload, args):
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def host():
+    """nproc and the AVX2/F16C flags of the host (None where unknown)."""
+    flags = None
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("flags"):
+                    flags = set(line.split(":", 1)[1].split())
+                    break
+    except OSError:
+        pass
+    return {"nproc": len(os.sched_getaffinity(0)),
+            "avx2": None if flags is None else "avx2" in flags,
+            "f16c": None if flags is None else "f16c" in flags}
+
+
 def quartiles(values):
     if len(values) == 1:
         return values[0], values[0], values[0]
@@ -134,6 +154,7 @@ def main():
                                              "ab_e2e-worktrees"))
     parser.add_argument("--keep", action="store_true")
     parser.add_argument("--json", default=None)
+    parser.add_argument("--history", default=None)
     args = parser.parse_args()
     if args.pairs < 1:
         sys.exit("ab_e2e: --pairs must be >= 1")
@@ -200,12 +221,15 @@ def main():
                 "parent": {"median": p_med, "q1": p_q1, "q3": p_q3},
                 "change": {"median": c_med, "q1": c_q1, "q3": c_q3},
                 "wins": wins, "pairs": len(parent), "verdict": word})
+    record = {"parent": sides["parent"][0], "change": sides["change"][0],
+              "pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
+              "trace": args.trace, "rows": table}
     if args.json:
         with open(args.json, "w") as f:
-            json.dump({"parent": sides["parent"][0],
-                       "change": sides["change"][0], "pairs": args.pairs,
-                       "seconds": args.seconds, "seed": args.seed,
-                       "trace": args.trace, "rows": table}, f, indent=1)
+            json.dump(record, f, indent=1)
+    if args.history:
+        with open(args.history, "a") as f:
+            f.write(json.dumps(dict(record, host=host())) + "\n")
     if failures:
         print(f"{failures} workload pair(s) had a failed run")
         return 1

@@ -154,34 +154,28 @@ void merge_accumulate(std::span<const compress::SparseTensor* const> blocks,
   out.values.resize(n);
 }
 
-// Rebuilds the full aggregated gradient on every rank from the compact
-// streams.  The streams are in shard order and each is ascending, so the
-// concatenation is globally sorted: one forward pass per rank zero-fills
-// L1-sized tiles with memset and scatters the tile's survivors while its
-// lines are still cache-resident.  That writes each output element exactly
-// once at streaming-store speed, where copying a dense aggregate into every
-// rank would also *read* every element — roughly halving step 4's memory
-// traffic.
-void rebuild_from_compact(const RankData& data,
+// Rebuilds the full aggregated gradient into `out` from the compact
+// streams.  Stream s is ascending and covers exactly shard s's range, and
+// the shards tile `out`, so each stream rebuilds its own disjoint range on
+// its own pool worker: one forward pass zero-fills L1-sized tiles with
+// memset and scatters the tile's survivors while its lines are still
+// cache-resident.  That writes each output element exactly once at
+// streaming-store speed, where copying a dense aggregate would also *read*
+// every element.
+void rebuild_from_compact(std::span<float> out,
+                          std::span<const ChunkRange> shards,
                           const std::vector<CompactStream>& streams) {
   constexpr size_t kTileElems = 8 * 1024;  // 32 KiB of floats.
-  parallel_for(0, data.size(), [&](size_t r) {
-    float* out = data[r].data();
-    const size_t elems = data[r].size();
-    size_t s = 0;
+  parallel_for(0, streams.size(), [&](size_t s) {
+    const CompactStream& st = streams[s];
+    const size_t first = shards[s].begin;
+    const size_t last = first + shards[s].count;
     size_t cur = 0;
-    for (size_t begin = 0; begin < elems; begin += kTileElems) {
-      const size_t end = std::min(elems, begin + kTileElems);
-      std::memset(out + begin, 0, (end - begin) * sizeof(float));
-      while (s < streams.size()) {
-        const CompactStream& st = streams[s];
-        while (cur < st.indices.size() && st.indices[cur] < end) {
-          out[st.indices[cur]] = st.values[cur];
-          ++cur;
-        }
-        if (cur < st.indices.size()) break;
-        ++s;
-        cur = 0;
+    for (size_t begin = first; begin < last; begin += kTileElems) {
+      const size_t end = std::min(last, begin + kTileElems);
+      std::memset(out.data() + begin, 0, (end - begin) * sizeof(float));
+      for (; cur < st.indices.size() && st.indices[cur] < end; ++cur) {
+        out[st.indices[cur]] = st.values[cur];
       }
     }
   });
@@ -472,8 +466,10 @@ HiTopKBreakdown hitopk_comm(simnet::Cluster& cluster, const RankData& data,
   out.intra_allgather = t4 - t3;
   out.total = t4 - start;
 
-  // Rebuild the full aggregated gradient on every rank from the streams.
-  if (functional) rebuild_from_compact(data, streams);
+  // Rebuild the aggregated gradient from the streams, once, into rank 0's
+  // buffer: every rank's copy would be identical, and the all-gather that
+  // delivers it to each GPU is timed above.
+  if (functional) rebuild_from_compact(data[0], shards, streams);
   return out;
 }
 

@@ -10,7 +10,9 @@
 //      scatter-adds the m blocks into its shard (duplicate indices
 //      accumulate, Alg. 2 line 18),
 //   4. intra-node All-Gather of the accumulated sparse shards to rebuild the
-//      full aggregated gradient on every GPU.
+//      full aggregated gradient on every GPU.  The clocks time this leg to
+//      every GPU; the functional path materialises the result once, in rank
+//      0's buffer (see hitopk_comm).
 //
 // Because step 1 aggregates densely inside the node, only cross-node
 // information is sparsified — the property that makes MSTopK-SGD converge
@@ -96,9 +98,11 @@ std::vector<HiTopKEfEntry> hitopk_ef_entries(const simnet::Topology& topo,
                                              const std::string& prefix);
 
 // In-place hierarchical sparse aggregation over the whole cluster.  In
-// functional mode (data non-empty, one full-size buffer per world rank) each
-// buffer is replaced by the aggregated sparse gradient, identical on every
-// rank.  In timing-only mode (data empty) only the clocks advance.
+// functional mode (data non-empty, one full-size buffer per world rank)
+// data[0] is replaced by the aggregated sparse gradient, the one every GPU
+// holds after step 4.  The other buffers are scratch: on return they hold
+// what step 1 left there (each owned shard's node sum), not the aggregate.
+// In timing-only mode (data empty) only the clocks advance.
 HiTopKBreakdown hitopk_comm(simnet::Cluster& cluster, const RankData& data,
                             size_t elems, const HiTopKOptions& options,
                             double start);

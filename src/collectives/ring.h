@@ -108,7 +108,8 @@ void build_ring_allgather(Schedule& sched, const std::vector<Group>& groups,
 // chain (see TransferOp::kChain*): same float-add order, owner chunks
 // bitwise identical, but nothing is written to non-owned chunks — only
 // valid when the caller overwrites or ignores them (an All-Reduce's
-// resolved gather, 2DTAR phase 3, HiTopKComm's rebuild).
+// resolved gather, 2DTAR phase 3, HiTopKComm, which rebuilds rank 0's
+// buffer and leaves the others as scratch).
 void build_ring_reduce_scatter(Schedule& sched,
                                const std::vector<Group>& groups,
                                const RingGrid& grid, size_t elems,

@@ -9,7 +9,6 @@
 //   - ThresholdK  : fixed-threshold selection (variable k; ablation)
 #pragma once
 
-#include <memory>
 #include <span>
 #include <string>
 
@@ -21,7 +20,7 @@ class Compressor {
  public:
   virtual ~Compressor() = default;
 
-  // Human-readable identifier (used by the registry and benches).
+  // Human-readable identifier (used by benches and tests).
   virtual std::string name() const = 0;
 
   // Selects k elements from x.  Implementations must return a valid
@@ -30,11 +29,5 @@ class Compressor {
   // this via the two-threshold band, Alg. 1 lines 25-29).
   virtual SparseTensor compress(std::span<const float> x, size_t k) = 0;
 };
-
-// Factory: name is one of "exact_topk", "dgc", "mstopk", "mstopk_legacy"
-// (the multi-pass validation reference), "random_k".  Throws CheckError for
-// unknown names.
-std::unique_ptr<Compressor> make_compressor(const std::string& name,
-                                            uint64_t seed = 42);
 
 }  // namespace hitopk::compress

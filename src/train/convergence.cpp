@@ -507,10 +507,12 @@ void ConvergenceEngine::step() {
     last_step_comm_seconds_ += t;
   }
 
-  // All active workers hold the identical aggregated gradient; update the
-  // shared parameters with its mean.  Error-feedback mass flushed at a
-  // rescale rides along exactly once.  One elementwise pass on the pool:
-  // (aggregate + pending) * 1/N, the same two roundings as serially.
+  // The first active worker holds the aggregated gradient (every
+  // collective writes it to rank 0; HiTopKComm writes it there only);
+  // update the shared parameters with its mean.  Error-feedback mass
+  // flushed at a rescale rides along exactly once.  One elementwise pass on
+  // the pool: (aggregate + pending) * 1/N, the same two roundings as
+  // serially.
   Tensor& aggregated = worker_grads_[static_cast<size_t>(active_idx_[0])];
   const std::span<float> mean = aggregated.span();
   const std::span<float> pending = has_pending_correction_

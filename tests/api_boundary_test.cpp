@@ -2,8 +2,9 @@
 // ConfigError (exit 2 from every bench and example main, core/cli.h), never
 // a CheckError abort, a std::length_error or a silent run.  One row per bad
 // case; simulate_cli's flags map onto the Topology, TrainerOptions,
-// PerfModel and DataCache rows, and every check ConvergenceEngine makes of
-// its ConvergenceOptions has a row.
+// PerfModel and DataCache rows, every check ConvergenceEngine makes of
+// its ConvergenceOptions has a row, and so does every check hitopk_comm
+// makes of its HiTopKOptions and rank buffers.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "collectives/hitopkcomm.h"
 #include "core/check.h"
+#include "core/tensor.h"
 #include "data/datacache.h"
 #include "models/perf_model.h"
 #include "simnet/topology.h"
@@ -46,6 +49,25 @@ void converge(const std::function<void(train::ConvergenceOptions&)>& edit) {
   train::ConvergenceOptions options;
   edit(options);
   train::ConvergenceEngine engine(*task, options);
+}
+
+// One functional hitopk_comm call on a 2 x 2 world of 64-element
+// gradients, from the default options with one field edited.  `buffers`
+// rank buffers are passed, the last of them `last_elems` long.
+void hitopk(const std::function<void(coll::HiTopKOptions&)>& edit,
+            size_t buffers = 4, size_t last_elems = 64) {
+  const simnet::LinkParams link{1e-6, 1e-9};
+  simnet::Cluster cluster(simnet::Topology(2, 2, link, link));
+  std::vector<Tensor> grads(buffers, Tensor(64));
+  grads.back() = Tensor(last_elems);
+  coll::RankData spans;
+  for (Tensor& g : grads) {
+    g.fill(1.0f);
+    spans.push_back(g.span());
+  }
+  coll::HiTopKOptions options;
+  edit(options);
+  coll::hitopk_comm(cluster, spans, 64, options, 0.0);
 }
 
 std::vector<BadCase> bad_cases() {
@@ -176,6 +198,17 @@ std::vector<BadCase> bad_cases() {
            o.gradient_wire = compress::WireDtype::kFp16;
          });
        }},
+      {"hitopk density=0", [] { hitopk([](auto& o) { o.density = 0.0; }); }},
+      {"hitopk density=2", [] { hitopk([](auto& o) { o.density = 2.0; }); }},
+      {"hitopk density=nan", [] {
+         hitopk([](auto& o) { o.density = std::nan(""); });
+       }},
+      {"hitopk mstopk_samplings=0",
+       [] { hitopk([](auto& o) { o.mstopk_samplings = 0; }); }},
+      {"hitopk three rank buffers for a world of four",
+       [] { hitopk([](auto&) {}, 3); }},
+      {"hitopk one rank buffer short",
+       [] { hitopk([](auto&) {}, 4, 63); }},
   };
 }
 
@@ -196,6 +229,8 @@ TEST(ApiBoundary, DefaultsStillRun) {
   // The edges of the optimizer ranges.
   EXPECT_NO_THROW(converge([](auto& o) { o.momentum = 0.0; }));
   EXPECT_NO_THROW(converge([](auto& o) { o.learning_rate = 1e-30; }));
+  EXPECT_NO_THROW(hitopk([](auto&) {}));
+  EXPECT_NO_THROW(hitopk([](auto& o) { o.density = 1.0; }));
 }
 
 }  // namespace

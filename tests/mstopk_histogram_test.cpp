@@ -223,17 +223,17 @@ TEST(MsTopKHistogram, MassOverlapWithExactTopKAtAcceptanceScale) {
   EXPECT_GT(approx_mass, 0.99 * exact_mass);
 }
 
-TEST(MsTopKHistogram, RegistryExposesAllVariants) {
-  auto hist = make_compressor("mstopk", 7);
-  auto legacy = make_compressor("mstopk_legacy", 7);
-  EXPECT_EQ(hist->name(), "mstopk");
-  EXPECT_EQ(legacy->name(), "mstopk_legacy");
+TEST(MsTopKHistogram, BothModesNameThemselvesAndSelectK) {
+  MsTopK hist(30, 7);
+  MsTopK legacy(30, 7, MsTopKMode::kMultiPass);
+  EXPECT_EQ(hist.name(), "mstopk");
+  EXPECT_EQ(legacy.name(), "mstopk_legacy");
 
   Rng rng(229);
   Tensor x(5000);
   x.fill_normal(rng, 0.0f, 1.0f);
-  EXPECT_EQ(hist->compress(x.span(), 50).nnz(), 50u);
-  EXPECT_EQ(legacy->compress(x.span(), 50).nnz(), 50u);
+  EXPECT_EQ(hist.compress(x.span(), 50).nnz(), 50u);
+  EXPECT_EQ(legacy.compress(x.span(), 50).nnz(), 50u);
 }
 
 TEST(MsTopKHistogram, NonFiniteInputsFallBackLikeTheLegacyPaths) {

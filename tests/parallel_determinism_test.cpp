@@ -411,7 +411,8 @@ std::vector<Tensor> random_grads(int world, size_t elems, uint64_t seed) {
 }
 
 // Runs functional hitopk_comm over a copy of `grads` with the given pool
-// width and returns the aggregated per-rank buffers.
+// width and returns the per-rank buffers: the aggregate in rank 0's, step
+// 1's partial sums in the others.
 std::vector<Tensor> run_hitopk(const std::vector<Tensor>& grads, size_t elems,
                                const Topology& topo,
                                const HiTopKOptions& options, int threads,
@@ -510,8 +511,14 @@ TEST(ParallelDeterminism, HiTopKCommHandlesFewerElemsThanGpus) {
   HiTopKOptions options;
   options.density = 0.5;
   const auto out = run_hitopk(grads, elems, topo, options, 1);
+  // Each non-empty shard holds one element and k~ = 1, so every element is
+  // selected: rank 0 holds the dense aggregate, as at density 1.
+  HiTopKOptions dense = options;
+  dense.density = 1.0;
+  const auto dense_out = run_hitopk(grads, elems, topo, dense, 1);
   for (size_t i = 0; i < elems; ++i) {
-    ASSERT_EQ(out[0][i], out[1][i]);  // all ranks identical
+    ASSERT_EQ(out[0][i], dense_out[0][i]);
+    ASSERT_NE(out[0][i], 0.0f);
   }
 
   // GPU 3 of each node owns the empty shard 3: it selects nothing, so it

@@ -327,6 +327,20 @@ TEST(ParamServerEquivalence, BreakdownAndBuffers) {
 }
 
 // ------------------------------------------------------------ HiTopKComm
+// hitopk_comm writes the aggregate into data[0] only.  After step 4 every
+// GPU holds it, and the golden rows digest that world: each case copies
+// data[0] into the other rank buffers after every call, so a second call
+// starts from what every GPU held after the first.
+HiTopKBreakdown hitopk_replicated(Cluster& c, const RankData& data,
+                                  size_t elems, const HiTopKOptions& options,
+                                  double start) {
+  const HiTopKBreakdown b = hitopk_comm(c, data, elems, options, start);
+  for (size_t r = 1; r < data.size(); ++r) {
+    std::copy(data[0].begin(), data[0].end(), data[r].begin());
+  }
+  return b;
+}
+
 TEST(HiTopKEquivalence, FunctionalWithErrorFeedback) {
   const size_t elems = 250;  // ragged shards (250 % 4 != 0)
   compress::ErrorFeedback ef;
@@ -337,7 +351,7 @@ TEST(HiTopKEquivalence, FunctionalWithErrorFeedback) {
         options.density = 0.05;
         options.seed = 99;
         options.error_feedback = data.empty() ? nullptr : &ef;
-        return hitopk_comm(c, data, elems, options, 0.0);
+        return hitopk_replicated(c, data, elems, options, 0.0);
       },
       &ef);
 }
@@ -367,7 +381,7 @@ TEST_P(HiTopKUnevenEquivalenceTest, Fleet8844) {
                  options.density = 0.02;
                  options.value_wire = wire;
                  options.gpu = &gpu;
-                 return hitopk_comm(c, data, elems, options, 0.0);
+                 return hitopk_replicated(c, data, elems, options, 0.0);
                });
 }
 
@@ -390,8 +404,9 @@ TEST(HiTopKEquivalence, UnevenFleetTwoCallsWithErrorFeedback) {
         options.seed = 7;
         options.gpu = &gpu;
         options.error_feedback = data.empty() ? nullptr : &ef;
-        const auto first = hitopk_comm(c, data, elems, options, 0.0);
-        const auto second = hitopk_comm(c, data, elems, options, first.total);
+        const auto first = hitopk_replicated(c, data, elems, options, 0.0);
+        const auto second =
+            hitopk_replicated(c, data, elems, options, first.total);
         return std::pair{first, second};
       },
       &ef);
@@ -405,7 +420,7 @@ TEST(HiTopKEquivalence, UnevenFleetWithSingleGpuNode) {
                  HiTopKOptions options;
                  options.density = 0.05;
                  options.gpu = &gpu;
-                 return hitopk_comm(c, data, elems, options, 0.25);
+                 return hitopk_replicated(c, data, elems, options, 0.25);
                });
 }
 

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 
 #include "core/check.h"
 #include "core/gemm.h"
@@ -65,74 +64,6 @@ inline float softmax_row_float(const float* __restrict row,
   float denom = 0.0f;
   for (size_t j = 0; j < cols; ++j) denom += prow[j];
   return denom;
-}
-
-// Writes the im2col lowering of one CHW image into `col` (c_in*k*k rows by
-// h*w columns): col[(ci*k+ky)*k+kx][y*w+x] = img[ci][y+ky-pad][x+kx-pad],
-// zero outside the image.  Row-major `col`, so conv forward is the plain
-// product  out (c_out x hw) = W (c_out x c_in*k*k) * col.
-void im2col(const float* img, size_t c_in, size_t h, size_t w, size_t k,
-            float* col) {
-  const long pad = static_cast<long>(k / 2);
-  const size_t hw = h * w;
-  size_t row = 0;
-  for (size_t ci = 0; ci < c_in; ++ci) {
-    for (size_t ky = 0; ky < k; ++ky) {
-      const long dy = static_cast<long>(ky) - pad;
-      for (size_t kx = 0; kx < k; ++kx, ++row) {
-        const long dx = static_cast<long>(kx) - pad;
-        float* dst_row = col + row * hw;
-        // x + dx must land in [0, w):
-        const size_t x0 = static_cast<size_t>(std::max<long>(0, -dx));
-        const size_t x1 = static_cast<size_t>(
-            std::min<long>(static_cast<long>(w), static_cast<long>(w) - dx));
-        for (size_t y = 0; y < h; ++y) {
-          const long sy = static_cast<long>(y) + dy;
-          float* dst = dst_row + y * w;
-          if (sy < 0 || sy >= static_cast<long>(h) || x0 >= x1) {
-            std::memset(dst, 0, w * sizeof(float));
-            continue;
-          }
-          const float* src = img + (ci * h + static_cast<size_t>(sy)) * w;
-          std::memset(dst, 0, x0 * sizeof(float));
-          std::memcpy(dst + x0, src + static_cast<size_t>(
-                                          static_cast<long>(x0) + dx),
-                      (x1 - x0) * sizeof(float));
-          std::memset(dst + x1, 0, (w - x1) * sizeof(float));
-        }
-      }
-    }
-  }
-}
-
-// Adjoint of im2col: scatter-adds the column gradient back onto the image
-// gradient, reversing the zero-padded gather above.
-void col2im_add(const float* col, size_t c_in, size_t h, size_t w, size_t k,
-                float* img_grad) {
-  const long pad = static_cast<long>(k / 2);
-  const size_t hw = h * w;
-  size_t row = 0;
-  for (size_t ci = 0; ci < c_in; ++ci) {
-    for (size_t ky = 0; ky < k; ++ky) {
-      const long dy = static_cast<long>(ky) - pad;
-      for (size_t kx = 0; kx < k; ++kx, ++row) {
-        const long dx = static_cast<long>(kx) - pad;
-        const float* src_row = col + row * hw;
-        const size_t x0 = static_cast<size_t>(std::max<long>(0, -dx));
-        const size_t x1 = static_cast<size_t>(
-            std::min<long>(static_cast<long>(w), static_cast<long>(w) - dx));
-        if (x0 >= x1) continue;
-        for (size_t y = 0; y < h; ++y) {
-          const long sy = static_cast<long>(y) + dy;
-          if (sy < 0 || sy >= static_cast<long>(h)) continue;
-          float* dst = img_grad + (ci * h + static_cast<size_t>(sy)) * w +
-                       static_cast<size_t>(static_cast<long>(x0) + dx);
-          const float* src = src_row + y * w + x0;
-          for (size_t x = 0; x < x1 - x0; ++x) dst[x] += src[x];
-        }
-      }
-    }
-  }
 }
 
 }  // namespace
@@ -353,85 +284,6 @@ VarId Tape::embedding(VarId table, std::span<const int> ids) {
   return id;
 }
 
-VarId Tape::channel_pool(VarId x, size_t channels) {
-  const Node& nx = check_id(x);
-  HITOPK_CHECK_GT(channels, 0u);
-  HITOPK_CHECK_EQ(nx.cols % channels, 0u) << "cols not divisible by channels";
-  Node n;
-  n.op = Op::kChannelPool;
-  n.a = x;
-  n.group = nx.cols / channels;  // spatial size
-  n.rows = nx.rows;
-  n.cols = channels;
-  const size_t in_cols = nx.cols;
-  const VarId id = push(std::move(n));
-  Node& self = nodes_.back();
-  const auto vx = node_value(check_id(x));
-  auto out = arena_.span(self.value_offset, self.rows * self.cols);
-  const float inv = 1.0f / static_cast<float>(self.group);
-  for (size_t b = 0; b < self.rows; ++b) {
-    for (size_t c = 0; c < channels; ++c) {
-      double acc = 0.0;
-      const float* src = &vx[b * in_cols + c * self.group];
-      for (size_t j = 0; j < self.group; ++j) acc += src[j];
-      out[b * channels + c] = static_cast<float>(acc) * inv;
-    }
-  }
-  return id;
-}
-
-VarId Tape::conv2d(VarId x, VarId weight, size_t c_in, size_t h, size_t w,
-                   size_t c_out, size_t k) {
-  const Node& nx = check_id(x);
-  const Node& nw = check_id(weight);
-  HITOPK_CHECK_EQ(nx.cols, c_in * h * w) << "conv input shape mismatch";
-  HITOPK_CHECK_EQ(nw.rows, c_out);
-  HITOPK_CHECK_EQ(nw.cols, c_in * k * k) << "conv kernel shape mismatch";
-  HITOPK_CHECK_EQ(k % 2, 1u) << "odd kernel sizes only (same padding)";
-
-  Node n;
-  n.op = Op::kConv2d;
-  n.a = x;
-  n.b = weight;
-  n.rows = nx.rows;
-  n.cols = c_out * h * w;
-  n.conv = ConvShape{c_in, h, w, c_out, k};
-  const VarId id = push(std::move(n));
-
-  const size_t hw = h * w;
-  const size_t patch = c_in * k * k;
-  // The im2col panels are kept in the arena so the backward pass reuses
-  // them for dW instead of re-lowering every image — but only when the
-  // weight can actually receive a gradient.  Gradient-free forward passes
-  // (held-out evaluation) would otherwise size the long-lived arena by
-  // batch * patch * hw floats per conv layer for a cache nothing reads.
-  const Node& weight_node = check_id(weight);
-  const bool needs_cols =
-      weight_node.op != Op::kLeaf || !weight_node.leaf_grad.empty();
-  const size_t batch = nodes_.back().rows;
-  if (needs_cols) {
-    nodes_.back().col_offset = arena_.alloc(batch * patch * hw);
-  }
-  Node& self = nodes_.back();
-  const auto vx = node_value(check_id(x));
-  const auto vw = node_value(check_id(weight));
-  auto out = arena_.span(self.value_offset, self.rows * self.cols);
-  Scratch<float> col_scratch(needs_cols ? 0 : patch * hw);
-  for (size_t b = 0; b < self.rows; ++b) {
-    float* col = needs_cols
-                     ? arena_.span(self.col_offset, batch * patch * hw)
-                               .data() +
-                           b * patch * hw
-                     : col_scratch.data();
-    im2col(&vx[b * c_in * hw], c_in, h, w, k, col);
-    // out_b (c_out x hw) = W (c_out x patch) * col (patch x hw)
-    gemm::sgemm(gemm::Trans::kNo, gemm::Trans::kNo, c_out, hw, patch,
-                vw.data(), patch, col, hw, &out[b * c_out * hw], hw,
-                /*accumulate=*/false);
-  }
-  return id;
-}
-
 VarId Tape::mean_pool(VarId x, size_t group) {
   const Node& nx = check_id(x);
   HITOPK_CHECK_GT(group, 0u);
@@ -518,41 +370,6 @@ void Tape::backward_matmul(Node& n) {
     gemm::sgemm(gemm::Trans::kYes, gemm::Trans::kNo, inner, n.cols, n.rows,
                 node_value(check_id(n.a)).data(), inner, gc.data(), n.cols,
                 gb.data(), n.cols, !claim_first_write(check_id(n.b)));
-  }
-}
-
-void Tape::backward_conv2d(Node& n) {
-  const auto [c_in, h, w, c_out, k] = n.conv;
-  const size_t hw = h * w;
-  const size_t patch = c_in * k * k;
-  const auto vw = node_value(check_id(n.b));
-  const auto gout = node_grad(n);
-  auto gx = grad_for_add(check_id(n.a));
-  auto gw = node_grad(check_id(n.b));
-  if (gx.empty() && gw.empty()) return;
-  const bool write_gw = !gw.empty() && claim_first_write(check_id(n.b));
-  // A weight that can receive a gradient always has its im2col panels
-  // cached by the forward pass (see conv2d()).
-  HITOPK_CHECK(gw.empty() || n.col_offset != kNone);
-  const auto cols = gw.empty() ? std::span<const float>{}
-                               : arena_.span(n.col_offset,
-                                             n.rows * patch * hw);
-  Scratch<float> dcol(gx.empty() ? 0 : patch * hw);
-  for (size_t b = 0; b < n.rows; ++b) {
-    const float* gout_img = &gout[b * c_out * hw];
-    if (!gw.empty()) {
-      // dW += dOut (c_out x hw) * col^T (hw x patch); col cached by forward
-      gemm::sgemm(gemm::Trans::kNo, gemm::Trans::kYes, c_out, patch, hw,
-                  gout_img, hw, &cols[b * patch * hw], hw, gw.data(), patch,
-                  /*accumulate=*/!(write_gw && b == 0));
-    }
-    if (!gx.empty()) {
-      // dcol (patch x hw) = W^T (patch x c_out) * dOut (c_out x hw)
-      gemm::sgemm(gemm::Trans::kYes, gemm::Trans::kNo, patch, hw, c_out,
-                  vw.data(), patch, gout_img, hw, dcol.data(), hw,
-                  /*accumulate=*/false);
-      col2im_add(dcol.data(), c_in, h, w, k, &gx[b * c_in * hw]);
-    }
   }
 }
 
@@ -663,23 +480,6 @@ void Tape::backward() {
         }
         break;
       }
-      case Op::kChannelPool: {
-        auto gx = grad_for_add(check_id(n.a));
-        if (gx.empty()) break;
-        const auto gc = node_grad(n);
-        const float inv = 1.0f / static_cast<float>(n.group);
-        for (size_t b = 0; b < n.rows; ++b) {
-          for (size_t c = 0; c < n.cols; ++c) {
-            const float g = gc[b * n.cols + c] * inv;
-            float* dst = &gx[(b * n.cols + c) * n.group];
-            for (size_t j = 0; j < n.group; ++j) dst[j] += g;
-          }
-        }
-        break;
-      }
-      case Op::kConv2d:
-        backward_conv2d(n);
-        break;
       case Op::kMeanPool: {
         auto gx = grad_for_add(check_id(n.a));
         if (gx.empty()) break;

@@ -6,9 +6,9 @@
 // record themselves on a tape; backward() walks the tape in reverse.
 //
 // Engine layout (the "near-hardware-speed" rebuild):
-//   - Every dense product — matmul forward, both backward products
-//     (dA = dC*B^T, dB = A^T*dC), and im2col-lowered conv2d forward and
-//     backward — runs through the register-tiled SGEMM in core/gemm.h.
+//   - Every dense product — matmul forward and both backward products
+//     (dA = dC*B^T, dB = A^T*dC) — runs through the register-tiled SGEMM
+//     in core/gemm.h.
 //   - Node value/grad storage is bump-allocated from a core/workspace Arena
 //     (thread-local backing buffers), not per-node heap Tensors; reset()
 //     rewinds the tape for the next iteration with capacity intact, so
@@ -20,10 +20,10 @@
 // Leaves reference external storage (the trainer's flat parameter/gradient
 // buffers), so parameters persist outside the tape.  backward() writes each
 // leaf gradient rather than adding into it, so a caller need not zero the
-// buffer first.  Supported ops cover the MLP classifier, the embedding-based
-// sequence model, and the small CNN used as convergence stand-ins: matmul,
-// bias add, (fused) relu, tanh, embedding lookup, conv2d, mean/channel
-// pooling, and softmax cross-entropy.
+// buffer first.  Supported ops cover the MLP classifier and the
+// embedding-based sequence model used as convergence stand-ins: matmul,
+// bias add, (fused) relu, tanh, embedding lookup, mean pooling, and softmax
+// cross-entropy.
 #pragma once
 
 #include <initializer_list>
@@ -77,20 +77,8 @@ class Tape {
     return embedding(table, std::span<const int>(ids.begin(), ids.size()));
   }
 
-  // 2-D convolution, stride 1, "same" zero padding.  x is
-  // (batch x c_in*h*w) with CHW layout per row; weight is
-  // (c_out x c_in*k*k).  Result is (batch x c_out*h*w).
-  VarId conv2d(VarId x, VarId weight, size_t c_in, size_t h, size_t w,
-               size_t c_out, size_t k);
-
   // Mean over consecutive groups of `group` rows: (n x c) -> (n/group x c).
   VarId mean_pool(VarId x, size_t group);
-
-  // Global average pooling over channels laid out channel-major per row:
-  // (n x channels*spatial) -> (n x channels), averaging each channel's
-  // `spatial` contiguous columns.  Makes a convolutional head translation
-  // invariant.
-  VarId channel_pool(VarId x, size_t channels);
 
   // Terminal op: mean softmax cross-entropy of logits (n x classes) against
   // integer labels.  Returns the loss; backward() starts here.  Each row's
@@ -126,13 +114,7 @@ class Tape {
     kTanh,
     kEmbedding,
     kMeanPool,
-    kChannelPool,
-    kConv2d,
     kSoftmaxXent,
-  };
-
-  struct ConvShape {
-    size_t c_in = 0, h = 0, w = 0, c_out = 0, k = 0;
   };
 
   static constexpr size_t kNone = static_cast<size_t>(-1);
@@ -145,14 +127,12 @@ class Tape {
     size_t cols = 0;
     size_t value_offset = kNone;       // arena value block (non-leaf)
     size_t grad_offset = kNone;        // arena grad block (set by backward)
-    size_t col_offset = kNone;         // conv2d: cached im2col panels
     std::span<const float> leaf_value; // leaf external value
     std::span<float> leaf_grad;        // leaf external grad (may be empty)
     bool grad_written = false;         // leaf: this pass wrote leaf_grad
     size_t ids_begin = 0;              // embedding / labels, in ids_
     size_t ids_count = 0;
     size_t group = 1;                  // mean-pool group size
-    ConvShape conv;                    // conv2d geometry
   };
 
   // Appends the node and allocates its arena value block; returns its id.
@@ -170,7 +150,6 @@ class Tape {
   Node& check_id(VarId id);
   const Node& check_id(VarId id) const;
   void backward_matmul(Node& n);
-  void backward_conv2d(Node& n);
 
   std::vector<Node> nodes_;
   std::vector<int> ids_;  // staging for embedding ids / xent labels

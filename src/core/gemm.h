@@ -2,12 +2,11 @@
 //
 // The convergence experiments (Fig. 10 / Table 2) and the bench/e2e training
 // step spend nearly all their compute in dense products: MLP layers
-// (batch x hidden), their two backward products (dA = dC*B^T,
-// dB = A^T*dC), and im2col-lowered convolutions.  sgemm() computes
-// C (+)= op(A) * op(B) by packing op(A) into row panels and running a
-// register-tile microkernel against B read in place: B's rows for
-// op(B) == B, and B's rows as the tile's columns for op(B) == B^T, so no
-// call copies B.
+// (batch x hidden) and their two backward products (dA = dC*B^T,
+// dB = A^T*dC).  sgemm() computes C (+)= op(A) * op(B) by packing op(A)
+// into row panels and running a register-tile microkernel against B read
+// in place: B's rows for op(B) == B, and B's rows as the tile's columns for
+// op(B) == B^T, so no call copies B.
 //
 // One kernel source is compiled twice: a baseline x86-64 build (SSE2,
 // 4-lane vectors, 4x8 tiles in 8 of the 16 xmm registers) and an AVX2

@@ -1,7 +1,6 @@
 #include "pto/lars.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/check.h"
 #include "core/parallel.h"
@@ -144,46 +143,6 @@ std::span<const float> LarsOptimizer::state(const std::string& key) const {
 void LarsOptimizer::set_state(const std::string& key,
                               std::span<const float> values) {
   store_state(velocity_, key, values);
-}
-
-LambOptimizer::LambOptimizer(double beta1, double beta2, double weight_decay,
-                             double epsilon)
-    : beta1_(beta1), beta2_(beta2), weight_decay_(weight_decay),
-      epsilon_(epsilon) {}
-
-void LambOptimizer::step(const std::string& key, std::span<float> weights,
-                         std::span<const float> grad, double lr) {
-  HITOPK_CHECK_EQ(weights.size(), grad.size());
-  auto [it, inserted] = state_.try_emplace(key);
-  State& s = it->second;
-  if (inserted) {
-    s.m = Tensor(weights.size());
-    s.v = Tensor(weights.size());
-  }
-  HITOPK_CHECK_EQ(s.m.size(), weights.size());
-  ++s.step;
-
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(s.step));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(s.step));
-  // Adam update direction with decoupled weight decay.
-  Tensor update(weights.size());
-  for (size_t i = 0; i < weights.size(); ++i) {
-    s.m[i] = static_cast<float>(beta1_ * s.m[i] + (1.0 - beta1_) * grad[i]);
-    s.v[i] = static_cast<float>(beta2_ * s.v[i] +
-                                (1.0 - beta2_) * grad[i] * grad[i]);
-    const double m_hat = s.m[i] / bc1;
-    const double v_hat = s.v[i] / bc2;
-    update[i] = static_cast<float>(m_hat / (std::sqrt(v_hat) + epsilon_) +
-                                   weight_decay_ * weights[i]);
-  }
-  const float w_norm = tensor_ops::l2_norm(
-      std::span<const float>(weights.data(), weights.size()));
-  const float u_norm = update.l2_norm();
-  const float trust =
-      (w_norm > 0.0f && u_norm > 0.0f) ? w_norm / u_norm : 1.0f;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    weights[i] -= static_cast<float>(lr) * trust * update[i];
-  }
 }
 
 }  // namespace hitopk::pto

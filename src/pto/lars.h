@@ -3,7 +3,7 @@
 //   lambda_l = gamma * eta_t * ||w_l|| / (||g_l|| + eps_wd * ||w_l||)
 //
 // required for the paper's 32K-batch training, plus the plain momentum-SGD
-// baseline and LAMB.  The optimizers here are *functional* (they update real
+// baseline.  The optimizers here are *functional* (they update real
 // tensors in the convergence experiments); the simulated device cost of the
 // layer-wise norms lives in simgpu::GpuCostModel::lars_seconds and the PTO
 // partitioning in pto/pto.h.
@@ -77,25 +77,6 @@ class LarsOptimizer {
   LarsConfig config_;
   std::unordered_map<std::string, Tensor> velocity_;
   std::unordered_map<std::string, float> last_rate_;
-};
-
-// LAMB (You et al. 2020): Adam statistics with a per-tensor trust ratio.
-class LambOptimizer {
- public:
-  LambOptimizer(double beta1 = 0.9, double beta2 = 0.999,
-                double weight_decay = 0.01, double epsilon = 1e-6);
-
-  void step(const std::string& key, std::span<float> weights,
-            std::span<const float> grad, double lr);
-
- private:
-  double beta1_, beta2_, weight_decay_, epsilon_;
-  struct State {
-    Tensor m;
-    Tensor v;
-    long step = 0;
-  };
-  std::unordered_map<std::string, State> state_;
 };
 
 }  // namespace hitopk::pto

@@ -30,17 +30,6 @@ std::string convergence_algorithm_name(ConvergenceAlgorithm algorithm) {
   return "unknown";
 }
 
-ConvergenceAlgorithm convergence_algorithm_from_name(const std::string& name) {
-  if (name == "dense") return ConvergenceAlgorithm::kDense;
-  if (name == "topk") return ConvergenceAlgorithm::kTopk;
-  if (name == "mstopk") return ConvergenceAlgorithm::kMstopk;
-  if (name == "randomk") return ConvergenceAlgorithm::kRandomk;
-  if (name == "gtopk") return ConvergenceAlgorithm::kGtopk;
-  if (name == "localsgd") return ConvergenceAlgorithm::kLocalSgd;
-  HITOPK_CHECK(false) << "unknown convergence algorithm:" << name;
-  return ConvergenceAlgorithm::kDense;
-}
-
 namespace {
 
 // Key prefix of MSTopK-SGD's HiTopKComm residuals.

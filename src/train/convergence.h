@@ -44,7 +44,6 @@ enum class ConvergenceAlgorithm {
 };
 
 std::string convergence_algorithm_name(ConvergenceAlgorithm algorithm);
-ConvergenceAlgorithm convergence_algorithm_from_name(const std::string& name);
 
 struct ConvergenceOptions {
   int nodes = 4;

@@ -29,8 +29,8 @@ ad::Tape& scratch_tape() {
 // runs peak ~60 MB lower at 256 rows than at 512).
 constexpr size_t kEvalChunk = 256;
 
-// One data split: `width` values per sample (features for the vision and CNN
-// tasks, token ids for the sequence task), row-major, plus one label each.
+// One data split: `width` values per sample (features for the vision task,
+// token ids for the sequence task), row-major, plus one label each.
 template <typename Row>
 struct Split {
   std::vector<Row> x;
@@ -305,82 +305,6 @@ class SeqTask : public SyntheticTask<int> {
   static constexpr double kNoise = 0.82;
 };
 
-// ------------------------------------------------------------ CNN task
-class CnnTask : public SyntheticTask<float> {
- public:
-  CnnTask(uint64_t seed, std::string name)
-      : SyntheticTask(std::move(name), "top-1 accuracy", kPixels, 1) {
-    // Class motifs: distinct 3x3 binary stamps.
-    const uint16_t motifs[kClasses] = {
-        0b000111000,  // horizontal bar
-        0b010010010,  // vertical bar
-        0b100010001,  // diagonal
-        0b001010100,  // anti-diagonal
-        0b010111010,  // cross
-        0b111100100,  // corner
-        0b111101111,  // ring
-        0b101010101,  // checkers
-    };
-    Rng rng(seed);
-    generate(rng, kClasses, kTrainSamples, kTestSamples,
-             [&](size_t c, float* img) {
-               for (size_t p = 0; p < kPixels; ++p) {
-                 img[p] = static_cast<float>(rng.normal(0.0, kNoise));
-               }
-               // Stamp the motif at a random interior position.
-               const size_t oy = 1 + rng.uniform_index(kSide - 3);
-               const size_t ox = 1 + rng.uniform_index(kSide - 3);
-               for (size_t ky = 0; ky < 3; ++ky) {
-                 for (size_t kx = 0; kx < 3; ++kx) {
-                   if (motifs[c] >> (8 - (ky * 3 + kx)) & 1) {
-                     img[(oy + ky - 1) * kSide + ox + kx - 1] += 3.0f;
-                   }
-                 }
-               }
-             });
-
-    add_segment("conv1.w", kChannels * 1 * 9);
-    add_segment("conv2.w", kChannels * kChannels * 9);
-    add_segment("fc.w", kChannels * kClasses);
-    add_segment("fc.b", kClasses);
-    params_ = Tensor(segment_total());
-    Rng init(seed + 1);
-    // He-style init for the weights; zero bias.
-    init_normal(0, init, 0.35f);
-    init_normal(1, init, 0.35f);
-    init_normal(2, init, 0.4f);
-  }
-
- private:
-  ad::VarId forward(ad::Tape& tape, std::span<const float> params,
-                    std::span<const float> x, size_t batch,
-                    std::span<float> grad) const override {
-    const ad::VarId input = tape.leaf(x, {}, batch, kPixels);
-    const ad::VarId w1 = param_leaf(tape, params, grad, 0, kChannels, 9);
-    const ad::VarId h1 =
-        tape.relu(tape.conv2d(input, w1, 1, kSide, kSide, kChannels, 3));
-    const ad::VarId w2 =
-        param_leaf(tape, params, grad, 1, kChannels, kChannels * 9);
-    const ad::VarId h2 = tape.relu(
-        tape.conv2d(h1, w2, kChannels, kSide, kSide, kChannels, 3));
-    // Global average pooling makes the head translation invariant — the
-    // motif can appear anywhere in the canvas.
-    const ad::VarId pooled = tape.channel_pool(h2, kChannels);
-    const ad::VarId fc_w =
-        param_leaf(tape, params, grad, 2, kChannels, kClasses);
-    const ad::VarId fc_b = param_leaf(tape, params, grad, 3, 1, kClasses);
-    return tape.add_bias(tape.matmul(pooled, fc_w), fc_b);
-  }
-
-  static constexpr size_t kClasses = 8;
-  static constexpr size_t kSide = 12;
-  static constexpr size_t kPixels = kSide * kSide;
-  static constexpr size_t kChannels = 16;
-  static constexpr size_t kTrainSamples = 4096;
-  static constexpr size_t kTestSamples = 1024;
-  static constexpr double kNoise = 0.55;
-};
-
 }  // namespace
 
 std::unique_ptr<ConvergenceTask> make_vision_task(uint64_t seed,
@@ -392,11 +316,6 @@ std::unique_ptr<ConvergenceTask> make_vision_task(uint64_t seed,
 std::unique_ptr<ConvergenceTask> make_sequence_task(uint64_t seed,
                                                     const std::string& name) {
   return std::make_unique<SeqTask>(seed, name);
-}
-
-std::unique_ptr<ConvergenceTask> make_cnn_task(uint64_t seed,
-                                               const std::string& name) {
-  return std::make_unique<CnnTask>(seed, name);
 }
 
 }  // namespace hitopk::train

@@ -79,12 +79,4 @@ std::unique_ptr<ConvergenceTask> make_vision_task(
 std::unique_ptr<ConvergenceTask> make_sequence_task(
     uint64_t seed, const std::string& name = "transformer-proxy");
 
-// A real (small) convolutional network on translation-invariant pattern
-// images: class-specific 3x3 motifs stamped at random positions in a noisy
-// 12x12 canvas, classified by conv -> relu -> conv -> relu -> dense.  The
-// closest laptop-scale analogue of the paper's CNN workloads: convolution
-// weight gradients flow through the same sparsification path.
-std::unique_ptr<ConvergenceTask> make_cnn_task(
-    uint64_t seed, const std::string& name = "cnn-proxy");
-
 }  // namespace hitopk::train

@@ -365,166 +365,6 @@ TEST(Tape, OverlappingLeafGradsRaiseConfigError) {
   EXPECT_NO_THROW(tape.leaf(v.subspan(0, 4), {}, 2, 2));
 }
 
-TEST(Tape, ChannelPoolAveragesPerChannel) {
-  Tape tape;
-  // 1 row, 2 channels x 3 spatial.
-  Tensor x = Tensor::from(1, 6, {1, 2, 3, 10, 20, 30});
-  const VarId out = tape.channel_pool(tape.leaf(x.span(), {}, 1, 6), 2);
-  auto v = tape.value(out);
-  EXPECT_FLOAT_EQ(v[0], 2.0f);
-  EXPECT_FLOAT_EQ(v[1], 20.0f);
-}
-
-TEST(Tape, ChannelPoolShapeCheck) {
-  Tape tape;
-  Tensor x(1, 7);
-  const VarId v = tape.leaf(x.span(), {}, 1, 7);
-  EXPECT_THROW(tape.channel_pool(v, 2), CheckError);
-}
-
-TEST(TapeGradient, ChannelPoolNumericalCheck) {
-  Rng rng(37);
-  const size_t channels = 3, spatial = 4, classes = 2, batch = 2;
-  Tensor x(batch, channels * spatial);
-  x.fill_normal(rng, 0.0f, 1.0f);
-  std::vector<int> labels{0, 1};
-  std::vector<float> params(channels * classes);
-  for (auto& p : params) p = static_cast<float>(rng.normal(0.0, 0.5));
-  auto build = [&](const std::vector<float>& p, std::vector<float>* grad,
-                   Tape& tape) {
-    std::span<const float> w(p.data(), p.size());
-    std::span<float> g =
-        grad ? std::span<float>(grad->data(), grad->size()) : std::span<float>{};
-    const VarId pooled = tape.channel_pool(
-        tape.leaf(x.span(), {}, batch, channels * spatial), channels);
-    const VarId logits = tape.matmul(pooled, tape.leaf(w, g, channels, classes));
-    return tape.softmax_cross_entropy(logits, labels);
-  };
-  std::vector<float> analytic(params.size(), 0.0f);
-  {
-    Tape tape;
-    build(params, &analytic, tape);
-    tape.backward();
-  }
-  auto loss_fn = [&](const std::vector<float>& p) {
-    Tape tape;
-    return build(p, nullptr, tape);
-  };
-  expect_grad_close(analytic, numerical_gradient(params, loss_fn));
-}
-
-TEST(Tape, Conv2dIdentityKernel) {
-  // A kernel with a single center 1 reproduces the input.
-  Tape tape;
-  Tensor x(1, 16);  // 1 channel, 4x4
-  for (size_t i = 0; i < 16; ++i) x[i] = static_cast<float>(i);
-  Tensor kernel = Tensor::from(1, 9, {0, 0, 0, 0, 1, 0, 0, 0, 0});
-  const VarId out = tape.conv2d(tape.leaf(x.span(), {}, 1, 16),
-                                tape.leaf(kernel.span(), {}, 1, 9), 1, 4, 4, 1,
-                                3);
-  auto v = tape.value(out);
-  for (size_t i = 0; i < 16; ++i) EXPECT_EQ(v[i], x[i]);
-}
-
-TEST(Tape, Conv2dBoxKernelWithPadding) {
-  // All-ones 3x3 kernel on an all-ones image: interior sums 9, corner 4,
-  // edge 6 (zero padding).
-  Tape tape;
-  Tensor x(1, 16);
-  x.fill(1.0f);
-  Tensor kernel(1, 9);
-  kernel.fill(1.0f);
-  const VarId out = tape.conv2d(tape.leaf(x.span(), {}, 1, 16),
-                                tape.leaf(kernel.span(), {}, 1, 9), 1, 4, 4, 1,
-                                3);
-  auto v = tape.value(out);
-  EXPECT_EQ(v[0], 4.0f);   // corner
-  EXPECT_EQ(v[1], 6.0f);   // edge
-  EXPECT_EQ(v[5], 9.0f);   // interior
-}
-
-TEST(Tape, Conv2dShapeChecks) {
-  Tape tape;
-  Tensor x(2, 16), w(3, 9);
-  const VarId vx = tape.leaf(x.span(), {}, 2, 16);
-  const VarId vw = tape.leaf(w.span(), {}, 3, 9);
-  EXPECT_NO_THROW(tape.conv2d(vx, vw, 1, 4, 4, 3, 3));
-  EXPECT_THROW(tape.conv2d(vx, vw, 2, 4, 4, 3, 3), CheckError);  // c_in wrong
-  EXPECT_THROW(tape.conv2d(vx, vw, 1, 4, 4, 3, 2), CheckError);  // even k
-}
-
-TEST(TapeGradient, Conv2dNumericalCheck) {
-  // conv(1->2 channels, 3x3, 5x5 image) -> xent over flattened output
-  // columns... simpler: conv -> matmul to classes -> xent; check both the
-  // kernel and a downstream dense weight.
-  Rng rng(19);
-  const size_t h = 5, w = 5, c_out = 2, classes = 3, batch = 3;
-  Tensor x(batch, h * w);
-  x.fill_normal(rng, 0.0f, 1.0f);
-  std::vector<int> labels{0, 2, 1};
-  const size_t n_params = c_out * 9 + c_out * h * w * classes;
-  std::vector<float> params(n_params);
-  for (auto& p : params) p = static_cast<float>(rng.normal(0.0, 0.3));
-
-  auto build = [&](const std::vector<float>& p, std::vector<float>* grad,
-                   Tape& tape) {
-    std::span<const float> kernel(p.data(), c_out * 9);
-    std::span<const float> dense(p.data() + c_out * 9,
-                                 c_out * h * w * classes);
-    std::span<float> gk, gd;
-    if (grad) {
-      gk = std::span<float>(grad->data(), c_out * 9);
-      gd = std::span<float>(grad->data() + c_out * 9,
-                            c_out * h * w * classes);
-    }
-    const VarId conv = tape.conv2d(tape.leaf(x.span(), {}, batch, h * w),
-                                   tape.leaf(kernel, gk, c_out, 9), 1, h, w,
-                                   c_out, 3);
-    const VarId act = tape.tanh_act(conv);
-    const VarId logits =
-        tape.matmul(act, tape.leaf(dense, gd, c_out * h * w, classes));
-    return tape.softmax_cross_entropy(logits, labels);
-  };
-  std::vector<float> analytic(n_params, 0.0f);
-  {
-    Tape tape;
-    build(params, &analytic, tape);
-    tape.backward();
-  }
-  auto loss_fn = [&](const std::vector<float>& p) {
-    Tape tape;
-    return build(p, nullptr, tape);
-  };
-  expect_grad_close(analytic, numerical_gradient(params, loss_fn), 5e-3f);
-}
-
-TEST(TapeGradient, Conv2dInputGradientFlowsThroughStackedConvs) {
-  // Two stacked convs: the first kernel's gradient must be nonzero (dX of
-  // the second conv feeds it).
-  Rng rng(23);
-  const size_t h = 4, w = 4;
-  Tensor x(2, h * w);
-  x.fill_normal(rng, 0.0f, 1.0f);
-  std::vector<float> k1(2 * 9), k2(1 * 2 * 9);
-  for (auto& v : k1) v = static_cast<float>(rng.normal(0.0, 0.4));
-  for (auto& v : k2) v = static_cast<float>(rng.normal(0.0, 0.4));
-  std::vector<float> g1(k1.size(), 0.0f), g2(k2.size(), 0.0f);
-  Tape tape;
-  const VarId c1 = tape.conv2d(
-      tape.leaf(x.span(), {}, 2, h * w),
-      tape.leaf(std::span<const float>(k1), std::span<float>(g1), 2, 9), 1, h,
-      w, 2, 3);
-  const VarId c2 = tape.conv2d(
-      tape.relu(c1),
-      tape.leaf(std::span<const float>(k2), std::span<float>(g2), 1, 18), 2,
-      h, w, 1, 3);
-  tape.softmax_cross_entropy(c2, std::vector<int>{0, 5});
-  tape.backward();
-  double norm1 = 0.0;
-  for (float v : g1) norm1 += std::fabs(v);
-  EXPECT_GT(norm1, 0.0);
-}
-
 TEST(Tape, CountTopkCorrect) {
   // logits rows: correct label ranked 1st, 3rd, and last.
   std::vector<float> logits{

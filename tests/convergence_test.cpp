@@ -94,21 +94,6 @@ TEST(SyntheticTasks, IndependentSeedsGiveDifferentData) {
   EXPECT_NE(la, lb);
 }
 
-TEST(SyntheticTasks, CnnTaskShape) {
-  auto task = make_cnn_task(3);
-  EXPECT_EQ(task->quality_metric(), "top-1 accuracy");
-  size_t covered = 0;
-  for (const auto& seg : task->segments()) {
-    EXPECT_EQ(seg.begin, covered);
-    covered += seg.count;
-  }
-  EXPECT_EQ(covered, task->param_count());
-  // Fresh CNN near chance (8 classes).
-  const double q = task->evaluate();
-  EXPECT_GT(q, 0.03);
-  EXPECT_LT(q, 0.35);
-}
-
 // Bad task input stops with a recoverable ConfigError in every task: no
 // out-of-bounds read of the training split, no NaN loss from an empty batch,
 // no internal CheckError, and no constant model from a zero-width layer.
@@ -117,7 +102,7 @@ TEST(SyntheticTasks, BadInputRaisesConfigError) {
   const char* what[] = {"index == train_size()", "empty batch",
                         "short params", "long grad_out"};
   const std::unique_ptr<ConvergenceTask> tasks[] = {
-      make_vision_task(3), make_sequence_task(3), make_cnn_task(3)};
+      make_vision_task(3), make_sequence_task(3)};
   for (const auto& task : tasks) {
     for (Call call : {kIndexAtTrainSize, kEmptyBatch, kShortParams,
                       kLongGrad}) {
@@ -180,21 +165,6 @@ TEST(Convergence, SparseAlgorithmsTrackDense) {
   EXPECT_GE(dense.final_quality + 0.02, mstopk.final_quality);
 }
 
-TEST(Convergence, CnnLearnsTranslationInvariantPatterns) {
-  // The real-convolution task: dense training must solve it, and MSTopK
-  // sparsified training must stay close — conv gradients through the same
-  // sparsification path as the paper's CNNs.
-  auto dense_task = make_cnn_task(25);
-  ConvergenceOptions options = quick(ConvergenceAlgorithm::kDense, 8);
-  options.learning_rate = 0.4;
-  const auto dense = run_convergence(*dense_task, options);
-  EXPECT_GT(dense.final_quality, 0.8);
-  auto sparse_task = make_cnn_task(25);
-  options.algorithm = ConvergenceAlgorithm::kMstopk;
-  const auto sparse = run_convergence(*sparse_task, options);
-  EXPECT_GT(sparse.final_quality, dense.final_quality - 0.15);
-}
-
 TEST(Convergence, RandomKIsMarkedlyWorse) {
   // Magnitude-based selection matters: random-k at the same density
   // converges far slower (ablation).
@@ -250,14 +220,6 @@ TEST(Convergence, CurveHasOneEntryPerEpoch) {
       run_convergence(*task, quick(ConvergenceAlgorithm::kDense, 5));
   ASSERT_EQ(result.curve.size(), 5u);
   for (int e = 0; e < 5; ++e) EXPECT_EQ(result.curve[e].epoch, e + 1);
-}
-
-TEST(Convergence, AlgorithmNamesRoundTrip) {
-  for (const char* name : {"dense", "topk", "mstopk", "randomk"}) {
-    const auto algorithm = convergence_algorithm_from_name(name);
-    EXPECT_FALSE(convergence_algorithm_name(algorithm).empty());
-  }
-  EXPECT_THROW(convergence_algorithm_from_name("adam"), CheckError);
 }
 
 // Bad options stop at the constructor with a recoverable ConfigError, not

@@ -154,27 +154,6 @@ TEST(LarsOptimizer, StepScaleIndependentOfGradientScale) {
   EXPECT_NEAR(std::sqrt(delta1), std::sqrt(delta2), 0.05f * std::sqrt(delta1));
 }
 
-TEST(LambOptimizer, ConvergesOnQuadratic) {
-  // Minimize f(w) = ||w - target||^2 with LAMB; it must make progress.
-  LambOptimizer lamb(0.9, 0.999, 0.0, 1e-6);
-  Tensor w(10);
-  Tensor target(10);
-  target.fill(3.0f);
-  double initial_loss = 0, final_loss = 0;
-  for (int step = 0; step < 200; ++step) {
-    Tensor g(10);
-    double loss = 0;
-    for (size_t i = 0; i < 10; ++i) {
-      g[i] = 2.0f * (w[i] - target[i]);
-      loss += (w[i] - target[i]) * (w[i] - target[i]);
-    }
-    if (step == 0) initial_loss = loss;
-    final_loss = loss;
-    lamb.step("w", w.span(), g.span(), 0.05);
-  }
-  EXPECT_LT(final_loss, 0.05 * initial_loss);
-}
-
 TEST(Optimizers, IndependentStatePerKey) {
   SgdOptimizer sgd(0.9, 0.0);
   Tensor a = Tensor::from({0.0f});

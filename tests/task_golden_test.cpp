@@ -1,8 +1,8 @@
 // Golden rows for the synthetic convergence tasks (train/synthetic.h).
 //
 // For each stand-in (the vision MLP at its default widths and at the
-// bench/e2e widths {1024, 1024}, the sequence task and the CNN task) at two
-// seeds, one row pins bit for bit:
+// bench/e2e widths {1024, 1024}, and the sequence task) at two seeds, one
+// row pins bit for bit:
 //   - the FNV-1a digest of the initial parameters (data generator + init);
 //   - every worker's gradient digest and hexfloat loss on a fixed batch,
 //     with the workers fanned out over the pool as the engine does;
@@ -68,14 +68,6 @@ constexpr TaskGoldenRow kTaskGolden[] = {
      {0xfcf1a35175c8cae9ull, 0x896c0239a9000cdcull, 0x359068525f6d982full, 0xddc78c739ae7ae39ull},
      {0x1.6c249bd94baa4p+1, 0x1.726879e27176fp+1, 0x1.668b75e6ca2d8p+1, 0x1.6cf00a10ecc55p+1},
      0x1.1cp-4},
-    {"cnn", 7ull, 0x3b39202ef22df69full,
-     {0xba5443bb73712826ull, 0x6bd612945b052ff2ull, 0xb9b816c82fbb908full, 0x764b4fc114a22c26ull},
-     {0x1.7f289f018b079p+1, 0x1.4554ce22a4faep+1, 0x1.3ec6af4dc7be6p+1, 0x1.9940daa37ba92p+1},
-     0x1.0cp-3},
-    {"cnn", 20260807ull, 0x3dbbfdee1060eab4ull,
-     {0x6c6b0f64358abe14ull, 0xf49061daf83b84aeull, 0x718d7d9605f65f2cull, 0xdfdcbb517226be32ull},
-     {0x1.996897ae2712fp+1, 0x1.831fca0e4009fp+1, 0x1.8f71c985e3d6fp+1, 0x1.9cef1a2ff49e8p+1},
-     0x1.cp-4},
 };
 
 struct TaskCase {
@@ -90,7 +82,6 @@ const TaskCase kCases[] = {
        return make_vision_task(s, "resnet50-proxy", {1024, 1024});
      }},
     {"sequence", [](uint64_t s) { return make_sequence_task(s); }},
-    {"cnn", [](uint64_t s) { return make_cnn_task(s); }},
 };
 constexpr uint64_t kSeeds[] = {7, 20260807};
 

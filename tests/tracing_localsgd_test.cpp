@@ -115,8 +115,6 @@ TEST(LocalSgd, NameRoundTrip) {
   EXPECT_EQ(train::convergence_algorithm_name(
                 train::ConvergenceAlgorithm::kLocalSgd),
             "LocalSGD");
-  EXPECT_EQ(train::convergence_algorithm_from_name("localsgd"),
-            train::ConvergenceAlgorithm::kLocalSgd);
 }
 
 }  // namespace
